@@ -1,14 +1,15 @@
 #include "ada/indexer.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/admission.hpp"
 #include "common/binary_io.hpp"
 #include "common/crc32c.hpp"
+#include "common/parallel.hpp"
 #include "common/retry.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
@@ -70,33 +71,11 @@ Result<std::vector<Tag>> Indexer::tags(const std::string& logical_name) const {
   return out;
 }
 
-Result<std::vector<std::uint8_t>> IoRetriever::retrieve(const std::string& logical_name,
-                                                        const Tag& tag) const {
-  const obs::TraceSpan trace("plfs_read", tag);
-  Indexer indexer(mount_);
-  // The indexer resolves paths; the retriever performs the reads.
-  ADA_ASSIGN_OR_RETURN(const auto locations, indexer.locate(logical_name, tag));
-  ADA_ASSIGN_OR_RETURN(auto out, retrieve(std::span<const DatasetLocation>(locations)));
-  obs::trace_counter("plfs.read.bytes", out.size());
-  return out;
-}
-
 Result<std::vector<std::uint8_t>> IoRetriever::retrieve(
     std::span<const DatasetLocation> locations) const {
-  if (!options_.parallel() || locations.size() <= 1) {
-    // The serial path: one extent at a time, read then verified, appended in
-    // logical order -- byte-for-byte the pre-scatter-gather retriever.
-    std::vector<std::uint8_t> out;
-    for (const DatasetLocation& location : locations) {
-      ADA_ASSIGN_OR_RETURN(const auto extent, retrieve_extent(location));
-      out.insert(out.end(), extent.begin(), extent.end());
-    }
-    return out;
-  }
-  ADA_ASSIGN_OR_RETURN(const auto extents, retrieve_extents(locations));
-  // Ordered merge (the formats::merge_raw_images shape): tasks completed in
-  // whatever order the pool ran them, but assembly is by location index, so
-  // the image is identical to the serial concatenation.
+  ADA_ASSIGN_OR_RETURN(auto extents, retrieve_extents(locations));
+  // A one-extent subset (every batch-ingested tag) already is the image.
+  if (extents.size() == 1) return std::move(extents.front());
   std::size_t total = 0;
   for (const auto& extent : extents) total += extent.size();
   std::vector<std::uint8_t> out;
@@ -107,36 +86,33 @@ Result<std::vector<std::uint8_t>> IoRetriever::retrieve(
 
 Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
     std::span<const DatasetLocation> locations) const {
-  if (!options_.parallel() || locations.size() <= 1) {
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(locations.size());
-    for (const DatasetLocation& location : locations) {
-      ADA_ASSIGN_OR_RETURN(auto extent, retrieve_extent(location));
-      out.push_back(std::move(extent));
-    }
-    return out;
+  const bool fan_out = options_.threads > 1 && locations.size() > 1;
+  if (fan_out) {
+    ADA_OBS_COUNT("retrieve.sg.calls", 1);
+    ADA_OBS_COUNT("retrieve.sg.extents", locations.size());
   }
 
-  ADA_OBS_COUNT("retrieve.sg.calls", 1);
-  ADA_OBS_COUNT("retrieve.sg.extents", locations.size());
-
-  // Group extents by owning backend (locality: within a backend, reads stay
-  // in logical order -- sequential on a spinning server), then interleave
-  // the groups round-robin so the pool's in-order task claim spreads across
-  // backends instead of queueing behind one server's admission window.
+  // One read in flight runs in logical order.  A fan-out groups extents by
+  // owning backend (locality: within a backend, reads stay in logical order
+  // -- sequential on a spinning server), then interleaves the groups
+  // round-robin so the pool's in-order task claim spreads across backends
+  // instead of queueing behind one server's admission window.
   std::uint32_t backends = 0;
   for (const DatasetLocation& location : locations) {
     backends = std::max(backends, location.backend + 1);
   }
-  std::vector<std::vector<std::size_t>> by_backend(backends);
-  for (std::size_t i = 0; i < locations.size(); ++i) {
-    by_backend[locations[i].backend].push_back(i);
-  }
-  std::vector<std::size_t> order;
-  order.reserve(locations.size());
-  for (std::size_t round = 0; order.size() < locations.size(); ++round) {
-    for (const auto& group : by_backend) {
-      if (round < group.size()) order.push_back(group[round]);
+  std::vector<std::size_t> order(locations.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (fan_out) {
+    std::vector<std::vector<std::size_t>> by_backend(backends);
+    for (std::size_t i = 0; i < locations.size(); ++i) {
+      by_backend[locations[i].backend].push_back(i);
+    }
+    order.clear();
+    for (std::size_t round = 0; order.size() < locations.size(); ++round) {
+      for (const auto& group : by_backend) {
+        if (round < group.size()) order.push_back(group[round]);
+      }
     }
   }
 
@@ -144,30 +120,28 @@ Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
   // extent reads in flight against any one backend.  A task holds exactly
   // one slot while it reads, so blocked acquires always wait on running
   // tasks and the batch drains (common/admission.hpp).
-  AdmissionWindow window(backends, options_.queue_depth);
+  AdmissionWindow window(backends, fan_out ? options_.queue_depth : 0);
   std::vector<Result<std::vector<std::uint8_t>>> results(
       locations.size(),
       Result<std::vector<std::uint8_t>>(internal_error("extent read not executed")));
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(order.size());
-  for (const std::size_t index : order) {
-    tasks.push_back([this, &locations, &results, &window, index] {
-      const DatasetLocation& location = locations[index];
-      const std::uint64_t waits = window.acquire(location.backend);
-      if (waits != 0) ADA_OBS_COUNT("retrieve.sg.admission_waits", waits);
-      {
-        // Read + CRC verify pipelined on the worker: while this extent
-        // transfers, siblings verify, so transfer overlaps decode.
-        const obs::TraceSpan span("sg_extent", location.backend_name);
-        results[index] = retrieve_extent(location);
-      }
-      window.release(location.backend);
-    });
-  }
-  ThreadPool::shared().run_batch(std::move(tasks), options_.threads);
+  run_until_failure(order, options_.threads, [&](std::size_t index) {
+    const DatasetLocation& location = locations[index];
+    const std::uint64_t waits = window.acquire(location.backend);
+    if (waits != 0) ADA_OBS_COUNT("retrieve.sg.admission_waits", waits);
+    {
+      // Read + CRC verify pipelined on the worker: while this extent
+      // transfers, siblings verify, so transfer overlaps decode.
+      std::optional<obs::TraceSpan> span;
+      if (fan_out) span.emplace("sg_extent", location.backend_name);
+      results[index] = retrieve_extent(location);
+    }
+    window.release(location.backend);
+    return results[index].is_ok();
+  });
 
-  // First failure in *logical* order wins -- the same error the serial loop
-  // would have stopped on.
+  // Ordered merge: tasks completed in whatever order the pool ran them, but
+  // assembly is by location index, and the first failure in logical order
+  // wins (run_until_failure skips only reads past it).
   std::vector<std::vector<std::uint8_t>> out;
   out.reserve(locations.size());
   std::uint64_t bytes = 0;
@@ -176,7 +150,9 @@ Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
     bytes += result.value().size();
     out.push_back(std::move(result).value());
   }
-  ADA_OBS_COUNT("retrieve.sg.bytes", bytes);
+  ADA_OBS_COUNT("plfs.read.calls", 1);
+  ADA_OBS_COUNT("plfs.read.bytes", bytes);
+  if (fan_out) ADA_OBS_COUNT("retrieve.sg.bytes", bytes);
   return out;
 }
 

@@ -54,21 +54,19 @@ class Indexer {
 };
 
 /// Scatter-gather retrieval knobs (docs/performance.md, "Scatter-gather
-/// retrieval").  The defaults reproduce the serial pre-scatter-gather read
-/// path byte for byte.
+/// retrieval").  Every thread count runs the same fetch engine; the defaults
+/// are its one-thread run.
 struct RetrieveOptions {
-  /// Extent reads in flight per retrieve() call.  0 or 1 keeps the serial
-  /// path (one extent at a time, read then verified); N > 1 fans per-extent
-  /// read+verify tasks onto the shared thread pool so transfer of one extent
-  /// overlaps verification/decode of another.
+  /// Extent reads in flight per fetch.  0 and 1 both mean one: the engine
+  /// runs inline on the caller, extent by extent in logical order.  N > 1
+  /// fans per-extent read+verify tasks onto the shared thread pool so
+  /// transfer of one extent overlaps verification/decode of another.
   unsigned threads = 0;
 
-  /// Per-backend admission window for the parallel path: at most this many
+  /// Per-backend admission window when reads fan out: at most this many
   /// extent reads in flight against any one backend (0 = unbounded).  Keeps
   /// a wide fan-out from swamping a single server while other backends idle.
   unsigned queue_depth = 4;
-
-  bool parallel() const noexcept { return threads > 1; }
 };
 
 class IoRetriever {
@@ -76,28 +74,21 @@ class IoRetriever {
   explicit IoRetriever(const plfs::PlfsMount& mount, RetrieveOptions options = {})
       : mount_(mount), options_(options) {}
 
-  /// Fetch the full subset image for `tag` (POSIX reads on the droppings the
-  /// indexer located).  Reads are retried under the mount's retry policy and
-  /// every extent is verified against its stored CRC32C -- a mismatch is a
-  /// typed kCorruptData error, never silently served bytes.
-  Result<std::vector<std::uint8_t>> retrieve(const std::string& logical_name,
-                                             const Tag& tag) const;
-
-  /// Fetch already-located extents, concatenated in location order.  Callers
-  /// that hold `DatasetLocation`s (the frame-range path, degraded sweeps)
-  /// use this to skip a second index walk.  With options().parallel() the
-  /// extents are read scatter-gather; the assembled bytes are byte-identical
-  /// to the serial loop either way (ordered merge).
+  /// Fetch already-located extents (Indexer::locate) concatenated in
+  /// location order: the subset image of a tag.
   Result<std::vector<std::uint8_t>> retrieve(std::span<const DatasetLocation> locations) const;
 
-  /// Fetch several located extents as separate images, in location order
-  /// (the frame-range fast path assembles blocks out of these).  Same
-  /// scatter-gather/serial split as retrieve(span).
+  /// Fetch located extents as separate images, in location order.  This is
+  /// the one fetch loop: options().threads extents in flight (one = inline,
+  /// in order), results merged by location index, and the first failure in
+  /// location order is the error -- the one a serial loop would stop on.
   Result<std::vector<std::vector<std::uint8_t>>> retrieve_extents(
       std::span<const DatasetLocation> locations) const;
 
-  /// Fetch one located extent's bytes (same retry + CRC discipline as
-  /// retrieve()).
+  /// Fetch one located extent's bytes: POSIX reads of its dropping, retried
+  /// under the mount's retry policy and verified against the stored CRC32C
+  /// -- a mismatch is a typed kCorruptData error, never silently served
+  /// bytes.
   Result<std::vector<std::uint8_t>> retrieve_extent(const DatasetLocation& location) const;
 
   const RetrieveOptions& options() const noexcept { return options_; }

@@ -191,46 +191,73 @@ void Ada::count_query_bytes(const Tag& tag, std::size_t bytes) const {
   per_tag->add(bytes);
 }
 
+namespace {
+
+Status check_user_tag(const Tag& tag) {
+  if (tag == kLabelFileTag || tag == kOriginalTag) {
+    return invalid_argument("tag '" + tag + "' is reserved");
+  }
+  return Status::ok();
+}
+
+}  // namespace
+
+Result<Ada::Subset> Ada::read_subset(const std::string& logical_name, const Tag& tag,
+                                     const Located* located, bool reserved_ok) const {
+  if (!reserved_ok) ADA_RETURN_IF_ERROR(check_user_tag(tag));
+  // The generation is observed BEFORE the index walk and any read: a write
+  // racing them leaves the filled entry detectably stale instead of
+  // poisoning later lookups with bytes from the middle of a mutation.  The
+  // fill guard makes the miss single-flight: concurrent cold misses of the
+  // same key wait for this read instead of each paying their own (it
+  // resolves after the insert below, or on the error return).
+  const std::uint64_t generation =
+      located != nullptr ? located->generation : subset_generation(logical_name);
+  QueryCache::FillGuard fill_guard;
+  if (cache_ != nullptr) {
+    const obs::TraceSpan lookup_trace("cache_lookup", tag);
+    if (QueryCache::Image hit =
+            cache_->lookup_or_fill(logical_name, tag, generation, &fill_guard)) {
+      return Subset{std::move(hit), {}};
+    }
+  }
+  Subset subset;
+  {
+    const obs::ScopedTimer retrieve_span("retrieve");
+    const obs::TraceSpan retrieve_trace("retrieve", tag);
+    Located walked;
+    if (located == nullptr) {
+      ADA_ASSIGN_OR_RETURN(walked.extents, Indexer(mount_).locate(logical_name, tag));
+      located = &walked;
+    }
+    const obs::ScopedTimer read_span("plfs_read");
+    const obs::TraceSpan read_trace("plfs_read", tag);
+    ADA_ASSIGN_OR_RETURN(subset.owned,
+                         IoRetriever(mount_, retrieve_options()).retrieve(located->extents));
+    obs::trace_counter("plfs.read.bytes", subset.owned.size());
+  }
+  if (cache_ != nullptr) {
+    // Fill only from this CRC-verified read (IoRetriever checks every
+    // extent): a faulted read errors out above and never lands here.
+    // insert() returns the image now cached under the key -- the incumbent
+    // if a concurrent fill won, so every racer still shares one allocation.
+    const obs::TraceSpan fill_trace("cache_fill", tag);
+    subset.shared = cache_->insert(logical_name, tag, generation, std::move(subset.owned));
+  }
+  return subset;
+}
+
 Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name,
                                              const Tag& tag) const {
   const obs::ScopedTimer span("query");
   const obs::TraceSpan trace("query", tag);
   ADA_OBS_COUNT("query.calls", 1);
-  if (tag == kLabelFileTag || tag == kOriginalTag) {
-    return invalid_argument("tag '" + tag + "' is reserved");
+  ADA_ASSIGN_OR_RETURN(auto subset, read_subset(logical_name, tag, nullptr));
+  count_query_bytes(tag, subset.bytes().size());
+  if (subset.shared != nullptr) {
+    return std::vector<std::uint8_t>(*subset.shared);  // the cached image stays immutable
   }
-  // The generation is observed BEFORE any read: a write racing the retrieve
-  // below leaves the filled entry detectably stale instead of poisoning
-  // later lookups with bytes from the middle of a mutation.  The fill guard
-  // makes the miss single-flight: concurrent cold misses of the same key
-  // wait for this read instead of each paying their own (it resolves after
-  // the insert below, or on the error return).
-  std::uint64_t generation = 0;
-  QueryCache::FillGuard fill_guard;
-  if (cache_ != nullptr) {
-    generation = mount_.mutation_generation(logical_name);
-    const obs::TraceSpan lookup_trace("cache_lookup", tag);
-    if (const QueryCache::Image hit =
-            cache_->lookup_or_fill(logical_name, tag, generation, &fill_guard)) {
-      count_query_bytes(tag, hit->size());
-      return *hit;  // copy out; the shared image itself stays immutable
-    }
-  }
-  auto subset = [&] {
-    const obs::ScopedTimer retrieve_span("retrieve");
-    const obs::TraceSpan retrieve_trace("retrieve", tag);
-    return IoRetriever(mount_, retrieve_options()).retrieve(logical_name, tag);
-  }();
-  if (subset.is_ok()) {
-    if (cache_ != nullptr) {
-      // Fill only from this CRC-verified read (IoRetriever checks every
-      // extent): a faulted read errors out above and never lands here.
-      const obs::TraceSpan fill_trace("cache_fill", tag);
-      cache_->insert(logical_name, tag, generation, subset.value());
-    }
-    count_query_bytes(tag, subset.value().size());
-  }
-  return subset;
+  return std::move(subset.owned);
 }
 
 Result<QueryCache::Image> Ada::query_image(const std::string& logical_name,
@@ -238,34 +265,10 @@ Result<QueryCache::Image> Ada::query_image(const std::string& logical_name,
   const obs::ScopedTimer span("query");
   const obs::TraceSpan trace("query", tag);
   ADA_OBS_COUNT("query.calls", 1);
-  if (tag == kLabelFileTag || tag == kOriginalTag) {
-    return invalid_argument("tag '" + tag + "' is reserved");
-  }
-  std::uint64_t generation = 0;
-  QueryCache::FillGuard fill_guard;
-  if (cache_ != nullptr) {
-    generation = mount_.mutation_generation(logical_name);
-    const obs::TraceSpan lookup_trace("cache_lookup", tag);
-    if (QueryCache::Image hit =
-            cache_->lookup_or_fill(logical_name, tag, generation, &fill_guard)) {
-      count_query_bytes(tag, hit->size());
-      return hit;  // shared, not copied: the whole point of this entry
-    }
-  }
-  auto subset = [&] {
-    const obs::ScopedTimer retrieve_span("retrieve");
-    const obs::TraceSpan retrieve_trace("retrieve", tag);
-    return IoRetriever(mount_, retrieve_options()).retrieve(logical_name, tag);
-  }();
-  if (!subset.is_ok()) return subset.error();
-  count_query_bytes(tag, subset.value().size());
-  if (cache_ != nullptr) {
-    const obs::TraceSpan fill_trace("cache_fill", tag);
-    // insert() returns the image now cached under the key -- the incumbent
-    // if a concurrent fill won, so every racer still shares one allocation.
-    return cache_->insert(logical_name, tag, generation, std::move(subset).value());
-  }
-  return std::make_shared<const std::vector<std::uint8_t>>(std::move(subset).value());
+  ADA_ASSIGN_OR_RETURN(auto subset, read_subset(logical_name, tag, nullptr));
+  count_query_bytes(tag, subset.bytes().size());
+  if (subset.shared != nullptr) return subset.shared;  // shared, not copied
+  return std::make_shared<const std::vector<std::uint8_t>>(std::move(subset.owned));
 }
 
 namespace {
@@ -374,21 +377,22 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
   const obs::TraceSpan trace("query_range", tag);
   ADA_OBS_COUNT("query.calls", 1);
   ADA_OBS_COUNT("query.range.calls", 1);
-  if (tag == kLabelFileTag || tag == kOriginalTag) {
-    return invalid_argument("tag '" + tag + "' is reserved");
-  }
+  ADA_RETURN_IF_ERROR(check_user_tag(tag));
   if (range.stride == 0) return invalid_argument("frame stride must be positive");
 
   // Fencing: frame blocks validate against the *rewrite* generation, which
   // only history-rewriting writes advance (retention, repair, overwrite).  A
   // streaming chunk flush bumps the mutation clock but not this one, so
   // sealed-prefix blocks stay hittable across flushes -- the flush extends
-  // the readable prefix instead of invalidating it.  Observed BEFORE any
-  // read, so a racing rewrite leaves filled blocks detectably stale.
-  std::uint64_t block_generation = 0;
-  if (cache_ != nullptr) block_generation = mount_.rewrite_generation(logical_name);
-
-  ADA_ASSIGN_OR_RETURN(const auto locations, Indexer(mount_).locate(logical_name, tag));
+  // the readable prefix instead of invalidating it.  Both generations are
+  // observed BEFORE the index walk, so a racing write leaves filled blocks
+  // (or a fallback's whole-subset fill) detectably stale.
+  Located located;
+  located.generation = subset_generation(logical_name);
+  const std::uint64_t block_generation =
+      cache_ != nullptr ? mount_.rewrite_generation(logical_name) : 0;
+  ADA_ASSIGN_OR_RETURN(located.extents, Indexer(mount_).locate(logical_name, tag));
+  const std::vector<DatasetLocation>& locations = located.extents;
 
   // Global frame numbering: streamed extents carry their own frame span
   // (frame_base, clamped to the sealed watermark by the indexer); batch
@@ -418,24 +422,12 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
   }
   if (!fast || total_frames == base_frame) {
     // Fallback covers containers ingested without frame tables and any
-    // non-canonical extent: fetch the whole subset (through the subset cache
-    // when armed) and slice.  A zero-frame dataset also lands here -- the
-    // atom count then comes from the stored RAW header, which the index
-    // cannot supply.
+    // non-canonical extent: the whole subset (through the subset cache when
+    // armed), read from the extents located above, then sliced.  A
+    // zero-frame dataset also lands here -- the atom count then comes from
+    // the stored RAW header, which the index cannot supply.
     ADA_OBS_COUNT("query.range.fallback", 1);
-    std::vector<std::uint8_t> full;
-    if (cache_ != nullptr) {
-      ADA_ASSIGN_OR_RETURN(full, query(logical_name, tag));
-    } else {
-      // With no cache to consult, the droppings this function already
-      // located are the whole read plan: retrieve them directly instead of
-      // walking the index a second time inside retrieve(name, tag).
-      const obs::ScopedTimer retrieve_span("retrieve");
-      const obs::TraceSpan retrieve_trace("retrieve", tag);
-      ADA_ASSIGN_OR_RETURN(full, IoRetriever(mount_, retrieve_options())
-                                     .retrieve(std::span<const DatasetLocation>(locations)));
-      count_query_bytes(tag, full.size());
-    }
+    ADA_ASSIGN_OR_RETURN(const Subset full, read_subset(logical_name, tag, &located));
     // The full image of a retained stream starts at the floor, not frame 0:
     // shift the selection into the image's local numbering.
     FrameRange local_range = range;
@@ -444,35 +436,14 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
       local_range.end = static_cast<std::uint32_t>(
           range.end > base_frame ? range.end - base_frame : 0);
     }
-    auto sliced = slice_raw_frames(full, local_range);
+    auto sliced = slice_raw_frames(full.bytes(), local_range);
     if (sliced.is_ok()) count_query_bytes(tag, sliced.value().size());
     return sliced;
   }
 
   const auto atoms = static_cast<std::uint32_t>((frame_bytes - 44) / 12);
   const auto picked = select_frames(range, total_frames);
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + picked.size() * frame_bytes);
-  append_raw_header(out, atoms, static_cast<std::uint32_t>(picked.size()));
 
-  // A block's available frames, clamped to the retention floor below and the
-  // sealed prefix above.  A clamped (partial) block caches under a
-  // frame-count-suffixed key so a later, longer version of the same block
-  // can never serve the shorter cached image.
-  const auto block_bounds = [&](std::uint64_t b) {
-    return std::pair<std::uint64_t, std::uint64_t>(
-        std::max(b * kFrameBlock, base_frame),
-        std::min((b + 1) * kFrameBlock, total_frames));
-  };
-  const auto block_key = [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi) {
-    const bool full = lo == b * kFrameBlock && hi == (b + 1) * kFrameBlock;
-    return full ? block_tag(tag, b) : partial_block_tag(tag, b, hi - lo);
-  };
-
-  // Extent images fetched this query: a run of uncached blocks reads each
-  // dropping at most once.
-  std::map<std::size_t, std::vector<std::uint8_t>> fetched;
-  const IoRetriever retriever(mount_, retrieve_options());
   // Owning extent of global frame `g`: last extent whose first frame is
   // <= g (ties from zero-frame extents resolve to the later, owning one).
   const auto extent_of = [&](std::uint64_t g) {
@@ -489,99 +460,89 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
     return lo;
   };
 
-  // Parallel mode plans the read up front: one pass resolves which blocks
-  // the cache already holds and which extents the uncached blocks touch,
-  // then a single scatter-gather retrieve fetches every needed extent
-  // concurrently.  The serial path keeps fetching on demand, one extent at
-  // a time, exactly as before.
-  // Single-flight claims for the blocks this query will fill: a concurrent
-  // query touching the same block waits for our insert instead of reading
-  // the same extents again.  Claims are taken in ascending block order
-  // (every path walks `picked` ascending), so two queries can never wait on
-  // each other's blocks in a cycle.  Each claim resolves right after its
-  // block's insert lands in the main loop below (or on any error return).
-  std::map<std::uint64_t, QueryCache::FillGuard> block_guards;
-  std::map<std::uint64_t, QueryCache::Image> planned_blocks;
-  if (retriever.options().parallel()) {
-    std::vector<std::size_t> needed;  // ascending: picked and extent_of ascend
-    std::uint64_t planned = std::numeric_limits<std::uint64_t>::max();
-    for (const std::uint64_t g : picked) {
-      const std::uint64_t b = g / kFrameBlock;
-      if (b == planned) continue;
-      planned = b;
-      const auto [lo_frame, hi_frame] = block_bounds(b);
-      QueryCache::Image hit;
-      if (cache_ != nullptr) {
-        hit = cache_->lookup_or_fill(logical_name, block_key(b, lo_frame, hi_frame),
-                                     block_generation, &block_guards[b]);
-      }
-      planned_blocks.emplace(b, hit);
-      if (hit != nullptr) continue;
-      for (std::uint64_t f = lo_frame; f < hi_frame; ++f) {
-        const std::size_t e = extent_of(f);
-        if (needed.empty() || needed.back() != e) needed.push_back(e);
-      }
+  // Plan: one pass over the picked blocks, ascending, resolves which the
+  // cache already holds and which extents the rest touch.  A block's frames
+  // are clamped to the retention floor below and the sealed prefix above; a
+  // clamped (partial) block caches under a frame-count-suffixed key so a
+  // later, longer version of the same block can never serve the shorter
+  // cached image.  Each miss takes a single-flight claim: a concurrent query
+  // touching the same block waits for our insert instead of reading the same
+  // extents again.  Claims are taken in ascending block order, so two
+  // queries can never wait on each other's blocks in a cycle.
+  struct Block {
+    std::uint64_t lo = 0;  // first global frame
+    std::uint64_t hi = 0;  // one past the last
+    std::string key;
+    QueryCache::Image hit;
+    QueryCache::FillGuard claim;
+  };
+  std::map<std::uint64_t, Block> blocks;
+  std::vector<std::size_t> needed;  // ascending: picked and extent_of ascend
+  for (const std::uint64_t g : picked) {
+    const std::uint64_t b = g / kFrameBlock;
+    const auto [slot, fresh] = blocks.try_emplace(b);
+    if (!fresh) continue;
+    Block& block = slot->second;
+    block.lo = std::max(b * kFrameBlock, base_frame);
+    block.hi = std::min((b + 1) * kFrameBlock, total_frames);
+    const bool whole = block.lo == b * kFrameBlock && block.hi == (b + 1) * kFrameBlock;
+    block.key = whole ? block_tag(tag, b) : partial_block_tag(tag, b, block.hi - block.lo);
+    if (cache_ != nullptr) {
+      block.hit = cache_->lookup_or_fill(logical_name, block.key, block_generation, &block.claim);
     }
-    std::vector<DatasetLocation> want;
-    want.reserve(needed.size());
-    for (const std::size_t e : needed) want.push_back(locations[e]);
-    ADA_ASSIGN_OR_RETURN(auto images, retriever.retrieve_extents(want));
-    for (std::size_t k = 0; k < needed.size(); ++k) {
-      fetched.emplace(needed[k], std::move(images[k]));
+    if (block.hit != nullptr) continue;
+    for (std::uint64_t f = block.lo; f < block.hi; ++f) {
+      const std::size_t e = extent_of(f);
+      if (needed.empty() || needed.back() != e) needed.push_back(e);
     }
   }
 
+  // Fetch: every extent the uncached blocks need, in one call.  These
+  // CRC-verified, retried reads are the only bytes that may land in the
+  // cache below.
+  std::vector<DatasetLocation> want;
+  want.reserve(needed.size());
+  for (const std::size_t e : needed) want.push_back(locations[e]);
+  ADA_ASSIGN_OR_RETURN(auto images,
+                       IoRetriever(mount_, retrieve_options()).retrieve_extents(want));
+  std::vector<std::vector<std::uint8_t>> fetched(locations.size());  // by extent index
+  for (std::size_t k = 0; k < needed.size(); ++k) fetched[needed[k]] = std::move(images[k]);
+
+  // Assemble: header, then each picked frame out of its (hit or built) block.
+  std::vector<std::uint8_t> out;
+  out.reserve(16 + picked.size() * frame_bytes);
+  append_raw_header(out, atoms, static_cast<std::uint32_t>(picked.size()));
   std::uint64_t current_block = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t current_lo = 0;          // first global frame of current block
-  QueryCache::Image cached;              // keeps a cache hit alive while sliced
-  std::vector<std::uint8_t> local;       // block assembled from extents
-  const std::vector<std::uint8_t>* block = nullptr;
+  std::uint64_t current_lo = 0;     // first global frame of current block
+  QueryCache::Image held;           // keeps the current block's image alive
+  std::vector<std::uint8_t> local;  // block assembled from extents
+  const std::vector<std::uint8_t>* image = nullptr;
   for (const std::uint64_t g : picked) {
     const std::uint64_t b = g / kFrameBlock;
     if (b != current_block) {
       current_block = b;
-      block = nullptr;
-      cached = nullptr;
-      const auto [lo_frame, hi_frame] = block_bounds(b);
-      current_lo = lo_frame;
-      const std::string key = block_key(b, lo_frame, hi_frame);
-      if (const auto planned = planned_blocks.find(b); planned != planned_blocks.end()) {
-        cached = planned->second;  // resolved once in the planning pass
-      } else if (cache_ != nullptr) {
-        cached = cache_->lookup_or_fill(logical_name, key, block_generation, &block_guards[b]);
-      }
-      if (cached != nullptr) {
-        block = cached.get();
-      } else {
+      Block& block = blocks.at(b);
+      current_lo = block.lo;
+      held = std::move(block.hit);
+      if (held == nullptr) {
         local.clear();
-        local.reserve((hi_frame - lo_frame) * frame_bytes);
-        for (std::uint64_t f = lo_frame; f < hi_frame; ++f) {
+        local.reserve((block.hi - block.lo) * frame_bytes);
+        for (std::uint64_t f = block.lo; f < block.hi; ++f) {
           const std::size_t e = extent_of(f);
-          auto it = fetched.find(e);
-          if (it == fetched.end()) {
-            // CRC-verified, retried extent read -- the only bytes that may
-            // land in the cache below.
-            ADA_ASSIGN_OR_RETURN(auto bytes, retriever.retrieve_extent(locations[e]));
-            it = fetched.emplace(e, std::move(bytes)).first;
-          }
           // canonical_extent proved offset + frame_bytes <= extent length.
           const std::uint64_t off = locations[e].frame_offsets[f - first_frame[e]];
-          const auto* frame = it->second.data() + off;
+          const auto* frame = fetched[e].data() + off;
           local.insert(local.end(), frame, frame + frame_bytes);
         }
-        if (cache_ != nullptr) {
-          cache_->insert(logical_name, key, block_generation, local);
-        }
-        block = &local;
+        if (cache_ != nullptr) cache_->insert(logical_name, block.key, block_generation, local);
       }
+      image = held != nullptr ? held.get() : &local;
       // This block's fill landed (or was a hit): release any waiters now
       // rather than at function exit.
-      if (const auto claim = block_guards.find(b); claim != block_guards.end()) {
-        block_guards.erase(claim);
-      }
+      block.claim.reset();
     }
     const std::uint64_t off = (g - current_lo) * frame_bytes;
-    const auto* frame = block->data() + off;
+    const auto* frame = image->data() + off;
     out.insert(out.end(), frame, frame + frame_bytes);
   }
   count_query_bytes(tag, out.size());
@@ -600,9 +561,11 @@ Result<Ada::TailChunk> Ada::query_tail(const std::string& logical_name, const Ta
     // Batch container: everything is already sealed.  Serve the remaining
     // frames in one chunk; a second poll from the new position comes back
     // empty and the caller stops.
-    ADA_ASSIGN_OR_RETURN(
-        chunk.image,
-        query(logical_name, tag, FrameRange{static_cast<std::uint32_t>(from_frame)}));
+    // Frame counts are u32, so a from_frame past u32 range selects nothing
+    // (clamped, never truncated into an earlier frame).
+    const auto begin = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(from_frame, std::numeric_limits<std::uint32_t>::max()));
+    ADA_ASSIGN_OR_RETURN(chunk.image, query(logical_name, tag, FrameRange{begin}));
     ADA_ASSIGN_OR_RETURN(const auto raw, formats::RawTrajReader::open(chunk.image));
     chunk.frames = raw.frame_count();
     chunk.sealed = true;
@@ -665,7 +628,9 @@ Result<Ada::PartialQuery> Ada::query_degraded(const std::string& logical_name) c
 }
 
 Result<LabelMap> Ada::labels(const std::string& logical_name) const {
-  ADA_ASSIGN_OR_RETURN(const auto bytes, IoRetriever(mount_).retrieve(logical_name, kLabelFileTag));
+  ADA_ASSIGN_OR_RETURN(const Subset file,
+                       read_subset(logical_name, kLabelFileTag, nullptr, /*reserved_ok=*/true));
+  const auto bytes = file.bytes();
   return decode_label_file(std::string(bytes.begin(), bytes.end()));
 }
 

@@ -83,15 +83,15 @@ struct AdaConfig {
   bool frame_tables = true;
 
   /// Concurrent extent reads per query (scatter-gather retrieval,
-  /// docs/performance.md).  0 (the default) or 1 keeps the serial read path
-  /// byte-identical to pre-scatter-gather behavior; N > 1 fans per-extent
-  /// read + CRC-verify tasks onto the shared thread pool, assembled in
-  /// logical order.
+  /// docs/performance.md).  Every value runs the same fetch engine: 0 (the
+  /// default) and 1 are its one-thread run, inline on the caller in logical
+  /// order; N > 1 fans per-extent read + CRC-verify tasks onto the shared
+  /// thread pool, assembled in logical order.  The bytes never differ.
   unsigned read_threads = 0;
 
-  /// Per-backend admission window for parallel reads: at most this many
-  /// extent reads in flight against any one backend (0 = unbounded).
-  /// Ignored on the serial path.
+  /// Per-backend admission window when reads fan out (read_threads > 1): at
+  /// most this many extent reads in flight against any one backend
+  /// (0 = unbounded).
   unsigned read_queue_depth = 4;
 
   /// Windowed retention budget for streaming ingest (0 = keep everything).
@@ -252,6 +252,40 @@ class Ada {
 
   /// query.bytes_out accounting (total + per-tag cached counter handles).
   void count_query_bytes(const Tag& tag, std::size_t bytes) const;
+
+  /// A tag's index walk plus the cache generation observed before it, so a
+  /// write racing the walk leaves any fill from it detectably stale.
+  struct Located {
+    std::uint64_t generation = 0;
+    std::vector<DatasetLocation> extents;
+  };
+
+  /// A whole subset as read_subset() produced it: the shared cache image
+  /// when the cache holds it, else the freshly read bytes, owned -- so an
+  /// uncached query() hands them back without a copy.
+  struct Subset {
+    QueryCache::Image shared;
+    std::vector<std::uint8_t> owned;
+
+    std::span<const std::uint8_t> bytes() const {
+      return shared != nullptr ? std::span<const std::uint8_t>(*shared) : owned;
+    }
+  };
+
+  /// The mutation generation whole-subset cache entries are fenced by (0
+  /// with the cache off).  Read before any index walk or extent read.
+  std::uint64_t subset_generation(const std::string& logical_name) const {
+    return cache_ != nullptr ? mount_.mutation_generation(logical_name) : 0;
+  }
+
+  /// The one whole-subset read behind query(), query_image(), the range
+  /// fallback and labels(): reserved-tag check, generation before the fetch,
+  /// single-flight cache lookup, fetch, insert.  `located` is the caller's
+  /// own index walk; null walks the index here, and only on a cache miss.
+  /// `reserved_ok` admits the label file (labels()); user queries of a
+  /// reserved tag are rejected.
+  Result<Subset> read_subset(const std::string& logical_name, const Tag& tag,
+                             const Located* located, bool reserved_ok = false) const;
 
   /// Scatter-gather knobs for this middleware's retrievers.
   RetrieveOptions retrieve_options() const noexcept {

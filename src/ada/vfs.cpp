@@ -1,11 +1,11 @@
 #include "ada/vfs.hpp"
 
 #include <filesystem>
-#include <functional>
+#include <numeric>
 
 #include "common/binary_io.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "formats/pdb.hpp"
 
 namespace ada::core {
@@ -93,36 +93,24 @@ Result<std::vector<std::uint8_t>> VfsShim::read(const std::string& path,
       ADA_ASSIGN_OR_RETURN(const auto bytes, ada_->subset_bytes(logical, t));
       total += bytes;
     }
-    const unsigned fan = ada_->config().read_threads;
-    if (fan > 1 && tags.size() > 1) {
-      // Scatter-gather whole-dataset read: per-tag queries fan onto the
-      // shared pool (each one keeps its own extent-level budget -- nested
-      // run_batch is deadlock-free because the caller participates), then
-      // concatenate in tag order, byte-identical to the serial loop.  The
-      // first failure in tag order wins, as it would serially.
-      std::vector<Result<std::vector<std::uint8_t>>> subsets(
-          tags.size(), Result<std::vector<std::uint8_t>>(internal_error("not executed")));
-      std::vector<std::function<void()>> work;
-      work.reserve(tags.size());
-      for (std::size_t i = 0; i < tags.size(); ++i) {
-        work.push_back([this, &logical, &tags, &subsets, i] {
-          subsets[i] = ada_->query(logical, tags[i]);
-        });
-      }
-      ThreadPool::shared().run_batch(std::move(work), fan);
-      std::vector<std::uint8_t> out;
-      out.reserve(total);
-      for (auto& subset : subsets) {
-        if (!subset.is_ok()) return subset.error();
-        out.insert(out.end(), subset.value().begin(), subset.value().end());
-      }
-      return out;
-    }
+    // Per-tag queries run as one batch under the read_threads budget (one
+    // thread: inline, in tag order; more: fanned onto the shared pool, each
+    // query keeping its own extent-level budget -- nested run_batch is
+    // deadlock-free because the caller participates), then concatenate in
+    // tag order.  The first failure in tag order is the error.
+    std::vector<Result<std::vector<std::uint8_t>>> subsets(
+        tags.size(), Result<std::vector<std::uint8_t>>(internal_error("not executed")));
+    std::vector<std::size_t> order(tags.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    run_until_failure(order, ada_->config().read_threads, [&](std::size_t i) {
+      subsets[i] = ada_->query(logical, tags[i]);
+      return subsets[i].is_ok();
+    });
     std::vector<std::uint8_t> out;
     out.reserve(total);
-    for (const Tag& t : tags) {
-      ADA_ASSIGN_OR_RETURN(const auto subset, ada_->query(logical, t));
-      out.insert(out.end(), subset.begin(), subset.end());
+    for (auto& subset : subsets) {
+      if (!subset.is_ok()) return subset.error();
+      out.insert(out.end(), subset.value().begin(), subset.value().end());
     }
     return out;
   }

@@ -1,4 +1,4 @@
-// Minimal task parallelism for the ingest path.
+// Minimal task parallelism for the ingest and read paths.
 //
 // ADA's storage-node pre-processing is embarrassingly parallel across
 // trajectory files (one .pdb guides multiple .xtc phases, each ingested
@@ -10,7 +10,11 @@
 // their captures.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <functional>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -24,6 +28,29 @@ namespace ada {
 /// join the caller's trace).
 inline void parallel_run(std::vector<std::function<void()>> tasks, unsigned threads = 0) {
   ThreadPool::shared().run_batch(std::move(tasks), threads);
+}
+
+/// Run job(i) for every index in `order` with at most `threads` jobs in
+/// flight; 0 and 1 both mean one, run inline on the caller in `order`.
+/// job(i) returns false when it failed.  A job whose index is above a failed
+/// one is skipped unless it already started, so the lowest failing index
+/// always runs: a serial run stops at its first failure exactly like a loop,
+/// and a parallel run still reaches the failure that loop would stop on.
+template <class Job>
+void run_until_failure(std::span<const std::size_t> order, unsigned threads, Job job) {
+  std::atomic<std::size_t> first_failure{std::numeric_limits<std::size_t>::max()};
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(order.size());
+  for (const std::size_t index : order) {
+    tasks.push_back([&first_failure, &job, index] {
+      if (index > first_failure.load()) return;
+      if (job(index)) return;
+      std::size_t seen = first_failure.load();
+      while (index < seen && !first_failure.compare_exchange_weak(seen, index)) {
+      }
+    });
+  }
+  ThreadPool::shared().run_batch(std::move(tasks), std::max(threads, 1u));
 }
 
 }  // namespace ada

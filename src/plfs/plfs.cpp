@@ -93,19 +93,6 @@ Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& path) {
   return data;
 }
 
-namespace {
-/// Checksum-verify one extent slice against its index record.
-Status verify_extent_checksum(const IndexRecord& record,
-                              std::span<const std::uint8_t> slice) {
-  if (!record.has_checksum()) return Status::ok();  // v1 record: nothing stored
-  const std::uint32_t actual = crc32c(slice.data(), slice.size());
-  if (actual == record.crc32c) return Status::ok();
-  ADA_OBS_COUNT("plfs.crc_mismatch", 1);
-  return corrupt_data("checksum mismatch on " + record.dropping + ": stored " +
-                      std::to_string(record.crc32c) + ", computed " + std::to_string(actual));
-}
-}  // namespace
-
 Result<PlfsMount> PlfsMount::open(std::vector<Backend> backends) {
   if (backends.empty()) return invalid_argument("plfs mount needs at least one backend");
   for (const Backend& backend : backends) {
@@ -263,64 +250,6 @@ Result<IndexRecord> PlfsMount::append(const std::string& logical_name, const std
   records.push_back(record);
   ADA_RETURN_IF_ERROR(write_index(logical_name, records));
   return record;
-}
-
-Result<std::vector<std::uint8_t>> PlfsMount::read_extent(const std::string& logical_name,
-                                                         const IndexRecord& record) const {
-  const std::string path = container_dir(record.backend, logical_name) + "/" + record.dropping;
-  ADA_ASSIGN_OR_RETURN(
-      const auto dropping,
-      retry_sync("plfs_read_dropping", retry_policy_, [&] { return read_dropping_file(path); }));
-  if (dropping.size() < record.physical_offset + record.length) {
-    return corrupt_data("dropping " + record.dropping + " shorter than its index record");
-  }
-  std::vector<std::uint8_t> slice(
-      dropping.begin() + static_cast<std::ptrdiff_t>(record.physical_offset),
-      dropping.begin() + static_cast<std::ptrdiff_t>(record.physical_offset + record.length));
-  ADA_RETURN_IF_ERROR(verify_extent_checksum(record, slice));
-  return slice;
-}
-
-Result<std::vector<std::uint8_t>> PlfsMount::read_logical(const std::string& logical_name) const {
-  const obs::ScopedTimer span("plfs_read");
-  const obs::TraceSpan trace("plfs_read");
-  ADA_ASSIGN_OR_RETURN(auto records, read_index(logical_name));
-  if (!is_complete(records)) {
-    return corrupt_data("container " + logical_name + " has holes or overlapping extents");
-  }
-  std::sort(records.begin(), records.end(),
-            [](const IndexRecord& a, const IndexRecord& b) {
-              return a.logical_offset < b.logical_offset;
-            });
-  std::vector<std::uint8_t> out;
-  out.reserve(logical_size(records));
-  for (const IndexRecord& record : records) {
-    ADA_ASSIGN_OR_RETURN(const auto slice, read_extent(logical_name, record));
-    out.insert(out.end(), slice.begin(), slice.end());
-  }
-  ADA_OBS_COUNT("plfs.read.calls", 1);
-  ADA_OBS_COUNT("plfs.read.bytes", out.size());
-  return out;
-}
-
-Result<std::vector<std::uint8_t>> PlfsMount::read_label(const std::string& logical_name,
-                                                        const std::string& label) const {
-  const obs::ScopedTimer span("plfs_read");
-  const obs::TraceSpan trace("plfs_read", label);
-  ADA_ASSIGN_OR_RETURN(auto records, read_index(logical_name));
-  std::erase_if(records, [&](const IndexRecord& r) { return r.label != label; });
-  std::sort(records.begin(), records.end(),
-            [](const IndexRecord& a, const IndexRecord& b) {
-              return a.logical_offset < b.logical_offset;
-            });
-  std::vector<std::uint8_t> out;
-  for (const IndexRecord& record : records) {
-    ADA_ASSIGN_OR_RETURN(const auto slice, read_extent(logical_name, record));
-    out.insert(out.end(), slice.begin(), slice.end());
-  }
-  ADA_OBS_COUNT("plfs.read.calls", 1);
-  ADA_OBS_COUNT("plfs.read.bytes", out.size());
-  return out;
 }
 
 Result<std::uint64_t> PlfsMount::label_size(const std::string& logical_name,

@@ -4,8 +4,9 @@
 // N backends (paper Fig. 6: mnt1, mnt2, ...), each a directory on the host
 // file system.  Creating logical file "bar" creates a "bar/" container
 // directory on every backend; appends become dropping files on the chosen
-// backend plus index records; reads reassemble the logical stream -- or just
-// one label's subset -- from the droppings.
+// backend plus index records.  Reads go through the ADA I/O retriever
+// (ada/indexer.hpp), which resolves index records to droppings and reads
+// them with read_dropping_file below.
 //
 // Data written through a mount is real bytes in real files: the correctness
 // tests and examples operate on what a real deployment would store, while
@@ -35,8 +36,8 @@ struct Backend {
 
 /// Fault-aware read of one dropping file by host path: evaluates the
 /// "plfs.read_dropping" injection site (errors, latency, simulated media
-/// corruption) before/after the real read.  Shared by PlfsMount and the ADA
-/// I/O retriever so both read paths see the same faults.
+/// corruption) before/after the real read.  The ADA I/O retriever's one
+/// extent read (IoRetriever::retrieve_extent) goes through it.
 Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& host_path);
 
 class PlfsMount {
@@ -74,13 +75,6 @@ class PlfsMount {
                              const std::vector<std::uint64_t>* frame_offsets = nullptr,
                              const std::uint64_t* frame_base = nullptr,
                              std::uint32_t frame_count = 0);
-
-  /// Full logical file content, reassembled across backends in logical order.
-  Result<std::vector<std::uint8_t>> read_logical(const std::string& logical_name) const;
-
-  /// Concatenated content of every dropping carrying `label`, in logical order.
-  Result<std::vector<std::uint8_t>> read_label(const std::string& logical_name,
-                                               const std::string& label) const;
 
   /// The container's index records.
   Result<std::vector<IndexRecord>> read_index(const std::string& logical_name) const;
@@ -163,10 +157,6 @@ class PlfsMount {
                      const std::vector<IndexRecord>& records) const;
   void bump_generation(const std::string& logical_name) const;
   void bump_rewrite_generation(const std::string& logical_name) const;
-
-  /// One extent's bytes, retried and checksum-verified.
-  Result<std::vector<std::uint8_t>> read_extent(const std::string& logical_name,
-                                                const IndexRecord& record) const;
 
   std::vector<Backend> backends_;
   RetryPolicy retry_policy_;

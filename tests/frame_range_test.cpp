@@ -30,6 +30,7 @@
 #include "formats/xtc_file.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "plfs/fsck.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
@@ -202,14 +203,28 @@ TEST_F(FrameRangeTest, FastPathEngagesOnTableBearingContainers) {
 }
 
 TEST_F(FrameRangeTest, LegacyContainersFallBack) {
-  obs::reset_all();
-  obs::set_enabled(true);
-  auto ada = open_ada("legacy", /*frame_tables=*/false, 0);
-  ASSERT_TRUE(ada->ingest(system_, make_xtc(12), "bar.xtc").is_ok());
-  ASSERT_TRUE(ada->query("bar.xtc", kProteinTag, FrameRange{2, 9, 2}).is_ok());
-  EXPECT_EQ(obs::Registry::global().counter_value("query.range.fallback"), 1u);
-  obs::set_enabled(false);
-  obs::reset_all();
+  // The fallback reads the whole subset once and is one query: it counts one
+  // query.calls, only the bytes it returns as query.bytes_out, and nests no
+  // second query span -- with the cache off and armed alike.
+  for (const std::uint64_t cache_bytes : {std::uint64_t{0}, kPlentyOfCache}) {
+    const std::string label = "cache_bytes=" + std::to_string(cache_bytes);
+    auto ada = open_ada("legacy" + std::to_string(cache_bytes), /*frame_tables=*/false,
+                        cache_bytes);
+    ASSERT_TRUE(ada->ingest(system_, make_xtc(12), "bar.xtc").is_ok());
+    obs::reset_all();
+    obs::set_enabled(true);
+    const auto sliced = ada->query("bar.xtc", kProteinTag, FrameRange{2, 9, 2});
+    ASSERT_TRUE(sliced.is_ok()) << label;
+    const auto& registry = obs::Registry::global();
+    EXPECT_EQ(registry.counter_value("query.range.fallback"), 1u) << label;
+    EXPECT_EQ(registry.counter_value("query.calls"), 1u) << label;
+    EXPECT_EQ(registry.counter_value("query.bytes_out"), sliced.value().size()) << label;
+    for (const auto& span : obs::span_stats()) {
+      EXPECT_NE(span.path.rfind("query/query", 0), 0u) << label << ": nested " << span.path;
+    }
+    obs::set_enabled(false);
+    obs::reset_all();
+  }
 }
 
 TEST_F(FrameRangeTest, ZeroStrideRejected) {

@@ -1,10 +1,12 @@
 // Tests for the PLFS container layer: index codec (v1/v2), container
-// lifecycle, multi-backend droppings, label reads, extent checksums, and the
-// fault-injected retry paths.
+// lifecycle, multi-backend droppings, extent checksums, and the
+// fault-injected retry paths.  Reads go through the one CRC-verified read
+// path that remains, the ADA I/O retriever over Indexer::locate.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
+#include "ada/indexer.hpp"
 #include "common/binary_io.hpp"
 #include "common/crc32c.hpp"
 #include "common/faults.hpp"
@@ -108,6 +110,14 @@ class PlfsMountTest : public testing::Test {
   }
   void TearDown() override { fs::remove_all(root_); }
 
+  /// Every dropping carrying `label`, in logical order: the indexer's
+  /// locations fetched by the I/O retriever (retried, CRC-verified).
+  Result<std::vector<std::uint8_t>> read_tag(const std::string& logical_name,
+                                             const std::string& label) const {
+    ADA_ASSIGN_OR_RETURN(const auto locations, core::Indexer(*mount_).locate(logical_name, label));
+    return core::IoRetriever(*mount_).retrieve(locations);
+  }
+
   std::string root_;
   std::unique_ptr<PlfsMount> mount_;
 };
@@ -154,13 +164,17 @@ TEST_F(PlfsMountTest, AppendPlacesDroppingOnChosenBackend) {
   EXPECT_FALSE(fs::exists(root_ + "/mnt2/bar/" + r1.dropping));
 }
 
-TEST_F(PlfsMountTest, ReadLogicalReassemblesAcrossBackends) {
+TEST_F(PlfsMountTest, RetrieveReassemblesAcrossBackends) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
   ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("hello ")).is_ok());
   ASSERT_TRUE(mount_->append("bar", "m", 1, bytes_of("plfs ")).is_ok());
-  ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("world")).is_ok());
-  const auto logical = mount_->read_logical("bar").value();
-  EXPECT_EQ(std::string(logical.begin(), logical.end()), "hello plfs world");
+  ASSERT_TRUE(mount_->append("bar", "p", 1, bytes_of("world")).is_ok());
+  const auto locations = core::Indexer(*mount_).locate("bar", "p").value();
+  ASSERT_EQ(locations.size(), 2u);
+  EXPECT_EQ(locations[0].backend, 0u);
+  EXPECT_EQ(locations[1].backend, 1u);
+  const auto p = core::IoRetriever(*mount_).retrieve(locations).value();
+  EXPECT_EQ(std::string(p.begin(), p.end()), "hello world");
 }
 
 TEST_F(PlfsMountTest, ReadLabelFiltersSubsets) {
@@ -168,11 +182,13 @@ TEST_F(PlfsMountTest, ReadLabelFiltersSubsets) {
   ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("AAA")).is_ok());
   ASSERT_TRUE(mount_->append("bar", "m", 1, bytes_of("BBB")).is_ok());
   ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("CCC")).is_ok());
-  const auto p = mount_->read_label("bar", "p").value();
+  const auto p = read_tag("bar", "p").value();
   EXPECT_EQ(std::string(p.begin(), p.end()), "AAACCC");
-  const auto m = mount_->read_label("bar", "m").value();
+  const auto m = read_tag("bar", "m").value();
   EXPECT_EQ(std::string(m.begin(), m.end()), "BBB");
-  EXPECT_TRUE(mount_->read_label("bar", "zzz").value().empty());
+  const auto none = read_tag("bar", "zzz");
+  ASSERT_FALSE(none.is_ok());
+  EXPECT_EQ(none.error().code(), ErrorCode::kNotFound);
 }
 
 TEST_F(PlfsMountTest, LabelSize) {
@@ -203,13 +219,15 @@ TEST_F(PlfsMountTest, MissingDroppingDetectedOnRead) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
   const auto record = mount_->append("bar", "p", 0, bytes_of("payload")).value();
   fs::remove(root_ + "/mnt1/bar/" + record.dropping);
-  EXPECT_FALSE(mount_->read_logical("bar").is_ok());
+  EXPECT_FALSE(read_tag("bar", "p").is_ok());
 }
 
 TEST_F(PlfsMountTest, EmptyContainerReadsEmpty) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  EXPECT_TRUE(mount_->read_logical("bar").value().empty());
   EXPECT_TRUE(mount_->read_index("bar").value().empty());
+  const auto none = read_tag("bar", "p");
+  ASSERT_FALSE(none.is_ok());
+  EXPECT_EQ(none.error().code(), ErrorCode::kNotFound);
 }
 
 // --- extent checksums --------------------------------------------------------------
@@ -232,10 +250,13 @@ TEST_F(PlfsMountTest, BitFlipOnDiskCaughtByRead) {
   bytes[3] ^= 0x08;  // length unchanged: only the checksum can see this
   ASSERT_TRUE(write_file(path, bytes).is_ok());
 
-  const auto read = mount_->read_label("bar", "p");
+  const auto read = read_tag("bar", "p");
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.error().code(), ErrorCode::kCorruptData);
-  EXPECT_FALSE(mount_->read_logical("bar").is_ok());
+  const auto location = core::Indexer(*mount_).locate("bar", "p").value().at(0);
+  const auto extent = core::IoRetriever(*mount_).retrieve_extent(location);
+  ASSERT_FALSE(extent.is_ok());
+  EXPECT_EQ(extent.error().code(), ErrorCode::kCorruptData);
 }
 
 // --- fault injection + retries -----------------------------------------------------
@@ -246,7 +267,7 @@ TEST_F(PlfsMountTest, TornWriteReportsSuccessButReadCatchesIt) {
   // being modeled (silent short write).  The read side is the detector.
   const fault::ScopedFault torn("plfs.write_dropping", fault::Schedule::torn_write(0.5, 1));
   ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("0123456789abcdef")).is_ok());
-  const auto read = mount_->read_label("bar", "p");
+  const auto read = read_tag("bar", "p");
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.error().code(), ErrorCode::kCorruptData);
 }
@@ -263,7 +284,7 @@ TEST_F(PlfsMountTest, CorruptReadNeverServesBadBytes) {
                                      s.trigger = fault::Schedule::Trigger::kAlways;
                                      return s;
                                    }());
-  const auto read = mount_->read_label("bar", "p");
+  const auto read = read_tag("bar", "p");
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.error().code(), ErrorCode::kCorruptData);
 }
@@ -273,7 +294,7 @@ TEST_F(PlfsMountTest, WriteRetriesThroughTransientFault) {
   const fault::ScopedFault flaky("plfs.write_dropping", fault::Schedule::fail_nth(1));
   ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("survives a retry")).is_ok());
   EXPECT_EQ(fault::Injector::global().hits("plfs.write_dropping"), 2u);
-  const auto p = mount_->read_label("bar", "p").value();
+  const auto p = read_tag("bar", "p").value();
   EXPECT_EQ(std::string(p.begin(), p.end()), "survives a retry");
 }
 
@@ -281,7 +302,7 @@ TEST_F(PlfsMountTest, ReadRetriesThroughTransientFault) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
   ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("flaky read")).is_ok());
   const fault::ScopedFault flaky("plfs.read_dropping", fault::Schedule::fail_nth(1));
-  const auto p = mount_->read_label("bar", "p").value();
+  const auto p = read_tag("bar", "p").value();
   EXPECT_EQ(std::string(p.begin(), p.end()), "flaky read");
   EXPECT_EQ(fault::Injector::global().fired("plfs.read_dropping"), 1u);
 }
@@ -313,7 +334,7 @@ TEST_F(PlfsMountTest, FailedIndexWriteLeavesOldIndexIntact) {
   const auto records = mount_->read_index("bar").value();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].label, "p");
-  const auto p = mount_->read_label("bar", "p").value();
+  const auto p = read_tag("bar", "p").value();
   EXPECT_EQ(std::string(p.begin(), p.end()), "first");
 }
 

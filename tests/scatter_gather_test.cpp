@@ -1,9 +1,10 @@
 // Scatter-gather retrieval suite (`ctest -L check-sg`).
 //
-// The contract under test: a parallel retrieve (read_threads > 1) returns
-// BYTE-IDENTICAL results to the serial loop for every thread count, queue
-// depth, completion order, cache state, and failure pattern -- and the DES
-// plane's per-server admission window scales the way the bench claims.
+// The contract under test: the fetch engine returns BYTE-IDENTICAL results
+// for every thread count (its one-thread run included), queue depth,
+// completion order, cache state, and failure pattern -- checked against a
+// reference cut straight out of the dropping files -- and the DES plane's
+// per-server admission window scales the way the bench claims.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -100,8 +101,20 @@ class ScatterGatherTest : public testing::Test {
     ASSERT_TRUE(tags.is_ok());
     tags_ = tags.value();
     ASSERT_GE(tags_.size(), 2u);
+    // Independent reference: each located extent cut out of its raw dropping
+    // file at physical_offset, concatenated in location order -- no
+    // retriever code involved, so the serial engine is checked too.
     for (const Tag& tag : tags_) {
-      reference_[tag] = serial_->query("traj.xtc", tag).value();
+      const auto locations = Indexer(serial_->mount()).locate("traj.xtc", tag);
+      ASSERT_TRUE(locations.is_ok()) << locations.error().to_string();
+      std::vector<std::uint8_t>& reference = reference_[tag];
+      for (const DatasetLocation& location : locations.value()) {
+        const auto dropping = plfs::read_dropping_file(location.host_path);
+        ASSERT_TRUE(dropping.is_ok()) << dropping.error().to_string();
+        ASSERT_GE(dropping.value().size(), location.physical_offset + location.bytes);
+        const auto* extent = dropping.value().data() + location.physical_offset;
+        reference.insert(reference.end(), extent, extent + location.bytes);
+      }
     }
   }
   void TearDown() override { fs::remove_all(root_); }

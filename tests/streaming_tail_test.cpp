@@ -28,6 +28,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -336,10 +337,20 @@ TEST_F(StreamingTailTest, TailQueryOnBatchContainerIsOneSealedChunk) {
   const auto rest = ada->query_tail("bar.xtc", kProteinTag, 3).value();
   EXPECT_TRUE(rest.sealed);
   EXPECT_EQ(rest.frames, 2u);
-  const auto done = ada->query_tail("bar.xtc", kProteinTag, 5).value();
-  EXPECT_TRUE(done.sealed);
-  EXPECT_EQ(done.frames, 0u);
-  EXPECT_TRUE(done.image.empty());
+  // from_frame is a u64 cursor: any value at or past the frame count --
+  // including ones whose low 32 bits name a real frame -- is drained too,
+  // never a wrapped-around read from an earlier frame.
+  for (const std::uint64_t from :
+       {std::uint64_t{5}, std::uint64_t{6}, (std::uint64_t{1} << 32) - 1,
+        std::uint64_t{1} << 32, (std::uint64_t{1} << 32) + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    const auto done = ada->query_tail("bar.xtc", kProteinTag, from);
+    ASSERT_TRUE(done.is_ok()) << from << ": " << done.error().to_string();
+    EXPECT_TRUE(done.value().sealed) << from;
+    EXPECT_EQ(done.value().from_frame, from);
+    EXPECT_EQ(done.value().frames, 0u) << from;
+    EXPECT_TRUE(done.value().image.empty()) << from;
+  }
 }
 
 // --- cache: the flush fence regression -----------------------------------------------

@@ -149,8 +149,8 @@ int main(int argc, char** argv) {
   // the cached and uncached read paths are byte-identical, the cache only
   // short-circuits repeated reads within this process's lifetime).
   config.cache_bytes = static_cast<std::uint64_t>(args.get_int("cache", 0));
-  // --read-threads=<n> fans extent reads onto the shared pool (0/1 = the
-  // serial pre-scatter-gather path, the default); --queue-depth=<n> bounds
+  // --read-threads=<n> fans extent reads onto the shared pool (0/1 = one
+  // read at a time, the default); --queue-depth=<n> bounds
   // in-flight reads per backend (0 = unbounded).  docs/performance.md.
   config.read_threads = static_cast<unsigned>(args.get_int("read-threads", 0));
   config.read_queue_depth = static_cast<unsigned>(args.get_int("queue-depth", 4));

@@ -13,6 +13,12 @@ echo "== configure + build =="
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j
 
+echo "== frozen benchmark build: perfbench/adabench compiles (no run) =="
+# adabench calls the public read API directly; a read-API change that breaks
+# it fails here instead of in the benchmark run.
+cmake -S perfbench -B "$BUILD_DIR/perfbench" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$BUILD_DIR/perfbench" -j "$(nproc)" --target adabench
+
 echo "== unit tier (ctest -L unit) =="
 ctest --test-dir "$BUILD_DIR" -L unit --output-on-failure -j "$(nproc)"
 
