@@ -73,19 +73,48 @@ Result<std::vector<Tag>> Indexer::tags(const std::string& logical_name) const {
 
 Result<std::vector<std::uint8_t>> IoRetriever::retrieve(
     std::span<const DatasetLocation> locations) const {
-  ADA_ASSIGN_OR_RETURN(auto extents, retrieve_extents(locations));
-  // A one-extent subset (every batch-ingested tag) already is the image.
-  if (extents.size() == 1) return std::move(extents.front());
-  std::size_t total = 0;
-  for (const auto& extent : extents) total += extent.size();
-  std::vector<std::uint8_t> out;
-  out.reserve(total);
-  for (const auto& extent : extents) out.insert(out.end(), extent.begin(), extent.end());
-  return out;
+  // A one-extent subset (every batch-ingested tag) is its extent's buffer.
+  if (locations.size() == 1) return retrieve_extent(locations.front());
+  // Otherwise each extent is read into its slot of one image.  Slots are
+  // sized from the index, so a length is trusted only once its dropping is
+  // seen to hold it: an extent that does not fit (or whose dropping is gone)
+  // gets an empty slot and fails its read below before asking for a buffer.
+  std::vector<std::uint64_t> slot(locations.size() + 1, 0);
+  for (std::size_t i = 0; i < locations.size(); ++i) {
+    const DatasetLocation& location = locations[i];
+    const bool fits =
+        plfs::extent_fits(location.host_path, location.physical_offset, location.bytes);
+    slot[i + 1] = slot[i] + (fits ? location.bytes : 0);
+  }
+  std::vector<std::uint8_t> image(slot.back());
+  ADA_RETURN_IF_ERROR(fetch(locations, [&](std::size_t i) {
+    return read_verified(locations[i], [&] {
+      return std::span(image).subspan(slot[i], slot[i + 1] - slot[i]);
+    });
+  }));
+  return image;
 }
 
 Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
     std::span<const DatasetLocation> locations) const {
+  std::vector<std::vector<std::uint8_t>> out(locations.size());
+  ADA_RETURN_IF_ERROR(fetch(locations, [&](std::size_t i) {
+    return read_verified(locations[i], [&] {
+      out[i].resize(locations[i].bytes);
+      return std::span(out[i]);
+    });
+  }));
+  return out;
+}
+
+Result<std::vector<std::uint8_t>> IoRetriever::retrieve_extent(
+    const DatasetLocation& location) const {
+  ADA_ASSIGN_OR_RETURN(auto extents, retrieve_extents(std::span(&location, 1)));
+  return std::move(extents.front());
+}
+
+Status IoRetriever::fetch(std::span<const DatasetLocation> locations,
+                          const std::function<Status(std::size_t)>& read) const {
   const bool fan_out = options_.threads > 1 && locations.size() > 1;
   if (fan_out) {
     ADA_OBS_COUNT("retrieve.sg.calls", 1);
@@ -121,9 +150,7 @@ Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
   // one slot while it reads, so blocked acquires always wait on running
   // tasks and the batch drains (common/admission.hpp).
   AdmissionWindow window(backends, fan_out ? options_.queue_depth : 0);
-  std::vector<Result<std::vector<std::uint8_t>>> results(
-      locations.size(),
-      Result<std::vector<std::uint8_t>>(internal_error("extent read not executed")));
+  std::vector<Status> results(locations.size(), internal_error("extent read not executed"));
   run_until_failure(order, options_.threads, [&](std::size_t index) {
     const DatasetLocation& location = locations[index];
     const std::uint64_t waits = window.acquire(location.backend);
@@ -133,44 +160,38 @@ Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
       // transfers, siblings verify, so transfer overlaps decode.
       std::optional<obs::TraceSpan> span;
       if (fan_out) span.emplace("sg_extent", location.backend_name);
-      results[index] = retrieve_extent(location);
+      results[index] = read(index);
     }
     window.release(location.backend);
     return results[index].is_ok();
   });
 
   // Ordered merge: tasks completed in whatever order the pool ran them, but
-  // assembly is by location index, and the first failure in logical order
-  // wins (run_until_failure skips only reads past it).
-  std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(locations.size());
+  // the first failure in logical order wins (run_until_failure skips only
+  // reads past it).
   std::uint64_t bytes = 0;
-  for (auto& result : results) {
-    if (!result.is_ok()) return result.error();
-    bytes += result.value().size();
-    out.push_back(std::move(result).value());
+  for (std::size_t i = 0; i < locations.size(); ++i) {
+    if (!results[i].is_ok()) return results[i];
+    bytes += locations[i].bytes;
   }
   ADA_OBS_COUNT("plfs.read.calls", 1);
   ADA_OBS_COUNT("plfs.read.bytes", bytes);
   if (fan_out) ADA_OBS_COUNT("retrieve.sg.bytes", bytes);
-  return out;
+  return Status::ok();
 }
 
-Result<std::vector<std::uint8_t>> IoRetriever::retrieve_extent(
-    const DatasetLocation& location) const {
-  ADA_ASSIGN_OR_RETURN(const auto bytes,
+Status IoRetriever::read_verified(const DatasetLocation& location,
+                                  const plfs::ExtentSink& sink) const {
+  ADA_ASSIGN_OR_RETURN(const auto extent,
                        retry_sync("retrieve_dropping", mount_.retry_policy(), [&] {
-                         return plfs::read_dropping_file(location.host_path);
+                         return plfs::read_dropping_extent(
+                             location.host_path, location.physical_offset, location.bytes, sink);
                        }));
-  if (bytes.size() < location.physical_offset + location.bytes) {
-    return corrupt_data("dropping " + location.host_path + " size mismatch");
-  }
-  const auto* extent = bytes.data() + location.physical_offset;
-  if (location.has_crc && crc32c(extent, location.bytes) != location.crc32c) {
+  if (location.has_crc && crc32c(extent.data(), extent.size()) != location.crc32c) {
     ADA_OBS_COUNT("plfs.crc_mismatch", 1);
     return corrupt_data("checksum mismatch on " + location.host_path);
   }
-  return std::vector<std::uint8_t>(extent, extent + location.bytes);
+  return Status::ok();
 }
 
 }  // namespace ada::core

@@ -7,6 +7,7 @@
 //  (paper Section 3.2)
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -74,26 +75,35 @@ class IoRetriever {
   explicit IoRetriever(const plfs::PlfsMount& mount, RetrieveOptions options = {})
       : mount_(mount), options_(options) {}
 
-  /// Fetch already-located extents (Indexer::locate) concatenated in
-  /// location order: the subset image of a tag.
+  /// Fetch already-located extents (Indexer::locate) as the subset image of
+  /// a tag: every extent lands in its slot of one preallocated image, in
+  /// location order.  A one-extent subset's buffer is the image.
   Result<std::vector<std::uint8_t>> retrieve(std::span<const DatasetLocation> locations) const;
 
-  /// Fetch located extents as separate images, in location order.  This is
-  /// the one fetch loop: options().threads extents in flight (one = inline,
-  /// in order), results merged by location index, and the first failure in
-  /// location order is the error -- the one a serial loop would stop on.
+  /// Fetch located extents as separate images, in location order.
   Result<std::vector<std::vector<std::uint8_t>>> retrieve_extents(
       std::span<const DatasetLocation> locations) const;
 
-  /// Fetch one located extent's bytes: POSIX reads of its dropping, retried
-  /// under the mount's retry policy and verified against the stored CRC32C
-  /// -- a mismatch is a typed kCorruptData error, never silently served
-  /// bytes.
+  /// Fetch one located extent's bytes: an exact-extent read of its dropping
+  /// (plfs::read_dropping_extent: bounds-checked before anything is
+  /// allocated), retried under the mount's retry policy and verified in
+  /// place against the stored CRC32C -- a mismatch is a typed kCorruptData
+  /// error, never silently served bytes.
   Result<std::vector<std::uint8_t>> retrieve_extent(const DatasetLocation& location) const;
 
   const RetrieveOptions& options() const noexcept { return options_; }
 
  private:
+  /// The one fetch loop behind every read above: read(i) fetches
+  /// locations[i]; options().threads reads in flight (one = inline, in
+  /// order), and the first failure in location order is the error -- the
+  /// one a serial loop would stop on.
+  Status fetch(std::span<const DatasetLocation> locations,
+               const std::function<Status(std::size_t)>& read) const;
+
+  /// retrieve_extent into the buffer `sink` hands out.
+  Status read_verified(const DatasetLocation& location, const plfs::ExtentSink& sink) const;
+
   const plfs::PlfsMount& mount_;
   RetrieveOptions options_;
 };

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <set>
 
-#include "common/binary_io.hpp"
 #include "common/crc32c.hpp"
 
 namespace ada::plfs {
@@ -58,28 +57,27 @@ Result<VerifyReport> verify_container(const PlfsMount& mount, const std::string&
         first = false;
       }
     }
+    std::string path;
     if (!broken) {
       referenced[record.backend].insert(record.dropping);
-      const std::string path =
-          mount.dropping_host_path(record.backend, logical_name, record.dropping);
-      std::error_code ec;
-      const auto size = std::filesystem::file_size(path, ec);
-      broken = ec || size < record.physical_offset + record.length;
+      path = mount.dropping_host_path(record.backend, logical_name, record.dropping);
+      broken = !extent_fits(path, record.physical_offset, record.length);
     }
     if (broken) {
       report.broken_records.push_back(record);
       continue;
     }
-    // Full-length dropping: verify the extent's stored checksum (v1 records
-    // carry none and are treated as intact).
+    // The extent fits its dropping: read exactly it and verify the stored
+    // checksum (v1 records carry none and are treated as intact).
     bool checksum_bad = false;
     if (record.has_checksum()) {
-      const std::string path =
-          mount.dropping_host_path(record.backend, logical_name, record.dropping);
-      ADA_ASSIGN_OR_RETURN(const auto bytes, read_file(path));
-      const std::uint32_t actual =
-          crc32c(bytes.data() + record.physical_offset, record.length);
-      checksum_bad = actual != record.crc32c;
+      std::vector<std::uint8_t> buffer;
+      ADA_ASSIGN_OR_RETURN(const auto extent,
+                           read_extent(path, record.physical_offset, record.length, [&] {
+                             buffer.resize(record.length);
+                             return std::span(buffer);
+                           }));
+      checksum_bad = crc32c(extent.data(), extent.size()) != record.crc32c;
     }
     if (checksum_bad) {
       report.checksum_bad_records.push_back(record);

@@ -1,11 +1,16 @@
 #include "plfs/plfs.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <thread>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/binary_io.hpp"
 #include "common/crc32c.hpp"
@@ -46,6 +51,14 @@ std::size_t flip_position(std::size_t size, double fraction) {
   return pos < size ? pos : size - 1;
 }
 
+/// A corrupt outcome flips one byte of `bytes` (a simulated media error the
+/// extent's stored CRC must catch); every other outcome leaves them alone.
+void damage(const fault::Outcome& outcome, std::span<std::uint8_t> bytes) {
+  if (outcome.kind == fault::Outcome::Kind::kCorrupt && !bytes.empty()) {
+    bytes[flip_position(bytes.size(), outcome.fraction)] ^= 0x01;
+  }
+}
+
 /// Write one dropping file under the write_dropping fault site.  Torn and
 /// corrupt outcomes REPORT SUCCESS -- that is the point: the stored CRC is
 /// computed over the intended bytes, so the damage is caught on read.
@@ -64,7 +77,7 @@ Status write_dropping_bytes(const std::string& path, std::span<const std::uint8_
     }
     case fault::Outcome::Kind::kCorrupt: {
       std::vector<std::uint8_t> damaged(bytes.begin(), bytes.end());
-      if (!damaged.empty()) damaged[flip_position(damaged.size(), outcome.fraction)] ^= 0x01;
+      damage(outcome, damaged);
       return write_file(path, damaged);
     }
     case fault::Outcome::Kind::kNone:
@@ -73,12 +86,10 @@ Status write_dropping_bytes(const std::string& path, std::span<const std::uint8_
   return write_file(path, bytes);
 }
 
-}  // namespace
-
-/// Read one dropping file under the read_dropping fault site.  A corrupt
-/// outcome flips one byte of the returned buffer (simulated media error);
-/// checksum verification downstream must catch it.
-Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& path) {
+/// Enter the read_dropping fault site: an injected error is returned, a
+/// delay is slept; the outcome is returned so a corrupt one can damage the
+/// bytes once they are read.
+Result<fault::Outcome> enter_read_site() {
   const fault::Outcome outcome = fault::hit(kSiteReadDropping);
   if (outcome.kind == fault::Outcome::Kind::kError) {
     return outcome.to_error(kSiteReadDropping);
@@ -86,11 +97,68 @@ Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& path) {
   if (outcome.kind == fault::Outcome::Kind::kDelay) {
     std::this_thread::sleep_for(std::chrono::duration<double>(outcome.delay_seconds));
   }
-  ADA_ASSIGN_OR_RETURN(auto data, read_file(path));
-  if (outcome.kind == fault::Outcome::Kind::kCorrupt && !data.empty()) {
-    data[flip_position(data.size(), outcome.fraction)] ^= 0x01;
+  return outcome;
+}
+
+/// Overflow-safe: does [offset, offset + length) lie inside `size` bytes?
+bool fits(std::uint64_t size, std::uint64_t offset, std::uint64_t length) {
+  return offset <= size && length <= size - offset;
+}
+
+/// A file descriptor closed on scope exit.
+struct ScopedFd {
+  explicit ScopedFd(int descriptor) : fd(descriptor) {}
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  ~ScopedFd() {
+    if (fd >= 0) ::close(fd);
   }
+  const int fd;
+};
+
+}  // namespace
+
+Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& path) {
+  ADA_ASSIGN_OR_RETURN(const fault::Outcome outcome, enter_read_site());
+  ADA_ASSIGN_OR_RETURN(auto data, read_file(path));
+  damage(outcome, data);
   return data;
+}
+
+bool extent_fits(const std::string& path, std::uint64_t offset, std::uint64_t length) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 &&
+         fits(static_cast<std::uint64_t>(st.st_size), offset, length);
+}
+
+Result<std::span<std::uint8_t>> read_extent(const std::string& path, std::uint64_t offset,
+                                            std::uint64_t length, const ExtentSink& sink) {
+  const ScopedFd file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (file.fd < 0) return not_found("cannot open " + path);
+  struct stat st {};
+  if (::fstat(file.fd, &st) != 0) return io_error("fstat failed on " + path);
+  if (!fits(static_cast<std::uint64_t>(st.st_size), offset, length)) {
+    return corrupt_data("dropping " + path + " size mismatch");
+  }
+  const std::span<std::uint8_t> out = sink();
+  if (out.size() != length) return internal_error("extent buffer of the wrong size for " + path);
+  for (std::uint64_t done = 0; done < length;) {
+    const ssize_t got = ::pread(file.fd, out.data() + done, length - done,
+                                static_cast<off_t>(offset + done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return io_error("short read on " + path);
+    done += static_cast<std::uint64_t>(got);
+  }
+  return out;
+}
+
+Result<std::span<std::uint8_t>> read_dropping_extent(const std::string& path,
+                                                     std::uint64_t offset, std::uint64_t length,
+                                                     const ExtentSink& sink) {
+  ADA_ASSIGN_OR_RETURN(const fault::Outcome outcome, enter_read_site());
+  ADA_ASSIGN_OR_RETURN(const auto extent, read_extent(path, offset, length, sink));
+  damage(outcome, extent);
+  return extent;
 }
 
 Result<PlfsMount> PlfsMount::open(std::vector<Backend> backends) {

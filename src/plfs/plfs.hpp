@@ -6,7 +6,7 @@
 // directory on every backend; appends become dropping files on the chosen
 // backend plus index records.  Reads go through the ADA I/O retriever
 // (ada/indexer.hpp), which resolves index records to droppings and reads
-// them with read_dropping_file below.
+// each extent with read_dropping_extent below.
 //
 // Data written through a mount is real bytes in real files: the correctness
 // tests and examples operate on what a real deployment would store, while
@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,11 +35,36 @@ struct Backend {
   std::string host_root;  // host directory that stands in for the mount point
 };
 
-/// Fault-aware read of one dropping file by host path: evaluates the
+/// Fault-aware read of a whole dropping file by host path: evaluates the
 /// "plfs.read_dropping" injection site (errors, latency, simulated media
-/// corruption) before/after the real read.  The ADA I/O retriever's one
-/// extent read (IoRetriever::retrieve_extent) goes through it.
+/// corruption) before/after the real read.  For tooling that inspects raw
+/// droppings; the I/O retriever reads only its extent (read_dropping_extent).
 Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& host_path);
+
+/// True when [offset, offset + length) lies inside the file at `host_path`
+/// (one stat, overflow-safe); false when it does not or the file is gone.
+bool extent_fits(const std::string& host_path, std::uint64_t offset, std::uint64_t length);
+
+/// Hands out the buffer an exact-extent read lands in; called once per
+/// read attempt, after the bounds check, and must return exactly the
+/// extent's length.
+using ExtentSink = std::function<std::span<std::uint8_t>()>;
+
+/// Exact-extent read: open the dropping, fstat it, check that
+/// [offset, offset + length) lies inside the file without u64 overflow
+/// (kCorruptData if not) -- all before `sink` is asked for a buffer -- then
+/// pread exactly that range into it.  Returns the filled buffer.  No fault
+/// site: plfs::verify_container's read.
+Result<std::span<std::uint8_t>> read_extent(const std::string& host_path, std::uint64_t offset,
+                                            std::uint64_t length, const ExtentSink& sink);
+
+/// read_extent under the "plfs.read_dropping" injection site: errors and
+/// latency before the read, and a corrupt outcome flips one byte of the
+/// returned extent (simulated media error the caller's CRC must catch).
+/// The ADA I/O retriever's one extent read (IoRetriever) goes through it.
+Result<std::span<std::uint8_t>> read_dropping_extent(const std::string& host_path,
+                                                     std::uint64_t offset, std::uint64_t length,
+                                                     const ExtentSink& sink);
 
 class PlfsMount {
  public:

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "ada/indexer.hpp"
 #include "common/binary_io.hpp"
 #include "common/crc32c.hpp"
 #include "common/faults.hpp"
 #include "plfs/container.hpp"
+#include "plfs/fsck.hpp"
 #include "plfs/plfs.hpp"
 
 namespace ada::plfs {
@@ -336,6 +338,111 @@ TEST_F(PlfsMountTest, FailedIndexWriteLeavesOldIndexIntact) {
   EXPECT_EQ(records[0].label, "p");
   const auto p = read_tag("bar", "p").value();
   EXPECT_EQ(std::string(p.begin(), p.end()), "first");
+}
+
+// --- overflow-safe extent bounds ---------------------------------------------------
+//
+// A corrupt index record must never steer a read outside its dropping: the
+// bounds check [physical_offset, +length) against the file size is done
+// without u64 overflow and before any buffer is sized from `length`.
+
+constexpr std::uint64_t kWrappingOffset = std::numeric_limits<std::uint64_t>::max() - 7;
+constexpr std::uint64_t kHugeLength = std::uint64_t{1} << 62;
+
+class ExtentBoundsTest : public PlfsMountTest {
+ protected:
+  /// A 100-byte dropping whose "p" record is then forged to [offset, +length);
+  /// `checksummed` false forges a v1 (no-CRC) record.
+  void forge(std::uint64_t offset, std::uint64_t length, bool checksummed) {
+    ASSERT_TRUE(mount_->create_container("bar").is_ok());
+    ASSERT_TRUE(mount_->append("bar", "p", 0, std::vector<std::uint8_t>(100, 0x5A)).is_ok());
+    auto records = mount_->read_index("bar").value();
+    records[0].physical_offset = offset;
+    records[0].length = length;
+    if (!checksummed) records[0].flags &= static_cast<std::uint8_t>(~IndexRecord::kHasChecksum);
+    ASSERT_TRUE(mount_->rewrite_index("bar", records).is_ok());
+  }
+
+  void expect_corrupt_on_every_read() {
+    const auto location = core::Indexer(*mount_).locate("bar", "p").value().at(0);
+    const auto extent = core::IoRetriever(*mount_).retrieve_extent(location);
+    ASSERT_FALSE(extent.is_ok()) << extent.value().size() << " stray bytes served";
+    EXPECT_EQ(extent.error().code(), ErrorCode::kCorruptData);
+    const auto subset = read_tag("bar", "p");
+    ASSERT_FALSE(subset.is_ok());
+    EXPECT_EQ(subset.error().code(), ErrorCode::kCorruptData);
+  }
+
+  void expect_fsck_broken() {
+    const auto report = verify_container(*mount_, "bar").value();
+    ASSERT_EQ(report.broken_records.size(), 1u);
+    EXPECT_TRUE(report.checksum_bad_records.empty());
+    EXPECT_FALSE(report.clean());
+  }
+};
+
+TEST_F(ExtentBoundsTest, OverflowWrappingOffsetIsCorruptOnRead) {
+  ASSERT_NO_FATAL_FAILURE(forge(kWrappingOffset, 16, /*checksummed=*/false));
+  expect_corrupt_on_every_read();
+}
+
+TEST_F(ExtentBoundsTest, OverflowWrappingOffsetWithChecksumIsCorruptOnRead) {
+  ASSERT_NO_FATAL_FAILURE(forge(kWrappingOffset, 16, /*checksummed=*/true));
+  expect_corrupt_on_every_read();
+}
+
+TEST_F(ExtentBoundsTest, OverflowHugeLengthIsCorruptWithoutAllocating) {
+  // An allocation of 2^62 bytes would abort the test binary: the check must
+  // run before the buffer is sized.
+  ASSERT_NO_FATAL_FAILURE(forge(0, kHugeLength, /*checksummed=*/true));
+  expect_corrupt_on_every_read();
+}
+
+TEST_F(ExtentBoundsTest, OverflowHugeLengthInMultiExtentSubsetIsCorrupt) {
+  // The multi-extent image is preallocated from the index: a forged length
+  // must not size it.
+  ASSERT_NO_FATAL_FAILURE(forge(0, kHugeLength, /*checksummed=*/true));
+  ASSERT_TRUE(mount_->append("bar", "p", 1, bytes_of("second extent")).is_ok());
+  const auto locations = core::Indexer(*mount_).locate("bar", "p").value();
+  ASSERT_EQ(locations.size(), 2u);
+  const auto subset = core::IoRetriever(*mount_).retrieve(locations);
+  ASSERT_FALSE(subset.is_ok());
+  EXPECT_EQ(subset.error().code(), ErrorCode::kCorruptData);
+}
+
+TEST_F(ExtentBoundsTest, OverflowFsckFlagsWrappingOffsetAsBroken) {
+  ASSERT_NO_FATAL_FAILURE(forge(kWrappingOffset, 16, /*checksummed=*/false));
+  expect_fsck_broken();
+}
+
+TEST_F(ExtentBoundsTest, OverflowFsckFlagsWrappingChecksummedOffsetAsBroken) {
+  ASSERT_NO_FATAL_FAILURE(forge(kWrappingOffset, 16, /*checksummed=*/true));
+  expect_fsck_broken();
+}
+
+TEST_F(ExtentBoundsTest, OverflowFsckFlagsHugeLengthAsBroken) {
+  ASSERT_NO_FATAL_FAILURE(forge(0, kHugeLength, /*checksummed=*/true));
+  expect_fsck_broken();
+}
+
+TEST_F(ExtentBoundsTest, InteriorExtentIsReadAndCheckedAlone) {
+  // The retriever and fsck read exactly [offset, +length) of a dropping:
+  // the bytes around it are neither served nor checksummed.
+  ASSERT_TRUE(mount_->create_container("bar").is_ok());
+  const auto record = mount_->append("bar", "p", 0, bytes_of("0123456789")).value();
+  auto records = mount_->read_index("bar").value();
+  records[0].physical_offset = 2;
+  records[0].length = 5;
+  records[0].set_checksum(crc32c(bytes_of("23456")));
+  ASSERT_TRUE(mount_->rewrite_index("bar", records).is_ok());
+  EXPECT_TRUE(verify_container(*mount_, "bar").value().checksum_bad_records.empty());
+  const auto p = read_tag("bar", "p").value();
+  EXPECT_EQ(std::string(p.begin(), p.end()), "23456");
+  const std::string path = root_ + "/mnt1/bar/" + record.dropping;
+  auto bytes = read_file(path).value();
+  bytes[4] ^= 0x01;  // inside the extent
+  ASSERT_TRUE(write_file(path, bytes).is_ok());
+  EXPECT_EQ(verify_container(*mount_, "bar").value().checksum_bad_records.size(), 1u);
 }
 
 }  // namespace

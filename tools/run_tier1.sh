@@ -31,6 +31,9 @@ ctest --test-dir "$BUILD_DIR" -R 'ThreadPool|ParallelIngest' --output-on-failure
 echo "== perf tier smoke (ctest -L check-perf) =="
 ctest --test-dir "$BUILD_DIR" -L check-perf --output-on-failure
 
+echo "== extent-integrity tier (ctest -L check-crc) =="
+ctest --test-dir "$BUILD_DIR" -L check-crc --output-on-failure -j "$(nproc)"
+
 echo "== chaos tier (ctest -L chaos, fast seed budget) =="
 ADA_CHAOS_SEEDS=5 ctest --test-dir "$BUILD_DIR" -L chaos --output-on-failure -j "$(nproc)"
 
