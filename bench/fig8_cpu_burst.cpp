@@ -27,11 +27,13 @@ using platform::Scenario;
 
 namespace {
 
-void print_profile(const std::string& title, const vmd::PhaseProfiler& profiler) {
+/// Prints the folded stacks and returns the decompression share.
+double print_profile(const std::string& title, const vmd::PhaseProfiler& profiler) {
   std::cout << "\n--- " << title << " ---\n";
   for (const auto& line : profiler.folded()) std::cout << "  " << line << "\n";
-  std::cout << "  decompression share of CPU time: "
-            << format_fixed(100.0 * profiler.fraction_under("vmd;load;decompress"), 1) << "%\n";
+  const double share = profiler.fraction_under("vmd;load;decompress");
+  std::cout << "  decompression share of CPU time: " << format_fixed(100.0 * share, 1) << "%\n";
+  return share;
 }
 
 vmd::PhaseProfiler modeled_profile(const platform::ScenarioResult& result) {
@@ -64,8 +66,8 @@ int main(int argc, char** argv) {
       platform::WorkloadSizes::from_profile(platform::FrameProfile::paper_gpcr(), 5006);
   const auto c = platform::run_scenario(plat, Scenario::kCompressedFs, sizes);
   const auto p = platform::run_scenario(plat, Scenario::kAdaProtein, sizes);
-  print_profile("modeled CPU bursts, C-ext4 @ 5,006 frames (folded stacks)",
-                modeled_profile(c));
+  const double modeled_share = print_profile(
+      "modeled CPU bursts, C-ext4 @ 5,006 frames (folded stacks)", modeled_profile(c));
   print_profile("modeled CPU bursts, D-ADA (protein) @ 5,006 frames (folded stacks)",
                 modeled_profile(p));
 
@@ -94,13 +96,14 @@ int main(int argc, char** argv) {
   const std::string host_xtc = root + "/plain.xtc";
   if (!write_file(host_xtc, xtc).is_ok()) return 1;
 
+  double measured_share = 0.0;
   {
     vmd::MolSession session;  // traditional path: decompress on the "compute node"
     if (!session.mol_new_text(formats::write_pdb(system)).is_ok()) return 1;
     if (!session.mol_addfile(host_xtc).is_ok()) return 1;
     if (!session.render(0).is_ok()) return 1;
-    print_profile("measured on this host, traditional load (real decode + render)",
-                  session.profiler());
+    measured_share = print_profile(
+        "measured on this host, traditional load (real decode + render)", session.profiler());
   }
   {
     vmd::MolSession session(&middleware);  // ADA path: subset arrives decompressed
@@ -112,8 +115,14 @@ int main(int argc, char** argv) {
   }
   std::filesystem::remove_all(root);
 
-  std::cout << "\nshape check: under the traditional path decompression is >50% of CPU\n"
-               "burst time (paper Fig. 8); under ADA the decompression frames vanish.\n";
+  // The modeled plane uses the paper's decompress rate; the measured share
+  // depends on this host's decoder, and is reported as measured.
+  std::cout << "\nshape check: paper Fig. 8 has decompression >50% of VMD's CPU burst time\n"
+               "on the traditional path.  Modeled: "
+            << format_fixed(100.0 * modeled_share, 1) << "%.  Measured on this host: "
+            << format_fixed(100.0 * measured_share, 1) << "%"
+            << (measured_share > 0.5 ? "" : " (below the paper's share: the decoder here is faster)")
+            << ".\nUnder ADA the decompression frames vanish.\n";
   bench::obs_report();
   bench::telemetry_report(telemetry_spec);
   bench::trace_report(trace_path);

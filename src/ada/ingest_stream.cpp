@@ -83,7 +83,7 @@ Status IngestStream::add_frame(std::uint32_t step, float time_ps, const chem::Bo
   if (budget > 1 && writers_.size() > 1) {
     // Frame-level tag fan-out on the shared pool: every task owns exactly
     // one writer, so each per-tag byte stream is identical to the serial
-    // one and only the extraction work runs concurrently.
+    // one and only the per-tag gather runs concurrently.
     std::vector<Status> statuses(writers_.size());
     std::vector<std::function<void()>> tasks;
     tasks.reserve(writers_.size());
@@ -92,8 +92,7 @@ Status IngestStream::add_frame(std::uint32_t step, float time_ps, const chem::Bo
       const chem::Selection& selection = labels_.groups.at(tag);
       formats::RawTrajWriter* w = &writer;
       tasks.push_back([w, &selection, &statuses, i, step, time_ps, &box, coords] {
-        const auto subset = formats::extract_subset(coords, selection);
-        statuses[i] = w->add_frame(step, time_ps, box, subset);
+        statuses[i] = w->add_frame(step, time_ps, box, coords, selection);
       });
       ++i;
     }
@@ -103,8 +102,7 @@ Status IngestStream::add_frame(std::uint32_t step, float time_ps, const chem::Bo
     }
   } else {
     for (auto& [tag, writer] : writers_) {
-      const auto subset = formats::extract_subset(coords, labels_.groups.at(tag));
-      ADA_RETURN_IF_ERROR(writer.add_frame(step, time_ps, box, subset));
+      ADA_RETURN_IF_ERROR(writer.add_frame(step, time_ps, box, coords, labels_.groups.at(tag)));
     }
   }
   ++frames_;

@@ -7,11 +7,14 @@
 // storage-node CPU once at ingest so compute nodes never decompress again.
 //
 // Every XTC frame is a self-delimiting XDR item that decodes independently,
-// so split() can fan frame ranges out to the shared thread pool: a cheap
-// header-only boundary scan produces the frame extents, each worker decodes
-// its range into thread-local per-tag shard writers, and an ordered merge
-// concatenates the shards -- byte-identical to the serial path (locked down
-// by the e2e differential harness and the parallel-split property test).
+// so split() works in frame ranges: a cheap header-only boundary scan
+// produces the frame extents (and so each image's final size, reserved
+// once), each range decodes its frames and gathers every tag's atom runs
+// straight into per-tag RAW writers, and -- when the thread budget fans
+// several ranges out to the shared pool -- an ordered merge concatenates
+// the range images.  One range is the serial split; every thread count is
+// byte-identical to it (locked down by the e2e differential harness and the
+// parallel-split property test).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +35,12 @@ struct PreprocessStats {
   std::uint64_t compressed_bytes = 0;            // input .xtc image size
   std::map<Tag, std::uint64_t> subset_bytes;     // output RAW subset sizes
   std::map<Tag, std::uint64_t> subset_atoms;     // atoms per subset
-  double decompress_wall_seconds = 0.0;          // real CPU time spent decoding
+  /// Wall time of the decode.  With one frame range (threads = 1, or a
+  /// stream with no second entry point) it is the time inside the XTC
+  /// decode calls only, not the per-tag gather or the scan.  With several
+  /// ranges it is the wall clock of the whole fan-out -- decode and gather
+  /// on every worker -- because overlapping decodes have no serial sum.
+  double decompress_wall_seconds = 0.0;
 };
 
 class DataPreProcessor {
@@ -53,12 +61,6 @@ class DataPreProcessor {
       unsigned threads = 1) const;
 
  private:
-  Result<std::map<Tag, std::vector<std::uint8_t>>> split_serial(
-      std::span<const std::uint8_t> xtc_image, PreprocessStats* stats) const;
-  Result<std::map<Tag, std::vector<std::uint8_t>>> split_parallel(
-      std::span<const std::uint8_t> xtc_image, PreprocessStats* stats, unsigned budget,
-      unsigned threads) const;
-
   LabelMap labels_;
 };
 

@@ -29,21 +29,7 @@ Result<std::uint32_t> BitReader::get_bits(unsigned width) {
     return corrupt_data("bitstream truncated: need " + std::to_string(width) + " bits, have " +
                         std::to_string(bits_remaining()));
   }
-  std::uint32_t value = 0;
-  unsigned taken = 0;
-  while (taken < width) {
-    const std::size_t byte_index = bit_pos_ >> 3;
-    const unsigned bit_offset = static_cast<unsigned>(bit_pos_ & 7);
-    const unsigned available = 8 - bit_offset;
-    const unsigned take = std::min(available, width - taken);
-    const std::uint32_t chunk =
-        (static_cast<std::uint32_t>(data_[byte_index]) >> (available - take)) &
-        ((1u << take) - 1u);
-    value = (value << take) | chunk;
-    taken += take;
-    bit_pos_ += take;
-  }
-  return value;
+  return take(width);
 }
 
 Result<bool> BitReader::get_bit() {

@@ -1,10 +1,13 @@
 // MSB-first bit-level I/O used by the coordinate codec.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
+#include "common/binary_io.hpp"
 #include "common/check.hpp"
 #include "common/result.hpp"
 
@@ -33,14 +36,61 @@ class BitWriter {
 };
 
 /// Reads variable-width unsigned fields written by BitWriter.
+///
+/// Reads go through a 64-bit window: one unaligned big-endian load at the
+/// cursor's byte, shifted left by the cursor's bit offset, so the top
+/// kWindowBits bits of window() are always the next stream bits (a bytewise
+/// tail fills bits past the buffer end with zeros).  Callers that bound a
+/// whole record once against bits_remaining() then pull its fields with
+/// take() and no per-field check -- the codec's record-at-a-time decode.
 class BitReader {
  public:
+  /// Bits of window() guaranteed to be stream bits: 64 minus the largest
+  /// in-byte offset.
+  static constexpr unsigned kWindowBits = 57;
+
   explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   /// Read `width` bits (width in [0, 32]).
   Result<std::uint32_t> get_bits(unsigned width);
 
   Result<bool> get_bit();
+
+  /// The 64 bits starting at the cursor, left-aligned (bit 63 is the next
+  /// stream bit).  Does not move the cursor.
+  std::uint64_t window() const noexcept {
+    const std::size_t byte = bit_pos_ >> 3;
+    std::uint64_t word = 0;
+    if (data_.size() >= 8 && byte <= data_.size() - 8) {
+      std::memcpy(&word, data_.data() + byte, 8);
+      if constexpr (std::endian::native == std::endian::little) word = byteswap64(word);
+    } else {
+      // Tail: the last < 8 bytes, zero-filled past the buffer end.
+      for (std::size_t i = 0; i < 8; ++i) {
+        word <<= 8;
+        if (byte + i < data_.size()) word |= data_[byte + i];
+      }
+    }
+    return word << (bit_pos_ & 7);
+  }
+
+  /// Read `width` bits (width in [0, 32]) with no bounds check: the caller
+  /// has checked bits_remaining().
+  std::uint32_t take(unsigned width) noexcept {
+    const auto value = static_cast<std::uint32_t>(field(window(), 0, width));
+    bit_pos_ += width;
+    return value;
+  }
+
+  /// Advance the cursor by `bits` with no bounds check.
+  void skip(std::size_t bits) noexcept { bit_pos_ += bits; }
+
+  /// The `width`-bit field (width in [0, 32]) starting `offset` bits into a
+  /// left-aligned window; offset + width must not exceed kWindowBits.
+  static constexpr std::uint64_t field(std::uint64_t window, unsigned offset,
+                                       unsigned width) noexcept {
+    return (window << offset >> (63 - width)) >> 1;
+  }
 
   std::size_t bits_consumed() const noexcept { return bit_pos_; }
   std::size_t bits_remaining() const noexcept { return data_.size() * 8 - bit_pos_; }

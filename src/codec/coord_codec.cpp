@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "codec/bitstream.hpp"
 #include "obs/metrics.hpp"
@@ -153,46 +154,133 @@ Status check_payload_plausible(const CompressedFrame& frame, std::uint64_t min_b
   return Status::ok();
 }
 
-/// Decode the v1/intra record layout back to exact grid positions.  Working
-/// in the integer domain (not floats) keeps prediction contexts lossless.
-Result<std::vector<std::int32_t>> decode_intra_quanta(const CompressedFrame& frame) {
-  for (int d = 0; d < 3; ++d) {
-    if (frame.full_bits[d] > 32) return corrupt_data("invalid full_bits");
-  }
-  if (frame.small_bits > 31) return corrupt_data("invalid small_bits");
-  // Atoms 1..n-1 cost at least their flag bit each.
-  ADA_RETURN_IF_ERROR(check_payload_plausible(
-      frame, frame.atom_count > 1 ? frame.atom_count - 1 : 0));
+/// 1 iff a reconstructed grid value lies outside (-2^30, 2^30); OR-ed into
+/// a branch-free accumulator that decoders test once after their loop.
+inline std::uint32_t off_grid(std::int64_t v) noexcept {
+  return static_cast<std::uint32_t>((v <= -kMaxQuantum) || (v >= kMaxQuantum));
+}
 
-  std::vector<std::int32_t> quanta(static_cast<std::size_t>(frame.atom_count) * 3);
-  BitReader reader(frame.payload);
-  std::int32_t prev[3];
-  for (int d = 0; d < 3; ++d) {
-    ADA_ASSIGN_OR_RETURN(const std::uint32_t rel, reader.get_bits(frame.full_bits[d]));
-    prev[d] = static_cast<std::int32_t>(
-        static_cast<std::int64_t>(frame.min_quantum[d]) + rel);
-    quanta[static_cast<std::size_t>(d)] = prev[d];
-  }
-  for (std::uint32_t i = 1; i < frame.atom_count; ++i) {
-    ADA_ASSIGN_OR_RETURN(const bool large, reader.get_bit());
-    for (int d = 0; d < 3; ++d) {
-      std::int32_t value = 0;
-      if (large) {
-        ADA_ASSIGN_OR_RETURN(const std::uint32_t rel, reader.get_bits(frame.full_bits[d]));
-        value = static_cast<std::int32_t>(static_cast<std::int64_t>(frame.min_quantum[d]) + rel);
-      } else {
-        ADA_ASSIGN_OR_RETURN(const std::uint32_t zz, reader.get_bits(frame.small_bits));
-        value = prev[d] + zigzag_decode(zz);
-      }
-      prev[d] = value;
-      quanta[3 * static_cast<std::size_t>(i) + static_cast<std::size_t>(d)] = value;
-    }
-  }
+Error truncated(std::size_t need, std::size_t have) {
+  return corrupt_data("bitstream truncated: need " + std::to_string(need) + " bits, have " +
+                      std::to_string(have));
+}
+
+Status check_consumed(const BitReader& reader, const CompressedFrame& frame) {
   if (reader.bits_consumed() != frame.payload_bits) {
     return corrupt_data("payload bit count mismatch: consumed " +
                         std::to_string(reader.bits_consumed()) + ", declared " +
                         std::to_string(frame.payload_bits));
   }
+  return Status::ok();
+}
+
+/// The three fields of the record at the cursor, whose flag opens window
+/// `w`, and the cursor moved past it.  The caller has checked that the whole
+/// record fits; the fields come from `w` when the record fits kWindowBits,
+/// else from one window each.
+inline std::array<std::uint32_t, 3> take_record(BitReader& reader, std::uint64_t w,
+                                                bool in_window, unsigned b0, unsigned b1,
+                                                unsigned b2) noexcept {
+  if (in_window) {
+    reader.skip(1 + b0 + b1 + b2);
+    return {static_cast<std::uint32_t>(BitReader::field(w, 1, b0)),
+            static_cast<std::uint32_t>(BitReader::field(w, 1 + b0, b1)),
+            static_cast<std::uint32_t>(BitReader::field(w, 1 + b0 + b1, b2))};
+  }
+  reader.skip(1);
+  return {reader.take(b0), reader.take(b1), reader.take(b2)};  // in order
+}
+
+/// Header checks of the v1/intra record layout, before any allocation is
+/// sized off the header.
+Status check_intra_header(const CompressedFrame& frame) {
+  for (int d = 0; d < 3; ++d) {
+    if (frame.full_bits[d] > 32) return corrupt_data("invalid full_bits");
+  }
+  if (frame.small_bits > 31) return corrupt_data("invalid small_bits");
+  // Atoms 1..n-1 cost at least their flag bit each.
+  return check_payload_plausible(frame, frame.atom_count > 1 ? frame.atom_count - 1 : 0);
+}
+
+/// Decode the v1/intra record layout into `out` (atom_count * 3 values):
+/// exact grid positions for T = int32 (prediction contexts stay lossless in
+/// the integer domain), or coordinates -- grid * 1/precision, as
+/// quanta_to_floats computes them -- for T = float.
+///
+/// Record at a time: each record is bounds-checked once (its flag, then the
+/// flag plus that record's width against bits_remaining()), and its fields
+/// come out of one 64-bit window when the record fits kWindowBits -- the
+/// frame header decides, per record kind -- else one window per field.
+/// Values are reconstructed in int64; any outside the grid is rejected.
+template <typename T>
+Status decode_intra(const CompressedFrame& frame, T* out) {
+  const float inv_precision = 1.0f / frame.precision;
+  const auto put = [&](std::int64_t v) {
+    if constexpr (std::is_same_v<T, float>) {
+      *out++ = static_cast<float>(static_cast<std::int32_t>(v)) * inv_precision;
+    } else {
+      *out++ = static_cast<std::int32_t>(v);
+    }
+  };
+  BitReader reader(frame.payload);
+  const unsigned fb0 = frame.full_bits[0];
+  const unsigned fb1 = frame.full_bits[1];
+  const unsigned fb2 = frame.full_bits[2];
+  const unsigned k = frame.small_bits;
+  const std::int64_t m0 = frame.min_quantum[0];
+  const std::int64_t m1 = frame.min_quantum[1];
+  const std::int64_t m2 = frame.min_quantum[2];
+  const unsigned large_bits = 1 + fb0 + fb1 + fb2;
+  const unsigned small_bits = 1 + 3 * k;
+  const bool large_in_window = large_bits <= BitReader::kWindowBits;
+  const bool small_in_window = small_bits <= BitReader::kWindowBits;
+
+  // First atom: absolute, no flag.
+  if (reader.bits_remaining() < large_bits - 1) {
+    return truncated(large_bits - 1, reader.bits_remaining());
+  }
+  std::int64_t x = m0 + reader.take(fb0);
+  std::int64_t y = m1 + reader.take(fb1);
+  std::int64_t z = m2 + reader.take(fb2);
+  std::uint32_t bad = off_grid(x) | off_grid(y) | off_grid(z);
+  put(x);
+  put(y);
+  put(z);
+
+  for (std::uint32_t i = 1; i < frame.atom_count; ++i) {
+    const std::size_t remaining = reader.bits_remaining();
+    if (remaining == 0) return truncated(1, 0);
+    const std::uint64_t w = reader.window();
+    const bool large = (w >> 63) != 0;
+    const unsigned width = large ? large_bits : small_bits;
+    if (remaining < width) return truncated(width, remaining);
+    if (large) {
+      const auto f = take_record(reader, w, large_in_window, fb0, fb1, fb2);
+      x = m0 + f[0];
+      y = m1 + f[1];
+      z = m2 + f[2];
+    } else {
+      const auto f = take_record(reader, w, small_in_window, k, k, k);
+      x += zigzag_decode(f[0]);
+      y += zigzag_decode(f[1]);
+      z += zigzag_decode(f[2]);
+    }
+    bad |= off_grid(x) | off_grid(y) | off_grid(z);
+    put(x);
+    put(y);
+    put(z);
+  }
+  ADA_RETURN_IF_ERROR(check_consumed(reader, frame));
+  if (bad != 0) return corrupt_data("coordinate outside the quantization grid");
+  return Status::ok();
+}
+
+/// The v1/intra layout decoded to exact grid positions (v2 keyframes, whose
+/// grid seeds the prediction context).
+Result<std::vector<std::int32_t>> decode_intra_quanta(const CompressedFrame& frame) {
+  ADA_RETURN_IF_ERROR(check_intra_header(frame));
+  std::vector<std::int32_t> quanta(static_cast<std::size_t>(frame.atom_count) * 3);
+  ADA_RETURN_IF_ERROR(decode_intra(frame, quanta.data()));
   return quanta;
 }
 
@@ -315,11 +403,13 @@ Result<CompressedFrame> compress(std::span<const float> coords, const CodecParam
 Result<std::vector<float>> decompress(const CompressedFrame& frame) {
   if (frame.atom_count == 0) return std::vector<float>{};
   if (!(frame.precision > 0.0f)) return corrupt_data("compressed frame has invalid precision");
-  ADA_ASSIGN_OR_RETURN(const std::vector<std::int32_t> quanta, decode_intra_quanta(frame));
+  ADA_RETURN_IF_ERROR(check_intra_header(frame));
+  std::vector<float> coords(static_cast<std::size_t>(frame.atom_count) * 3);
+  ADA_RETURN_IF_ERROR(decode_intra(frame, coords.data()));
   ADA_OBS_COUNT("codec.decode.calls", 1);
   ADA_OBS_COUNT("codec.decode.atoms", frame.atom_count);
   ADA_OBS_COUNT("codec.decode.bytes_in", frame.payload_bytes());
-  return quanta_to_floats(quanta, frame.precision);
+  return coords;
 }
 
 Result<CompressedFrame> compress_v2(std::span<const float> coords, const CodecParams& params,
@@ -406,22 +496,30 @@ Result<std::vector<float>> decompress_v2(const CompressedFrame& frame, Predictio
     // Every atom costs at least its flag bit.
     ADA_RETURN_IF_ERROR(check_payload_plausible(frame, frame.atom_count));
 
-    // Pass 1: serial bitstream -> flat residual array (SoA).
+    // Pass 1: serial bitstream -> flat residual array (SoA), one record at
+    // a time as in decode_intra.  Large records (3 x 32 bits) never fit one
+    // window.
     std::vector<std::int32_t> residuals(values);
     BitReader reader(frame.payload);
+    const unsigned k = frame.small_bits;
+    const unsigned small_bits = 1 + 3 * k;
+    const unsigned large_bits = 1 + 3 * kResidualFullBits;
+    const bool small_in_window = small_bits <= BitReader::kWindowBits;
+    std::int32_t* r = residuals.data();
     for (std::size_t i = 0; i < values; i += 3) {
-      ADA_ASSIGN_OR_RETURN(const bool large, reader.get_bit());
-      const unsigned field = large ? kResidualFullBits : frame.small_bits;
-      for (std::size_t d = 0; d < 3; ++d) {
-        ADA_ASSIGN_OR_RETURN(const std::uint32_t zz, reader.get_bits(field));
-        residuals[i + d] = zigzag_decode(zz);
-      }
+      const std::size_t remaining = reader.bits_remaining();
+      if (remaining == 0) return truncated(1, 0);
+      const std::uint64_t w = reader.window();
+      const bool large = (w >> 63) != 0;
+      const unsigned width = large ? large_bits : small_bits;
+      if (remaining < width) return truncated(width, remaining);
+      const unsigned field = large ? kResidualFullBits : k;
+      const auto f = take_record(reader, w, !large && small_in_window, field, field, field);
+      r[i] = zigzag_decode(f[0]);
+      r[i + 1] = zigzag_decode(f[1]);
+      r[i + 2] = zigzag_decode(f[2]);
     }
-    if (reader.bits_consumed() != frame.payload_bits) {
-      return corrupt_data("payload bit count mismatch: consumed " +
-                          std::to_string(reader.bits_consumed()) + ", declared " +
-                          std::to_string(frame.payload_bits));
-    }
+    ADA_RETURN_IF_ERROR(check_consumed(reader, frame));
 
     // Pass 2: elementwise reconstruction with no loop-carried dependency --
     // this is the auto-vectorizable hot loop v1 cannot have.  Out-of-grid
@@ -437,13 +535,13 @@ Result<std::vector<float>> decompress_v2(const CompressedFrame& frame, Predictio
       for (std::size_t i = 0; i < values; ++i) {
         const std::int64_t v =
             static_cast<std::int64_t>(predict_linear(p1[i], p2[i])) + res[i];
-        bad |= static_cast<std::uint32_t>((v <= -kMaxQuantum) || (v >= kMaxQuantum));
+        bad |= off_grid(v);
         q[i] = static_cast<std::int32_t>(v);
       }
     } else {
       for (std::size_t i = 0; i < values; ++i) {
         const std::int64_t v = static_cast<std::int64_t>(p1[i]) + res[i];
-        bad |= static_cast<std::uint32_t>((v <= -kMaxQuantum) || (v >= kMaxQuantum));
+        bad |= off_grid(v);
         q[i] = static_cast<std::int32_t>(v);
       }
     }

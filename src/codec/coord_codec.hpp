@@ -14,9 +14,13 @@
 //
 // On solvated MD systems this reaches ~3.3x over raw float32 (see
 // tests/codec_test.cpp and bench/micro_codec.cpp), matching the paper's
-// raw:compressed ratio of 3.27 (Table 2).  Decoding is deliberately a
-// sequential, branchy, CPU-bound loop -- exactly the "duplication of labor"
-// the paper's Fig. 8 flame graph attributes >50% of VMD CPU time to.
+// raw:compressed ratio of 3.27 (Table 2).  Decoding is a serial per-atom
+// chain -- each small record's deltas add to the previous atom -- so it stays
+// a CPU-bound loop, the "duplication of labor" the paper's Fig. 8 flame
+// graph attributes to VMD.  It is record-at-a-time, not per-bit: one bounds
+// check and (when the record fits 57 bits, as the frame header decides) one
+// unaligned 64-bit window per record.  Every decoded coordinate is checked
+// against the quantization grid, so crafted payloads are corrupt_data.
 //
 // Codec v2 adds temporal prediction on top of the same bitstream: each frame
 // may be coded against the previous frame (Predictor::kPrev) or a linear

@@ -1,5 +1,6 @@
 #include "formats/raw_traj.hpp"
 
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -15,19 +16,62 @@ RawTrajWriter::RawTrajWriter(std::uint32_t atom_count) : atom_count_(atom_count)
   buffer_ = w.take();
 }
 
+void RawTrajWriter::reserve_frames(std::uint32_t frames) {
+  buffer_.reserve(buffer_.size() + std::size_t{frames} * raw_frame_bytes(atom_count_));
+}
+
+void RawTrajWriter::put_frame_header(std::uint32_t step, float time_ps, const chem::Box& box) {
+  std::uint32_t words[11];
+  words[0] = to_little_endian32(step);
+  words[1] = to_little_endian32(std::bit_cast<std::uint32_t>(time_ps));
+  for (std::size_t i = 0; i < 9; ++i) {
+    words[2 + i] = to_little_endian32(std::bit_cast<std::uint32_t>(box.matrix[i]));
+  }
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(words);
+  buffer_.insert(buffer_.end(), bytes, bytes + sizeof(words));
+}
+
+void RawTrajWriter::put_coords(std::span<const float> coords) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(coords.data());
+    buffer_.insert(buffer_.end(), bytes, bytes + coords.size_bytes());
+  } else {
+    for (const float v : coords) {
+      const std::uint32_t wire = to_little_endian32(std::bit_cast<std::uint32_t>(v));
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(&wire);
+      buffer_.insert(buffer_.end(), bytes, bytes + 4);
+    }
+  }
+}
+
 Status RawTrajWriter::add_frame(std::uint32_t step, float time_ps, const chem::Box& box,
                                 std::span<const float> coords) {
   if (coords.size() != std::size_t{3} * atom_count_) {
     return invalid_argument("frame has " + std::to_string(coords.size() / 3) + " atoms, expected " +
                             std::to_string(atom_count_));
   }
-  ByteWriter w;
-  w.put_u32_le(step);
-  w.put_f32_le(time_ps);
-  for (float v : box.matrix) w.put_f32_le(v);
-  for (float v : coords) w.put_f32_le(v);
-  const auto& bytes = w.bytes();
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+  put_frame_header(step, time_ps, box);
+  put_coords(coords);
+  ++frame_count_;
+  return Status::ok();
+}
+
+Status RawTrajWriter::add_frame(std::uint32_t step, float time_ps, const chem::Box& box,
+                                std::span<const float> full_coords,
+                                const chem::Selection& selection) {
+  const auto& runs = selection.runs();
+  if (selection.count() != atom_count_) {
+    return invalid_argument("selection has " + std::to_string(selection.count()) +
+                            " atoms, expected " + std::to_string(atom_count_));
+  }
+  if (!runs.empty() && std::size_t{3} * runs.back().end > full_coords.size()) {
+    return invalid_argument("selection reaches atom " + std::to_string(runs.back().end - 1) +
+                            " of a " + std::to_string(full_coords.size() / 3) + "-atom frame");
+  }
+  put_frame_header(step, time_ps, box);
+  for (const chem::Run& run : runs) {
+    put_coords(full_coords.subspan(std::size_t{3} * run.begin, std::size_t{3} * run.size()));
+  }
   ++frame_count_;
   return Status::ok();
 }

@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "chem/selection.hpp"
 #include "common/result.hpp"
 #include "formats/xtc_file.hpp"
 
@@ -40,9 +41,19 @@ class RawTrajWriter {
  public:
   explicit RawTrajWriter(std::uint32_t atom_count);
 
+  /// Reserve the image for `frames` more frames, so a writer whose frame
+  /// count is known up front allocates once.
+  void reserve_frames(std::uint32_t frames);
+
   /// Append one frame; coords must hold atom_count*3 floats.
   Status add_frame(std::uint32_t step, float time_ps, const chem::Box& box,
                    std::span<const float> coords);
+
+  /// Append one frame holding `selection`'s atoms of the full frame
+  /// `full_coords`, gathered run by run straight into the image (no subset
+  /// copy).  The selection must hold atom_count atoms, all inside the frame.
+  Status add_frame(std::uint32_t step, float time_ps, const chem::Box& box,
+                   std::span<const float> full_coords, const chem::Selection& selection);
 
   std::uint32_t atom_count() const noexcept { return atom_count_; }
   std::uint32_t frame_count() const noexcept { return frame_count_; }
@@ -52,6 +63,9 @@ class RawTrajWriter {
   std::vector<std::uint8_t> finish();
 
  private:
+  void put_frame_header(std::uint32_t step, float time_ps, const chem::Box& box);
+  void put_coords(std::span<const float> coords);
+
   std::uint32_t atom_count_;
   std::uint32_t frame_count_ = 0;
   std::vector<std::uint8_t> buffer_;

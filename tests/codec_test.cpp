@@ -2,8 +2,13 @@
 // plus the golden-vector suite that locks both wire formats bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -57,6 +62,70 @@ TEST(BitstreamTest, ReadingPastEndIsError) {
   BitReader r(bytes);
   EXPECT_TRUE(r.get_bits(8).is_ok());  // padding bits are readable...
   EXPECT_FALSE(r.get_bits(8).is_ok());  // ...but past the final byte is not
+}
+
+/// Bit-at-a-time MSB-first reference reader -- the layout straight from its
+/// definition, for differential tests of the windowed BitReader and the
+/// record-at-a-time decoders (as crc32c_test keeps a bit-at-a-time CRC).
+struct ReferenceBits {
+  std::span<const std::uint8_t> data;
+  std::size_t pos = 0;
+
+  std::size_t size_bits() const { return data.size() * 8; }
+
+  /// Next `width` bits, or nullopt (cursor unspecified) past the buffer end.
+  std::optional<std::uint32_t> get(unsigned width) {
+    std::uint32_t value = 0;
+    for (unsigned i = 0; i < width; ++i, ++pos) {
+      if (pos >= size_bits()) return std::nullopt;
+      value = (value << 1) | ((std::uint32_t{data[pos >> 3]} >> (7 - (pos & 7))) & 1u);
+    }
+    return value;
+  }
+};
+
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  return out;
+}
+
+TEST(BitstreamTest, GetBitsAtBufferEndMatchesReference) {
+  // Every width 0..32 at every bit offset of the last 5 bytes of buffers of
+  // 1..12 bytes: both window paths (8-byte load, bytewise tail) and every
+  // read that would cross the end.
+  Rng rng(31);
+  for (std::size_t len = 1; len <= 12; ++len) {
+    const auto data = random_bytes(rng, len);
+    const std::size_t total = len * 8;
+    for (std::size_t start = total > 40 ? total - 40 : 0; start <= total; ++start) {
+      // window(): the stream bits it covers, zeros past the end.
+      BitReader at(data);
+      at.skip(start);
+      const std::uint64_t window = at.window();
+      ReferenceBits ref{data, start};
+      for (unsigned bit = 0; bit < BitReader::kWindowBits; ++bit) {
+        const auto want = start + bit < total ? ref.get(1).value() : 0u;
+        ASSERT_EQ((window >> (63 - bit)) & 1u, want) << "len " << len << " start " << start;
+      }
+      for (unsigned width = 0; width <= 32; ++width) {
+        BitReader reader(data);
+        reader.skip(start);
+        const auto got = reader.get_bits(width);
+        if (start + width > total) {
+          ASSERT_FALSE(got.is_ok()) << "len " << len << " start " << start << " width " << width;
+          EXPECT_EQ(got.error().code(), ErrorCode::kCorruptData);
+          EXPECT_EQ(reader.bits_consumed(), start);
+          continue;
+        }
+        ReferenceBits want{data, start};
+        ASSERT_TRUE(got.is_ok());
+        ASSERT_EQ(got.value(), want.get(width).value())
+            << "len " << len << " start " << start << " width " << width;
+        EXPECT_EQ(reader.bits_consumed(), start + width);
+      }
+    }
+  }
 }
 
 TEST(BitstreamPropertyTest, RandomRoundTrip) {
@@ -360,6 +429,340 @@ TEST(CoordCodecV2Test, ResetForcesKeyframe) {
   ctx.reset();
   const auto frame = compress_v2(frames[1], {}, ctx).value();
   EXPECT_EQ(frame.predictor, Predictor::kIntra);
+}
+
+// --- differential decode: record-window decoders vs a bit-at-a-time reference --
+//
+// Frames here are built record by record (not by the encoder), so every
+// flag mix, field width, padding alignment and off-grid value occurs.  The
+// reference decodes them straight from the layout in coord_codec.hpp with
+// ReferenceBits; decompress / decompress_v2 must accept exactly what it
+// accepts, with bit-identical floats, and reject the rest as corrupt_data.
+
+constexpr std::int64_t kGrid = std::int64_t{1} << 30;
+
+bool on_grid(std::int64_t v) { return v > -kGrid && v < kGrid; }
+
+/// Random value of exactly `width` bits; small magnitudes three times in
+/// four so many frames stay on the grid.
+std::uint32_t random_field(Rng& rng, unsigned width) {
+  if (width == 0) return 0;
+  const unsigned used = rng.uniform_index(4) != 0 ? std::min(width, 6u) : width;
+  return static_cast<std::uint32_t>(rng.next_u64() >> (64 - used));
+}
+
+struct BuiltFrame {
+  CompressedFrame frame;
+  std::vector<std::uint64_t> record_starts;  // bit offset of each flagged record
+};
+
+BuiltFrame finish_frame(BuiltFrame built, BitWriter& writer) {
+  built.frame.payload_bits = writer.bit_count();
+  built.frame.payload = writer.finish();
+  return built;
+}
+
+/// v1/intra layout: first atom absolute, then flag + 3 fields per atom.
+BuiltFrame random_intra_frame(Rng& rng, std::uint32_t atoms, unsigned small_bits,
+                              const std::array<unsigned, 3>& full_bits) {
+  BuiltFrame built;
+  CompressedFrame& f = built.frame;
+  f.atom_count = atoms;
+  f.precision = 1000.0f;
+  f.small_bits = static_cast<std::uint8_t>(small_bits);
+  for (int d = 0; d < 3; ++d) {
+    f.full_bits[d] = static_cast<std::uint8_t>(full_bits[static_cast<std::size_t>(d)]);
+    f.min_quantum[d] = static_cast<std::int32_t>(rng.uniform_index(1u << 29)) - (1 << 28);
+  }
+  BitWriter writer;
+  for (const unsigned width : full_bits) writer.put_bits(random_field(rng, width), width);
+  for (std::uint32_t i = 1; i < atoms; ++i) {
+    built.record_starts.push_back(writer.bit_count());
+    const bool large = rng.uniform_index(4) == 0;
+    writer.put_bit(large);
+    for (const unsigned width : full_bits) {
+      const unsigned field = large ? width : small_bits;
+      writer.put_bits(random_field(rng, field), field);
+    }
+  }
+  return finish_frame(std::move(built), writer);
+}
+
+/// Predicted layout: flag + 3 residual fields (small_bits or 32) per atom.
+BuiltFrame random_predicted_frame(Rng& rng, std::uint32_t atoms, unsigned small_bits,
+                                  Predictor predictor) {
+  BuiltFrame built;
+  CompressedFrame& f = built.frame;
+  f.atom_count = atoms;
+  f.precision = 1000.0f;
+  f.small_bits = static_cast<std::uint8_t>(small_bits);
+  f.predictor = predictor;
+  for (int d = 0; d < 3; ++d) f.full_bits[d] = 32;
+  BitWriter writer;
+  for (std::uint32_t i = 0; i < atoms; ++i) {
+    built.record_starts.push_back(writer.bit_count());
+    const bool large = rng.uniform_index(4) == 0;
+    writer.put_bit(large);
+    const unsigned field = large ? 32 : small_bits;
+    for (int d = 0; d < 3; ++d) writer.put_bits(random_field(rng, field), field);
+  }
+  return finish_frame(std::move(built), writer);
+}
+
+/// A usable two-frame context for `atoms` atoms, on the grid.
+PredictionContext random_context(Rng& rng, std::uint32_t atoms) {
+  PredictionContext ctx;
+  ctx.precision = 1000.0f;
+  for (std::uint32_t i = 0; i < 3 * atoms; ++i) {
+    ctx.prev1.push_back(static_cast<std::int32_t>(rng.uniform_index(1u << 29)) - (1 << 28));
+    ctx.prev2.push_back(static_cast<std::int32_t>(rng.uniform_index(1u << 29)) - (1 << 28));
+  }
+  return ctx;
+}
+
+bool plausible(const CompressedFrame& f, std::uint64_t min_bits) {
+  return f.payload_bits <= 8 * f.payload.size() && f.payload_bits >= min_bits;
+}
+
+/// Reference v1/intra decode to grid values; nullopt where it must reject.
+std::optional<std::vector<std::int32_t>> reference_intra(const CompressedFrame& f) {
+  for (const std::uint8_t width : f.full_bits) {
+    if (width > 32) return std::nullopt;
+  }
+  if (f.small_bits > 31 || !plausible(f, f.atom_count > 1 ? f.atom_count - 1 : 0)) {
+    return std::nullopt;
+  }
+  ReferenceBits bits{f.payload};
+  std::vector<std::int32_t> q;
+  std::int64_t prev[3] = {0, 0, 0};
+  for (std::uint32_t i = 0; i < f.atom_count; ++i) {
+    bool large = true;
+    if (i > 0) {
+      const auto flag = bits.get(1);
+      if (!flag) return std::nullopt;
+      large = *flag != 0;
+    }
+    for (int d = 0; d < 3; ++d) {
+      const auto field = bits.get(large ? f.full_bits[d] : f.small_bits);
+      if (!field) return std::nullopt;
+      prev[d] = large ? f.min_quantum[d] + static_cast<std::int64_t>(*field)
+                      : prev[d] + zigzag_decode(*field);
+      if (!on_grid(prev[d])) return std::nullopt;
+      q.push_back(static_cast<std::int32_t>(prev[d]));
+    }
+  }
+  if (bits.pos != f.payload_bits) return std::nullopt;
+  return q;
+}
+
+/// Reference predicted-frame decode against a usable context.
+std::optional<std::vector<std::int32_t>> reference_predicted(const CompressedFrame& f,
+                                                             const PredictionContext& ctx) {
+  if (f.small_bits > 32 || !plausible(f, f.atom_count)) return std::nullopt;
+  ReferenceBits bits{f.payload};
+  std::vector<std::int32_t> q;
+  for (std::uint32_t i = 0; i < f.atom_count; ++i) {
+    const auto flag = bits.get(1);
+    if (!flag) return std::nullopt;
+    for (std::size_t d = 0; d < 3; ++d) {
+      const auto field = bits.get(*flag != 0 ? 32 : f.small_bits);
+      if (!field) return std::nullopt;
+      const std::size_t at = 3 * std::size_t{i} + d;
+      std::int64_t predicted = ctx.prev1[at];
+      if (f.predictor == Predictor::kLinear) {
+        predicted = std::clamp(2 * std::int64_t{ctx.prev1[at]} - ctx.prev2[at], -(kGrid - 1),
+                               kGrid - 1);
+      }
+      const std::int64_t v = predicted + zigzag_decode(*field);
+      if (!on_grid(v)) return std::nullopt;
+      q.push_back(static_cast<std::int32_t>(v));
+    }
+  }
+  if (bits.pos != f.payload_bits) return std::nullopt;
+  return q;
+}
+
+/// Decoded floats equal the reference grid values scaled, bit for bit.
+void expect_same_floats(const std::vector<float>& got, const std::vector<std::int32_t>& grid,
+                        float precision) {
+  ASSERT_EQ(got.size(), grid.size());
+  const float inv_precision = 1.0f / precision;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const float want = static_cast<float>(grid[i]) * inv_precision;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want))
+        << "value " << i;
+  }
+}
+
+std::string describe(const CompressedFrame& f) {
+  return "atoms " + std::to_string(f.atom_count) + " small_bits " +
+         std::to_string(f.small_bits) + " full_bits " + std::to_string(f.full_bits[0]) + "/" +
+         std::to_string(f.full_bits[1]) + "/" + std::to_string(f.full_bits[2]) +
+         " predictor " + std::to_string(static_cast<int>(f.predictor)) + " payload_bits " +
+         std::to_string(f.payload_bits) + " bytes " + std::to_string(f.payload.size());
+}
+
+/// v1 decompress and the v2 keyframe path against reference_intra; returns
+/// whether the frame was accepted.
+bool check_intra(const CompressedFrame& f) {
+  const auto want = reference_intra(f);
+  const auto v1 = decompress(f);
+  PredictionContext ctx;
+  CompressedFrame keyframe = f;
+  keyframe.predictor = Predictor::kIntra;
+  const auto v2 = decompress_v2(keyframe, ctx);
+  EXPECT_EQ(v1.is_ok(), want.has_value()) << describe(f);
+  EXPECT_EQ(v2.is_ok(), want.has_value()) << describe(f);
+  if (!want.has_value()) {
+    if (!v1.is_ok()) {
+      EXPECT_EQ(v1.error().code(), ErrorCode::kCorruptData) << describe(f);
+    }
+    if (!v2.is_ok()) {
+      EXPECT_EQ(v2.error().code(), ErrorCode::kCorruptData) << describe(f);
+    }
+    return false;
+  }
+  if (v1.is_ok()) expect_same_floats(v1.value(), *want, f.precision);
+  if (v2.is_ok()) {
+    expect_same_floats(v2.value(), *want, f.precision);
+    EXPECT_EQ(ctx.prev1, *want) << "keyframe context must hold the exact grid";
+  }
+  return true;
+}
+
+bool check_predicted(const CompressedFrame& f, const PredictionContext& context) {
+  const auto want = reference_predicted(f, context);
+  PredictionContext ctx = context;
+  const auto got = decompress_v2(f, ctx);
+  EXPECT_EQ(got.is_ok(), want.has_value()) << describe(f);
+  if (!want.has_value()) {
+    if (!got.is_ok()) {
+      EXPECT_EQ(got.error().code(), ErrorCode::kCorruptData) << describe(f);
+    }
+    return false;
+  }
+  if (got.is_ok()) {
+    expect_same_floats(got.value(), *want, f.precision);
+    EXPECT_EQ(ctx.prev1, *want);
+  }
+  return true;
+}
+
+/// Truncations in the last 4 records and lying payload_bits of an accepted
+/// frame: all corrupt_data.
+template <typename Decode>
+void expect_truncations_rejected(const BuiltFrame& built, const Decode& decode) {
+  const CompressedFrame& f = built.frame;
+  const std::size_t records = built.record_starts.size();
+  const std::uint64_t from = built.record_starts[records >= 4 ? records - 4 : 0];
+  for (std::uint64_t cut = from; cut < f.payload_bits; ++cut) {
+    CompressedFrame cut_frame = f;  // bytes cut, bit count cut
+    cut_frame.payload.resize(static_cast<std::size_t>((cut + 7) / 8));
+    cut_frame.payload_bits = cut;
+    CompressedFrame short_count = f;  // full bytes, bit count cut
+    short_count.payload_bits = cut;
+    for (const CompressedFrame* bad : {&cut_frame, &short_count}) {
+      const auto result = decode(*bad);
+      ASSERT_FALSE(result.is_ok()) << "cut at bit " << cut << ": " << describe(*bad);
+      EXPECT_EQ(result.error().code(), ErrorCode::kCorruptData);
+    }
+  }
+  for (const std::uint64_t lie : {f.payload_bits + 1, f.payload_bits + 8, f.payload_bits - 1,
+                                  std::uint64_t{1} << 40}) {
+    CompressedFrame lying = f;
+    lying.payload_bits = lie;
+    const auto result = decode(lying);
+    ASSERT_FALSE(result.is_ok()) << "payload_bits " << lie << ": " << describe(f);
+    EXPECT_EQ(result.error().code(), ErrorCode::kCorruptData);
+  }
+}
+
+TEST(CodecDifferentialTest, IntraDecodeMatchesBitwiseReference) {
+  Rng rng(4401);
+  std::set<std::uint64_t> end_alignments;
+  int accepted = 0;
+  int rejected = 0;
+  const auto decode_v1 = [](const CompressedFrame& f) { return decompress(f); };
+  const auto visit = [&](const BuiltFrame& built) {
+    end_alignments.insert(built.frame.payload_bits % 8);
+    if (!check_intra(built.frame)) {
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    if (built.frame.atom_count >= 2) expect_truncations_rejected(built, decode_v1);
+  };
+  // Every small_bits 0..31 against every full_bits 0..32 (the other two
+  // widths vary with it, so one-window and per-field records both occur).
+  for (unsigned k = 0; k <= 31; ++k) {
+    for (unsigned fb = 0; fb <= 32; ++fb) {
+      const std::array<unsigned, 3> widths = {fb, (fb + 11 * k) % 33, (3 * fb + k) % 33};
+      const auto atoms = static_cast<std::uint32_t>(1 + rng.uniform_index(64));
+      visit(random_intra_frame(rng, atoms, k, widths));
+    }
+  }
+  // Every atom count 1..64, several shapes each.
+  for (std::uint32_t atoms = 1; atoms <= 64; ++atoms) {
+    for (int rep = 0; rep < 8; ++rep) {
+      const auto k = static_cast<unsigned>(rng.uniform_index(32));
+      const std::array<unsigned, 3> widths = {static_cast<unsigned>(rng.uniform_index(33)),
+                                              static_cast<unsigned>(rng.uniform_index(33)),
+                                              static_cast<unsigned>(rng.uniform_index(33))};
+      visit(random_intra_frame(rng, atoms, k, widths));
+    }
+  }
+  EXPECT_EQ(end_alignments.size(), 8u) << "payloads must end at every bit of a byte";
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(rejected, 50);
+}
+
+TEST(CodecDifferentialTest, PredictedDecodeMatchesBitwiseReference) {
+  Rng rng(4402);
+  std::set<std::uint64_t> end_alignments;
+  int accepted = 0;
+  int rejected = 0;
+  for (const Predictor predictor : {Predictor::kPrev, Predictor::kLinear}) {
+    for (unsigned k = 0; k <= 32; ++k) {
+      for (std::uint32_t atoms = 1; atoms <= 64; atoms += 1 + static_cast<std::uint32_t>(k % 3)) {
+        const BuiltFrame built = random_predicted_frame(rng, atoms, k, predictor);
+        const PredictionContext ctx = random_context(rng, atoms);
+        end_alignments.insert(built.frame.payload_bits % 8);
+        if (!check_predicted(built.frame, ctx)) {
+          ++rejected;
+          continue;
+        }
+        ++accepted;
+        expect_truncations_rejected(built, [&ctx](const CompressedFrame& f) {
+          PredictionContext scratch = ctx;
+          return decompress_v2(f, scratch);
+        });
+      }
+    }
+  }
+  EXPECT_EQ(end_alignments.size(), 8u) << "payloads must end at every bit of a byte";
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 50);
+}
+
+TEST(CodecDifferentialTest, EncoderOutputMatchesReference) {
+  // Real encoder output (clustered and scattered geometry, both codecs).
+  Rng rng(4403);
+  for (std::size_t atoms = 1; atoms <= 64; ++atoms) {
+    const auto coords = random_cluster_coords(rng, atoms, 6.0f, atoms % 2 == 0 ? 0.2f : 3.0f);
+    ASSERT_TRUE(check_intra(compress(coords, {}).value()));
+  }
+  PredictionContext enc;
+  PredictionContext dec;
+  for (const auto& frame : drifting_frames(rng, 48, 12, 0.01f)) {
+    const auto compressed = compress_v2(frame, {}, enc).value();
+    const auto want = compressed.predictor == Predictor::kIntra
+                          ? reference_intra(compressed)
+                          : reference_predicted(compressed, dec);
+    ASSERT_TRUE(want.has_value());
+    const auto got = decompress_v2(compressed, dec);
+    ASSERT_TRUE(got.is_ok());
+    expect_same_floats(got.value(), *want, compressed.precision);
+  }
 }
 
 // --- golden vectors ------------------------------------------------------------

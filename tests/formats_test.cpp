@@ -298,6 +298,32 @@ TEST(SubsetTest, ExtractSubsetCopiesRuns) {
   EXPECT_FLOAT_EQ(subset[8], 7.2f);
 }
 
+TEST(SubsetTest, GatherIntoRawImageMatchesExtractedSubset) {
+  // RawTrajWriter::add_frame(full coords, selection) writes the same bytes
+  // as writing extract_subset's copy, and rejects a selection that does not
+  // match the writer or reaches past the frame.
+  std::vector<float> coords;
+  for (int i = 0; i < 30; ++i) coords.push_back(static_cast<float>(i) * 0.5f - 3.0f);
+  chem::Box box;
+  box.matrix = {4.0f, 0.0f, 0.0f, 0.0f, 4.0f, 0.0f, 0.0f, 0.0f, 4.0f};
+  const auto sel = chem::Selection::from_runs({{0, 1}, {2, 4}, {7, 10}});
+  RawTrajWriter copied(6);
+  RawTrajWriter gathered(6);
+  gathered.reserve_frames(2);
+  for (std::uint32_t f = 0; f < 2; ++f) {
+    ASSERT_TRUE(copied.add_frame(f, 0.5f * static_cast<float>(f), box, extract_subset(coords, sel))
+                    .is_ok());
+    ASSERT_TRUE(gathered.add_frame(f, 0.5f * static_cast<float>(f), box, coords, sel).is_ok());
+  }
+  EXPECT_EQ(gathered.finish(), copied.finish());
+
+  RawTrajWriter five(5);
+  EXPECT_FALSE(five.add_frame(0, 0.0f, box, coords, sel).is_ok());  // 6 atoms selected
+  RawTrajWriter two(2);
+  EXPECT_FALSE(two.add_frame(0, 0.0f, box, coords, chem::Selection::from_runs({{9, 11}})).is_ok());
+  EXPECT_EQ(two.frame_count(), 0u);
+}
+
 TEST(SubsetTest, EmptySelectionYieldsEmpty) {
   std::vector<float> coords(30, 1.0f);
   EXPECT_TRUE(extract_subset(coords, chem::Selection{}).empty());

@@ -8,11 +8,13 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <vector>
 
 #include "ada/label_store.hpp"
 #include "ada/middleware.hpp"
 #include "ada/schema_config.hpp"
+#include "codec/bitstream.hpp"
 #include "codec/coord_codec.hpp"
 #include "common/rng.hpp"
 #include "formats/pdb.hpp"
@@ -236,6 +238,68 @@ TEST(FuzzTest, DecompressV2SurvivesRandomFrames) {
       EXPECT_EQ(result.value().size(), static_cast<std::size_t>(frame.atom_count) * 3);
     }
   }
+}
+
+/// A 2-atom v1 frame with full_bits 0 (the first atom is min_quantum) and
+/// small_bits 31 whose second atom is one small record moving x by `delta`,
+/// or -- when `large_x` is set -- one large record with full_bits[0] = 32
+/// placing x at min_quantum + large_x.
+codec::CompressedFrame crafted_two_atom_frame(std::int32_t x0, std::int32_t delta,
+                                              std::uint32_t large_x = 0) {
+  codec::CompressedFrame frame;
+  frame.atom_count = 2;
+  frame.precision = 1000.0f;
+  frame.min_quantum[0] = x0;
+  frame.small_bits = 31;
+  codec::BitWriter writer;
+  if (large_x != 0) {
+    frame.full_bits[0] = 32;
+    writer.put_bits(0, 32);  // first atom: x = min_quantum
+    writer.put_bit(true);
+    writer.put_bits(large_x, 32);
+  } else {
+    writer.put_bit(false);
+    writer.put_bits(codec::zigzag_encode(delta), 31);
+    writer.put_bits(0, 31);
+    writer.put_bits(0, 31);
+  }
+  frame.payload_bits = writer.bit_count();
+  frame.payload = writer.finish();
+  return frame;
+}
+
+TEST(FuzzTest, IntraDecodeRejectsOffGridCoordinates) {
+  // Crafted intra frames whose reconstruction leaves the quantization grid
+  // (-2^30, 2^30): INT32_MAX-5 + 2^29 once overflowed int32 (undefined
+  // behaviour) and every case here used to decode "successfully" to an
+  // off-grid coordinate.  v1 frames and v2 keyframes must reject them all.
+  const std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const std::vector<codec::CompressedFrame> off_grid = {
+      crafted_two_atom_frame(kMax - 5, 1 << 29),            // int32 overflow
+      crafted_two_atom_frame((1 << 30) - 10, 1 << 29),      // first on grid, second off
+      crafted_two_atom_frame(-(1 << 30) + 10, -(1 << 29)),  // same, negative side
+      crafted_two_atom_frame(0, 0, 1u << 31),               // large record off grid
+      crafted_two_atom_frame(-(1 << 30) + 1, -1),           // exactly -2^30
+      crafted_two_atom_frame((1 << 30) - 1, 1),             // exactly 2^30
+  };
+  for (const auto& frame : off_grid) {
+    const auto v1 = codec::decompress(frame);
+    ASSERT_FALSE(v1.is_ok()) << "off-grid frame decoded, x0 " << frame.min_quantum[0];
+    EXPECT_EQ(v1.error().code(), ErrorCode::kCorruptData);
+    codec::PredictionContext ctx;
+    const auto v2 = codec::decompress_v2(frame, ctx);
+    ASSERT_FALSE(v2.is_ok());
+    EXPECT_EQ(v2.error().code(), ErrorCode::kCorruptData);
+  }
+  // Control: the same shapes on the grid decode exactly.
+  const auto ok = codec::decompress(crafted_two_atom_frame(0, 1 << 29));
+  ASSERT_TRUE(ok.is_ok()) << ok.error().to_string();
+  EXPECT_EQ(ok.value()[3], static_cast<float>(1 << 29) * (1.0f / 1000.0f));
+  const auto large_ok = codec::decompress(crafted_two_atom_frame(-(1 << 29), 0, 1u << 29));
+  ASSERT_TRUE(large_ok.is_ok()) << large_ok.error().to_string();
+  EXPECT_EQ(large_ok.value()[3], 0.0f);
+  EXPECT_TRUE(codec::decompress(crafted_two_atom_frame(-(1 << 30) + 2, -1)).is_ok());
+  EXPECT_TRUE(codec::decompress(crafted_two_atom_frame((1 << 30) - 2, 1)).is_ok());
 }
 
 TEST(FuzzTest, StreamStateDecoderSurvivesHostileImages) {

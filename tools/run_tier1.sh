@@ -34,6 +34,9 @@ ctest --test-dir "$BUILD_DIR" -L check-perf --output-on-failure
 echo "== extent-integrity tier (ctest -L check-crc) =="
 ctest --test-dir "$BUILD_DIR" -L check-crc --output-on-failure -j "$(nproc)"
 
+echo "== decode tier (ctest -L check-codec) =="
+ctest --test-dir "$BUILD_DIR" -L check-codec --output-on-failure -j "$(nproc)"
+
 echo "== chaos tier (ctest -L chaos, fast seed budget) =="
 ADA_CHAOS_SEEDS=5 ctest --test-dir "$BUILD_DIR" -L chaos --output-on-failure -j "$(nproc)"
 
