@@ -1,18 +1,18 @@
 // Ingest scaling: frame-parallel pre-processing throughput vs thread count.
 //
-// Measures DataPreProcessor::split (the decode + split + ordered-merge
-// stage that dominates ADA's write path) over the GPCR synthetic workload
-// at 1/2/4/8 threads and emits BENCH_ingest.json so the perf trajectory of
-// the frame-parallel pipeline has data.
+// Measures DataPreProcessor::split (the decode + split stage that dominates
+// ADA's write path) over the GPCR synthetic workload at 1/2/4/8 threads and
+// emits BENCH_ingest.json so the perf trajectory of the frame-parallel
+// pipeline has data.
 //
 // Two planes, following the repo's convention (DESIGN.md):
 //   * measured -- real wall clock on this host.  Only meaningful up to the
 //     host's core count; on a 1-core container every thread count
 //     serializes.
-//   * modeled  -- the performance plane: wall(N) = scan + merge +
-//     range_work / N, with every term calibrated from the measured runs
-//     (scan and merge are the serial stages of the pipeline, range_work is
-//     the per-range decode+split busy time the pool counters report).
+//   * modeled  -- the performance plane: wall(N) = scan + range_work / N,
+//     with both terms calibrated from the measured runs (the scan is the
+//     serial stage of the pipeline, range_work is the per-range
+//     decode+split busy time the pool counters report).
 //
 // The JSON's headline "results" series is the measured plane when the host
 // has at least as many cores as the largest thread count, and the modeled
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   const auto extents = formats::scan_xtc_extents(xtc);
   const double scan_s = scan_wall.elapsed_seconds();
   if (!extents.is_ok()) return 1;
-  // range work + merge: from the parallel path's own busy counters.
+  // range work: from the parallel path's own busy counter.
   obs::Registry::global().reset();
   obs::set_enabled(true);
   if (!preprocessor.split(xtc, nullptr, 2).is_ok()) return 1;
@@ -177,14 +177,11 @@ int main(int argc, char** argv) {
   const double range_work_s =
       static_cast<double>(obs::Registry::global().counter_value("preprocess.decode_busy_ns")) /
       1e9;
-  const double merge_s =
-      static_cast<double>(obs::Registry::global().counter_value("preprocess.merge_busy_ns")) /
-      1e9;
 
   std::vector<Point> modeled;
   for (const unsigned threads : thread_counts) {
     const double wall = threads == 1 ? measured.front().wall_s
-                                     : scan_s + merge_s + range_work_s / threads;
+                                     : scan_s + range_work_s / threads;
     Point p;
     p.threads = threads;
     p.wall_s = wall;
@@ -199,7 +196,7 @@ int main(int argc, char** argv) {
   const auto& results = use_measured ? measured : modeled;
 
   print_series("measured on this host", measured);
-  print_series("modeled (scan + merge + range_work/N, calibrated from measurement)", modeled);
+  print_series("modeled (scan + range_work/N, calibrated from measurement)", modeled);
   std::cout << "\nheadline plane: " << (use_measured ? "measured" : "modeled") << " ("
             << hw << " hardware thread" << (hw == 1 ? "" : "s") << " available)\n";
 
@@ -217,8 +214,7 @@ int main(int argc, char** argv) {
        << ", \"xtc_bytes\": " << xtc.size() << ", \"raw_bytes\": " << raw_bytes << "},\n"
        << "  \"host\": {\"hardware_concurrency\": " << hw
        << ", \"pool_workers\": " << ThreadPool::shared().worker_count() << "},\n"
-       << "  \"calibration\": {\"scan_s\": " << scan_s << ", \"merge_s\": " << merge_s
-       << ", \"range_work_s\": " << range_work_s
+       << "  \"calibration\": {\"scan_s\": " << scan_s << ", \"range_work_s\": " << range_work_s
        << ", \"serial_wall_s\": " << measured.front().wall_s << "},\n"
        << "  \"results_plane\": \"" << (use_measured ? "measured" : "modeled") << "\",\n";
   emit_series(json, "results", results);

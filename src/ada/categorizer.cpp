@@ -65,14 +65,35 @@ LabelMap categorize(const chem::System& system, const TypeFn& get_type) {
   return labeler;
 }
 
+namespace {
+
+/// categorize() for a GetType that reads only the category: one call and
+/// one add_run per category run, not per atom.  add_run joins adjacent runs
+/// of one tag, so the label map is the one categorize() builds.
+LabelMap categorize_by_category(const chem::System& system, Tag (*tag_of)(chem::Category)) {
+  const obs::ScopedTimer span("categorize");
+  LabelMap labeler;
+  labeler.atom_count = system.atom_count();
+  const std::vector<chem::Category>& categories = system.categories();
+  for (std::uint32_t begin = 0; begin < labeler.atom_count;) {
+    std::uint32_t end = begin + 1;
+    while (end < labeler.atom_count && categories[end] == categories[begin]) ++end;
+    labeler.groups[tag_of(categories[begin])].add_run({begin, end});
+    begin = end;
+  }
+  return labeler;
+}
+
+}  // namespace
+
 LabelMap categorize_protein_misc(const chem::System& system) {
-  return categorize(system, [](const chem::Atom&, chem::Category category) {
+  return categorize_by_category(system, [](chem::Category category) {
     return category == chem::Category::kProtein ? kProteinTag : kMiscTag;
   });
 }
 
 LabelMap categorize_fine_grained(const chem::System& system) {
-  return categorize(system, [](const chem::Atom&, chem::Category category) {
+  return categorize_by_category(system, [](chem::Category category) {
     return Tag(1, chem::category_tag(category));
   });
 }

@@ -1,13 +1,10 @@
 #include "ada/ingest_stream.hpp"
 
 #include <filesystem>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "ada/label_store.hpp"
-#include "common/parallel.hpp"
-#include "formats/xtc_file.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,7 +16,6 @@ IngestStream::IngestStream(IngestStream&& other) noexcept
       labels_(std::move(other.labels_)),
       logical_name_(std::move(other.logical_name_)),
       chunk_frames_(other.chunk_frames_),
-      threads_(other.threads_),
       retain_bytes_(other.retain_bytes_),
       writers_(std::move(other.writers_)),
       frames_in_chunk_(other.frames_in_chunk_),
@@ -34,20 +30,18 @@ IngestStream::IngestStream(IngestStream&& other) noexcept
 }
 
 IngestStream::IngestStream(IoDispatcher& dispatcher, LabelMap labels, std::string logical_name,
-                           std::uint32_t chunk_frames, unsigned threads,
-                           std::uint64_t retain_bytes)
+                           std::uint32_t chunk_frames, std::uint64_t retain_bytes)
     : dispatcher_(&dispatcher),
       labels_(std::move(labels)),
       logical_name_(std::move(logical_name)),
       chunk_frames_(chunk_frames),
-      threads_(threads),
       retain_bytes_(retain_bytes) {
   reset_writers();
 }
 
 Result<IngestStream> IngestStream::begin(IoDispatcher& dispatcher, LabelMap labels,
                                          std::string logical_name, std::uint32_t chunk_frames,
-                                         unsigned threads, std::uint64_t retain_bytes) {
+                                         std::uint64_t retain_bytes) {
   if (!labels.is_partition()) {
     return invalid_argument("label map does not partition the atom range");
   }
@@ -58,7 +52,7 @@ Result<IngestStream> IngestStream::begin(IoDispatcher& dispatcher, LabelMap labe
   // half-written container as batch data.
   ADA_RETURN_IF_ERROR(dispatcher.mount().write_stream_state(logical_name, plfs::StreamState{}));
   return IngestStream(dispatcher, std::move(labels), std::move(logical_name), chunk_frames,
-                      threads, retain_bytes);
+                      retain_bytes);
 }
 
 void IngestStream::reset_writers() {
@@ -79,31 +73,10 @@ Status IngestStream::add_frame(std::uint32_t step, float time_ps, const chem::Bo
     return invalid_argument("frame has " + std::to_string(coords.size() / 3) +
                             " atoms, label map expects " + std::to_string(labels_.atom_count));
   }
-  const unsigned budget = threads_ != 0 ? threads_ : ThreadPool::shared().worker_count() + 1;
-  if (budget > 1 && writers_.size() > 1) {
-    // Frame-level tag fan-out on the shared pool: every task owns exactly
-    // one writer, so each per-tag byte stream is identical to the serial
-    // one and only the per-tag gather runs concurrently.
-    std::vector<Status> statuses(writers_.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(writers_.size());
-    std::size_t i = 0;
-    for (auto& [tag, writer] : writers_) {
-      const chem::Selection& selection = labels_.groups.at(tag);
-      formats::RawTrajWriter* w = &writer;
-      tasks.push_back([w, &selection, &statuses, i, step, time_ps, &box, coords] {
-        statuses[i] = w->add_frame(step, time_ps, box, coords, selection);
-      });
-      ++i;
-    }
-    parallel_run(std::move(tasks), threads_);
-    for (const Status& status : statuses) {
-      ADA_RETURN_IF_ERROR(status);
-    }
-  } else {
-    for (auto& [tag, writer] : writers_) {
-      ADA_RETURN_IF_ERROR(writer.add_frame(step, time_ps, box, coords, labels_.groups.at(tag)));
-    }
+  // One memcpy per selection run per tag: too little work to pay a pool
+  // round-trip on every published frame.
+  for (auto& [tag, writer] : writers_) {
+    ADA_RETURN_IF_ERROR(writer.add_frame(step, time_ps, box, coords, labels_.groups.at(tag)));
   }
   ++frames_;
   ++frames_in_chunk_;

@@ -37,11 +37,8 @@ struct StreamReport {
 class IngestStream {
  public:
   /// Create the container and start streaming.  `labels` must partition the
-  /// atom range; `chunk_frames` bounds the data lost on a crash.  `threads`
-  /// is the per-frame split budget: with more than one, each frame's
-  /// per-tag subset extraction fans out to the shared thread pool (every
-  /// writer is touched by exactly one task, so the per-tag byte streams are
-  /// identical to the serial ones).  `retain_bytes`, when non-zero, enables
+  /// atom range; `chunk_frames` bounds the data lost on a crash.  Each frame
+  /// is split on the calling thread.  `retain_bytes`, when non-zero, enables
   /// windowed retention: once the live sealed chunks exceed the budget, the
   /// oldest chunks are dropped (index rewrite + dropping unlink) and the
   /// retention floor rises -- queries below the floor return kOutOfRange.
@@ -53,7 +50,7 @@ class IngestStream {
   /// extents and then advances the sealed-frame watermark over them.
   static Result<IngestStream> begin(IoDispatcher& dispatcher, LabelMap labels,
                                     std::string logical_name, std::uint32_t chunk_frames = 64,
-                                    unsigned threads = 1, std::uint64_t retain_bytes = 0);
+                                    std::uint64_t retain_bytes = 0);
 
   /// Moving transfers the container handle: the source is left *sealed*
   /// (no dispatcher, finished) so a stale add_frame()/finish() on it fails
@@ -81,7 +78,7 @@ class IngestStream {
 
  private:
   IngestStream(IoDispatcher& dispatcher, LabelMap labels, std::string logical_name,
-               std::uint32_t chunk_frames, unsigned threads, std::uint64_t retain_bytes);
+               std::uint32_t chunk_frames, std::uint64_t retain_bytes);
 
   /// One sealed chunk still live (not yet dropped by retention).
   struct ChunkInfo {
@@ -98,7 +95,6 @@ class IngestStream {
   LabelMap labels_;
   std::string logical_name_;
   std::uint32_t chunk_frames_;
-  unsigned threads_ = 1;
   std::uint64_t retain_bytes_ = 0;
   std::map<Tag, formats::RawTrajWriter> writers_;
   std::uint32_t frames_in_chunk_ = 0;

@@ -167,7 +167,7 @@ std::vector<Result<IngestReport>> Ada::ingest_batch(const chem::System& structur
 
 Result<IngestStream> Ada::begin_stream(const LabelMap& labels, const std::string& logical_name,
                                        std::uint32_t chunk_frames) {
-  return IngestStream::begin(dispatcher_, labels, logical_name, chunk_frames, config_.threads,
+  return IngestStream::begin(dispatcher_, labels, logical_name, chunk_frames,
                              config_.retain_bytes);
 }
 

@@ -50,13 +50,14 @@ struct AdaConfig {
   /// Keep the original compressed image in the container (provenance).
   bool keep_original = false;
 
-  /// Concurrency budget for ingest-time pre-processing.  1 (the default)
-  /// keeps the paper's serial storage-node decode; 0 uses every worker of
-  /// the shared thread pool; N > 1 caps frame-parallel decode at N
-  /// concurrent workers.  File-level (ingest_batch) and frame-level
-  /// parallelism draw from the same persistent pool, so the budget
-  /// composes instead of multiplying threads.
-  unsigned threads = 1;
+  /// Concurrency budget for ingest-time pre-processing.  0 (the default)
+  /// decodes frame ranges on every shared-pool worker plus the caller; 1
+  /// keeps the paper's serial storage-node decode; N > 1 caps it at N
+  /// threads.  The stored bytes never differ.  File-level (ingest_batch)
+  /// and frame-level parallelism draw from the same persistent pool, so the
+  /// budget composes instead of multiplying threads.  Streaming ingest
+  /// splits each frame on the producer's thread whatever the budget.
+  unsigned threads = 0;
 
   /// Byte budget of the query-side subset cache (ada/query_cache.hpp).
   /// 0 (the default) disables caching entirely: every query re-reads and

@@ -24,6 +24,7 @@ namespace {
 std::vector<std::uint32_t> range_starts(std::span<const formats::XtcFrameExtent> extents,
                                         unsigned budget) {
   const auto frames = static_cast<std::uint32_t>(extents.size());
+  if (frames == 0) return {};
   const unsigned workers = static_cast<unsigned>(std::min<std::uint32_t>(budget, frames));
   std::vector<std::uint32_t> starts{0};
   if (workers <= 1) return starts;
@@ -66,128 +67,114 @@ Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
     }
   }
 
-  // Stage 2: decode each frame range and gather every tag's atoms straight
-  // into that range's per-tag RAW images, reserved once from the scan's
-  // frame count.  One range runs on the calling thread; more fan out to
-  // the pool.
-  const unsigned budget = threads != 0 ? threads : ThreadPool::shared().worker_count() + 1;
-  const std::vector<std::uint32_t> starts = range_starts(extents, budget);
-  struct RangeShard {
-    std::uint32_t first = 0;
-    std::uint32_t last = 0;  // exclusive
-    std::map<Tag, formats::RawTrajWriter> writers;
-    double decode_seconds = 0.0;  // inside XtcReader::next only
-    double busy_seconds = 0.0;    // the whole range: decode + gather
-    Status status;
+  // Every tag's final RAW image (and its size for the stats), sized once
+  // from the scan's frame count.  RAW frames are fixed-size, so frame f of
+  // a tag has its slot at raw_file_bytes(atoms, f) whichever range decodes
+  // it: no per-range images and no merge.
+  struct Target {
+    const chem::Selection* selection;
+    std::uint32_t atoms;
+    std::uint8_t* image;
   };
-  std::vector<RangeShard> shards(starts.size());
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    RangeShard& shard = shards[i];
-    shard.first = starts[i];
-    shard.last = i + 1 < starts.size() ? starts[i + 1] : frames;
-    for (const auto& [tag, selection] : labels_.groups) {
-      formats::RawTrajWriter writer(static_cast<std::uint32_t>(selection.count()));
-      writer.reserve_frames(shard.last - shard.first);
-      shard.writers.emplace(tag, std::move(writer));
-    }
+  std::map<Tag, std::vector<std::uint8_t>> out;
+  std::map<Tag, std::uint64_t> subset_bytes;
+  std::map<Tag, std::uint64_t> subset_atoms;
+  std::vector<Target> targets;
+  targets.reserve(labels_.groups.size());
+  for (const auto& [tag, selection] : labels_.groups) {
+    const auto atoms = static_cast<std::uint32_t>(selection.count());
+    auto& image = out.emplace(tag, formats::make_raw_image(atoms, frames)).first->second;
+    subset_bytes[tag] = image.size();
+    subset_atoms[tag] = atoms;
+    targets.push_back(Target{&selection, atoms, image.data()});
   }
 
-  auto run_range = [&](RangeShard& shard) -> Status {
+  // Stage 2: decode each frame range into one of at most `budget` scratch
+  // slots -- a reader and a frame buffer sized here, on the calling thread,
+  // so pool workers allocate nothing -- and gather every tag's atom runs
+  // into the final images.  Nothing that outlives the call is allocated
+  // after the scratch, so freeing it leaves no hole in the heap.
+  const unsigned budget = ThreadPool::shared().budget(threads);
+  const std::vector<std::uint32_t> starts = range_starts(extents, budget);
+  struct Slot {
+    formats::XtcReader reader;
+    formats::TrajFrame frame;
+    double decode_seconds = 0.0;  // inside XtcReader::next only
+    double busy_seconds = 0.0;    // whole ranges: decode + gather
+  };
+  std::vector<Slot> slots(std::min<std::size_t>(budget, starts.size()),
+                          Slot{formats::XtcReader(xtc_image), {}});
+  for (Slot& slot : slots) slot.frame.coords.reserve(std::size_t{3} * labels_.atom_count);
+
+  auto decode_range = [&](std::size_t range, Slot& slot) -> Status {
     const Stopwatch busy;
-    std::span<const std::uint8_t> range_image;  // empty for an empty image
-    if (shard.first < shard.last) {
-      const std::size_t begin = extents[shard.first].offset;
-      const auto& last = extents[shard.last - 1];
-      range_image = xtc_image.subspan(begin, last.offset + last.size - begin);
-    }
-    formats::XtcReader reader(range_image);
-    std::uint32_t f = shard.first;
-    while (true) {
-      std::optional<formats::TrajFrame> frame;
+    const std::uint32_t last = range + 1 < starts.size() ? starts[range + 1] : frames;
+    slot.reader.seek(extents[starts[range]].offset);
+    for (std::uint32_t f = starts[range]; f < last; ++f) {
       {
         const obs::ScopedTimer decode_span("decode");
         const obs::TraceSpan decode_trace("decode");
         const Stopwatch decode_clock;
-        ADA_ASSIGN_OR_RETURN(frame, reader.next());
-        shard.decode_seconds += decode_clock.elapsed_seconds();
+        ADA_ASSIGN_OR_RETURN(const bool decoded, slot.reader.next(slot.frame));
+        slot.decode_seconds += decode_clock.elapsed_seconds();
+        if (!decoded || slot.frame.coords.size() != std::size_t{3} * labels_.atom_count) {
+          return corrupt_data("frame " + std::to_string(f) + " does not match its scanned extent");
+        }
       }
-      if (!frame.has_value()) break;
       const obs::ScopedTimer split_span("split");
       const obs::TraceSpan split_trace("split");
-      for (auto& [tag, writer] : shard.writers) {
-        ADA_RETURN_IF_ERROR(writer.add_frame(frame->step, frame->time_ps, frame->box,
-                                             frame->coords, labels_.groups.at(tag)));
+      const formats::TrajFrame& frame = slot.frame;
+      for (const Target& t : targets) {
+        formats::encode_raw_frame(t.image + formats::raw_file_bytes(t.atoms, f), frame.step,
+                                  frame.time_ps, frame.box, frame.coords, *t.selection);
       }
-      ++f;
     }
-    if (f != shard.last) {
-      return corrupt_data("decoded " + std::to_string(f - shard.first) + " frames of range [" +
-                          std::to_string(shard.first) + ", " + std::to_string(shard.last) + ")");
-    }
-    shard.busy_seconds = busy.elapsed_seconds();
+    slot.busy_seconds += busy.elapsed_seconds();
     return Status::ok();
   };
 
   double decompress_seconds = 0.0;
-  if (shards.size() == 1) {
-    ADA_RETURN_IF_ERROR(run_range(shards.front()));
-    decompress_seconds = shards.front().decode_seconds;
-  } else {
+  if (slots.size() == 1) {
+    ADA_RETURN_IF_ERROR(decode_range(0, slots.front()));
+    decompress_seconds = slots.front().decode_seconds;
+  } else if (slots.size() > 1) {
+    // One pool task per slot, claiming ranges in frame order.  After a
+    // failure none are claimed, but every lower range already was: the
+    // first failure in frame order wins, as in a serial decode.
     const Stopwatch fan_out;
+    std::vector<Status> statuses(starts.size());
+    std::atomic<std::size_t> next_range{0};
+    std::atomic<bool> failed{false};
     std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards.size());
-    for (auto& shard : shards) {
-      tasks.push_back([&run_range, &shard] {
-        const obs::ScopedTimer range_span("split_range");
-        const obs::TraceSpan range_trace("split_range");
-        shard.status = run_range(shard);
+    for (Slot& slot : slots) {
+      tasks.push_back([&, slot = &slot] {
+        while (!failed.load()) {
+          const std::size_t range = next_range++;
+          if (range >= starts.size()) return;
+          const obs::ScopedTimer range_span("split_range");
+          const obs::TraceSpan range_trace("split_range");
+          statuses[range] = decode_range(range, *slot);
+          if (!statuses[range].is_ok()) failed = true;
+        }
       });
     }
-    parallel_run(std::move(tasks), threads);
+    parallel_run(std::move(tasks), budget);
     decompress_seconds = fan_out.elapsed_seconds();
-    // First failure in frame order wins, mirroring a serial decode.
+    for (const Status& status : statuses) ADA_RETURN_IF_ERROR(status);
     double busy_seconds = 0.0;
-    for (const auto& shard : shards) {
-      ADA_RETURN_IF_ERROR(shard.status);
-      busy_seconds += shard.busy_seconds;
-    }
-    ADA_OBS_COUNT("preprocess.ranges", shards.size());
+    for (const Slot& slot : slots) busy_seconds += slot.busy_seconds;
+    ADA_OBS_COUNT("preprocess.ranges", starts.size());
     ADA_OBS_COUNT("preprocess.decode_busy_ns", static_cast<std::uint64_t>(busy_seconds * 1e9));
   }
   ADA_OBS_COUNT("ingest.frames", frames);
-
-  // Stage 3: one range's images are final; several are concatenated in
-  // range order (ordered merge), byte-identical to one serial writer.
-  std::map<Tag, std::vector<std::uint8_t>> out;
-  if (shards.size() == 1) {
-    for (auto& [tag, writer] : shards.front().writers) out.emplace(tag, writer.finish());
-  } else {
-    const obs::ScopedTimer merge_span("merge");
-    const obs::TraceSpan merge_trace("merge");
-    const Stopwatch merge_busy;
-    for (const auto& [tag, selection] : labels_.groups) {
-      std::vector<std::vector<std::uint8_t>> images;
-      images.reserve(shards.size());
-      for (auto& shard : shards) images.push_back(shard.writers.at(tag).finish());
-      ADA_ASSIGN_OR_RETURN(
-          auto merged,
-          formats::merge_raw_images(static_cast<std::uint32_t>(selection.count()), images));
-      out.emplace(tag, std::move(merged));
-    }
-    ADA_OBS_COUNT("preprocess.merge_busy_ns", merge_busy.elapsed_seconds() * 1e9);
-  }
 
   if (stats != nullptr) {
     stats->frames = frames;
     stats->atoms = labels_.atom_count;
     stats->compressed_bytes = xtc_image.size();
     stats->decompress_wall_seconds = decompress_seconds;
-    stats->subset_bytes.clear();
-    stats->subset_atoms.clear();
-    for (const auto& [tag, image] : out) {
-      stats->subset_bytes[tag] = image.size();
-      stats->subset_atoms[tag] = labels_.groups.at(tag).count();
-    }
+    stats->subset_bytes = std::move(subset_bytes);
+    stats->subset_atoms = std::move(subset_atoms);
   }
   return out;
 }

@@ -8,13 +8,13 @@
 //
 // Every XTC frame is a self-delimiting XDR item that decodes independently,
 // so split() works in frame ranges: a cheap header-only boundary scan
-// produces the frame extents (and so each image's final size, reserved
-// once), each range decodes its frames and gathers every tag's atom runs
-// straight into per-tag RAW writers, and -- when the thread budget fans
-// several ranges out to the shared pool -- an ordered merge concatenates
-// the range images.  One range is the serial split; every thread count is
-// byte-identical to it (locked down by the e2e differential harness and the
-// parallel-split property test).
+// produces the frame extents, and so every tag's final image size (RAW
+// frames are fixed-size), allocated once; each range then decodes its
+// frames and gathers every tag's atom runs straight into those frames'
+// slots of the final images, on the shared pool when the thread budget
+// allows several ranges.  One range is the serial split; every thread count
+// is byte-identical to it (locked down by the e2e differential harness and
+// the parallel-split property test).
 #pragma once
 
 #include <cstdint>
@@ -52,10 +52,13 @@ class DataPreProcessor {
 
   /// Decompress an XTC image and split it into per-tag RAW trajectory
   /// images.  Every frame must carry exactly the label map's atom count.
-  /// `threads` is the concurrency budget: 1 (the default) decodes serially
-  /// on the calling thread; 0 uses every shared-pool worker; N > 1 fans
-  /// frame ranges out to at most N concurrent workers.  The output images
-  /// are byte-identical for every thread count.
+  /// `threads` is the concurrency budget (ThreadPool::budget): 1 (this
+  /// function's default) decodes serially on the calling thread; 0 uses
+  /// every shared-pool worker plus the caller; N > 1 decodes frame ranges on
+  /// at most N threads.  Each range writes its frames into their slots of
+  /// the final images, decoding through scratch buffers this call allocates
+  /// on the calling thread, so pool workers allocate nothing.  The output
+  /// images are byte-identical for every thread count.
   Result<std::map<Tag, std::vector<std::uint8_t>>> split(
       std::span<const std::uint8_t> xtc_image, PreprocessStats* stats = nullptr,
       unsigned threads = 1) const;

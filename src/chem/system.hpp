@@ -62,6 +62,7 @@ class System {
   const std::vector<Atom>& atoms() const noexcept { return atoms_; }
 
   Category category(std::uint32_t i) const { return categories_.at(i); }
+  const std::vector<Category>& categories() const noexcept { return categories_; }
 
   /// Reference coordinates as xyz triplets (atom_count()*3 floats, nm).
   const std::vector<float>& reference_coords() const noexcept { return coords_; }

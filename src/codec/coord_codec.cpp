@@ -144,8 +144,9 @@ void encode_intra(const QuantizedFrame& qf, CompressedFrame& frame, PerAtomCost*
 /// Sanity checks that must pass before sizing any allocation off the header:
 /// a frame that lies about atom_count or payload_bits is rejected here with
 /// at most payload.size()-proportional work.
-Status check_payload_plausible(const CompressedFrame& frame, std::uint64_t min_bits) {
-  if (frame.payload_bits > 8ull * frame.payload.size()) {
+Status check_payload_plausible(const CompressedFrame& frame,
+                               std::span<const std::uint8_t> payload, std::uint64_t min_bits) {
+  if (frame.payload_bits > 8ull * payload.size()) {
     return corrupt_data("payload_bits exceeds payload size");
   }
   if (frame.payload_bits < min_bits) {
@@ -193,19 +194,19 @@ inline std::array<std::uint32_t, 3> take_record(BitReader& reader, std::uint64_t
 
 /// Header checks of the v1/intra record layout, before any allocation is
 /// sized off the header.
-Status check_intra_header(const CompressedFrame& frame) {
+Status check_intra_header(const CompressedFrame& frame, std::span<const std::uint8_t> payload) {
   for (int d = 0; d < 3; ++d) {
     if (frame.full_bits[d] > 32) return corrupt_data("invalid full_bits");
   }
   if (frame.small_bits > 31) return corrupt_data("invalid small_bits");
   // Atoms 1..n-1 cost at least their flag bit each.
-  return check_payload_plausible(frame, frame.atom_count > 1 ? frame.atom_count - 1 : 0);
+  return check_payload_plausible(frame, payload, frame.atom_count > 1 ? frame.atom_count - 1 : 0);
 }
 
-/// Decode the v1/intra record layout into `out` (atom_count * 3 values):
-/// exact grid positions for T = int32 (prediction contexts stay lossless in
-/// the integer domain), or coordinates -- grid * 1/precision, as
-/// quanta_to_floats computes them -- for T = float.
+/// Decode the v1/intra record layout of `payload` into `out` (atom_count * 3
+/// values): exact grid positions for T = int32 (prediction contexts stay
+/// lossless in the integer domain), or coordinates -- grid * 1/precision,
+/// as a v2 decode converts its grid -- for T = float.
 ///
 /// Record at a time: each record is bounds-checked once (its flag, then the
 /// flag plus that record's width against bits_remaining()), and its fields
@@ -213,7 +214,7 @@ Status check_intra_header(const CompressedFrame& frame) {
 /// frame header decides, per record kind -- else one window per field.
 /// Values are reconstructed in int64; any outside the grid is rejected.
 template <typename T>
-Status decode_intra(const CompressedFrame& frame, T* out) {
+Status decode_intra(const CompressedFrame& frame, std::span<const std::uint8_t> payload, T* out) {
   const float inv_precision = 1.0f / frame.precision;
   const auto put = [&](std::int64_t v) {
     if constexpr (std::is_same_v<T, float>) {
@@ -222,7 +223,7 @@ Status decode_intra(const CompressedFrame& frame, T* out) {
       *out++ = static_cast<std::int32_t>(v);
     }
   };
-  BitReader reader(frame.payload);
+  BitReader reader(payload);
   const unsigned fb0 = frame.full_bits[0];
   const unsigned fb1 = frame.full_bits[1];
   const unsigned fb2 = frame.full_bits[2];
@@ -273,26 +274,6 @@ Status decode_intra(const CompressedFrame& frame, T* out) {
   ADA_RETURN_IF_ERROR(check_consumed(reader, frame));
   if (bad != 0) return corrupt_data("coordinate outside the quantization grid");
   return Status::ok();
-}
-
-/// The v1/intra layout decoded to exact grid positions (v2 keyframes, whose
-/// grid seeds the prediction context).
-Result<std::vector<std::int32_t>> decode_intra_quanta(const CompressedFrame& frame) {
-  ADA_RETURN_IF_ERROR(check_intra_header(frame));
-  std::vector<std::int32_t> quanta(static_cast<std::size_t>(frame.atom_count) * 3);
-  ADA_RETURN_IF_ERROR(decode_intra(frame, quanta.data()));
-  return quanta;
-}
-
-std::vector<float> quanta_to_floats(std::span<const std::int32_t> quanta, float precision) {
-  std::vector<float> coords(quanta.size());
-  const float inv_precision = 1.0f / precision;
-  const std::int32_t* q = quanta.data();
-  float* out = coords.data();
-  for (std::size_t i = 0; i < quanta.size(); ++i) {
-    out[i] = static_cast<float>(q[i]) * inv_precision;
-  }
-  return coords;
 }
 
 /// Linear two-frame extrapolation, clamped into the valid grid so the
@@ -400,15 +381,23 @@ Result<CompressedFrame> compress(std::span<const float> coords, const CodecParam
   return frame;
 }
 
-Result<std::vector<float>> decompress(const CompressedFrame& frame) {
-  if (frame.atom_count == 0) return std::vector<float>{};
+Status decompress_into(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
+                       std::vector<float>& coords) {
+  coords.clear();
+  if (frame.atom_count == 0) return Status::ok();
   if (!(frame.precision > 0.0f)) return corrupt_data("compressed frame has invalid precision");
-  ADA_RETURN_IF_ERROR(check_intra_header(frame));
-  std::vector<float> coords(static_cast<std::size_t>(frame.atom_count) * 3);
-  ADA_RETURN_IF_ERROR(decode_intra(frame, coords.data()));
+  ADA_RETURN_IF_ERROR(check_intra_header(frame, payload));
+  coords.resize(static_cast<std::size_t>(frame.atom_count) * 3);
+  ADA_RETURN_IF_ERROR(decode_intra(frame, payload, coords.data()));
   ADA_OBS_COUNT("codec.decode.calls", 1);
   ADA_OBS_COUNT("codec.decode.atoms", frame.atom_count);
-  ADA_OBS_COUNT("codec.decode.bytes_in", frame.payload_bytes());
+  ADA_OBS_COUNT("codec.decode.bytes_in", payload.size());
+  return Status::ok();
+}
+
+Result<std::vector<float>> decompress(const CompressedFrame& frame) {
+  std::vector<float> coords;
+  ADA_RETURN_IF_ERROR(decompress_into(frame, frame.payload, coords));
   return coords;
 }
 
@@ -474,17 +463,23 @@ Result<CompressedFrame> compress_v2(std::span<const float> coords, const CodecPa
   return frame;
 }
 
-Result<std::vector<float>> decompress_v2(const CompressedFrame& frame, PredictionContext& ctx) {
+Status decompress_v2_into(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
+                          PredictionContext& ctx, std::vector<float>& coords) {
+  coords.clear();
   if (frame.atom_count == 0) {
     ctx.reset();
-    return std::vector<float>{};
+    return Status::ok();
   }
   if (!(frame.precision > 0.0f)) return corrupt_data("compressed frame has invalid precision");
   const std::size_t values = static_cast<std::size_t>(frame.atom_count) * 3;
 
-  std::vector<std::int32_t> quanta;
+  // The grid is built in ctx.spare, the buffer the rotation below freed last
+  // frame, so a steady stream decodes without allocating.
+  std::vector<std::int32_t>& quanta = ctx.spare;
   if (frame.predictor == Predictor::kIntra) {
-    ADA_ASSIGN_OR_RETURN(quanta, decode_intra_quanta(frame));
+    ADA_RETURN_IF_ERROR(check_intra_header(frame, payload));
+    quanta.resize(values);
+    ADA_RETURN_IF_ERROR(decode_intra(frame, payload, quanta.data()));
   } else if (frame.predictor == Predictor::kPrev || frame.predictor == Predictor::kLinear) {
     const bool linear = frame.predictor == Predictor::kLinear;
     const bool usable = linear ? ctx.has_two(values, frame.precision)
@@ -494,18 +489,18 @@ Result<std::vector<float>> decompress_v2(const CompressedFrame& frame, Predictio
     }
     if (frame.small_bits > 32) return corrupt_data("invalid small_bits");
     // Every atom costs at least its flag bit.
-    ADA_RETURN_IF_ERROR(check_payload_plausible(frame, frame.atom_count));
+    ADA_RETURN_IF_ERROR(check_payload_plausible(frame, payload, frame.atom_count));
 
     // Pass 1: serial bitstream -> flat residual array (SoA), one record at
     // a time as in decode_intra.  Large records (3 x 32 bits) never fit one
     // window.
-    std::vector<std::int32_t> residuals(values);
-    BitReader reader(frame.payload);
+    quanta.resize(values);
+    BitReader reader(payload);
     const unsigned k = frame.small_bits;
     const unsigned small_bits = 1 + 3 * k;
     const unsigned large_bits = 1 + 3 * kResidualFullBits;
     const bool small_in_window = small_bits <= BitReader::kWindowBits;
-    std::int32_t* r = residuals.data();
+    std::int32_t* r = quanta.data();
     for (std::size_t i = 0; i < values; i += 3) {
       const std::size_t remaining = reader.bits_remaining();
       if (remaining == 0) return truncated(1, 0);
@@ -521,26 +516,23 @@ Result<std::vector<float>> decompress_v2(const CompressedFrame& frame, Predictio
     }
     ADA_RETURN_IF_ERROR(check_consumed(reader, frame));
 
-    // Pass 2: elementwise reconstruction with no loop-carried dependency --
-    // this is the auto-vectorizable hot loop v1 cannot have.  Out-of-grid
-    // reconstructions (corrupt residuals) are detected with a branch-free
-    // accumulator and rejected after the loop.
-    quanta.resize(values);
+    // Pass 2: elementwise reconstruction, in place over the residuals, with
+    // no loop-carried dependency -- this is the auto-vectorizable hot loop
+    // v1 cannot have.  Out-of-grid reconstructions (corrupt residuals) are
+    // detected with a branch-free accumulator and rejected after the loop.
     const std::int32_t* p1 = ctx.prev1.data();
-    const std::int32_t* res = residuals.data();
     std::int32_t* q = quanta.data();
     std::uint32_t bad = 0;
     if (linear) {
       const std::int32_t* p2 = ctx.prev2.data();
       for (std::size_t i = 0; i < values; ++i) {
-        const std::int64_t v =
-            static_cast<std::int64_t>(predict_linear(p1[i], p2[i])) + res[i];
+        const std::int64_t v = static_cast<std::int64_t>(predict_linear(p1[i], p2[i])) + q[i];
         bad |= off_grid(v);
         q[i] = static_cast<std::int32_t>(v);
       }
     } else {
       for (std::size_t i = 0; i < values; ++i) {
-        const std::int64_t v = static_cast<std::int64_t>(p1[i]) + res[i];
+        const std::int64_t v = static_cast<std::int64_t>(p1[i]) + q[i];
         bad |= off_grid(v);
         q[i] = static_cast<std::int32_t>(v);
       }
@@ -551,11 +543,25 @@ Result<std::vector<float>> decompress_v2(const CompressedFrame& frame, Predictio
                         std::to_string(static_cast<unsigned>(frame.predictor)));
   }
 
-  std::vector<float> coords = quanta_to_floats(quanta, frame.precision);
-  rotate_context(ctx, std::move(quanta), frame.precision);
+  coords.resize(values);
+  const float inv_precision = 1.0f / frame.precision;
+  for (std::size_t i = 0; i < values; ++i) {
+    coords[i] = static_cast<float>(quanta[i]) * inv_precision;
+  }
+  // Rotate the three grids: prev2 <- prev1 <- this frame, and the old prev2
+  // becomes the spare.
+  std::swap(ctx.prev2, ctx.prev1);
+  std::swap(ctx.prev1, ctx.spare);
+  ctx.precision = frame.precision;
   ADA_OBS_COUNT("codec.decode.calls", 1);
   ADA_OBS_COUNT("codec.decode.atoms", frame.atom_count);
-  ADA_OBS_COUNT("codec.decode.bytes_in", frame.payload_bytes());
+  ADA_OBS_COUNT("codec.decode.bytes_in", payload.size());
+  return Status::ok();
+}
+
+Result<std::vector<float>> decompress_v2(const CompressedFrame& frame, PredictionContext& ctx) {
+  std::vector<float> coords;
+  ADA_RETURN_IF_ERROR(decompress_v2_into(frame, frame.payload, ctx, coords));
   return coords;
 }
 

@@ -86,6 +86,7 @@ struct CompressedFrame {
 struct PredictionContext {
   std::vector<std::int32_t> prev1;  // most recent frame, xyz grid triplets
   std::vector<std::int32_t> prev2;  // the frame before prev1
+  std::vector<std::int32_t> spare;  // decoder scratch: next frame's grid is built here
   float precision = 0.0f;           // grid the stored quanta live on
 
   void reset() {
@@ -119,6 +120,13 @@ Result<CompressedFrame> compress(std::span<const float> coords, const CodecParam
 /// 1/precision; round-trip error is bounded by 0.5/precision per coordinate.
 Result<std::vector<float>> decompress(const CompressedFrame& frame);
 
+/// decompress() into caller-owned storage: the records are read from
+/// `payload` (frame.payload is not read), e.g. straight out of a file image,
+/// and `coords` is resized to atom_count * 3 once the header checks pass,
+/// so a caller that reuses one vector allocates nothing per frame.
+Status decompress_into(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
+                       std::vector<float>& coords);
+
 /// Compress one frame of a v2 stream.  Picks the cheapest predictor the
 /// context supports (intra when `ctx` is empty or mismatched) and rotates
 /// `ctx` so the next frame can predict from this one.  Call ctx.reset()
@@ -130,6 +138,11 @@ Result<CompressedFrame> compress_v2(std::span<const float> coords, const CodecPa
 /// require a context of matching size and precision (i.e. decode must have
 /// started at a keyframe) -- anything else is corrupt_data, never a crash.
 Result<std::vector<float>> decompress_v2(const CompressedFrame& frame, PredictionContext& ctx);
+
+/// decompress_v2() into caller-owned storage, as decompress_into(); the
+/// context rotates its three grid buffers instead of allocating per frame.
+Status decompress_v2_into(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
+                          PredictionContext& ctx, std::vector<float>& coords);
 
 /// Sum of packed record bits over an index range [begin, end) of atoms,
 /// given a PerAtomCost from compress().  Used to attribute compressed volume

@@ -75,6 +75,12 @@ class ThreadPool {
 
   unsigned worker_count() const noexcept { return static_cast<unsigned>(workers_.size()); }
 
+  /// Tasks a concurrency budget of `threads` runs at once: the budget
+  /// itself, or one per pool worker plus the caller for 0.
+  unsigned budget(unsigned threads) const noexcept {
+    return threads != 0 ? threads : worker_count() + 1;
+  }
+
   /// Queue one task.  The worker adopts the submitting thread's trace
   /// context, so spans opened inside `fn` join the caller's trace.
   void submit(std::function<void()> fn) {
@@ -105,9 +111,8 @@ class ThreadPool {
   /// on unspecified threads.
   void run_batch(std::vector<std::function<void()>> tasks, unsigned max_parallelism = 0) {
     if (tasks.empty()) return;
-    unsigned cap = max_parallelism != 0 ? max_parallelism : worker_count() + 1;
     const unsigned drainers =
-        static_cast<unsigned>(std::min<std::size_t>(cap, tasks.size()));
+        static_cast<unsigned>(std::min<std::size_t>(budget(max_parallelism), tasks.size()));
     if (drainers <= 1) {
       for (auto& task : tasks) task();
       return;

@@ -2,46 +2,65 @@
 
 #include <bit>
 #include <cstring>
-#include <limits>
 
 #include "common/binary_io.hpp"
 
 namespace ada::formats {
 
-RawTrajWriter::RawTrajWriter(std::uint32_t atom_count) : atom_count_(atom_count) {
-  ByteWriter w;
-  w.put_bytes(kRawMagic);
-  w.put_u32_le(atom_count_);
-  w.put_u32_le(0);  // frame count, patched by finish()
-  buffer_ = w.take();
-}
+namespace {
 
-void RawTrajWriter::reserve_frames(std::uint32_t frames) {
-  buffer_.reserve(buffer_.size() + std::size_t{frames} * raw_frame_bytes(atom_count_));
-}
-
-void RawTrajWriter::put_frame_header(std::uint32_t step, float time_ps, const chem::Box& box) {
+void encode_frame_header(std::uint8_t* out, std::uint32_t step, float time_ps,
+                         const chem::Box& box) {
   std::uint32_t words[11];
   words[0] = to_little_endian32(step);
   words[1] = to_little_endian32(std::bit_cast<std::uint32_t>(time_ps));
   for (std::size_t i = 0; i < 9; ++i) {
     words[2 + i] = to_little_endian32(std::bit_cast<std::uint32_t>(box.matrix[i]));
   }
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(words);
-  buffer_.insert(buffer_.end(), bytes, bytes + sizeof(words));
+  std::memcpy(out, words, sizeof(words));
 }
 
-void RawTrajWriter::put_coords(std::span<const float> coords) {
+/// `values` as little-endian float32 at `out`; returns the end.
+std::uint8_t* encode_floats(std::uint8_t* out, std::span<const float> values) {
   if constexpr (std::endian::native == std::endian::little) {
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(coords.data());
-    buffer_.insert(buffer_.end(), bytes, bytes + coords.size_bytes());
+    std::memcpy(out, values.data(), values.size_bytes());
   } else {
-    for (const float v : coords) {
-      const std::uint32_t wire = to_little_endian32(std::bit_cast<std::uint32_t>(v));
-      const auto* bytes = reinterpret_cast<const std::uint8_t*>(&wire);
-      buffer_.insert(buffer_.end(), bytes, bytes + 4);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::uint32_t wire = to_little_endian32(std::bit_cast<std::uint32_t>(values[i]));
+      std::memcpy(out + 4 * i, &wire, 4);
     }
   }
+  return out + values.size_bytes();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> make_raw_image(std::uint32_t atom_count, std::uint32_t frames) {
+  std::vector<std::uint8_t> image(raw_file_bytes(atom_count, frames));
+  const std::uint32_t header[2] = {to_little_endian32(atom_count), to_little_endian32(frames)};
+  std::memcpy(image.data(), kRawMagic, 8);
+  std::memcpy(image.data() + 8, header, 8);
+  return image;
+}
+
+void encode_raw_frame(std::uint8_t* out, std::uint32_t step, float time_ps, const chem::Box& box,
+                      std::span<const float> full_coords, const chem::Selection& selection) {
+  encode_frame_header(out, step, time_ps, box);
+  out += 44;
+  for (const chem::Run& run : selection.runs()) {
+    out = encode_floats(
+        out, full_coords.subspan(std::size_t{3} * run.begin, std::size_t{3} * run.size()));
+  }
+}
+
+RawTrajWriter::RawTrajWriter(std::uint32_t atom_count)
+    : atom_count_(atom_count), buffer_(make_raw_image(atom_count, 0)) {}
+
+std::uint8_t* RawTrajWriter::append_frame() {
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + raw_frame_bytes(atom_count_));
+  ++frame_count_;
+  return buffer_.data() + at;
 }
 
 Status RawTrajWriter::add_frame(std::uint32_t step, float time_ps, const chem::Box& box,
@@ -50,9 +69,9 @@ Status RawTrajWriter::add_frame(std::uint32_t step, float time_ps, const chem::B
     return invalid_argument("frame has " + std::to_string(coords.size() / 3) + " atoms, expected " +
                             std::to_string(atom_count_));
   }
-  put_frame_header(step, time_ps, box);
-  put_coords(coords);
-  ++frame_count_;
+  std::uint8_t* out = append_frame();
+  encode_frame_header(out, step, time_ps, box);
+  encode_floats(out + 44, coords);
   return Status::ok();
 }
 
@@ -68,11 +87,7 @@ Status RawTrajWriter::add_frame(std::uint32_t step, float time_ps, const chem::B
     return invalid_argument("selection reaches atom " + std::to_string(runs.back().end - 1) +
                             " of a " + std::to_string(full_coords.size() / 3) + "-atom frame");
   }
-  put_frame_header(step, time_ps, box);
-  for (const chem::Run& run : runs) {
-    put_coords(full_coords.subspan(std::size_t{3} * run.begin, std::size_t{3} * run.size()));
-  }
-  ++frame_count_;
+  encode_raw_frame(append_frame(), step, time_ps, box, full_coords, selection);
   return Status::ok();
 }
 
@@ -123,36 +138,6 @@ Result<std::vector<TrajFrame>> RawTrajReader::read_all() const {
     frames.push_back(std::move(f));
   }
   return frames;
-}
-
-Result<std::vector<std::uint8_t>> merge_raw_images(
-    std::uint32_t atom_count, std::span<const std::vector<std::uint8_t>> shards) {
-  std::uint64_t total_frames = 0;
-  std::size_t total_bytes = 16;
-  for (const auto& shard : shards) {
-    ADA_ASSIGN_OR_RETURN(const RawTrajReader reader, RawTrajReader::open(shard));
-    if (reader.atom_count() != atom_count) {
-      return corrupt_data("raw shard has " + std::to_string(reader.atom_count()) +
-                          " atoms, merge expects " + std::to_string(atom_count));
-    }
-    total_frames += reader.frame_count();
-    total_bytes += shard.size() - 16;
-  }
-  if (total_frames > std::numeric_limits<std::uint32_t>::max()) {
-    return out_of_range("merged raw trajectory exceeds the u32 frame count");
-  }
-  std::vector<std::uint8_t> out;
-  out.reserve(total_bytes);
-  ByteWriter header;
-  header.put_bytes(kRawMagic);
-  header.put_u32_le(atom_count);
-  header.put_u32_le(static_cast<std::uint32_t>(total_frames));
-  const auto& header_bytes = header.bytes();
-  out.insert(out.end(), header_bytes.begin(), header_bytes.end());
-  for (const auto& shard : shards) {
-    out.insert(out.end(), shard.begin() + 16, shard.end());
-  }
-  return out;
 }
 
 Result<std::vector<std::uint64_t>> scan_raw_frame_offsets(std::span<const std::uint8_t> data) {

@@ -36,14 +36,20 @@ constexpr std::size_t raw_file_bytes(std::uint32_t atom_count, std::uint64_t fra
   return 16 + frames * raw_frame_bytes(atom_count);
 }
 
+/// A RAW image of `frames` frames, header written and frame records zeroed,
+/// for filling frame f in place at raw_file_bytes(atom_count, f).
+std::vector<std::uint8_t> make_raw_image(std::uint32_t atom_count, std::uint32_t frames);
+
+/// Encode one RAW frame record at `out` (raw_frame_bytes(selection.count())
+/// bytes): the header, then `selection`'s atoms of the full frame
+/// `full_coords`, copied run by run.  The selection must lie in the frame.
+void encode_raw_frame(std::uint8_t* out, std::uint32_t step, float time_ps, const chem::Box& box,
+                      std::span<const float> full_coords, const chem::Selection& selection);
+
 /// Streaming RAW writer (in-memory image; persist through the storage layer).
 class RawTrajWriter {
  public:
   explicit RawTrajWriter(std::uint32_t atom_count);
-
-  /// Reserve the image for `frames` more frames, so a writer whose frame
-  /// count is known up front allocates once.
-  void reserve_frames(std::uint32_t frames);
 
   /// Append one frame; coords must hold atom_count*3 floats.
   Status add_frame(std::uint32_t step, float time_ps, const chem::Box& box,
@@ -63,8 +69,8 @@ class RawTrajWriter {
   std::vector<std::uint8_t> finish();
 
  private:
-  void put_frame_header(std::uint32_t step, float time_ps, const chem::Box& box);
-  void put_coords(std::span<const float> coords);
+  /// Grow the image by one frame record; returns where it starts.
+  std::uint8_t* append_frame();
 
   std::uint32_t atom_count_;
   std::uint32_t frame_count_ = 0;
@@ -94,16 +100,6 @@ class RawTrajReader {
   std::uint32_t atom_count_;
   std::uint32_t frame_count_;
 };
-
-/// Ordered merge of RAW shard images (the parallel split's per-range
-/// outputs): one image whose frame section is the shards' frame sections
-/// concatenated in input order.  Because the header is fixed-size and every
-/// frame is a self-contained record, the merge is byte-identical to a single
-/// writer fed the same frames serially -- the invariant the frame-parallel
-/// ingest pipeline is locked to.  Shards with zero frames are legal and
-/// contribute nothing; every shard must carry `atom_count`.
-Result<std::vector<std::uint8_t>> merge_raw_images(
-    std::uint32_t atom_count, std::span<const std::vector<std::uint8_t>> shards);
 
 /// Byte offset of every frame within a (possibly concatenated) RAW image,
 /// relative to the image start, in logical frame order.  A header-only walk

@@ -9,6 +9,64 @@ namespace {
 constexpr std::uint32_t kMaxPredictorId =
     static_cast<std::uint32_t>(codec::Predictor::kLinear);
 
+/// One frame's fields as the XDR stream carries them, its coordinate
+/// payload left in the image.
+struct ParsedFrame {
+  std::uint32_t step = 0;
+  float time_ps = 0.0f;
+  chem::Box box;
+  bool v2 = false;
+  codec::CompressedFrame coords;  // coordinate-block header; payload not copied
+  std::span<const std::uint8_t> payload;
+  std::size_t bytes = 0;  // encoded size of the whole frame
+};
+
+/// Parse and validate the frame at the start of `data`.
+Result<ParsedFrame> parse_frame(std::span<const std::uint8_t> data) {
+  xdr::XdrReader r(data);
+  ADA_ASSIGN_OR_RETURN(const std::int32_t magic, r.get_i32());
+  if (magic != kXtcMagic) return corrupt_data("bad xtc frame magic: " + std::to_string(magic));
+
+  ParsedFrame out;
+  codec::CompressedFrame& frame = out.coords;
+  ADA_ASSIGN_OR_RETURN(frame.atom_count, r.get_u32());
+  ADA_ASSIGN_OR_RETURN(out.step, r.get_u32());
+  ADA_ASSIGN_OR_RETURN(out.time_ps, r.get_f32());
+  for (float& v : out.box.matrix) {
+    ADA_ASSIGN_OR_RETURN(v, r.get_f32());
+  }
+  ADA_ASSIGN_OR_RETURN(const std::uint32_t codec_magic, r.get_u32());
+  out.v2 = codec_magic == kAda3dV2Magic;
+  if (!out.v2 && codec_magic != kAda3dMagic) {
+    return corrupt_data("unsupported xtc coordinate codec: " + std::to_string(codec_magic));
+  }
+  if (out.v2) {
+    ADA_ASSIGN_OR_RETURN(const std::uint32_t predictor, r.get_u32());
+    if (predictor > kMaxPredictorId) {
+      return corrupt_data("bad predictor id: " + std::to_string(predictor));
+    }
+    frame.predictor = static_cast<codec::Predictor>(predictor);
+  }
+  ADA_ASSIGN_OR_RETURN(frame.precision, r.get_f32());
+  for (int d = 0; d < 3; ++d) {
+    ADA_ASSIGN_OR_RETURN(frame.min_quantum[d], r.get_i32());
+  }
+  for (int d = 0; d < 3; ++d) {
+    ADA_ASSIGN_OR_RETURN(const std::uint32_t bits, r.get_u32());
+    if (bits > 32) return corrupt_data("bad full_bits field");
+    frame.full_bits[d] = static_cast<std::uint8_t>(bits);
+  }
+  ADA_ASSIGN_OR_RETURN(const std::uint32_t small_bits, r.get_u32());
+  if (small_bits > (out.v2 ? 32u : 31u)) return corrupt_data("bad small_bits field");
+  frame.small_bits = static_cast<std::uint8_t>(small_bits);
+  ADA_ASSIGN_OR_RETURN(const std::uint32_t bits_hi, r.get_u32());
+  ADA_ASSIGN_OR_RETURN(const std::uint32_t bits_lo, r.get_u32());
+  frame.payload_bits = (static_cast<std::uint64_t>(bits_hi) << 32) | bits_lo;
+  ADA_ASSIGN_OR_RETURN(out.payload, r.get_opaque_view());
+  out.bytes = r.position();
+  return out;
+}
+
 }  // namespace
 
 Status XtcWriter::add_frame(std::uint32_t step, float time_ps, const chem::Box& box,
@@ -52,81 +110,37 @@ Status XtcWriter::add_frame(std::uint32_t step, float time_ps, const chem::Box& 
 }
 
 Result<std::optional<TrajFrame>> XtcReader::next() {
-  if (pos_ == data_.size()) return std::optional<TrajFrame>{};
-  xdr::XdrReader r(data_.subspan(pos_));
-
-  ADA_ASSIGN_OR_RETURN(const std::int32_t magic, r.get_i32());
-  if (magic != kXtcMagic) return corrupt_data("bad xtc frame magic: " + std::to_string(magic));
-
-  codec::CompressedFrame frame;
   TrajFrame out;
-  ADA_ASSIGN_OR_RETURN(frame.atom_count, r.get_u32());
-  ADA_ASSIGN_OR_RETURN(out.step, r.get_u32());
-  ADA_ASSIGN_OR_RETURN(out.time_ps, r.get_f32());
-  for (float& v : out.box.matrix) {
-    ADA_ASSIGN_OR_RETURN(v, r.get_f32());
-  }
-  ADA_ASSIGN_OR_RETURN(const std::uint32_t codec_magic, r.get_u32());
-  const bool v2 = codec_magic == kAda3dV2Magic;
-  if (!v2 && codec_magic != kAda3dMagic) {
-    return corrupt_data("unsupported xtc coordinate codec: " + std::to_string(codec_magic));
-  }
-  if (v2) {
-    ADA_ASSIGN_OR_RETURN(const std::uint32_t predictor, r.get_u32());
-    if (predictor > kMaxPredictorId) {
-      return corrupt_data("bad predictor id: " + std::to_string(predictor));
-    }
-    frame.predictor = static_cast<codec::Predictor>(predictor);
-  }
-  ADA_ASSIGN_OR_RETURN(frame.precision, r.get_f32());
-  for (int d = 0; d < 3; ++d) {
-    ADA_ASSIGN_OR_RETURN(frame.min_quantum[d], r.get_i32());
-  }
-  for (int d = 0; d < 3; ++d) {
-    ADA_ASSIGN_OR_RETURN(const std::uint32_t bits, r.get_u32());
-    if (bits > 32) return corrupt_data("bad full_bits field");
-    frame.full_bits[d] = static_cast<std::uint8_t>(bits);
-  }
-  ADA_ASSIGN_OR_RETURN(const std::uint32_t small_bits, r.get_u32());
-  if (small_bits > (v2 ? 32u : 31u)) return corrupt_data("bad small_bits field");
-  frame.small_bits = static_cast<std::uint8_t>(small_bits);
-  ADA_ASSIGN_OR_RETURN(const std::uint32_t bits_hi, r.get_u32());
-  ADA_ASSIGN_OR_RETURN(const std::uint32_t bits_lo, r.get_u32());
-  frame.payload_bits = (static_cast<std::uint64_t>(bits_hi) << 32) | bits_lo;
-  ADA_ASSIGN_OR_RETURN(frame.payload, r.get_opaque());
+  ADA_ASSIGN_OR_RETURN(const bool decoded, next(out));
+  if (!decoded) return std::optional<TrajFrame>{};
+  return std::optional<TrajFrame>(std::move(out));
+}
 
-  if (v2) {
-    ADA_ASSIGN_OR_RETURN(out.coords, codec::decompress_v2(frame, ctx_));
+Result<bool> XtcReader::next(TrajFrame& out) {
+  if (pos_ == data_.size()) return false;
+  ADA_ASSIGN_OR_RETURN(const ParsedFrame frame, parse_frame(data_.subspan(pos_)));
+  if (frame.v2) {
+    ADA_RETURN_IF_ERROR(codec::decompress_v2_into(frame.coords, frame.payload, ctx_, out.coords));
   } else {
     ctx_.reset();  // a v1 frame carries no temporal context forward
-    ADA_ASSIGN_OR_RETURN(out.coords, codec::decompress(frame));
+    ADA_RETURN_IF_ERROR(codec::decompress_into(frame.coords, frame.payload, out.coords));
   }
-  pos_ += r.position();
-  return std::optional<TrajFrame>(std::move(out));
+  out.step = frame.step;
+  out.time_ps = frame.time_ps;
+  out.box = frame.box;
+  pos_ += frame.bytes;
+  return true;
+}
+
+void XtcReader::seek(std::size_t offset) {
+  pos_ = offset;
+  ctx_.reset();
 }
 
 Result<bool> XtcReader::skip() {
   if (pos_ == data_.size()) return false;
-  xdr::XdrReader r(data_.subspan(pos_));
-  ADA_ASSIGN_OR_RETURN(const std::int32_t magic, r.get_i32());
-  if (magic != kXtcMagic) return corrupt_data("bad xtc frame magic: " + std::to_string(magic));
-  // Fixed words between the magic and the codec magic: natoms, step, time,
-  // box (9) = 12.
-  for (std::size_t i = 0; i < 12; ++i) {
-    ADA_RETURN_IF_ERROR(r.get_u32().status());
-  }
-  ADA_ASSIGN_OR_RETURN(const std::uint32_t codec_magic, r.get_u32());
-  if (codec_magic == kAda3dV2Magic) {
-    ADA_RETURN_IF_ERROR(r.get_u32().status());  // predictor
-  } else if (codec_magic != kAda3dMagic) {
-    return corrupt_data("unsupported xtc coordinate codec: " + std::to_string(codec_magic));
-  }
-  // precision, mins (3), full_bits (3), small_bits, payload_bits (2) = 10.
-  for (std::size_t i = 0; i < 10; ++i) {
-    ADA_RETURN_IF_ERROR(r.get_u32().status());
-  }
-  ADA_RETURN_IF_ERROR(r.get_opaque().status());  // payload
-  pos_ += r.position();
+  ADA_ASSIGN_OR_RETURN(const ParsedFrame frame, parse_frame(data_.subspan(pos_)));
+  pos_ += frame.bytes;
   ctx_.reset();  // the skipped frame is missing from the temporal context
   return true;
 }
@@ -144,33 +158,10 @@ Result<std::vector<TrajFrame>> read_all_xtc(std::span<const std::uint8_t> data) 
 
 Result<std::vector<XtcIndexEntry>> build_xtc_index(std::span<const std::uint8_t> data) {
   std::vector<XtcIndexEntry> index;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    xdr::XdrReader r(data.subspan(pos));
-    ADA_ASSIGN_OR_RETURN(const std::int32_t magic, r.get_i32());
-    if (magic != kXtcMagic) return corrupt_data("bad xtc frame magic in index pass");
-    XtcIndexEntry entry;
-    entry.offset = pos;
-    ADA_RETURN_IF_ERROR(r.get_u32().status());  // natoms
-    ADA_ASSIGN_OR_RETURN(entry.step, r.get_u32());
-    ADA_ASSIGN_OR_RETURN(entry.time_ps, r.get_f32());
-    // Skip the box (9 words), then the codec magic (+ predictor for v2),
-    // then precision, mins (3), full_bits (3), small_bits, payload_bits (2).
-    for (int i = 0; i < 9; ++i) {
-      ADA_RETURN_IF_ERROR(r.get_u32().status());
-    }
-    ADA_ASSIGN_OR_RETURN(const std::uint32_t codec_magic, r.get_u32());
-    if (codec_magic == kAda3dV2Magic) {
-      ADA_RETURN_IF_ERROR(r.get_u32().status());  // predictor
-    } else if (codec_magic != kAda3dMagic) {
-      return corrupt_data("unsupported xtc coordinate codec in index pass");
-    }
-    for (int i = 0; i < 10; ++i) {
-      ADA_RETURN_IF_ERROR(r.get_u32().status());
-    }
-    ADA_RETURN_IF_ERROR(r.get_opaque().status());
-    index.push_back(entry);
-    pos += r.position();
+  for (std::size_t pos = 0; pos < data.size();) {
+    ADA_ASSIGN_OR_RETURN(const ParsedFrame frame, parse_frame(data.subspan(pos)));
+    index.push_back(XtcIndexEntry{pos, frame.step, frame.time_ps});
+    pos += frame.bytes;
   }
   return index;
 }

@@ -91,10 +91,20 @@ class XtcReader {
   /// Decode the next frame; std::nullopt cleanly at end of stream.
   Result<std::optional<TrajFrame>> next();
 
+  /// Decode the next frame into `frame`, reusing its coordinate buffer (a
+  /// caller that keeps one TrajFrame allocates nothing per frame); false
+  /// cleanly at end of stream.
+  Result<bool> next(TrajFrame& frame);
+
   /// Skip the next frame without decompressing (index/seek support);
   /// returns false cleanly at end of stream.  Skipping drops the v2
   /// prediction context, so the next decoded frame must be a keyframe.
   Result<bool> skip();
+
+  /// Move to the frame starting at byte `offset` (a boundary from
+  /// scan_xtc_extents) and drop the v2 prediction context, so the next
+  /// decoded frame must be self-contained.
+  void seek(std::size_t offset);
 
   std::size_t position() const noexcept { return pos_; }
 

@@ -99,17 +99,26 @@ Result<double> XdrReader::get_f64() {
 }
 
 Result<std::vector<std::uint8_t>> XdrReader::get_opaque() {
+  ADA_ASSIGN_OR_RETURN(const auto view, get_opaque_view());
+  return std::vector<std::uint8_t>(view.begin(), view.end());
+}
+
+Result<std::span<const std::uint8_t>> XdrReader::get_opaque_view() {
   ADA_ASSIGN_OR_RETURN(const std::uint32_t n, get_u32());
-  return get_fixed_opaque(n);
+  return fixed_view(n);
 }
 
 Result<std::vector<std::uint8_t>> XdrReader::get_fixed_opaque(std::size_t n) {
+  ADA_ASSIGN_OR_RETURN(const auto view, fixed_view(n));
+  return std::vector<std::uint8_t>(view.begin(), view.end());
+}
+
+Result<std::span<const std::uint8_t>> XdrReader::fixed_view(std::size_t n) {
   ADA_RETURN_IF_ERROR(require(n));
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const auto view = data_.subspan(pos_, n);
   pos_ += n;
   ADA_RETURN_IF_ERROR(skip_padding(n));
-  return out;
+  return view;
 }
 
 Result<std::string> XdrReader::get_string() {

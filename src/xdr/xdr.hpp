@@ -52,6 +52,8 @@ class XdrReader {
   Result<float> get_f32();
   Result<double> get_f64();
   Result<std::vector<std::uint8_t>> get_opaque();
+  /// get_opaque() without the copy: the bytes as a view into the input.
+  Result<std::span<const std::uint8_t>> get_opaque_view();
   Result<std::vector<std::uint8_t>> get_fixed_opaque(std::size_t n);
   Result<std::string> get_string();
 
@@ -62,6 +64,7 @@ class XdrReader {
  private:
   Status require(std::size_t n);
   Status skip_padding(std::size_t payload);
+  Result<std::span<const std::uint8_t>> fixed_view(std::size_t n);
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -10,6 +10,7 @@
 #include "ada/middleware.hpp"
 #include "ada/preprocessor.hpp"
 #include "ada/schema_config.hpp"
+#include "formats/pdb.hpp"
 #include "formats/raw_traj.hpp"
 #include "formats/xtc_file.hpp"
 #include "workload/gpcr_builder.hpp"
@@ -78,6 +79,46 @@ TEST(CategorizerTest, EmptySystem) {
   EXPECT_EQ(labels.atom_count, 0u);
   EXPECT_TRUE(labels.groups.empty());
   EXPECT_TRUE(labels.is_partition());
+}
+
+TEST(CategorizerTest, CategoryRunFastPathsMatchGenericCategorize) {
+  // categorize_protein_misc / categorize_fine_grained walk category runs
+  // instead of calling GetType per atom; the label maps must be exactly the
+  // ones Algorithm 1 builds with the same tag function.
+  const TypeFn protein_misc = [](const chem::Atom&, chem::Category category) {
+    return category == chem::Category::kProtein ? kProteinTag : kMiscTag;
+  };
+  const TypeFn fine_grained = [](const chem::Atom&, chem::Category category) {
+    return Tag(1, chem::category_tag(category));
+  };
+  // Interleaved categories, adjacent different-category runs that share a
+  // tag (ion then water are both "m"), and a single-atom system.
+  constexpr const char* kPdb =
+      "ATOM      1  N   ALA A   1      11.104   6.134  -6.504  1.00  0.00           N\n"
+      "ATOM      2  CA  ALA A   1      11.639   6.071  -5.147  1.00  0.00           C\n"
+      "HETATM    3 NA    NA I   2      20.000  20.000  20.000  1.00  0.00          NA\n"
+      "ATOM      4  OW  SOL W   3       5.000   5.000   5.000  1.00  0.00           O\n"
+      "ATOM      5  OW  SOL W   4       6.000   5.000   5.000  1.00  0.00           O\n"
+      "ATOM      6  N   GLY A   5       1.000   2.000   3.000  1.00  0.00           N\n"
+      "HETATM    7 CL    CL I   6       9.000   9.000   9.000  1.00  0.00          CL\n"
+      "END\n";
+  constexpr const char* kOneAtomPdb =
+      "ATOM      1  OW  SOL W   1       5.000   5.000   5.000  1.00  0.00           O\n"
+      "END\n";
+  const auto tiny = tiny_system();
+  std::vector<std::pair<std::string, chem::System>> systems;
+  systems.emplace_back("tiny GPCR", tiny);
+  systems.emplace_back("paper GPCR",
+                       workload::GpcrSystemBuilder(workload::GpcrSpec::paper_default()).build());
+  systems.emplace_back("interleaved PDB", formats::parse_pdb(kPdb).value());
+  systems.emplace_back("one-atom PDB", formats::parse_pdb(kOneAtomPdb).value());
+  systems.emplace_back("tiny GPCR via PDB",
+                       formats::parse_pdb(formats::write_pdb(tiny)).value());
+  systems.emplace_back("empty", chem::System{});
+  for (const auto& [name, system] : systems) {
+    EXPECT_EQ(categorize_protein_misc(system), categorize(system, protein_misc)) << name;
+    EXPECT_EQ(categorize_fine_grained(system), categorize(system, fine_grained)) << name;
+  }
 }
 
 TEST(CategorizerTest, SelectionLookup) {

@@ -188,7 +188,7 @@ TEST_F(E2ePipelineTest, StageSpansAndJsonCoverThePipeline) {
   EXPECT_EQ(span_calls("categorize"), 1u);  // runs before ingest: its own root
   EXPECT_EQ(span_calls("ingest"), 1u);
   EXPECT_EQ(span_calls("ingest/preprocess"), 1u);
-  EXPECT_EQ(span_calls("ingest/preprocess/decode"), kFrames + 1);  // +1 EOF probe
+  EXPECT_EQ(span_calls("ingest/preprocess/decode"), kFrames);  // ranges decode scanned frames only
   EXPECT_EQ(span_calls("ingest/preprocess/split"), kFrames);
   EXPECT_GE(span_calls("ingest/dispatch"), 1u);
   EXPECT_EQ(span_calls("query"), 2u);

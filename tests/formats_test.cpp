@@ -299,9 +299,10 @@ TEST(SubsetTest, ExtractSubsetCopiesRuns) {
 }
 
 TEST(SubsetTest, GatherIntoRawImageMatchesExtractedSubset) {
-  // RawTrajWriter::add_frame(full coords, selection) writes the same bytes
-  // as writing extract_subset's copy, and rejects a selection that does not
-  // match the writer or reaches past the frame.
+  // RawTrajWriter::add_frame(full coords, selection) and encode_raw_frame
+  // into a make_raw_image slot write the same bytes as writing
+  // extract_subset's copy; the writer rejects a selection that does not
+  // match it or reaches past the frame.
   std::vector<float> coords;
   for (int i = 0; i < 30; ++i) coords.push_back(static_cast<float>(i) * 0.5f - 3.0f);
   chem::Box box;
@@ -309,13 +310,17 @@ TEST(SubsetTest, GatherIntoRawImageMatchesExtractedSubset) {
   const auto sel = chem::Selection::from_runs({{0, 1}, {2, 4}, {7, 10}});
   RawTrajWriter copied(6);
   RawTrajWriter gathered(6);
-  gathered.reserve_frames(2);
+  auto in_place = make_raw_image(6, 2);
   for (std::uint32_t f = 0; f < 2; ++f) {
     ASSERT_TRUE(copied.add_frame(f, 0.5f * static_cast<float>(f), box, extract_subset(coords, sel))
                     .is_ok());
     ASSERT_TRUE(gathered.add_frame(f, 0.5f * static_cast<float>(f), box, coords, sel).is_ok());
+    encode_raw_frame(in_place.data() + raw_file_bytes(6, f), f, 0.5f * static_cast<float>(f), box,
+                     coords, sel);
   }
-  EXPECT_EQ(gathered.finish(), copied.finish());
+  const auto expected = copied.finish();
+  EXPECT_EQ(gathered.finish(), expected);
+  EXPECT_EQ(in_place, expected);
 
   RawTrajWriter five(5);
   EXPECT_FALSE(five.add_frame(0, 0.0f, box, coords, sel).is_ok());  // 6 atoms selected

@@ -1,25 +1,27 @@
 // Property tests for the frame-parallel ingest pipeline.
 //
 // The pipeline's contract is byte-identity: for ANY frame count and ANY
-// thread budget, the parallel scan -> decode ranges -> ordered merge path
-// must produce exactly the bytes of the serial decode loop.  These tests
-// drive that invariant over randomized frame/thread combinations (including
-// the degenerate ones: zero frames, one frame, more threads than frames),
-// and pin down the two pieces the pipeline is built from -- the header-only
-// frame-boundary scanner and the RAW shard merge -- against their serial
-// ground truths.
+// thread budget, the parallel path (scan, then frame ranges decoded into
+// their slots of the final images) must produce exactly the bytes of the
+// serial decode loop.  These tests drive that invariant over frame/thread
+// combinations (including the degenerate ones: zero frames, one frame, more
+// threads than frames) for both codec versions, through the facade at the
+// default budget (AdaConfig{}) and nested under ingest_batch's file-level
+// tasks, and pin down the header-only frame-boundary scanner the ranges are
+// cut from against the decoding reader.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ada/categorizer.hpp"
 #include "ada/middleware.hpp"
 #include "ada/preprocessor.hpp"
-#include "formats/raw_traj.hpp"
+#include "common/thread_pool.hpp"
 #include "formats/xtc_file.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
@@ -30,11 +32,13 @@ namespace {
 namespace fs = std::filesystem;
 
 // Deterministic XTC image over the tiny GPCR system; returns the image and
-// the steps it wrote (for the scanner cross-check).
+// the steps it wrote (for the scanner cross-check).  v2 images get a
+// keyframe every 3 frames, so a split has several ranges to cut.
 std::vector<std::uint8_t> make_xtc(const chem::System& system, std::uint32_t frames,
-                                   std::vector<std::uint32_t>* steps = nullptr) {
+                                   std::vector<std::uint32_t>* steps = nullptr,
+                                   codec::CodecVersion version = codec::CodecVersion::kV1) {
   workload::TrajectoryGenerator gen(system, workload::DynamicsSpec{});
-  formats::XtcWriter writer;
+  formats::XtcWriter writer({}, version, 3);
   for (std::uint32_t f = 0; f < frames; ++f) {
     // Evaluate in sequence: next_frame() advances the step/time counters.
     const std::uint32_t step = gen.current_step();
@@ -50,25 +54,28 @@ TEST(ParallelIngestTest, SplitByteIdenticalToSerialForAnyFrameAndThreadCount) {
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   const DataPreProcessor preprocessor(categorize_protein_misc(system));
 
-  for (const std::uint32_t frames : {0u, 1u, 2u, 3u, 7u, 16u}) {
-    const auto xtc = make_xtc(system, frames);
-    PreprocessStats serial_stats;
-    const auto serial = preprocessor.split(xtc, &serial_stats, 1);
-    ASSERT_TRUE(serial.is_ok()) << frames << " frames";
+  for (const auto version : {codec::CodecVersion::kV1, codec::CodecVersion::kV2}) {
+    for (const std::uint32_t frames : {0u, 1u, 2u, 3u, 7u, 16u}) {
+      const auto xtc = make_xtc(system, frames, nullptr, version);
+      PreprocessStats serial_stats;
+      const auto serial = preprocessor.split(xtc, &serial_stats, 1);
+      ASSERT_TRUE(serial.is_ok()) << frames << " frames, codec v" << static_cast<int>(version);
 
-    // Budgets: 0 = every pool worker, plus caps below/at/above the frame
-    // count (19 > 16 covers threads > frames for every case here).
-    for (const unsigned threads : {0u, 2u, 3u, 8u, 19u}) {
-      PreprocessStats stats;
-      const auto parallel = preprocessor.split(xtc, &stats, threads);
-      ASSERT_TRUE(parallel.is_ok()) << frames << " frames @ " << threads << " threads";
-      EXPECT_EQ(serial.value(), parallel.value())
-          << frames << " frames @ " << threads << " threads: subsets differ";
-      EXPECT_EQ(serial_stats.frames, stats.frames);
-      EXPECT_EQ(serial_stats.atoms, stats.atoms);
-      EXPECT_EQ(serial_stats.compressed_bytes, stats.compressed_bytes);
-      EXPECT_EQ(serial_stats.subset_bytes, stats.subset_bytes);
-      EXPECT_EQ(serial_stats.subset_atoms, stats.subset_atoms);
+      // Budgets: 0 = every pool worker, plus caps below/at/above the frame
+      // count (19 > 16 covers threads > frames for every case here).
+      for (const unsigned threads : {0u, 2u, 3u, 8u, 19u}) {
+        PreprocessStats stats;
+        const auto parallel = preprocessor.split(xtc, &stats, threads);
+        ASSERT_TRUE(parallel.is_ok()) << frames << " frames @ " << threads << " threads";
+        EXPECT_EQ(serial.value(), parallel.value())
+            << frames << " frames @ " << threads << " threads, codec v"
+            << static_cast<int>(version) << ": subsets differ";
+        EXPECT_EQ(serial_stats.frames, stats.frames);
+        EXPECT_EQ(serial_stats.atoms, stats.atoms);
+        EXPECT_EQ(serial_stats.compressed_bytes, stats.compressed_bytes);
+        EXPECT_EQ(serial_stats.subset_bytes, stats.subset_bytes);
+        EXPECT_EQ(serial_stats.subset_atoms, stats.subset_atoms);
+      }
     }
   }
 }
@@ -122,51 +129,74 @@ TEST(ParallelIngestTest, ScannerRejectsCorruptImages) {
   EXPECT_FALSE(formats::scan_xtc_extents(bad_codec).is_ok());
 }
 
-TEST(ParallelIngestTest, MergedShardsEqualOneSerialWriter) {
-  // Shard layouts over 7 frames, including empty shards at each position.
-  const std::vector<std::vector<std::uint32_t>> layouts = {
-      {7}, {3, 4}, {0, 7}, {7, 0}, {2, 0, 5}, {1, 1, 1, 4}, {0, 0, 7, 0}};
-  constexpr std::uint32_t kAtoms = 5;
-  chem::Box box;
+TEST(ParallelIngestTest, DefaultBudgetByteIdenticalToSerial) {
+  // AdaConfig{} follows the pool; its ingest must store exactly what the
+  // paper's serial decode (threads = 1) stores, for empty, single-frame,
+  // odd and more-frames-than-workers images.
+  const std::string root = testing::TempDir() + "/ada_parallel_default";
+  fs::remove_all(root);
+  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
+  const unsigned workers = ThreadPool::shared().worker_count();
+  ASSERT_EQ(AdaConfig{}.threads, 0u);
+  ASSERT_GT(ThreadPool::shared().budget(AdaConfig{}.threads), 1u);
 
-  for (const auto& layout : layouts) {
-    formats::RawTrajWriter combined(kAtoms);
-    std::vector<std::vector<std::uint8_t>> shards;
-    std::uint32_t frame = 0;
-    for (const std::uint32_t count : layout) {
-      formats::RawTrajWriter shard(kAtoms);
-      for (std::uint32_t f = 0; f < count; ++f, ++frame) {
-        std::vector<float> coords(kAtoms * 3);
-        for (std::size_t i = 0; i < coords.size(); ++i) {
-          coords[i] = static_cast<float>(frame) + static_cast<float>(i) * 0.25f;
-        }
-        ASSERT_TRUE(shard.add_frame(frame, static_cast<float>(frame), box, coords).is_ok());
-        ASSERT_TRUE(combined.add_frame(frame, static_cast<float>(frame), box, coords).is_ok());
-      }
-      shards.push_back(shard.finish());
-    }
-    const auto merged = formats::merge_raw_images(kAtoms, shards);
-    ASSERT_TRUE(merged.is_ok());
-    EXPECT_EQ(merged.value(), combined.finish()) << layout.size() << " shards";
+  std::map<unsigned, std::unique_ptr<Ada>> by_threads;
+  for (const unsigned threads : {AdaConfig{}.threads, 1u}) {
+    AdaConfig config;
+    config.placement = PlacementPolicy::active_on_ssd(0, 1);
+    config.threads = threads;
+    const std::string base = root + "/t" + std::to_string(threads);
+    by_threads[threads] = std::make_unique<Ada>(
+        plfs::PlfsMount::open({{"ssd", base + "/ssd"}, {"hdd", base + "/hdd"}}).value(), config);
   }
+  for (const std::uint32_t frames : {0u, 1u, 7u, 4 * (workers + 1) + 3}) {
+    const auto xtc = make_xtc(system, frames);
+    const std::string name = std::to_string(frames) + "-frames.xtc";
+    const auto parallel = by_threads.at(0)->ingest(system, xtc, name);
+    const auto serial = by_threads.at(1)->ingest(system, xtc, name);
+    ASSERT_TRUE(parallel.is_ok()) << frames << " frames";
+    ASSERT_TRUE(serial.is_ok()) << frames << " frames";
+    EXPECT_EQ(parallel.value().preprocess.subset_bytes, serial.value().preprocess.subset_bytes);
+    for (const Tag& tag : {kProteinTag, kMiscTag}) {
+      EXPECT_EQ(by_threads.at(0)->query(name, tag).value(),
+                by_threads.at(1)->query(name, tag).value())
+          << frames << " frames, tag " << tag;
+    }
+  }
+  fs::remove_all(root);
 }
 
-TEST(ParallelIngestTest, MergeRejectsMismatchedShards) {
-  chem::Box box;
-  formats::RawTrajWriter five(5);
-  formats::RawTrajWriter six(6);
-  const std::vector<float> c5(15, 1.0f);
-  const std::vector<float> c6(18, 1.0f);
-  ASSERT_TRUE(five.add_frame(0, 0.0f, box, c5).is_ok());
-  ASSERT_TRUE(six.add_frame(0, 0.0f, box, c6).is_ok());
-  std::vector<std::vector<std::uint8_t>> shards;
-  shards.push_back(five.finish());
-  shards.push_back(six.finish());
-  EXPECT_FALSE(formats::merge_raw_images(5, shards).is_ok());
+TEST(ParallelIngestTest, BatchIngestNestsFrameRangesUnderFileTasks) {
+  // ingest_batch at the default budget runs each phase as a pool task whose
+  // split fans its frame ranges out to the same pool: the nested batches
+  // must neither deadlock nor race (run under -DADA_SANITIZE=thread) and
+  // must store the serial bytes.
+  const std::string root = testing::TempDir() + "/ada_parallel_nested";
+  fs::remove_all(root);
+  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
+  AdaConfig config;
+  config.placement = PlacementPolicy::active_on_ssd(0, 1);
+  Ada ada(plfs::PlfsMount::open({{"ssd", root + "/ssd"}, {"hdd", root + "/hdd"}}).value(),
+          config);
+  const DataPreProcessor serial(categorize_protein_misc(system));
 
-  std::vector<std::vector<std::uint8_t>> garbage;
-  garbage.push_back({0x00, 0x01, 0x02});
-  EXPECT_FALSE(formats::merge_raw_images(5, garbage).is_ok());
+  std::vector<std::vector<std::uint8_t>> images;
+  std::vector<Ada::Phase> phases;
+  for (std::uint32_t p = 0; p < 6; ++p) images.push_back(make_xtc(system, 5 + 3 * p));
+  for (std::uint32_t p = 0; p < images.size(); ++p) {
+    phases.push_back({"phase" + std::to_string(p) + ".xtc", images[p]});
+  }
+  const auto results = ada.ingest_batch(system, phases);
+  ASSERT_EQ(results.size(), phases.size());
+  for (std::size_t p = 0; p < phases.size(); ++p) {
+    ASSERT_TRUE(results[p].is_ok()) << phases[p].logical_name;
+    const auto expected = serial.split(images[p], nullptr, 1).value();
+    for (const auto& [tag, image] : expected) {
+      EXPECT_EQ(ada.query(phases[p].logical_name, tag).value(), image)
+          << phases[p].logical_name << " tag " << tag;
+    }
+  }
+  fs::remove_all(root);
 }
 
 TEST(ParallelIngestTest, AtomMismatchErrorsMatchSerial) {
@@ -198,8 +228,9 @@ TEST(ParallelIngestTest, AtomMismatchErrorsMatchSerial) {
 }
 
 TEST(ParallelIngestTest, StreamedIngestByteIdenticalAcrossThreadCounts) {
-  // IngestStream's per-frame tag fan-out must leave every tag's chunked
-  // byte stream exactly as the serial loop writes it.
+  // A stream splits each frame on the producer's thread whatever the
+  // budget: every tag's chunked byte stream is the same under any
+  // AdaConfig::threads.
   const std::string root = testing::TempDir() + "/ada_parallel_stream";
   fs::remove_all(root);
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();

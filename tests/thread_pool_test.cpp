@@ -98,7 +98,9 @@ TEST(ThreadPoolTest, ParallelRunIsThePoolNow) {
 TEST(ThreadPoolTest, SubmitRunsDetachedTasks) {
   std::atomic<int> hits{0};
   for (int i = 0; i < 16; ++i) {
-    ThreadPool::shared().submit([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
+    // Release: the waiting load must order the task's last touch of `hits`
+    // before the stack slot is reused.
+    ThreadPool::shared().submit([&hits] { hits.fetch_add(1, std::memory_order_release); });
   }
   ASSERT_TRUE(wait_for([&] { return hits.load() == 16; }));
 }

@@ -6,9 +6,10 @@
 //
 // Categorizes with Algorithm 1 (protein/MISC by default, or a schema file),
 // decompresses once, splits into tagged subsets, and dispatches them to the
-// two backend file systems.  --threads=N fans frame decode out to the
-// shared work-stealing pool (0 = every pool worker, 1 = serial; the output
-// images are byte-identical either way).  With --metrics, prints the observability
+// two backend file systems.  --threads=N caps frame-parallel decode on the
+// shared work-stealing pool (0, the default, = every pool worker plus the
+// caller; 1 = serial; the output images are byte-identical either way).
+// With --metrics, prints the observability
 // report (per-stage timers, per-tag byte counters) after the ingest;
 // --metrics=json emits the stable JSON document on stdout (the summary
 // moves to stderr).  With --trace=<file>, records a request timeline and
@@ -22,6 +23,7 @@
 // producer); --retain-bytes arms windowed retention.
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -45,6 +47,21 @@ constexpr const char* kUsage =
     "                  [--faults site=spec[,site=spec...]]\n"
     "                  [--stream [--chunk-frames <n>] [--frame-delay-ms <ms>]\n"
     "                            [--retain-bytes <b>]]\n";
+
+/// The non-negative integer value of --`key` (`fallback` when absent).
+/// Anything else is a usage error, exit 2: get_int() would quietly turn
+/// "--threads -1" into the fallback and run anyway.
+unsigned long long count_flag(const tools::Args& args, const char* key,
+                              unsigned long long fallback, unsigned long long max) {
+  if (!args.has(key)) return fallback;
+  const long long value = parse_int(args.get(key));
+  if (value < 0 || static_cast<unsigned long long>(value) > max) {
+    std::fprintf(stderr, "error: --%s must be an integer in [0, %llu] (got %s)\n", key, max,
+                 args.get(key).c_str());
+    std::exit(2);
+  }
+  return static_cast<unsigned long long>(value);
+}
 }
 
 int main(int argc, char** argv) {
@@ -52,6 +69,11 @@ int main(int argc, char** argv) {
   if (!args.has("pdb") || !args.has("xtc") || !args.has("ssd") || !args.has("hdd")) {
     tools::die_usage(kUsage);
   }
+  core::AdaConfig config;
+  config.threads = static_cast<unsigned>(
+      count_flag(args, "threads", config.threads, std::numeric_limits<unsigned>::max()));
+  config.retain_bytes = count_flag(args, "retain-bytes", config.retain_bytes,
+                                   std::numeric_limits<long long>::max());
   tools::metrics_begin(args);
   tools::telemetry_begin(args);
   tools::profile_begin(args);
@@ -64,11 +86,8 @@ int main(int argc, char** argv) {
   const std::string logical =
       args.get("name", vmd::logical_name_of(args.get("xtc")));
 
-  core::AdaConfig config;
   config.placement = core::PlacementPolicy::active_on_ssd(0, 1);
   config.keep_original = args.has("keep-original");
-  config.threads = static_cast<unsigned>(args.get_int("threads", 1));
-  config.retain_bytes = static_cast<std::uint64_t>(args.get_int("retain-bytes", 0));
   core::Ada middleware(
       tools::must(plfs::PlfsMount::open(
                       {{"ssd-fs", args.get("ssd")}, {"hdd-fs", args.get("hdd")}}),

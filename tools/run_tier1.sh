@@ -25,8 +25,8 @@ ctest --test-dir "$BUILD_DIR" -L unit --output-on-failure -j "$(nproc)"
 echo "== tracing tier (ctest -L check-trace) =="
 ctest --test-dir "$BUILD_DIR" -L check-trace --output-on-failure -j "$(nproc)"
 
-echo "== frame-parallel ingest (ThreadPool + ParallelIngest suites) =="
-ctest --test-dir "$BUILD_DIR" -R 'ThreadPool|ParallelIngest' --output-on-failure -j "$(nproc)"
+echo "== frame-parallel ingest (ThreadPool, ParallelIngest[Alloc], Categorizer suites) =="
+ctest --test-dir "$BUILD_DIR" -R 'ThreadPool|ParallelIngest|Categorizer' --output-on-failure -j "$(nproc)"
 
 echo "== perf tier smoke (ctest -L check-perf) =="
 ctest --test-dir "$BUILD_DIR" -L check-perf --output-on-failure
