@@ -12,7 +12,7 @@
 //   * modeled  -- the performance plane: wall(N) = scan + range_work / N,
 //     with both terms calibrated from the measured runs (the scan is the
 //     serial stage of the pipeline, range_work is the per-range
-//     decode+split busy time the pool counters report).
+//     decode+split busy time its split_range spans report).
 //
 // The JSON's headline "results" series is the measured plane when the host
 // has at least as many cores as the largest thread count, and the modeled
@@ -36,6 +36,7 @@
 #include "common/thread_pool.hpp"
 #include "formats/xtc_file.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
 
@@ -169,14 +170,17 @@ int main(int argc, char** argv) {
   const auto extents = formats::scan_xtc_extents(xtc);
   const double scan_s = scan_wall.elapsed_seconds();
   if (!extents.is_ok()) return 1;
-  // range work: from the parallel path's own busy counter.
-  obs::Registry::global().reset();
+  // range work: the parallel path's split_range spans.  Each pool worker's
+  // spans root their own thread's tree, so sum every path of that name.
+  obs::reset_spans();
   obs::set_enabled(true);
   if (!preprocessor.split(xtc, nullptr, 2).is_ok()) return 1;
   obs::set_enabled(false);
-  const double range_work_s =
-      static_cast<double>(obs::Registry::global().counter_value("preprocess.decode_busy_ns")) /
-      1e9;
+  std::uint64_t range_work_ns = 0;
+  for (const obs::SpanStat& span : obs::span_stats()) {
+    if (span.name == "split_range") range_work_ns += span.total_ns;
+  }
+  const double range_work_s = static_cast<double>(range_work_ns) / 1e9;
 
   std::vector<Point> modeled;
   for (const unsigned threads : thread_counts) {

@@ -36,7 +36,7 @@ bool LabelMap::is_partition() const {
 
 LabelMap categorize(const chem::System& system, const TypeFn& get_type) {
   // Algorithm 1 from the paper, with `labeler` == LabelMap::groups.
-  const obs::ScopedTimer span("categorize");
+  const obs::Span span("categorize");
   LabelMap labeler;
   labeler.atom_count = system.atom_count();
 
@@ -71,7 +71,7 @@ namespace {
 /// one add_run per category run, not per atom.  add_run joins adjacent runs
 /// of one tag, so the label map is the one categorize() builds.
 LabelMap categorize_by_category(const chem::System& system, Tag (*tag_of)(chem::Category)) {
-  const obs::ScopedTimer span("categorize");
+  const obs::Span span("categorize");
   LabelMap labeler;
   labeler.atom_count = system.atom_count();
   const std::vector<chem::Category>& categories = system.categories();

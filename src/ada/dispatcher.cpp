@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "formats/raw_traj.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -56,11 +55,9 @@ std::uint32_t PlacementPolicy::backend_for(const Tag& tag) const {
 
 Status IoDispatcher::dispatch(const std::string& logical_name,
                               const std::map<Tag, std::vector<std::uint8_t>>& subsets) {
-  const obs::ScopedTimer span("dispatch");
-  const obs::TraceSpan trace("dispatch");
+  const obs::Span span("dispatch");
   ADA_RETURN_IF_ERROR(mount_.create_container(logical_name));
   for (const auto& [tag, bytes] : subsets) {
-    const obs::TraceSpan subset_trace("dispatch.subset", tag);
     const auto table = frame_table_for(frame_tables_, tag, bytes);
     ADA_RETURN_IF_ERROR(mount_
                             .append(logical_name, tag, policy_.backend_for(tag), bytes,
@@ -76,8 +73,7 @@ Result<plfs::IndexRecord> IoDispatcher::dispatch_one(const std::string& logical_
                                                      std::span<const std::uint8_t> bytes,
                                                      const std::uint64_t* frame_base,
                                                      std::uint32_t frame_count) {
-  const obs::ScopedTimer span("dispatch");
-  const obs::TraceSpan trace("dispatch", tag);
+  const obs::Span span("dispatch", tag);
   const auto table = frame_table_for(frame_tables_, tag, bytes);
   auto record = mount_.append(logical_name, tag, policy_.backend_for(tag), bytes,
                               table.has_value() ? &*table : nullptr, frame_base, frame_count);

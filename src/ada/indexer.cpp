@@ -10,8 +10,8 @@
 #include "common/crc32c.hpp"
 #include "common/parallel.hpp"
 #include "common/retry.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace ada::core {
 
@@ -158,7 +158,7 @@ Status IoRetriever::fetch(std::span<const DatasetLocation> locations,
     {
       // Read + CRC verify pipelined on the worker: while this extent
       // transfers, siblings verify, so transfer overlaps decode.
-      std::optional<obs::TraceSpan> span;
+      std::optional<obs::Span> span;
       if (fan_out) span.emplace("sg_extent", location.backend_name);
       results[index] = read(index);
     }
@@ -182,11 +182,16 @@ Status IoRetriever::fetch(std::span<const DatasetLocation> locations,
 
 Status IoRetriever::read_verified(const DatasetLocation& location,
                                   const plfs::ExtentSink& sink) const {
-  ADA_ASSIGN_OR_RETURN(const auto extent,
-                       retry_sync("retrieve_dropping", mount_.retry_policy(), [&] {
-                         return plfs::read_dropping_extent(
-                             location.host_path, location.physical_offset, location.bytes, sink);
-                       }));
+  std::span<std::uint8_t> extent;
+  {
+    const obs::Span read_span("read");
+    ADA_ASSIGN_OR_RETURN(extent, retry_sync("retrieve_dropping", mount_.retry_policy(), [&] {
+                           return plfs::read_dropping_extent(location.host_path,
+                                                             location.physical_offset,
+                                                             location.bytes, sink);
+                         }));
+  }
+  const obs::Span crc_span("crc");
   if (location.has_crc && crc32c(extent.data(), extent.size()) != location.crc32c) {
     ADA_OBS_COUNT("plfs.crc_mismatch", 1);
     return corrupt_data("checksum mismatch on " + location.host_path);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ada/label_store.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -86,8 +85,7 @@ Status IngestStream::add_frame(std::uint32_t step, float time_ps, const chem::Bo
 
 Status IngestStream::flush_chunk() {
   if (frames_in_chunk_ == 0) return Status::ok();
-  const obs::ScopedTimer span("stream_flush");
-  const obs::TraceSpan trace("stream_flush", logical_name_);
+  const obs::Span span("stream_flush", logical_name_);
   obs::trace_counter("stream.chunk_frames", frames_in_chunk_);
   ADA_OBS_COUNT("stream.chunks", 1);
   const std::uint64_t first_frame = state_.sealed_frames;

@@ -8,7 +8,6 @@
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "formats/raw_traj.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/warn.hpp"
@@ -51,8 +50,7 @@ Result<IngestReport> Ada::ingest(const chem::System& structure,
 Result<IngestReport> Ada::ingest_with_labels(const LabelMap& labels,
                                              std::span<const std::uint8_t> xtc_image,
                                              const std::string& logical_name) {
-  const obs::ScopedTimer span("ingest");
-  const obs::TraceSpan trace("ingest", logical_name);
+  const obs::Span span("ingest", logical_name);
   ADA_OBS_COUNT("ingest.calls", 1);
   ADA_OBS_COUNT("ingest.bytes_in", xtc_image.size());
   obs::trace_counter("ingest.bytes_in", xtc_image.size());
@@ -215,7 +213,7 @@ Result<Ada::Subset> Ada::read_subset(const std::string& logical_name, const Tag&
       located != nullptr ? located->generation : subset_generation(logical_name);
   QueryCache::FillGuard fill_guard;
   if (cache_ != nullptr) {
-    const obs::TraceSpan lookup_trace("cache_lookup", tag);
+    const obs::Span lookup_span("cache_lookup", tag);
     if (QueryCache::Image hit =
             cache_->lookup_or_fill(logical_name, tag, generation, &fill_guard)) {
       return Subset{std::move(hit), {}};
@@ -223,15 +221,13 @@ Result<Ada::Subset> Ada::read_subset(const std::string& logical_name, const Tag&
   }
   Subset subset;
   {
-    const obs::ScopedTimer retrieve_span("retrieve");
-    const obs::TraceSpan retrieve_trace("retrieve", tag);
+    const obs::Span retrieve_span("retrieve", tag);
     Located walked;
     if (located == nullptr) {
       ADA_ASSIGN_OR_RETURN(walked.extents, Indexer(mount_).locate(logical_name, tag));
       located = &walked;
     }
-    const obs::ScopedTimer read_span("plfs_read");
-    const obs::TraceSpan read_trace("plfs_read", tag);
+    const obs::Span read_span("plfs_read", tag);
     ADA_ASSIGN_OR_RETURN(subset.owned,
                          IoRetriever(mount_, retrieve_options()).retrieve(located->extents));
     obs::trace_counter("plfs.read.bytes", subset.owned.size());
@@ -241,7 +237,7 @@ Result<Ada::Subset> Ada::read_subset(const std::string& logical_name, const Tag&
     // extent): a faulted read errors out above and never lands here.
     // insert() returns the image now cached under the key -- the incumbent
     // if a concurrent fill won, so every racer still shares one allocation.
-    const obs::TraceSpan fill_trace("cache_fill", tag);
+    const obs::Span fill_span("cache_fill", tag);
     subset.shared = cache_->insert(logical_name, tag, generation, std::move(subset.owned));
   }
   return subset;
@@ -249,8 +245,7 @@ Result<Ada::Subset> Ada::read_subset(const std::string& logical_name, const Tag&
 
 Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name,
                                              const Tag& tag) const {
-  const obs::ScopedTimer span("query");
-  const obs::TraceSpan trace("query", tag);
+  const obs::Span span("query", tag);
   ADA_OBS_COUNT("query.calls", 1);
   ADA_ASSIGN_OR_RETURN(auto subset, read_subset(logical_name, tag, nullptr));
   count_query_bytes(tag, subset.bytes().size());
@@ -262,8 +257,7 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name,
 
 Result<QueryCache::Image> Ada::query_image(const std::string& logical_name,
                                            const Tag& tag) const {
-  const obs::ScopedTimer span("query");
-  const obs::TraceSpan trace("query", tag);
+  const obs::Span span("query", tag);
   ADA_OBS_COUNT("query.calls", 1);
   ADA_ASSIGN_OR_RETURN(auto subset, read_subset(logical_name, tag, nullptr));
   count_query_bytes(tag, subset.bytes().size());
@@ -373,8 +367,7 @@ Result<std::vector<std::uint8_t>> slice_raw_frames(std::span<const std::uint8_t>
 
 Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, const Tag& tag,
                                              const FrameRange& range) const {
-  const obs::ScopedTimer span("query");
-  const obs::TraceSpan trace("query_range", tag);
+  const obs::Span span("query_range", tag);
   ADA_OBS_COUNT("query.calls", 1);
   ADA_OBS_COUNT("query.range.calls", 1);
   ADA_RETURN_IF_ERROR(check_user_tag(tag));
@@ -551,8 +544,7 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
 
 Result<Ada::TailChunk> Ada::query_tail(const std::string& logical_name, const Tag& tag,
                                        std::uint64_t from_frame) const {
-  const obs::ScopedTimer span("query");
-  const obs::TraceSpan trace("query_tail", tag);
+  const obs::Span span("query_tail", tag);
   ADA_OBS_COUNT("stream.tail_polls", 1);
   ADA_ASSIGN_OR_RETURN(const auto state, mount_.read_stream_state(logical_name));
   TailChunk chunk;
@@ -605,8 +597,7 @@ std::vector<std::uint8_t> Ada::PartialQuery::concat() const {
 }
 
 Result<Ada::PartialQuery> Ada::query_degraded(const std::string& logical_name) const {
-  const obs::ScopedTimer span("query");
-  const obs::TraceSpan trace("query_degraded", logical_name);
+  const obs::Span span("query_degraded", logical_name);
   ADA_OBS_COUNT("query.degraded.calls", 1);
   // Only an unreadable index is fatal: with no tag list there is nothing to
   // degrade to.

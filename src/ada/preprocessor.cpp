@@ -8,7 +8,6 @@
 #include "common/thread_pool.hpp"
 #include "formats/raw_traj.hpp"
 #include "formats/xtc_file.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -48,14 +47,12 @@ DataPreProcessor::DataPreProcessor(LabelMap labels) : labels_(std::move(labels))
 
 Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
     std::span<const std::uint8_t> xtc_image, PreprocessStats* stats, unsigned threads) const {
-  const obs::ScopedTimer span("preprocess");
-  const obs::TraceSpan trace("preprocess");
+  const obs::Span span("preprocess");
 
   // Stage 1: header-only boundary scan -- frame extents, no decompression.
   std::vector<formats::XtcFrameExtent> extents;
   {
-    const obs::ScopedTimer scan_span("scan");
-    const obs::TraceSpan scan_trace("scan");
+    const obs::Span scan_span("scan");
     ADA_ASSIGN_OR_RETURN(extents, formats::scan_xtc_extents(xtc_image));
   }
   const auto frames = static_cast<std::uint32_t>(extents.size());
@@ -100,20 +97,17 @@ Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
     formats::XtcReader reader;
     formats::TrajFrame frame;
     double decode_seconds = 0.0;  // inside XtcReader::next only
-    double busy_seconds = 0.0;    // whole ranges: decode + gather
   };
   std::vector<Slot> slots(std::min<std::size_t>(budget, starts.size()),
                           Slot{formats::XtcReader(xtc_image), {}});
   for (Slot& slot : slots) slot.frame.coords.reserve(std::size_t{3} * labels_.atom_count);
 
   auto decode_range = [&](std::size_t range, Slot& slot) -> Status {
-    const Stopwatch busy;
     const std::uint32_t last = range + 1 < starts.size() ? starts[range + 1] : frames;
     slot.reader.seek(extents[starts[range]].offset);
     for (std::uint32_t f = starts[range]; f < last; ++f) {
       {
-        const obs::ScopedTimer decode_span("decode");
-        const obs::TraceSpan decode_trace("decode");
+        const obs::Span decode_span("decode");
         const Stopwatch decode_clock;
         ADA_ASSIGN_OR_RETURN(const bool decoded, slot.reader.next(slot.frame));
         slot.decode_seconds += decode_clock.elapsed_seconds();
@@ -121,15 +115,13 @@ Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
           return corrupt_data("frame " + std::to_string(f) + " does not match its scanned extent");
         }
       }
-      const obs::ScopedTimer split_span("split");
-      const obs::TraceSpan split_trace("split");
+      const obs::Span split_span("split");
       const formats::TrajFrame& frame = slot.frame;
       for (const Target& t : targets) {
         formats::encode_raw_frame(t.image + formats::raw_file_bytes(t.atoms, f), frame.step,
                                   frame.time_ps, frame.box, frame.coords, *t.selection);
       }
     }
-    slot.busy_seconds += busy.elapsed_seconds();
     return Status::ok();
   };
 
@@ -151,8 +143,7 @@ Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
         while (!failed.load()) {
           const std::size_t range = next_range++;
           if (range >= starts.size()) return;
-          const obs::ScopedTimer range_span("split_range");
-          const obs::TraceSpan range_trace("split_range");
+          const obs::Span range_span("split_range");
           statuses[range] = decode_range(range, *slot);
           if (!statuses[range].is_ok()) failed = true;
         }
@@ -161,10 +152,6 @@ Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
     parallel_run(std::move(tasks), budget);
     decompress_seconds = fan_out.elapsed_seconds();
     for (const Status& status : statuses) ADA_RETURN_IF_ERROR(status);
-    double busy_seconds = 0.0;
-    for (const Slot& slot : slots) busy_seconds += slot.busy_seconds;
-    ADA_OBS_COUNT("preprocess.ranges", starts.size());
-    ADA_OBS_COUNT("preprocess.decode_busy_ns", static_cast<std::uint64_t>(busy_seconds * 1e9));
   }
   ADA_OBS_COUNT("ingest.frames", frames);
 

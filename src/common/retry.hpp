@@ -10,8 +10,8 @@
 // (pvfs/pvfs.cpp) so retries cost sim time, not test time.
 //
 // Observability: `retry.attempts` counts re-executions (not first tries),
-// `retry.exhausted` counts give-ups, and each re-execution opens a "retry"
-// trace span so retries show up on request timelines.
+// `retry.exhausted` counts give-ups, and each backoff sleep is a "retry"
+// span so retries show up in the span tree and on request timelines.
 #pragma once
 
 #include <string_view>
@@ -20,8 +20,8 @@
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "obs/warn.hpp"
 
 namespace ada {
@@ -58,8 +58,8 @@ constexpr bool is_transient(ErrorCode code) noexcept {
 }
 
 /// Run `fn` (returning Status or Result<T>) under `policy`.  `op` names the
-/// operation in trace spans and error messages; it must be a string literal
-/// (TraceSpan keeps the pointer).
+/// operation in error messages and tags each "retry" span (the span copies
+/// it as its tag).
 template <typename Fn>
 auto retry_sync(const char* op, const RetryPolicy& policy, Fn&& fn)
     -> decltype(fn()) {
@@ -88,7 +88,7 @@ auto retry_sync(const char* op, const RetryPolicy& policy, Fn&& fn)
                        result.error().to_string());
     }
     ADA_OBS_COUNT("retry.attempts", 1);
-    obs::TraceSpan span("retry", op);
+    const obs::Span span("retry", op);
     std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
   }
 }

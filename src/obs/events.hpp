@@ -1,9 +1,10 @@
 // Request-timeline event recorder: per-thread, lock-free ring buffers.
 //
-// The span tree (obs/trace.hpp) answers "where does time go on average";
-// this layer answers "where did *this request's* time go".  Every recorded
-// event carries a propagated TraceContext (trace id, parent span id, data
-// tag), a timestamp, and a lane, so the exporter (obs/trace_export.hpp) can
+// The span tree answers "where does time go on average"; this layer
+// answers "where did *this request's* time go".  obs::Span (obs/trace.hpp)
+// records its begin/end pairs here.  Every recorded event carries a
+// propagated TraceContext (trace id, parent span id, data tag), a
+// timestamp, and a lane, so the exporter (obs/trace_export.hpp) can
 // reconstruct one merged timeline of functional (wall-clock) and simulated
 // (sim-time) activity -- the per-request equivalent of the paper's
 // Figs. 7-10 stage breakdowns.
@@ -39,7 +40,7 @@ namespace ada::obs {
 
 /// Propagated request identity.  `span_id` is the innermost open span --
 /// the parent of anything opened beneath it.  A zero `trace_id` means "no
-/// request in flight"; the next TraceSpan starts a fresh trace.
+/// request in flight"; the next traced Span starts a fresh trace.
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
@@ -76,32 +77,6 @@ class ScopedTraceContext {
   ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
 
  private:
-  TraceContext saved_;
-};
-
-namespace detail {
-class EventRing;
-}
-
-/// RAII begin/end event pair on the functional plane.  Opening a span with
-/// no trace in flight starts a new trace id; nested spans inherit the trace
-/// and parent ids through the thread's context.  One relaxed load and
-/// nothing else while tracing is disabled.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) noexcept { open(name, {}); }
-  TraceSpan(const char* name, std::string_view tag) noexcept { open(name, tag); }
-  ~TraceSpan();
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  void open(const char* name, std::string_view tag) noexcept;
-
-  detail::EventRing* ring_ = nullptr;  // null when tracing was off at entry
-  const char* name_ = nullptr;
-  std::uint64_t span_id_ = 0;
   TraceContext saved_;
 };
 

@@ -1,10 +1,17 @@
-// RAII timing spans that nest into a per-thread trace tree.
+// The span primitive: one RAII span feeds the aggregate tree and the
+// request timeline from one open and one close.
 //
-// A ScopedTimer opens a span on construction and closes it on destruction;
-// spans opened while another is live on the same thread become its children,
-// so the aggregate forms a calls/time tree ("ingest" -> "preprocess" ->
-// "decode") mirroring the paper's Fig. 8 flame graph, but collected live on
-// the functional plane instead of post-hoc.
+// A Span opens on construction and closes on destruction.  While metrics
+// are on (obs::enabled()) it records into the thread's aggregate tree:
+// spans opened while another is live on the same thread become its
+// children, so the tree forms a calls/time breakdown ("ingest" ->
+// "preprocess" -> "decode") mirroring the paper's Fig. 8 flame graph,
+// collected live on the functional plane.  The sampling profiler reads the
+// same tree.  While tracing is on (obs::trace_enabled()) it also records a
+// begin/end pair on the thread's event ring (obs/events.hpp) under the
+// propagated TraceContext.  Each switch is read once, at open; the close
+// always balances what the open recorded, even if a switch flips in
+// between.  With both switches off a span costs two relaxed loads.
 //
 // Each thread owns its tree, so recording never contends across threads;
 // span_stats() merges every thread's tree by path into one aggregate.  Node
@@ -13,32 +20,42 @@
 // consistent-per-node, possibly slightly stale view).
 //
 // Span names must be string literals (or otherwise outlive the process):
-// nodes keep the pointer, not a copy, to keep the open/close path cheap.
+// nodes and event slots keep the pointer, not a copy.  The tag is copied
+// into the timeline context (15 chars) and inherited by nested spans; the
+// tree ignores it.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/events.hpp"
 
 namespace ada::obs {
 
 namespace detail {
 struct SpanNode;
-}
+struct ThreadRecord;
+}  // namespace detail
 
 /// Times a region of code as a span named `name` under the thread's
-/// currently open span.  No-op (one relaxed load) while obs is disabled.
-class ScopedTimer {
+/// currently open span.
+class Span {
  public:
-  explicit ScopedTimer(const char* name) noexcept;
-  ~ScopedTimer();
+  explicit Span(const char* name, std::string_view tag = {}) noexcept;
+  ~Span();
 
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
  private:
-  detail::SpanNode* node_ = nullptr;  // null when disabled at entry
+  detail::ThreadRecord* record_ = nullptr;  // null when both switches were off at open
+  detail::SpanNode* node_ = nullptr;        // null when metrics were off at open
+  const char* name_;
   std::uint64_t start_ns_ = 0;
+  std::uint64_t span_id_ = 0;  // timeline span id; 0 when tracing was off at open
+  TraceContext saved_;         // the context to restore at close
 };
 
 /// One aggregated span, merged across threads, in depth-first order.

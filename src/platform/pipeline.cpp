@@ -7,7 +7,7 @@
 #include "common/check.hpp"
 #include "common/units.hpp"
 #include "net/fabric.hpp"
-#include "obs/events.hpp"
+#include "obs/trace.hpp"
 #include "pvfs/pvfs.hpp"
 #include "sim/flow_network.hpp"
 #include "sim/simulator.hpp"
@@ -204,7 +204,7 @@ ScenarioResult run_scenario(const Platform& platform, Scenario scenario,
   // Root span for the whole scenario: the DES below it emits sim-time lanes
   // that carry this trace id, so the merged timeline ties wall-clock model
   // evaluation to the simulated cluster activity it triggered.
-  const obs::TraceSpan trace("scenario", result.label);
+  const obs::Span span("scenario", result.label);
 
   // --- raw retrieval time ------------------------------------------------------
   const double bytes_in = loaded_bytes(scenario, sizes);

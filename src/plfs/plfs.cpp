@@ -15,7 +15,6 @@
 #include "common/binary_io.hpp"
 #include "common/crc32c.hpp"
 #include "common/faults.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -278,8 +277,7 @@ Result<IndexRecord> PlfsMount::append(const std::string& logical_name, const std
   if (backend_id >= backend_count()) {
     return invalid_argument("backend " + std::to_string(backend_id) + " out of range");
   }
-  const obs::ScopedTimer span("plfs_append");
-  const obs::TraceSpan trace("plfs_append", label);
+  const obs::Span span("plfs_append", label);
   ADA_OBS_COUNT("plfs.append.calls", 1);
   ADA_OBS_COUNT("plfs.append.bytes", bytes.size());
   if (obs::enabled()) {
@@ -308,14 +306,21 @@ Result<IndexRecord> PlfsMount::append(const std::string& logical_name, const std
   record.dropping =
       "dropping." + (label.empty() ? std::string("data") : label) + "." + std::to_string(ordinal);
   record.physical_offset = 0;  // one dropping file per append
-  record.set_checksum(crc32c(bytes.data(), bytes.size()));
+  {
+    const obs::Span crc_span("crc");
+    record.set_checksum(crc32c(bytes.data(), bytes.size()));
+  }
   if (frame_offsets != nullptr) record.set_frame_table(*frame_offsets);
   if (frame_base != nullptr) record.set_frame_base(*frame_base, frame_count);
 
   const std::string path = container_dir(backend_id, logical_name) + "/" + record.dropping;
-  ADA_RETURN_IF_ERROR(retry_sync("plfs_write_dropping", retry_policy_,
-                                 [&] { return write_dropping_bytes(path, bytes); }));
+  {
+    const obs::Span write_span("dropping_write");
+    ADA_RETURN_IF_ERROR(retry_sync("plfs_write_dropping", retry_policy_,
+                                   [&] { return write_dropping_bytes(path, bytes); }));
+  }
   records.push_back(record);
+  const obs::Span index_span("index_write");
   ADA_RETURN_IF_ERROR(write_index(logical_name, records));
   return record;
 }

@@ -4,8 +4,8 @@
 #include <future>
 #include <utility>
 
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace ada::serve {
 
@@ -271,7 +271,7 @@ Result<Response> AdaService::backend_call(const Request& request) const {
 }
 
 void AdaService::run_job(Tenant& tenant, const JobPtr& job) {
-  const obs::TraceSpan span("serve_request", tenant.name);
+  const obs::Span span("serve_request", tenant.name);
   std::shared_ptr<Flight> flight;
   if (coalescable(job->request.kind)) {
     // The single-flight clock: observed BEFORE joining or leading, so a

@@ -194,6 +194,29 @@ TEST_F(E2ePipelineTest, StageSpansAndJsonCoverThePipeline) {
   EXPECT_EQ(span_calls("query"), 2u);
   EXPECT_EQ(span_calls("query/retrieve"), 2u);
 
+  // The ledger layers under a PLFS append and an extent read: every append
+  // checksums, writes its dropping and rewrites the index once; every
+  // extent read is one pread and one CRC.
+  const std::uint64_t appends = span_calls("ingest/dispatch/plfs_append");
+  EXPECT_GE(appends, 2u);  // one per data tag, plus the label file
+  for (const char* layer : {"crc", "dropping_write", "index_write"}) {
+    EXPECT_EQ(span_calls(std::string("ingest/dispatch/plfs_append/") + layer), appends) << layer;
+  }
+  const std::uint64_t reads = span_calls("query/retrieve/plfs_read/read");
+  EXPECT_GE(reads, 2u);
+  EXPECT_EQ(span_calls("query/retrieve/plfs_read/crc"), reads);
+  // Children nest inside their parent on one thread and one clock, so no
+  // node's children add up to more than the node itself.
+  for (const auto& parent : snapshot.spans) {
+    std::uint64_t children_ns = 0;
+    for (const auto& child : snapshot.spans) {
+      if (child.depth == parent.depth + 1 && child.path.rfind(parent.path + "/", 0) == 0) {
+        children_ns += child.total_ns;
+      }
+    }
+    EXPECT_LE(children_ns, parent.total_ns) << parent.path;
+  }
+
   // The JSON document carries the acceptance-criteria names verbatim.
   const std::string json = obs::to_json(snapshot);
   for (const char* needle :
@@ -203,6 +226,33 @@ TEST_F(E2ePipelineTest, StageSpansAndJsonCoverThePipeline) {
         "\"path\":\"query/retrieve\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "JSON missing " << needle;
   }
+}
+
+TEST_F(E2ePipelineTest, TreeAndTimelineRecordTheSameSpans) {
+  // One span feeds both sinks: with both switches on, every span name in
+  // the merged tree is a lane-0 begin name on the timeline, with the same
+  // call count (summed over paths: pool-worker spans root their own tree).
+  obs::reset_all();
+  obs::reset_events();
+  obs::set_enabled(true);
+  obs::set_trace_enabled(true);
+  run_pipeline("both_sinks", nullptr, /*threads=*/2);
+  obs::set_trace_enabled(false);
+  obs::set_enabled(false);
+
+  std::map<std::string, std::uint64_t> tree_calls;
+  for (const obs::SpanStat& span : obs::span_stats()) {
+    if (span.calls != 0) tree_calls[span.name] += span.calls;
+  }
+  std::map<std::string, std::uint64_t> timeline_begins;
+  for (const obs::RawEvent& event : obs::snapshot_events()) {
+    if (event.lane == 0 && event.phase == obs::RawEvent::Phase::kBegin) {
+      ++timeline_begins[event.name];
+    }
+  }
+  EXPECT_EQ(obs::events_dropped(), 0u);
+  EXPECT_FALSE(tree_calls.empty());
+  EXPECT_EQ(tree_calls, timeline_begins);
 }
 
 TEST_F(E2ePipelineTest, ParallelIngestMatchesSerialAcrossThreadCounts) {

@@ -9,6 +9,8 @@
 
 #include <functional>
 #include <sstream>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -27,7 +29,9 @@ class ObsTest : public testing::Test {
   }
   void TearDown() override {
     set_enabled(false);
+    set_trace_enabled(false);
     reset_all();
+    reset_events();
   }
 };
 
@@ -36,6 +40,15 @@ const SpanStat* find_span(const std::vector<SpanStat>& stats, const std::string&
     if (stat.path == path) return &stat;
   }
   return nullptr;
+}
+
+/// Timeline events named `name`, begins and ends alike.
+std::vector<RawEvent> events_named(std::string_view name) {
+  std::vector<RawEvent> out;
+  for (const RawEvent& event : snapshot_events()) {
+    if (name == event.name) out.push_back(event);
+  }
+  return out;
 }
 
 // --- registry semantics ---------------------------------------------------------------
@@ -232,11 +245,11 @@ TEST_F(ObsTest, HotPathMacrosRecordWhenEnabled) {
 
 TEST_F(ObsTest, SpansNestIntoPerThreadTree) {
   {
-    const ScopedTimer outer("obs_outer");
-    { const ScopedTimer inner("obs_inner"); }
-    { const ScopedTimer inner("obs_inner"); }
+    const Span outer("obs_outer");
+    { const Span inner("obs_inner"); }
+    { const Span inner("obs_inner"); }
   }
-  { const ScopedTimer outer("obs_outer"); }
+  { const Span outer("obs_outer"); }
 
   const auto stats = span_stats();
   const SpanStat* outer = find_span(stats, "obs_outer");
@@ -259,9 +272,91 @@ TEST_F(ObsTest, SpansNestIntoPerThreadTree) {
 
 TEST_F(ObsTest, SpansDisabledRecordNothing) {
   set_enabled(false);
-  { const ScopedTimer span("obs_gated"); }
+  { const Span span("obs_gated"); }
   set_enabled(true);
   EXPECT_EQ(find_span(span_stats(), "obs_gated"), nullptr);
+}
+
+// --- one span, two sinks --------------------------------------------------------------
+//
+// obs::enabled() gates the tree and obs::trace_enabled() the ring, each read
+// once at open.  Spans open on a fresh thread, so ring_count() shows whether
+// the span created a ring.
+
+TEST_F(ObsTest, SpanWithBothSwitchesOffRecordsNothing) {
+  set_enabled(false);
+  const std::size_t rings = ring_count();
+  std::thread([] { const Span span("obs_gate_off"); }).join();
+  EXPECT_EQ(ring_count(), rings);
+  EXPECT_EQ(find_span(span_stats(), "obs_gate_off"), nullptr);
+  EXPECT_TRUE(events_named("obs_gate_off").empty());
+}
+
+TEST_F(ObsTest, SpanWithMetricsOnlyRecordsATreeNodeAndNoRing) {
+  const std::size_t rings = ring_count();
+  std::thread([] { const Span span("obs_gate_tree"); }).join();
+  EXPECT_EQ(ring_count(), rings);
+  const auto stats = span_stats();
+  const SpanStat* span = find_span(stats, "obs_gate_tree");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->calls, 1u);
+  EXPECT_TRUE(events_named("obs_gate_tree").empty());
+}
+
+TEST_F(ObsTest, SpanWithTracingOnlyRecordsEventsAndNoTreeNode) {
+  set_enabled(false);
+  set_trace_enabled(true);
+  const std::size_t rings = ring_count();
+  std::thread([] { const Span span("obs_gate_ring", "p"); }).join();
+  EXPECT_EQ(ring_count(), rings + 1);
+  const auto events = events_named("obs_gate_ring");
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].phase, RawEvent::Phase::kBegin);
+  EXPECT_EQ(events[1].phase, RawEvent::Phase::kEnd);
+  EXPECT_EQ(events[0].span_id, events[1].span_id);
+  EXPECT_STREQ(events[0].tag, "p");
+  EXPECT_EQ(find_span(span_stats(), "obs_gate_ring"), nullptr);
+}
+
+TEST_F(ObsTest, SpanSinksStayBalancedWhenSwitchesFlipMidSpan) {
+  set_trace_enabled(true);
+  {
+    const Span outer("obs_flip_outer");  // opens in both sinks
+    set_enabled(false);
+    set_trace_enabled(false);
+    const Span inner("obs_flip_inner");  // opens in neither
+  }
+  // The outer span still closed in both sinks after both switches went off.
+  auto stats = span_stats();
+  const SpanStat* outer = find_span(stats, "obs_flip_outer");
+  ASSERT_NE(outer, nullptr);
+  EXPECT_EQ(outer->calls, 1u);
+  EXPECT_EQ(find_span(stats, "obs_flip_outer/obs_flip_inner"), nullptr);
+  const auto outer_events = events_named("obs_flip_outer");
+  ASSERT_EQ(outer_events.size(), 2u);
+  EXPECT_EQ(outer_events[0].span_id, outer_events[1].span_id);
+  EXPECT_TRUE(events_named("obs_flip_inner").empty());
+  EXPECT_TRUE(sample_active_stacks().empty()) << "the open node was not restored";
+  EXPECT_EQ(current_context().trace_id, 0u) << "the trace context was not restored";
+
+  // The reverse flip: a span opened with both off records nothing at its
+  // close, and one opened after the switch-on is a root in both sinks.
+  {
+    const Span late("obs_flip_late");
+    set_enabled(true);
+    set_trace_enabled(true);
+    const Span child("obs_flip_child");
+  }
+  stats = span_stats();
+  EXPECT_EQ(find_span(stats, "obs_flip_late"), nullptr);
+  const SpanStat* child = find_span(stats, "obs_flip_child");
+  ASSERT_NE(child, nullptr);
+  EXPECT_EQ(child->calls, 1u);
+  EXPECT_TRUE(events_named("obs_flip_late").empty());
+  const auto child_events = events_named("obs_flip_child");
+  ASSERT_EQ(child_events.size(), 2u);
+  EXPECT_EQ(child_events[0].parent_span, 0u);
+  EXPECT_TRUE(sample_active_stacks().empty());
 }
 
 // --- exporter goldens -----------------------------------------------------------------
@@ -374,7 +469,7 @@ TEST_F(ObsTest, ParallelRunLosesNoIncrements) {
   for (int t = 0; t < kTasks; ++t) {
     tasks.push_back([&counter, &histogram, t] {
       for (int i = 0; i < kIters; ++i) {
-        const ScopedTimer span("obs_stress");
+        const Span span("obs_stress");
         counter.add(1);
         histogram.observe(static_cast<std::uint64_t>(i));
         // Exercise the concurrent-merge path: snapshots taken while other

@@ -28,6 +28,8 @@
 #include "ada/middleware.hpp"
 #include "common/admission.hpp"
 #include "common/faults.hpp"
+#include "obs/export.hpp"
+#include "obs/profiler.hpp"
 #include "plfs/plfs.hpp"
 #include "serve/serve.hpp"
 #include "serve/spool.hpp"
@@ -408,6 +410,31 @@ TEST_F(ServeTest, CoalescingCollapsesConcurrentIdenticalQueriesToOneFill) {
   EXPECT_EQ(cache.misses, 1u);
   EXPECT_EQ(cache.duplicate_fills, 0u)
       << "single-flight must eliminate the concurrent-cold-miss duplicate fill";
+}
+
+TEST_F(ServeTest, ProfilerSamplesTheServeRequestSpan) {
+  // serve_request is an obs::Span, so the sampling profiler's folded
+  // stacks attribute a served read to it, down to the delayed pread.
+  auto ada = open_ada(0, 4, /*cache_bytes=*/0);
+  AdaService service(*ada, ServeConfig{});
+  DisarmGuard guard;
+  const fault::ScopedFault slow("plfs.read_dropping", first_read_delay(0.4));
+  obs::reset_all();
+  obs::set_enabled(true);
+  obs::SamplingProfiler profiler({"", 1000});
+  Collector collector(1);
+  ASSERT_TRUE(service.submit(subset_request(tags_[0]), collector.callback()).is_ok());
+  const std::string stack = "serve_request;query;retrieve;plfs_read;read";
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (profiler.folded().count(stack) == 0 && std::chrono::steady_clock::now() < deadline) {
+    profiler.sample_once();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  collector.wait();
+  obs::set_enabled(false);
+  obs::reset_all();
+  EXPECT_EQ(profiler.folded().count(stack), 1u) << profiler.folded_text();
+  ASSERT_EQ(collector.take().size(), 1u);
 }
 
 TEST_F(ServeTest, RangeQueriesCoalesceOnTheFullSelection) {

@@ -302,9 +302,9 @@ TEST_F(TelemetryTest, OpenMetricsFromLiveRegistry) {
 TEST_F(TelemetryTest, ProfilerFoldsDeterministicStacks) {
   SamplingProfiler profiler({"", 1000});
   {
-    ScopedTimer ingest("ingest");
+    const Span ingest("ingest");
     {
-      ScopedTimer decode("decode");
+      const Span decode("decode");
       profiler.sample_once();
       profiler.sample_once();
     }
@@ -334,7 +334,7 @@ TEST_F(TelemetryTest, ProfilerStopWritesFoldedFile) {
   const std::string file = path("profile.folded");
   SamplingProfiler profiler({file, 1000});
   {
-    ScopedTimer query("query");
+    const Span query("query");
     profiler.sample_once();
   }
   ASSERT_TRUE(profiler.stop().is_ok());
@@ -351,8 +351,8 @@ TEST_F(TelemetryTest, ProfilerAndSamplerSurviveConcurrentStartStop) {
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([] {
       for (int i = 0; i < 400; ++i) {
-        ScopedTimer outer("stress");
-        ScopedTimer inner(i % 2 == 0 ? "even" : "odd");
+        const Span outer("stress");
+        const Span inner(i % 2 == 0 ? "even" : "odd");
         ADA_OBS_COUNT("telemetry.stress", 1);
         ADA_OBS_OBSERVE("telemetry.stress_ns", i);
       }

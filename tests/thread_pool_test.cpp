@@ -19,7 +19,7 @@
 
 #include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/events.hpp"
+#include "obs/trace.hpp"
 #include "obs/metrics.hpp"
 
 namespace ada {
@@ -112,7 +112,7 @@ TEST(ThreadPoolTest, WorkerAdoptsSubmitterTraceContext) {
   std::atomic<bool> ran{false};
   std::uint64_t expected = 0;
   {
-    const obs::TraceSpan span("pool_context_test");
+    const obs::Span span("pool_context_test");
     expected = obs::current_context().trace_id;
     ASSERT_NE(expected, 0u);
     ThreadPool::shared().submit([&seen, &ran] {
@@ -133,7 +133,7 @@ TEST(ThreadPoolTest, RunBatchTasksShareTheCallersTrace) {
   std::vector<std::uint64_t> seen(kTasks, 0);
   std::uint64_t expected = 0;
   {
-    const obs::TraceSpan span("pool_batch_trace");
+    const obs::Span span("pool_batch_trace");
     expected = obs::current_context().trace_id;
     std::vector<std::function<void()>> tasks;
     for (std::size_t i = 0; i < kTasks; ++i) {

@@ -19,7 +19,7 @@
 
 #include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "obs/events.hpp"
+#include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 
 namespace ada::obs {
@@ -55,7 +55,7 @@ TEST_F(TraceTest, DisabledPathCreatesNoRingAndRecordsNothing) {
   // recording "events" while disabled, the global ring count is unchanged.
   const std::size_t rings_before = ring_count();
   std::thread([] {
-    const TraceSpan span("ingest");
+    const Span span("ingest");
     trace_instant("marker", 7);
     trace_counter("bytes", 42);
     EXPECT_EQ(sim_begin(1, "serve", 0.5, TraceContext{}), 0u);
@@ -66,7 +66,7 @@ TEST_F(TraceTest, DisabledPathCreatesNoRingAndRecordsNothing) {
 
   // The same thread pattern with tracing on does create one ring.
   set_trace_enabled(true);
-  std::thread([] { const TraceSpan span("ingest"); }).join();
+  std::thread([] { const Span span("ingest"); }).join();
   EXPECT_EQ(ring_count(), rings_before + 1);
   EXPECT_EQ(snapshot_events().size(), 2u);  // begin + end
 }
@@ -74,9 +74,9 @@ TEST_F(TraceTest, DisabledPathCreatesNoRingAndRecordsNothing) {
 TEST_F(TraceTest, SpanEndsStayBalancedAcrossDisableFlip) {
   set_trace_enabled(true);
   {
-    const TraceSpan outer("outer");
+    const Span outer("outer");
     set_trace_enabled(false);  // flipped off mid-span
-    const TraceSpan inner("inner");  // records nothing
+    const Span inner("inner");  // records nothing
   }
   const auto begins = events_of(RawEvent::Phase::kBegin);
   const auto ends = events_of(RawEvent::Phase::kEnd);
@@ -91,11 +91,11 @@ TEST_F(TraceTest, SpanEndsStayBalancedAcrossDisableFlip) {
 TEST_F(TraceTest, NestedSpansShareTraceAndChainParents) {
   set_trace_enabled(true);
   {
-    const TraceSpan root("ingest", "traj_0");
+    const Span root("ingest", "traj_0");
     trace_instant("marker");
     {
-      const TraceSpan child("preprocess");
-      const TraceSpan grandchild("decode");
+      const Span child("preprocess");
+      const Span grandchild("decode");
     }
   }
   const auto begins = events_of(RawEvent::Phase::kBegin);
@@ -119,8 +119,8 @@ TEST_F(TraceTest, NestedSpansShareTraceAndChainParents) {
 
 TEST_F(TraceTest, SeparateRootSpansGetDistinctTraceIds) {
   set_trace_enabled(true);
-  { const TraceSpan a("query"); }
-  { const TraceSpan b("query"); }
+  { const Span a("query"); }
+  { const Span b("query"); }
   const auto begins = events_of(RawEvent::Phase::kBegin);
   ASSERT_EQ(begins.size(), 2u);
   EXPECT_NE(begins[0].trace_id, begins[1].trace_id);
@@ -263,7 +263,7 @@ TEST_F(TraceTest, ContextPropagatesAcrossParallelRunWorkers) {
   set_trace_enabled(true);
   constexpr std::size_t kTasks = 16;
   {
-    const TraceSpan root("ingest_batch", "batch");
+    const Span root("ingest_batch", "batch");
     // Each task waits until a second thread has entered some task, so the
     // batch provably lands on more than one worker (the calling thread
     // would otherwise race through all of them).
@@ -271,7 +271,7 @@ TEST_F(TraceTest, ContextPropagatesAcrossParallelRunWorkers) {
     std::vector<std::function<void()>> tasks;
     for (std::size_t i = 0; i < kTasks; ++i) {
       tasks.push_back([entered] {
-        const TraceSpan task("task");
+        const Span task("task");
         entered->fetch_add(1);
         while (entered->load() < 2) std::this_thread::yield();
       });
@@ -307,7 +307,7 @@ TEST_F(TraceTest, ContextPropagatesAcrossParallelRunWorkers) {
 
 TEST_F(TraceTest, LogLinesCarryTheActiveTraceId) {
   set_trace_enabled(true);
-  const TraceSpan span("ingest");
+  const Span span("ingest");
   const TraceContext ctx = current_context();
   testing::internal::CaptureStderr();
   ADA_LOG(kError) << "boom";
@@ -342,7 +342,7 @@ TEST_F(TraceTest, ConcurrentRecordAndSnapshotIsRaceFree) {
     writers.emplace_back([&, w] {
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
       for (std::uint64_t i = 0; i < kEventsPerWriter; ++i) {
-        const TraceSpan span("stress");
+        const Span span("stress");
         trace_counter("stress.value", (static_cast<std::uint64_t>(w) << 32) | i);
       }
       done.fetch_add(1, std::memory_order_release);

@@ -40,19 +40,21 @@ constexpr const char* kUsage =
 int main(int argc, char** argv) {
   const tools::Args args(argc, argv);
   if (!args.has("out")) tools::die_usage(kUsage);
+  const auto frames = args.count<std::uint32_t>("frames", 50);
+  const auto ligand_atoms = args.count<std::uint32_t>("ligand", 0);
+  const auto seed = args.count<std::uint64_t>("seed", 20210809);
   tools::metrics_begin(args);
   tools::telemetry_begin(args);
   tools::profile_begin(args);
   std::FILE* report_out = tools::metrics_json_only(args) ? stderr : stdout;
   const std::string out = args.get("out");
-  const auto frames = static_cast<std::uint32_t>(args.get_int("frames", 50));
   const std::string size = args.get("size", "tiny");
 
   workload::GpcrSpec spec =
       size == "paper" ? workload::GpcrSpec::paper_default() : workload::GpcrSpec::tiny();
   if (size != "paper" && size != "tiny") tools::die_usage(kUsage);
-  spec.ligand_atoms = static_cast<std::uint32_t>(args.get_int("ligand", 0));
-  spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 20210809));
+  spec.ligand_atoms = ligand_atoms;
+  spec.seed = seed;
 
   std::filesystem::create_directories(out);
   const auto system = workload::GpcrSystemBuilder(spec).build();

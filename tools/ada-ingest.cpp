@@ -23,7 +23,6 @@
 // producer); --retain-bytes arms windowed retention.
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <thread>
 
@@ -47,21 +46,6 @@ constexpr const char* kUsage =
     "                  [--faults site=spec[,site=spec...]]\n"
     "                  [--stream [--chunk-frames <n>] [--frame-delay-ms <ms>]\n"
     "                            [--retain-bytes <b>]]\n";
-
-/// The non-negative integer value of --`key` (`fallback` when absent).
-/// Anything else is a usage error, exit 2: get_int() would quietly turn
-/// "--threads -1" into the fallback and run anyway.
-unsigned long long count_flag(const tools::Args& args, const char* key,
-                              unsigned long long fallback, unsigned long long max) {
-  if (!args.has(key)) return fallback;
-  const long long value = parse_int(args.get(key));
-  if (value < 0 || static_cast<unsigned long long>(value) > max) {
-    std::fprintf(stderr, "error: --%s must be an integer in [0, %llu] (got %s)\n", key, max,
-                 args.get(key).c_str());
-    std::exit(2);
-  }
-  return static_cast<unsigned long long>(value);
-}
 }
 
 int main(int argc, char** argv) {
@@ -70,10 +54,10 @@ int main(int argc, char** argv) {
     tools::die_usage(kUsage);
   }
   core::AdaConfig config;
-  config.threads = static_cast<unsigned>(
-      count_flag(args, "threads", config.threads, std::numeric_limits<unsigned>::max()));
-  config.retain_bytes = count_flag(args, "retain-bytes", config.retain_bytes,
-                                   std::numeric_limits<long long>::max());
+  config.threads = args.count("threads", config.threads);
+  config.retain_bytes = args.count("retain-bytes", config.retain_bytes);
+  const auto chunk_frames = args.count<std::uint32_t>("chunk-frames", 64, 1);
+  const auto delay_ms = args.count<std::uint32_t>("frame-delay-ms", 0);
   tools::metrics_begin(args);
   tools::telemetry_begin(args);
   tools::profile_begin(args);
@@ -106,8 +90,6 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("stream")) {
-    const auto chunk_frames = static_cast<std::uint32_t>(args.get_int("chunk-frames", 64));
-    const long long delay_ms = args.get_int("frame-delay-ms", 0);
     auto stream = tools::must(middleware.begin_stream(labels, logical, chunk_frames),
                               "begin stream");
     formats::XtcReader reader(xtc);

@@ -41,7 +41,6 @@
 // --degraded, and the served bytes are identical to a direct query.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -70,27 +69,28 @@ constexpr const char* kUsage =
     "                 [--tenant <id>] [--frames A:B] [--stride K] [--degraded]\n"
     "                 [--timeout-s <s>] [--out <subset.raw>]\n";
 
-// "A:B" -> [A, B); either side may be omitted ("10:", ":50", ":").
-core::FrameRange parse_frames(const std::string& spec, core::FrameRange range) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos) tools::die_usage(kUsage);
-  const std::string lo = spec.substr(0, colon);
-  const std::string hi = spec.substr(colon + 1);
-  char* rest = nullptr;
-  if (!lo.empty()) {
-    range.begin = static_cast<std::uint32_t>(std::strtoul(lo.c_str(), &rest, 10));
-    if (rest == nullptr || *rest != '\0') tools::die_usage(kUsage);
+// --frames "A:B" -> [A, B); either side may be omitted ("10:", ":50", ":").
+// --stride K keeps every K-th frame.
+core::FrameRange parse_range(const tools::Args& args) {
+  core::FrameRange range;
+  if (args.has("frames")) {
+    const std::string spec = args.get("frames");
+    const auto colon = spec.find(':');
+    if (colon == std::string::npos) tools::die_usage(kUsage);
+    const std::string lo = spec.substr(0, colon);
+    const std::string hi = spec.substr(colon + 1);
+    if (!lo.empty()) range.begin = tools::Args::count_value<std::uint32_t>("frames", lo);
+    if (!hi.empty()) range.end = tools::Args::count_value<std::uint32_t>("frames", hi);
   }
-  if (!hi.empty()) {
-    range.end = static_cast<std::uint32_t>(std::strtoul(hi.c_str(), &rest, 10));
-    if (rest == nullptr || *rest != '\0') tools::die_usage(kUsage);
-  }
+  range.stride = args.count<std::uint32_t>("stride", 1, 1);
   return range;
 }
 }
 
 int main(int argc, char** argv) {
   const tools::Args args(argc, argv);
+  const bool ranged = args.has("frames") || args.has("stride");
+  const core::FrameRange range = parse_range(args);
 
   if (args.has("serve-spool")) {
     // Client mode: the running ada-serve owns the backends; this process
@@ -104,18 +104,11 @@ int main(int argc, char** argv) {
     request.tag = args.get("tag");
     if (args.has("degraded")) {
       request.kind = serve::RequestKind::kDegraded;
-    } else if (args.has("frames") || args.has("stride")) {
+    } else if (ranged) {
       request.kind = serve::RequestKind::kRange;
-      if (args.has("frames")) request.range = parse_frames(args.get("frames"), request.range);
-      request.range.stride = static_cast<std::uint32_t>(args.get_int("stride", 1));
-      if (request.range.stride == 0) tools::die_usage(kUsage);
+      request.range = range;
     }
-    const long long timeout_s = parse_int(args.get("timeout-s", "30"));
-    if (timeout_s <= 0) {
-      std::fprintf(stderr, "error: --timeout-s must be a positive number of seconds (got %s)\n",
-                   args.get("timeout-s").c_str());
-      return 2;
-    }
+    const auto timeout_s = args.count<std::uint32_t>("timeout-s", 30, 1);
     serve::SpoolClient client(args.get("serve-spool"));
     const auto reply =
         tools::must(client.call(request, static_cast<double>(timeout_s)), "serve query");
@@ -136,6 +129,11 @@ int main(int argc, char** argv) {
       (!args.has("tag") && !args.has("degraded"))) {
     tools::die_usage(kUsage);
   }
+  // A non-positive poll interval busy-spins the mount at 100% CPU; a
+  // non-positive timeout expires before the first poll ever runs.
+  const auto poll_ms = args.count<std::uint32_t>("poll-ms", 20, 1);
+  const auto follow_timeout_s = args.count<std::uint32_t>("timeout-s", 60, 1);
+  const auto first_frame = args.count<std::uint64_t>("from", 0);
   tools::metrics_begin(args);
   tools::telemetry_begin(args);
   tools::profile_begin(args);
@@ -148,12 +146,12 @@ int main(int argc, char** argv) {
   // --cache=<bytes> arms the query-side subset cache (0 = off, the default:
   // the cached and uncached read paths are byte-identical, the cache only
   // short-circuits repeated reads within this process's lifetime).
-  config.cache_bytes = static_cast<std::uint64_t>(args.get_int("cache", 0));
+  config.cache_bytes = args.count<std::uint64_t>("cache", 0);
   // --read-threads=<n> fans extent reads onto the shared pool (0/1 = one
   // read at a time, the default); --queue-depth=<n> bounds
   // in-flight reads per backend (0 = unbounded).  docs/performance.md.
-  config.read_threads = static_cast<unsigned>(args.get_int("read-threads", 0));
-  config.read_queue_depth = static_cast<unsigned>(args.get_int("queue-depth", 4));
+  config.read_threads = args.count("read-threads", 0u);
+  config.read_queue_depth = args.count("queue-depth", 4u);
   core::Ada middleware(
       tools::must(plfs::PlfsMount::open(
                       {{"ssd-fs", args.get("ssd")}, {"hdd-fs", args.get("hdd")}}),
@@ -193,32 +191,13 @@ int main(int argc, char** argv) {
 
   if (args.has("follow")) {
     const core::Tag tag = args.get("tag");
-    // Validate from the raw strings: get_int() maps negative values to the
-    // fallback, which would silently turn "--poll-ms -5" into the default
-    // instead of an error.  A non-positive poll interval busy-spins the
-    // mount at 100% CPU; a non-positive timeout expires before the first
-    // poll ever runs.  Both are always user error -- reject them loudly.
-    const long long poll_ms = parse_int(args.get("poll-ms", "20"));
-    if (poll_ms <= 0) {
-      std::fprintf(stderr,
-                   "error: --poll-ms must be a positive number of milliseconds (got %s)\n",
-                   args.get("poll-ms").c_str());
-      return 2;
-    }
-    const long long timeout_s = parse_int(args.get("timeout-s", "60"));
-    if (timeout_s <= 0) {
-      std::fprintf(stderr, "error: --timeout-s must be a positive number of seconds (got %s)\n",
-                   args.get("timeout-s").c_str());
-      return 2;
-    }
-    const std::uint64_t first_frame = static_cast<std::uint64_t>(args.get_int("from", 0));
     std::uint64_t cursor = first_frame;
     std::vector<std::uint8_t> payload;  // frame records only; header emitted once
     std::uint32_t atoms = 0;
     std::uint64_t polls = 0;
     bool final_drain = false;
     const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(timeout_s);
+        std::chrono::steady_clock::now() + std::chrono::seconds(follow_timeout_s);
     for (;;) {
       ++polls;
       auto chunk_result = middleware.query_tail(logical, tag, cursor);
@@ -246,8 +225,8 @@ int main(int argc, char** argv) {
       // exactly as the deadline passes is picked up by that last poll and
       // exits 0 instead of reporting a spurious timeout.
       if (final_drain) {
-        std::fprintf(stderr, "ada-query: --follow timed out after %llds before %s sealed\n",
-                     timeout_s, logical.c_str());
+        std::fprintf(stderr, "ada-query: --follow timed out after %us before %s sealed\n",
+                     follow_timeout_s, logical.c_str());
         return 1;
       }
       if (std::chrono::steady_clock::now() >= deadline) {
@@ -279,11 +258,6 @@ int main(int argc, char** argv) {
   }
 
   const core::Tag tag = args.get("tag");
-  const bool ranged = args.has("frames") || args.has("stride");
-  core::FrameRange range;
-  if (args.has("frames")) range = parse_frames(args.get("frames"), range);
-  range.stride = static_cast<std::uint32_t>(args.get_int("stride", 1));
-  if (range.stride == 0) tools::die_usage(kUsage);
   const auto subset = ranged ? tools::must(middleware.query(logical, tag, range), "range query")
                              : tools::must(middleware.query(logical, tag), "query");
   const auto reader = tools::must(formats::RawTrajCatReader::open(subset), "parse subset");

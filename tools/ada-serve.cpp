@@ -44,40 +44,39 @@ constexpr const char* kUsage =
 int main(int argc, char** argv) {
   const tools::Args args(argc, argv);
   if (!args.has("ssd") || !args.has("hdd") || !args.has("spool")) tools::die_usage(kUsage);
-  tools::metrics_begin(args);
-  std::FILE* report_out = tools::metrics_json_only(args) ? stderr : stdout;
-
   core::AdaConfig config;
   config.placement = core::PlacementPolicy::active_on_ssd(0, 1);
   // A serving deployment wants the cache on: coalesced fills are shareable
   // only while the image lives somewhere.  64 MiB default, --cache=0 to
   // prove the uncached path stays correct.
-  config.cache_bytes = static_cast<std::uint64_t>(args.get_int("cache", 64ll << 20));
-  config.read_threads = static_cast<unsigned>(args.get_int("read-threads", 0));
-  config.read_queue_depth = static_cast<unsigned>(args.get_int("queue-depth", 4));
+  config.cache_bytes = args.count<std::uint64_t>("cache", 64ull << 20);
+  config.read_threads = args.count("read-threads", 0u);
+  config.read_queue_depth = args.count("queue-depth", 4u);
+  serve::ServeConfig serve_config;
+  serve_config.workers = args.count("workers", 4u);
+  serve_config.default_quota.max_inflight = args.count("inflight", 4u);
+  serve_config.default_quota.queue_capacity = args.count<std::size_t>("queue-cap", 64);
+  serve_config.default_quota.memory_bytes = args.count<std::uint64_t>("memory-quota", 0);
+  serve_config.default_quota.io_quantum_bytes =
+      args.count<std::uint64_t>("quantum", 4ull << 20);
+  const auto idle_timeout_s = args.count<std::uint32_t>("idle-timeout-s", 0);
+  const auto poll_ms = args.count<std::uint32_t>("poll-ms", 10, 1);
+  tools::metrics_begin(args);
+  std::FILE* report_out = tools::metrics_json_only(args) ? stderr : stdout;
+
   core::Ada middleware(
       tools::must(plfs::PlfsMount::open(
                       {{"ssd-fs", args.get("ssd")}, {"hdd-fs", args.get("hdd")}}),
                   "open backends"),
       config);
 
-  serve::ServeConfig serve_config;
-  serve_config.workers = static_cast<unsigned>(args.get_int("workers", 4));
-  serve_config.default_quota.max_inflight = static_cast<unsigned>(args.get_int("inflight", 4));
-  serve_config.default_quota.queue_capacity =
-      static_cast<std::size_t>(args.get_int("queue-cap", 64));
-  serve_config.default_quota.memory_bytes =
-      static_cast<std::uint64_t>(args.get_int("memory-quota", 0));
-  serve_config.default_quota.io_quantum_bytes =
-      static_cast<std::uint64_t>(args.get_int("quantum", 4ll << 20));
   serve::AdaService service(middleware, serve_config);
   serve::SpoolServer server(service, args.get("spool"));
 
   const std::string stop_file = args.get("stop-file");
-  const long long idle_timeout_s = args.get_int("idle-timeout-s", 0);
-  const long long poll_ms = std::max(1ll, args.get_int("poll-ms", 10));
-  std::fprintf(report_out, "ada-serve: spooling %s (%u workers, cache %lld bytes)\n",
-               args.get("spool").c_str(), serve_config.workers, args.get_int("cache", 64ll << 20));
+  std::fprintf(report_out, "ada-serve: spooling %s (%u workers, cache %llu bytes)\n",
+               args.get("spool").c_str(), serve_config.workers,
+               static_cast<unsigned long long>(config.cache_bytes));
 
   auto last_request = std::chrono::steady_clock::now();
   for (;;) {

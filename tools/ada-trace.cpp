@@ -195,6 +195,7 @@ std::string emit_chrome_json(const std::vector<obs::ExportEvent>& events,
 int main(int argc, char** argv) {
   const tools::Args args(argc, argv);
   if (args.positional().empty()) tools::die_usage(kUsage);
+  const auto trace_id = args.count<std::uint64_t>("trace-id", 0);
   tools::metrics_begin(args);
 
   // --- load + merge ---------------------------------------------------------------
@@ -239,8 +240,7 @@ int main(int argc, char** argv) {
     std::erase_if(events, [&](const obs::ExportEvent& e) { return e.tag != tag; });
   }
   if (args.has("trace-id")) {
-    const auto id = static_cast<std::uint64_t>(args.get_int("trace-id", 0));
-    std::erase_if(events, [&](const obs::ExportEvent& e) { return e.trace_id != id; });
+    std::erase_if(events, [&](const obs::ExportEvent& e) { return e.trace_id != trace_id; });
   }
   std::stable_sort(events.begin(), events.end(),
                    [](const obs::ExportEvent& a, const obs::ExportEvent& b) {
@@ -335,7 +335,7 @@ int main(int argc, char** argv) {
     // Analyse the selected trace, or the one with the longest wall span.
     std::uint64_t chosen = 0;
     if (args.has("trace-id")) {
-      chosen = static_cast<std::uint64_t>(args.get_int("trace-id", 0));
+      chosen = trace_id;
     } else {
       double best = -1;
       for (const auto& [id, agg] : traces) {

@@ -1,9 +1,11 @@
 // Minimal flag parsing shared by the command-line tools.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,11 +51,31 @@ class Args {
     return it == flags_.end() ? fallback : it->second;
   }
 
-  long long get_int(const std::string& key, long long fallback) const {
+  /// The value of --`key` (`fallback` when absent) as an integer in
+  /// [min, max].  Anything else is a usage error, exit 2: never a silently
+  /// substituted default, never a negated or truncated value.
+  template <typename T>
+  T count(const std::string& key, T fallback, T min = 0,
+          T max = std::numeric_limits<T>::max()) const {
     const auto it = flags_.find(key);
-    if (it == flags_.end()) return fallback;
-    const long long v = parse_int(it->second);
-    return v < 0 ? fallback : v;
+    return it == flags_.end() ? fallback : count_value(key, it->second, min, max);
+  }
+
+  /// `text`, given for --`key`, as an integer in [min, max]; exit 2 if not.
+  template <typename T>
+  static T count_value(const std::string& key, const std::string& text, T min = 0,
+                       T max = std::numeric_limits<T>::max()) {
+    const auto lo = static_cast<unsigned long long>(min);
+    const auto hi = std::min<unsigned long long>(
+        static_cast<unsigned long long>(max), std::numeric_limits<long long>::max());
+    const long long value = parse_int(text);
+    if (value < 0 || static_cast<unsigned long long>(value) < lo ||
+        static_cast<unsigned long long>(value) > hi) {
+      std::fprintf(stderr, "error: --%s must be an integer in [%llu, %llu] (got %s)\n",
+                   key.c_str(), lo, hi, text.c_str());
+      std::exit(2);
+    }
+    return static_cast<T>(value);
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
