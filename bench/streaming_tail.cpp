@@ -221,8 +221,8 @@ int main(int argc, char** argv) {
 
   // Ingest-to-queryable latency per flush: publication to first follower
   // observation at (or past) that watermark.  A follower that polled between
-  // write_stream_state and add_frame's return can log a slightly earlier
-  // time; clamp to zero.
+  // the flush's index publication and add_frame's return can log a slightly
+  // earlier time; clamp to zero.
   std::vector<double> latencies;
   for (const Flush& flush : flushes) {
     for (const Observation& obs : seen) {

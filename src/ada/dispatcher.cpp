@@ -20,16 +20,16 @@ void count_dispatched(const Tag& tag, std::size_t bytes) {
   registry.counter("ingest.dispatched_bytes." + tag).add(bytes);
 }
 
-// Frame table for one extent, or nullopt when disabled, the label is
+// The frame span of a batch blob, or nullopt when disabled, the label is
 // reserved (label files and kept originals are not RAW trajectories), or the
-// payload does not parse as a RAW image.  A missing table only costs range
+// payload is not one canonical RAW image.  A missing span only costs range
 // queries their fast path -- it must never fail the ingest.
-std::optional<std::vector<std::uint64_t>> frame_table_for(bool enabled, const Tag& tag,
-                                                          std::span<const std::uint8_t> bytes) {
+std::optional<plfs::FrameSpan> batch_span(bool enabled, const Tag& tag,
+                                          std::span<const std::uint8_t> bytes) {
   if (!enabled || tag == kLabelFileTag || tag == kOriginalTag) return std::nullopt;
-  auto offsets = formats::scan_raw_frame_offsets(bytes);
-  if (!offsets.is_ok()) return std::nullopt;
-  return std::move(offsets).value();
+  const auto raw = formats::RawTrajReader::open(bytes);
+  if (!raw.is_ok()) return std::nullopt;
+  return plfs::FrameSpan{0, raw.value().frame_count()};
 }
 
 }  // namespace
@@ -54,18 +54,33 @@ std::uint32_t PlacementPolicy::backend_for(const Tag& tag) const {
 }
 
 Status IoDispatcher::dispatch(const std::string& logical_name,
-                              const std::map<Tag, std::vector<std::uint8_t>>& subsets) {
-  const obs::Span span("dispatch");
+                              const std::map<Tag, std::vector<std::uint8_t>>& subsets,
+                              std::span<const Blob> extras) {
   ADA_RETURN_IF_ERROR(mount_.create_container(logical_name));
-  for (const auto& [tag, bytes] : subsets) {
-    const auto table = frame_table_for(frame_tables_, tag, bytes);
-    ADA_RETURN_IF_ERROR(mount_
-                            .append(logical_name, tag, policy_.backend_for(tag), bytes,
-                                    table.has_value() ? &*table : nullptr)
-                            .status());
-    count_dispatched(tag, bytes.size());
+  std::vector<Blob> blobs;
+  blobs.reserve(subsets.size() + extras.size());
+  for (const auto& [tag, bytes] : subsets) blobs.push_back(Blob{tag, bytes, std::nullopt});
+  blobs.insert(blobs.end(), extras.begin(), extras.end());
+  return publish(logical_name, blobs).status();
+}
+
+Result<std::vector<plfs::IndexRecord>> IoDispatcher::publish(
+    const std::string& logical_name, std::span<const Blob> blobs,
+    std::optional<plfs::StreamState> stream) {
+  const obs::Span span("dispatch", blobs.size() == 1 ? std::string_view(blobs.front().tag)
+                                                     : std::string_view{});
+  std::vector<plfs::Extent> extents;
+  extents.reserve(blobs.size());
+  for (const Blob& blob : blobs) {
+    extents.push_back(plfs::Extent{
+        blob.tag, policy_.backend_for(blob.tag), blob.bytes,
+        blob.span.has_value() ? blob.span : batch_span(frame_tables_, blob.tag, blob.bytes)});
   }
-  return Status::ok();
+  auto records = mount_.append(logical_name, extents, stream);
+  if (records.is_ok()) {
+    for (const Blob& blob : blobs) count_dispatched(blob.tag, blob.bytes.size());
+  }
+  return records;
 }
 
 Result<plfs::IndexRecord> IoDispatcher::dispatch_one(const std::string& logical_name,
@@ -73,12 +88,11 @@ Result<plfs::IndexRecord> IoDispatcher::dispatch_one(const std::string& logical_
                                                      std::span<const std::uint8_t> bytes,
                                                      const std::uint64_t* frame_base,
                                                      std::uint32_t frame_count) {
-  const obs::Span span("dispatch", tag);
-  const auto table = frame_table_for(frame_tables_, tag, bytes);
-  auto record = mount_.append(logical_name, tag, policy_.backend_for(tag), bytes,
-                              table.has_value() ? &*table : nullptr, frame_base, frame_count);
-  if (record.is_ok()) count_dispatched(tag, bytes.size());
-  return record;
+  std::optional<plfs::FrameSpan> streamed;
+  if (frame_base != nullptr) streamed = plfs::FrameSpan{*frame_base, frame_count};
+  const Blob blob{tag, bytes, streamed};
+  ADA_ASSIGN_OR_RETURN(auto records, publish(logical_name, std::span(&blob, 1)));
+  return std::move(records.front());
 }
 
 }  // namespace ada::core

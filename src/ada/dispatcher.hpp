@@ -8,6 +8,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -32,25 +33,42 @@ struct PlacementPolicy {
   std::uint32_t backend_for(const Tag& tag) const;
 };
 
+/// One labeled blob of a publication.  `span` is set for a streamed chunk
+/// (its global frames); a batch blob leaves it unset.
+struct Blob {
+  Tag tag;
+  std::span<const std::uint8_t> bytes;
+  std::optional<plfs::FrameSpan> span;
+};
+
 class IoDispatcher {
  public:
-  /// `frame_tables`: populate a per-extent frame table (byte offset of every
-  /// RAW frame inside the extent) on each dispatched subset, enabling the
-  /// frame-range query fast path.  Reserved labels and non-RAW payloads are
-  /// skipped; a failed scan never fails the dispatch.
+  /// `frame_tables`: give each batch-dispatched RAW subset its frame span
+  /// [0, frames) in the index, enabling the frame-range query fast path.
+  /// Reserved labels and non-RAW payloads carry none.  Streamed blobs always
+  /// carry their span (readers clamp to the watermark with it).
   IoDispatcher(plfs::PlfsMount& mount, PlacementPolicy policy, bool frame_tables = true)
       : mount_(mount), policy_(std::move(policy)), frame_tables_(frame_tables) {}
 
   const PlacementPolicy& policy() const noexcept { return policy_; }
   plfs::PlfsMount& mount() noexcept { return mount_; }
 
-  /// Create the container and dispatch each subset to its backend.
+  /// Create the container and publish each subset, then `extras` (the label
+  /// file, a kept original), to its backend in one index image.
   Status dispatch(const std::string& logical_name,
-                  const std::map<Tag, std::vector<std::uint8_t>>& subsets);
+                  const std::map<Tag, std::vector<std::uint8_t>>& subsets,
+                  std::span<const Blob> extras = {});
 
-  /// Append one more labeled blob to an existing container.  Streaming
-  /// ingest passes `frame_base` so the record carries its global frame span
-  /// [*frame_base, *frame_base + frame_count) for watermark clamping.
+  /// Publish blobs to an existing container in one index image, with
+  /// `stream` as its new stream state when given.
+  Result<std::vector<plfs::IndexRecord>> publish(const std::string& logical_name,
+                                                 std::span<const Blob> blobs,
+                                                 std::optional<plfs::StreamState> stream = {});
+
+  /// publish() of one blob.  A non-null `frame_base` gives it the streamed
+  /// span [*frame_base, *frame_base + frame_count); the stream state is left
+  /// as it is, so the record stays above the watermark until a
+  /// PlfsMount::write_stream_state moves it.
   Result<plfs::IndexRecord> dispatch_one(const std::string& logical_name, const Tag& tag,
                                          std::span<const std::uint8_t> bytes,
                                          const std::uint64_t* frame_base = nullptr,

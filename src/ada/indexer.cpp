@@ -17,18 +17,22 @@ namespace ada::core {
 
 Result<std::vector<DatasetLocation>> Indexer::locate(const std::string& logical_name,
                                                      const Tag& tag) const {
-  ADA_ASSIGN_OR_RETURN(auto records, mount_.read_index(logical_name));
+  ADA_ASSIGN_OR_RETURN(plfs::Index index, mount_.read_index(logical_name));
+  return locate(std::move(index), logical_name, tag);
+}
+
+Result<std::vector<DatasetLocation>> Indexer::locate(plfs::Index index,
+                                                     const std::string& logical_name,
+                                                     const Tag& tag) const {
+  auto& records = index.records;
   std::erase_if(records, [&](const plfs::IndexRecord& r) { return r.label != tag; });
   // Live-streamed containers publish a sealed-frame watermark; only extents
-  // entirely below it are safe to serve (the open tail may be mid-flush on
-  // some tags).  The clamp works in ANY index/state read interleaving:
-  // records carry their own global frame span, so a newer index read against
-  // an older watermark simply hides the not-yet-published tail.  A corrupt
-  // state file is an error -- never silently "everything sealed".
-  ADA_ASSIGN_OR_RETURN(const auto state, mount_.read_stream_state(logical_name));
-  if (state.has_value()) {
+  // entirely below it are safe to serve.  Records and watermark come from
+  // one image, and records carry their own global frame span, so a record
+  // published ahead of its watermark stays hidden until the watermark moves.
+  if (index.stream.has_value()) {
     std::erase_if(records, [&](const plfs::IndexRecord& r) {
-      return r.has_frame_base() && r.frame_base + r.frame_count > state->sealed_frames;
+      return r.has_frame_span() && r.frame_base + r.frame_count > index.stream->sealed_frames;
     });
   }
   if (records.empty()) {
@@ -40,7 +44,11 @@ Result<std::vector<DatasetLocation>> Indexer::locate(const std::string& logical_
             });
   std::vector<DatasetLocation> out;
   out.reserve(records.size());
-  for (plfs::IndexRecord& record : records) {
+  for (const plfs::IndexRecord& record : records) {
+    if (record.backend >= mount_.backend_count()) {
+      return corrupt_data("extent of " + logical_name + " on unknown backend " +
+                          std::to_string(record.backend));
+    }
     DatasetLocation location;
     location.backend = record.backend;
     location.backend_name = mount_.backend(record.backend).name;
@@ -50,9 +58,7 @@ Result<std::vector<DatasetLocation>> Indexer::locate(const std::string& logical_
     location.physical_offset = record.physical_offset;
     location.crc32c = record.crc32c;
     location.has_crc = record.has_checksum();
-    location.has_frame_table = record.has_frame_table();
-    location.frame_offsets = std::move(record.frame_offsets);
-    location.has_frame_base = record.has_frame_base();
+    location.has_frame_span = record.has_frame_span();
     location.frame_base = record.frame_base;
     location.frame_count = record.frame_count;
     out.push_back(std::move(location));
@@ -61,9 +67,9 @@ Result<std::vector<DatasetLocation>> Indexer::locate(const std::string& logical_
 }
 
 Result<std::vector<Tag>> Indexer::tags(const std::string& logical_name) const {
-  ADA_ASSIGN_OR_RETURN(const auto records, mount_.read_index(logical_name));
+  ADA_ASSIGN_OR_RETURN(const plfs::Index index, mount_.read_index(logical_name));
   std::vector<Tag> out;
-  for (const plfs::IndexRecord& record : records) {
+  for (const plfs::IndexRecord& record : index.records) {
     if (record.label == kLabelFileTag || record.label == kOriginalTag) continue;
     if (std::find(out.begin(), out.end(), record.label) == out.end()) out.push_back(record.label);
   }

@@ -27,16 +27,13 @@ struct DatasetLocation {
   std::uint64_t physical_offset = 0;  // extent offset inside the dropping
   std::uint32_t crc32c = 0;           // stored extent checksum
   bool has_crc = false;               // false for legacy v1 index records
-  /// Byte offset of each decoded frame inside the extent (valid iff
-  /// `has_frame_table`): the index-side half of frame-range addressing.
-  std::vector<std::uint64_t> frame_offsets;
-  bool has_frame_table = false;  // false for records ingested without tables
   /// Global frame span [frame_base, frame_base + frame_count) of this extent
-  /// (valid iff `has_frame_base`; streaming ingest).  locate() has already
-  /// clamped the location list to the sealed-frame watermark.
+  /// (valid iff `has_frame_span`): the index-side half of frame-range
+  /// addressing.  locate() has already clamped the location list to the
+  /// sealed-frame watermark.
   std::uint64_t frame_base = 0;
   std::uint32_t frame_count = 0;
-  bool has_frame_base = false;
+  bool has_frame_span = false;
 };
 
 class Indexer {
@@ -45,6 +42,10 @@ class Indexer {
 
   /// Locations of every dropping carrying `tag` in logical order.
   Result<std::vector<DatasetLocation>> locate(const std::string& logical_name,
+                                              const Tag& tag) const;
+
+  /// locate() over an index image the caller read.
+  Result<std::vector<DatasetLocation>> locate(plfs::Index index, const std::string& logical_name,
                                               const Tag& tag) const;
 
   /// All user tags present in a container (reserved labels filtered out).

@@ -45,11 +45,10 @@ Result<IngestStream> IngestStream::begin(IoDispatcher& dispatcher, LabelMap labe
     return invalid_argument("label map does not partition the atom range");
   }
   if (chunk_frames == 0) return invalid_argument("chunk_frames must be positive");
-  ADA_RETURN_IF_ERROR(dispatcher.mount().create_container(logical_name));
-  // Mark the container as live-streaming from the start: watermark 0, not
-  // sealed.  Readers now clamp to the watermark instead of treating the
+  // The container is live-streaming from its first image: watermark 0, not
+  // sealed.  Readers clamp to the watermark instead of treating the
   // half-written container as batch data.
-  ADA_RETURN_IF_ERROR(dispatcher.mount().write_stream_state(logical_name, plfs::StreamState{}));
+  ADA_RETURN_IF_ERROR(dispatcher.mount().create_container(logical_name, plfs::StreamState{}));
   return IngestStream(dispatcher, std::move(labels), std::move(logical_name), chunk_frames,
                       retain_bytes);
 }
@@ -88,32 +87,35 @@ Status IngestStream::flush_chunk() {
   const obs::Span span("stream_flush", logical_name_);
   obs::trace_counter("stream.chunk_frames", frames_in_chunk_);
   ADA_OBS_COUNT("stream.chunks", 1);
-  const std::uint64_t first_frame = state_.sealed_frames;
-  std::uint64_t chunk_bytes = 0;
-  for (auto& [tag, writer] : writers_) {
-    const auto image = writer.finish();
-    subset_bytes_[tag] += image.size();
-    chunk_bytes += image.size();
-    if (obs::enabled()) {
-      obs::Registry::global().counter("stream.bytes." + tag).add(image.size());
-    }
-    ADA_RETURN_IF_ERROR(dispatcher_
-                            ->dispatch_one(logical_name_, tag, image, &first_frame,
-                                           frames_in_chunk_)
-                            .status());
+  const plfs::FrameSpan chunk{state_.sealed_frames, frames_in_chunk_};
+  std::vector<std::vector<std::uint8_t>> images;
+  images.reserve(writers_.size());
+  for (auto& [tag, writer] : writers_) images.push_back(writer.finish());
+  std::vector<Blob> blobs;
+  for (const auto& [tag, writer] : writers_) {
+    blobs.push_back(Blob{tag, images[blobs.size()], chunk});
   }
-  // Publish: every tag's extent for this chunk is durable, so advance the
-  // sealed-frame watermark over it.  A crash before this write leaves the
-  // new extents indexed but above the watermark -- invisible to readers,
-  // which is exactly the open-tail contract.
-  state_.sealed_frames += frames_in_chunk_;
-  ++state_.sealed_chunks;
-  ADA_RETURN_IF_ERROR(dispatcher_->mount().write_stream_state(logical_name_, state_));
+  // Publish: every tag's extent for this chunk plus the watermark advanced
+  // over them, in one index image.  A crash before it leaves only orphan
+  // droppings; readers never see part of a chunk.
+  plfs::StreamState next = state_;
+  next.sealed_frames += frames_in_chunk_;
+  ++next.sealed_chunks;
+  ADA_RETURN_IF_ERROR(dispatcher_->publish(logical_name_, blobs, next).status());
+  state_ = next;
+  std::uint64_t chunk_bytes = 0;
+  for (const Blob& blob : blobs) {
+    chunk_bytes += blob.bytes.size();
+    subset_bytes_[blob.tag] += blob.bytes.size();
+    if (obs::enabled()) {
+      obs::Registry::global().counter("stream.bytes." + blob.tag).add(blob.bytes.size());
+    }
+  }
   if (obs::enabled()) {
     obs::Registry::global().gauge("stream.sealed_frames").set(
         static_cast<double>(state_.sealed_frames));
   }
-  live_chunks_.push_back(ChunkInfo{first_frame, frames_in_chunk_, chunk_bytes});
+  live_chunks_.push_back(ChunkInfo{chunk.base, chunk.count, chunk_bytes});
   live_bytes_ += chunk_bytes;
   ++chunks_;
   reset_writers();
@@ -122,41 +124,37 @@ Status IngestStream::flush_chunk() {
 
 Status IngestStream::apply_retention() {
   if (retain_bytes_ == 0) return Status::ok();
-  bool dropped = false;
-  plfs::PlfsMount& mount = dispatcher_->mount();
-  // Drop oldest sealed chunks until the live window fits the budget; the
-  // newest chunk always survives so the stream never goes dark.  Order per
-  // chunk: rewrite the index without the chunk's records (no record ever
-  // references a missing dropping), unlink the droppings (a failed unlink
-  // leaves an orphan for fsck), then publish the raised floor.
+  // Drop the oldest sealed chunks until the live window fits the budget; the
+  // newest chunk always survives so the stream never goes dark.
+  plfs::StreamState next = state_;
   while (live_bytes_ > retain_bytes_ && live_chunks_.size() > 1) {
-    const ChunkInfo oldest = live_chunks_.front();
-    const std::uint64_t new_floor = oldest.first_frame + oldest.frames;
-    ADA_ASSIGN_OR_RETURN(auto records, mount.read_index(logical_name_));
-    std::vector<plfs::IndexRecord> keep;
-    std::vector<plfs::IndexRecord> drop;
-    keep.reserve(records.size());
-    for (plfs::IndexRecord& r : records) {
-      if (r.has_frame_base() && r.frame_base + r.frame_count <= new_floor) {
-        drop.push_back(std::move(r));
-      } else {
-        keep.push_back(std::move(r));
-      }
-    }
-    ADA_RETURN_IF_ERROR(mount.rewrite_index(logical_name_, keep));
-    for (const plfs::IndexRecord& r : drop) {
-      std::error_code ec;
-      std::filesystem::remove(mount.dropping_host_path(r.backend, logical_name_, r.dropping), ec);
-    }
+    const ChunkInfo& oldest = live_chunks_.front();
+    next.floor_frames = oldest.first_frame + oldest.frames;
+    ++next.retention_drops;
     live_bytes_ -= oldest.bytes;
     live_chunks_.pop_front();
-    state_.floor_frames = new_floor;
-    ++state_.retention_drops;
-    ADA_OBS_COUNT("stream.retention_drops", 1);
-    dropped = true;
   }
-  if (dropped) {
-    ADA_RETURN_IF_ERROR(mount.write_stream_state(logical_name_, state_));
+  if (next == state_) return Status::ok();
+
+  // One publication: the index without the dropped chunks' records plus the
+  // raised floor.  The droppings are unlinked only after it, so no published
+  // record ever names a missing dropping (a failed unlink leaves an orphan
+  // for fsck).
+  plfs::PlfsMount& mount = dispatcher_->mount();
+  ADA_ASSIGN_OR_RETURN(plfs::Index index, mount.read_index(logical_name_));
+  std::vector<plfs::IndexRecord> drop;
+  std::erase_if(index.records, [&](const plfs::IndexRecord& r) {
+    const bool below = r.has_frame_span() && r.frame_base + r.frame_count <= next.floor_frames;
+    if (below) drop.push_back(r);
+    return below;
+  });
+  index.stream = next;
+  ADA_RETURN_IF_ERROR(mount.rewrite_index(logical_name_, index));
+  ADA_OBS_COUNT("stream.retention_drops", next.retention_drops - state_.retention_drops);
+  state_ = next;
+  for (const plfs::IndexRecord& r : drop) {
+    std::error_code ec;
+    std::filesystem::remove(mount.dropping_host_path(r.backend, logical_name_, r.dropping), ec);
   }
   return Status::ok();
 }
@@ -166,16 +164,17 @@ Result<StreamReport> IngestStream::finish() {
     return failed_precondition("stream already finished or moved-from");
   }
   ADA_RETURN_IF_ERROR(flush_chunk());
+  // One publication: the label file plus the seal (the watermark stops
+  // moving and --follow loops terminate).
   const std::string label_text = encode_label_file(labels_);
-  ADA_RETURN_IF_ERROR(
-      dispatcher_
-          ->dispatch_one(logical_name_, kLabelFileTag,
-                         std::span(reinterpret_cast<const std::uint8_t*>(label_text.data()),
-                                   label_text.size()))
-          .status());
-  // Seal: the watermark stops moving and --follow loops terminate.
-  state_.sealed = true;
-  ADA_RETURN_IF_ERROR(dispatcher_->mount().write_stream_state(logical_name_, state_));
+  const Blob label{kLabelFileTag,
+                   std::span(reinterpret_cast<const std::uint8_t*>(label_text.data()),
+                             label_text.size()),
+                   std::nullopt};
+  plfs::StreamState sealed = state_;
+  sealed.sealed = true;
+  ADA_RETURN_IF_ERROR(dispatcher_->publish(logical_name_, std::span(&label, 1), sealed).status());
+  state_ = sealed;
   finished_ = true;
   StreamReport report;
   report.logical_name = logical_name_;

@@ -40,14 +40,14 @@ class IngestStream {
   /// atom range; `chunk_frames` bounds the data lost on a crash.  Each frame
   /// is split on the calling thread.  `retain_bytes`, when non-zero, enables
   /// windowed retention: once the live sealed chunks exceed the budget, the
-  /// oldest chunks are dropped (index rewrite + dropping unlink) and the
-  /// retention floor rises -- queries below the floor return kOutOfRange.
-  /// The newest sealed chunk is always kept.
+  /// oldest chunks are dropped (one index publication raising the floor,
+  /// then the droppings' unlink) -- queries below the floor return
+  /// kOutOfRange.  The newest sealed chunk is always kept.
   ///
-  /// begin() also publishes the container's initial (unsealed) stream state,
-  /// so concurrent readers see a live stream with watermark 0 instead of a
-  /// half-batch container; every chunk flush atomically appends the chunk's
-  /// extents and then advances the sealed-frame watermark over them.
+  /// begin() creates the container with its initial (unsealed) stream
+  /// state, so concurrent readers see a live stream with watermark 0 instead
+  /// of a half-batch container; every chunk flush publishes the chunk's
+  /// extents and the watermark advanced over them in one index image.
   static Result<IngestStream> begin(IoDispatcher& dispatcher, LabelMap labels,
                                     std::string logical_name, std::uint32_t chunk_frames = 64,
                                     std::uint64_t retain_bytes = 0);

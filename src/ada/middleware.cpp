@@ -104,24 +104,19 @@ Result<IngestReport> Ada::ingest_into(const LabelMap& labels,
   ADA_ASSIGN_OR_RETURN(const auto subsets,
                        preprocessor.split(xtc_image, &report.preprocess, config_.threads));
 
-  ADA_RETURN_IF_ERROR(dispatcher_.dispatch(container_name, subsets));
+  // The label file rides in the container (reserved label) so that later
+  // sessions -- and the indexer -- can resolve tags without the .pdb.  It is
+  // published with the subsets (and the kept original) in one index image.
+  const std::string label_text = encode_label_file(labels);
+  std::vector<Blob> extras = {
+      Blob{kLabelFileTag,
+           std::span(reinterpret_cast<const std::uint8_t*>(label_text.data()),
+                     label_text.size()),
+           std::nullopt}};
+  if (config_.keep_original) extras.push_back(Blob{kOriginalTag, xtc_image, std::nullopt});
+  ADA_RETURN_IF_ERROR(dispatcher_.dispatch(container_name, subsets, extras));
   for (const auto& [tag, bytes] : subsets) {
     report.backend_of_tag[tag] = dispatcher_.policy().backend_for(tag);
-  }
-
-  // Persist the label file inside the container (reserved label) so that
-  // later sessions -- and the indexer -- can resolve tags without the .pdb.
-  const std::string label_text = encode_label_file(labels);
-  ADA_RETURN_IF_ERROR(
-      dispatcher_
-          .dispatch_one(container_name, kLabelFileTag,
-                        std::span(reinterpret_cast<const std::uint8_t*>(label_text.data()),
-                                  label_text.size()))
-          .status());
-
-  if (config_.keep_original) {
-    ADA_RETURN_IF_ERROR(
-        dispatcher_.dispatch_one(container_name, kOriginalTag, xtc_image).status());
   }
   return report;
 }
@@ -250,6 +245,7 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name,
   ADA_ASSIGN_OR_RETURN(auto subset, read_subset(logical_name, tag, nullptr));
   count_query_bytes(tag, subset.bytes().size());
   if (subset.shared != nullptr) {
+    const obs::Span copy_span("copy");
     return std::vector<std::uint8_t>(*subset.shared);  // the cached image stays immutable
   }
   return std::move(subset.owned);
@@ -289,37 +285,29 @@ std::string partial_block_tag(const Tag& tag, std::uint64_t block, std::uint64_t
   return tag + '\x01' + std::to_string(block) + '\x02' + std::to_string(frames);
 }
 
-// True iff the extent is one canonical RawTrajWriter image -- a 16-byte
-// header followed by fixed-size frames placed exactly where its frame table
-// says.  `frame_bytes` accumulates the uniform frame size across extents
-// (0 = not yet known).  Anything else (legacy records without tables,
-// concatenated segments, lying tables) routes the query down the
-// slice-the-full-subset fallback, so a malformed table can never cause an
-// out-of-bounds slice.
+// True iff the extent can be one canonical RawTrajWriter image of its span:
+// a 16-byte header followed by `frame_count` frames of one RAW-shaped size.
+// `frame_bytes` accumulates the uniform frame size across extents (0 = not
+// yet known).  Anything else (records without a span, lying spans) routes
+// the query down the slice-the-full-subset fallback, so a malformed span can
+// never cause an out-of-bounds slice.
 bool canonical_extent(const DatasetLocation& location, std::uint64_t& frame_bytes) {
-  if (!location.has_frame_table) return false;
-  const auto& table = location.frame_offsets;
-  if (table.empty()) return location.bytes == 16;  // header-only extent, zero frames
-  if (table.front() != 16) return false;
-  std::uint64_t span = 0;
-  for (std::size_t i = 1; i < table.size(); ++i) {
-    if (table[i] <= table[i - 1]) return false;
-    const std::uint64_t gap = table[i] - table[i - 1];
-    if (span == 0) {
-      span = gap;
-    } else if (gap != span) {
-      return false;
-    }
-  }
-  if (table.back() >= location.bytes) return false;
-  const std::uint64_t last = location.bytes - table.back();
-  if (span == 0) span = last;  // single-frame extent
-  if (last != span) return false;
+  if (location.bytes < 16) return false;
+  if (location.frame_count == 0) return location.bytes == 16;  // header only
+  const std::uint64_t payload = location.bytes - 16;
+  const std::uint64_t span = payload / location.frame_count;
+  if (span * location.frame_count != payload) return false;
   if (span < 44 || (span - 44) % 12 != 0) return false;  // RAW frame shape
   if ((span - 44) / 12 > std::numeric_limits<std::uint32_t>::max()) return false;
-  if (location.bytes != 16 + table.size() * span) return false;
   if (frame_bytes == 0) frame_bytes = span;
   return frame_bytes == span;
+}
+
+// True iff a fetched extent's RAW header states its span's frame count (its
+// length then fixes the atom count canonical_extent derived).
+bool header_matches(std::span<const std::uint8_t> extent, const DatasetLocation& location) {
+  const auto raw = formats::RawTrajReader::open(extent);
+  return raw.is_ok() && raw.value().frame_count() == location.frame_count;
 }
 
 // The RAW header (magic | atoms | frames) of a range result.
@@ -347,17 +335,26 @@ std::vector<std::uint64_t> select_frames(const FrameRange& range, std::uint64_t 
 Result<std::vector<std::uint8_t>> slice_raw_frames(std::span<const std::uint8_t> image,
                                                    const FrameRange& range) {
   ADA_ASSIGN_OR_RETURN(const auto cat, formats::RawTrajCatReader::open(image));
-  ADA_ASSIGN_OR_RETURN(const auto offsets, formats::scan_raw_frame_offsets(image));
   const std::uint64_t frame_bytes = formats::raw_frame_bytes(cat.atom_count());
-  const auto picked = select_frames(range, offsets.size());
+  const auto picked = select_frames(range, cat.frame_count());
   std::vector<std::uint8_t> out;
   out.reserve(16 + picked.size() * frame_bytes);
   append_raw_header(out, cat.atom_count(), static_cast<std::uint32_t>(picked.size()));
+  // The reader validated every segment and their shared frame size, so
+  // frame g sits at 16 + (g - first) * frame_bytes of the segment holding it.
+  std::uint64_t segment = 0;  // byte offset of the current segment
+  std::uint64_t first = 0;    // its first frame
+  const auto frames_at = [&](std::uint64_t offset) {
+    return ByteReader(image.subspan(offset + 12, 4)).get_u32_le().value();
+  };
+  std::uint64_t frames = picked.empty() ? 0 : frames_at(0);
   for (const std::uint64_t g : picked) {
-    if (offsets[g] + frame_bytes > image.size()) {
-      return corrupt_data("frame " + std::to_string(g) + " overruns the subset image");
+    while (g >= first + frames) {
+      segment += 16 + frames * frame_bytes;
+      first += frames;
+      frames = frames_at(segment);
     }
-    const auto* frame = image.data() + offsets[g];
+    const auto* frame = image.data() + segment + 16 + (g - first) * frame_bytes;
     out.insert(out.end(), frame, frame + frame_bytes);
   }
   return out;
@@ -367,6 +364,12 @@ Result<std::vector<std::uint8_t>> slice_raw_frames(std::span<const std::uint8_t>
 
 Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, const Tag& tag,
                                              const FrameRange& range) const {
+  return query_range(logical_name, tag, range, nullptr);
+}
+
+Result<std::vector<std::uint8_t>> Ada::query_range(
+    const std::string& logical_name, const Tag& tag, const FrameRange& range,
+    std::optional<plfs::StreamState>* stream) const {
   const obs::Span span("query_range", tag);
   ADA_OBS_COUNT("query.calls", 1);
   ADA_OBS_COUNT("query.range.calls", 1);
@@ -378,61 +381,57 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
   // streaming chunk flush bumps the mutation clock but not this one, so
   // sealed-prefix blocks stay hittable across flushes -- the flush extends
   // the readable prefix instead of invalidating it.  Both generations are
-  // observed BEFORE the index walk, so a racing write leaves filled blocks
+  // observed BEFORE the index read, so a racing write leaves filled blocks
   // (or a fallback's whole-subset fill) detectably stale.
   Located located;
   located.generation = subset_generation(logical_name);
   const std::uint64_t block_generation =
       cache_ != nullptr ? mount_.rewrite_generation(logical_name) : 0;
-  ADA_ASSIGN_OR_RETURN(located.extents, Indexer(mount_).locate(logical_name, tag));
+  ADA_ASSIGN_OR_RETURN(plfs::Index index, mount_.read_index(logical_name));
+  if (stream != nullptr) *stream = index.stream;
+  // The retention floor: frames below it are gone (0 unless a stream dropped chunks).
+  const std::uint64_t base_frame = index.stream.has_value() ? index.stream->floor_frames : 0;
+  ADA_ASSIGN_OR_RETURN(located.extents,
+                       Indexer(mount_).locate(std::move(index), logical_name, tag));
   const std::vector<DatasetLocation>& locations = located.extents;
-
-  // Global frame numbering: streamed extents carry their own frame span
-  // (frame_base, clamped to the sealed watermark by the indexer); batch
-  // extents number implicitly from 0.  A mixed container, a span gap, or a
-  // span/table disagreement routes to the fallback slicer.
-  const bool streamed = !locations.empty() && locations.front().has_frame_base;
-  const std::uint64_t base_frame = streamed ? locations.front().frame_base : 0;
   if (range.begin < base_frame) {
     return out_of_range("frame " + std::to_string(range.begin) +
                         " is below the retention floor (" + std::to_string(base_frame) + ")");
   }
 
-  std::uint64_t frame_bytes = 0;
-  std::uint64_t total_frames = base_frame;
-  std::vector<std::uint64_t> first_frame(locations.size(), 0);
-  bool fast = true;
-  for (std::size_t i = 0; i < locations.size() && fast; ++i) {
-    first_frame[i] = total_frames;
-    if (locations[i].has_frame_base != streamed ||
-        (streamed && (locations[i].frame_base != total_frames ||
-                      locations[i].frame_count != locations[i].frame_offsets.size()))) {
-      fast = false;
-      break;
-    }
-    fast = canonical_extent(locations[i], frame_bytes);
-    total_frames += locations[i].frame_offsets.size();
-  }
-  if (!fast || total_frames == base_frame) {
-    // Fallback covers containers ingested without frame tables and any
-    // non-canonical extent: the whole subset (through the subset cache when
-    // armed), read from the extents located above, then sliced.  A
-    // zero-frame dataset also lands here -- the atom count then comes from
-    // the stored RAW header, which the index cannot supply.
+  // Fallback: the whole subset (through the subset cache when armed), read
+  // from the extents located above, then sliced.  The full image of a
+  // retained stream starts at the floor, not frame 0, so the selection
+  // shifts into the image's local numbering.
+  const auto fallback = [&]() -> Result<std::vector<std::uint8_t>> {
     ADA_OBS_COUNT("query.range.fallback", 1);
     ADA_ASSIGN_OR_RETURN(const Subset full, read_subset(logical_name, tag, &located));
-    // The full image of a retained stream starts at the floor, not frame 0:
-    // shift the selection into the image's local numbering.
     FrameRange local_range = range;
     local_range.begin = static_cast<std::uint32_t>(range.begin - base_frame);
     if (range.end != std::numeric_limits<std::uint32_t>::max()) {
       local_range.end = static_cast<std::uint32_t>(
           range.end > base_frame ? range.end - base_frame : 0);
     }
+    const obs::Span copy_span("copy");
     auto sliced = slice_raw_frames(full.bytes(), local_range);
     if (sliced.is_ok()) count_query_bytes(tag, sliced.value().size());
     return sliced;
+  };
+
+  // Global frame numbering comes from the extents' spans, contiguous from
+  // the floor.  An extent without a span, a span gap, or a length that is
+  // not its span's frames routes to the fallback -- as does a zero-frame
+  // dataset, whose atom count only the stored RAW header can supply.
+  std::uint64_t frame_bytes = 0;
+  std::uint64_t total_frames = base_frame;
+  for (const DatasetLocation& location : locations) {
+    if (!location.has_frame_span || location.frame_base != total_frames ||
+        !canonical_extent(location, frame_bytes)) {
+      return fallback();
+    }
+    total_frames += location.frame_count;
   }
+  if (total_frames == base_frame) return fallback();
 
   const auto atoms = static_cast<std::uint32_t>((frame_bytes - 44) / 12);
   const auto picked = select_frames(range, total_frames);
@@ -444,7 +443,7 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
     std::size_t hi = locations.size();
     while (hi - lo > 1) {
       const std::size_t mid = (lo + hi) / 2;
-      if (first_frame[mid] <= g) {
+      if (locations[mid].frame_base <= g) {
         lo = mid;
       } else {
         hi = mid;
@@ -499,9 +498,18 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
   ADA_ASSIGN_OR_RETURN(auto images,
                        IoRetriever(mount_, retrieve_options()).retrieve_extents(want));
   std::vector<std::vector<std::uint8_t>> fetched(locations.size());  // by extent index
-  for (std::size_t k = 0; k < needed.size(); ++k) fetched[needed[k]] = std::move(images[k]);
+  for (std::size_t k = 0; k < needed.size(); ++k) {
+    // A span the stored RAW header contradicts lied: slice the full subset
+    // instead (dropping the block claims first, so waiters fill their own).
+    if (!header_matches(images[k], locations[needed[k]])) {
+      blocks.clear();
+      return fallback();
+    }
+    fetched[needed[k]] = std::move(images[k]);
+  }
 
   // Assemble: header, then each picked frame out of its (hit or built) block.
+  const obs::Span copy_span("copy");
   std::vector<std::uint8_t> out;
   out.reserve(16 + picked.size() * frame_bytes);
   append_raw_header(out, atoms, static_cast<std::uint32_t>(picked.size()));
@@ -523,7 +531,7 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
         for (std::uint64_t f = block.lo; f < block.hi; ++f) {
           const std::size_t e = extent_of(f);
           // canonical_extent proved offset + frame_bytes <= extent length.
-          const std::uint64_t off = locations[e].frame_offsets[f - first_frame[e]];
+          const std::uint64_t off = 16 + (f - locations[e].frame_base) * frame_bytes;
           const auto* frame = fetched[e].data() + off;
           local.insert(local.end(), frame, frame + frame_bytes);
         }
@@ -546,45 +554,34 @@ Result<Ada::TailChunk> Ada::query_tail(const std::string& logical_name, const Ta
                                        std::uint64_t from_frame) const {
   const obs::Span span("query_tail", tag);
   ADA_OBS_COUNT("stream.tail_polls", 1);
-  ADA_ASSIGN_OR_RETURN(const auto state, mount_.read_stream_state(logical_name));
+  // One range query over one index image serves both the frames sealed from
+  // `from_frame` on and the state they were sealed under, so the chunk and
+  // its `sealed` flag always agree.  Frame counts are u32, so a cursor past
+  // u32 range selects nothing (clamped, never truncated into an earlier
+  // frame).  A cursor below a stream's retention floor is kOutOfRange.
+  const auto begin = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(from_frame, std::numeric_limits<std::uint32_t>::max()));
+  std::optional<plfs::StreamState> state;
+  auto image = query_range(logical_name, tag, FrameRange{begin}, &state);
   TailChunk chunk;
   chunk.from_frame = from_frame;
-  if (!state.has_value()) {
-    // Batch container: everything is already sealed.  Serve the remaining
-    // frames in one chunk; a second poll from the new position comes back
-    // empty and the caller stops.
-    // Frame counts are u32, so a from_frame past u32 range selects nothing
-    // (clamped, never truncated into an earlier frame).
-    const auto begin = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(from_frame, std::numeric_limits<std::uint32_t>::max()));
-    ADA_ASSIGN_OR_RETURN(chunk.image, query(logical_name, tag, FrameRange{begin}));
-    ADA_ASSIGN_OR_RETURN(const auto raw, formats::RawTrajReader::open(chunk.image));
-    chunk.frames = raw.frame_count();
-    chunk.sealed = true;
-    if (chunk.frames == 0) chunk.image.clear();
-    return chunk;
+  chunk.sealed = !state.has_value() || state->sealed;  // batch containers are all sealed
+  if (!image.is_ok()) {
+    // A live stream that has sealed nothing yet has no extents to locate.
+    const bool nothing_sealed = state.has_value() && state->sealed_frames == 0;
+    if (nothing_sealed && image.error().code() == ErrorCode::kNotFound) return chunk;
+    return image.error();
   }
-  chunk.sealed = state->sealed;
-  if (from_frame < state->floor_frames) {
-    return out_of_range("tail frame " + std::to_string(from_frame) +
-                        " is below the retention floor (" +
-                        std::to_string(state->floor_frames) + ")");
-  }
-  if (from_frame >= state->sealed_frames) return chunk;  // nothing new yet
-  // The watermark observed above bounds the read; a flush racing us only
-  // means the next poll has more to serve.
-  ADA_ASSIGN_OR_RETURN(
-      chunk.image,
-      query(logical_name, tag,
-            FrameRange{static_cast<std::uint32_t>(from_frame),
-                       static_cast<std::uint32_t>(state->sealed_frames), 1}));
-  chunk.frames = state->sealed_frames - from_frame;
+  ADA_ASSIGN_OR_RETURN(const auto raw, formats::RawTrajReader::open(image.value()));
+  chunk.frames = raw.frame_count();
+  if (chunk.frames != 0) chunk.image = std::move(image).value();
   return chunk;
 }
 
 Result<std::optional<plfs::StreamState>> Ada::stream_progress(
     const std::string& logical_name) const {
-  return mount_.read_stream_state(logical_name);
+  ADA_ASSIGN_OR_RETURN(const plfs::Index index, mount_.read_index(logical_name));
+  return index.stream;
 }
 
 std::vector<std::uint8_t> Ada::PartialQuery::concat() const {

@@ -77,10 +77,11 @@ struct AdaConfig {
   /// byte-compatible with pre-v2 consumers; kV2 adds inter-frame prediction.
   codec::CodecVersion codec = codec::CodecVersion::kV1;
 
-  /// Populate a per-extent frame table (byte offset of every RAW frame) in
-  /// the PLFS index at ingest, enabling the frame-range query fast path.
-  /// Disabling reproduces pre-frame-table containers byte for byte; range
-  /// queries then fall back to whole-subset retrieval plus slicing.
+  /// Give each batch-ingested subset its frame span in the PLFS index,
+  /// enabling the frame-range query fast path.  Disabling stores the same
+  /// droppings with span-less batch records; range queries then fall back to
+  /// whole-subset retrieval plus slicing.  Streamed extents always carry
+  /// their span.
   bool frame_tables = true;
 
   /// Concurrent extent reads per query (scatter-gather retrieval,
@@ -171,7 +172,7 @@ class Ada {
 
   /// Frame-range query: a canonical single-segment RAW image holding exactly
   /// the frames `range` selects, byte-identical to slicing those frames out
-  /// of the full-subset query.  When every extent carries a frame table the
+  /// of the full-subset query.  When every extent carries a frame span the
   /// read touches only the extents the selection needs and caches fetched
   /// frame blocks (when the cache is armed); otherwise it falls back to the
   /// whole-subset read path and slices.
@@ -195,8 +196,8 @@ class Ada {
   Result<TailChunk> query_tail(const std::string& logical_name, const Tag& tag,
                                std::uint64_t from_frame) const;
 
-  /// The container's live-stream state: nullopt for batch containers,
-  /// kCorruptData if the state file is torn (fsck repairs it).
+  /// The container's live-stream state, read from its index: nullopt for
+  /// batch containers, kCorruptData if the index image is torn.
   Result<std::optional<plfs::StreamState>> stream_progress(const std::string& logical_name) const;
 
   /// One tag that could not be served in a degraded query.
@@ -287,6 +288,13 @@ class Ada {
   /// reserved tag are rejected.
   Result<Subset> read_subset(const std::string& logical_name, const Tag& tag,
                              const Located* located, bool reserved_ok = false) const;
+
+  /// The frame-range query behind query(range) and query_tail(): when
+  /// `stream` is non-null it receives the stream state of the index image the
+  /// query read, even when the query then fails.
+  Result<std::vector<std::uint8_t>> query_range(const std::string& logical_name, const Tag& tag,
+                                                const FrameRange& range,
+                                                std::optional<plfs::StreamState>* stream) const;
 
   /// Scatter-gather knobs for this middleware's retrievers.
   RetrieveOptions retrieve_options() const noexcept {

@@ -140,31 +140,6 @@ Result<std::vector<TrajFrame>> RawTrajReader::read_all() const {
   return frames;
 }
 
-Result<std::vector<std::uint64_t>> scan_raw_frame_offsets(std::span<const std::uint8_t> data) {
-  std::vector<std::uint64_t> offsets;
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    const auto rest = data.subspan(offset);
-    if (rest.size() < 16 || std::memcmp(rest.data(), kRawMagic, 8) != 0) {
-      return corrupt_data("garbage at offset " + std::to_string(offset) +
-                          " between raw segments");
-    }
-    ByteReader header(rest.subspan(8));
-    ADA_ASSIGN_OR_RETURN(const std::uint32_t atoms, header.get_u32_le());
-    ADA_ASSIGN_OR_RETURN(const std::uint32_t frames, header.get_u32_le());
-    const std::size_t segment_bytes = raw_file_bytes(atoms, frames);
-    if (segment_bytes > rest.size()) {
-      return corrupt_data("raw segment at offset " + std::to_string(offset) + " truncated");
-    }
-    const std::size_t frame_bytes = raw_frame_bytes(atoms);
-    for (std::uint32_t f = 0; f < frames; ++f) {
-      offsets.push_back(offset + 16 + std::uint64_t{f} * frame_bytes);
-    }
-    offset += segment_bytes;
-  }
-  return offsets;
-}
-
 Result<RawTrajCatReader> RawTrajCatReader::open(std::span<const std::uint8_t> data) {
   RawTrajCatReader cat;
   std::size_t offset = 0;

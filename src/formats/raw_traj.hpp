@@ -101,13 +101,6 @@ class RawTrajReader {
   std::uint32_t frame_count_;
 };
 
-/// Byte offset of every frame within a (possibly concatenated) RAW image,
-/// relative to the image start, in logical frame order.  A header-only walk
-/// (frames are fixed-size records), cheap enough to run at ingest for every
-/// extent -- this is what populates the PLFS per-extent frame tables that
-/// frame-range queries address into.
-Result<std::vector<std::uint64_t>> scan_raw_frame_offsets(std::span<const std::uint8_t> data);
-
 /// Reader over a *concatenation* of RAW images (what a chunked/streaming
 /// ingest stores: one dropping per chunk, each a self-describing RAW file).
 /// Presents the segments as one logical trajectory with random access.

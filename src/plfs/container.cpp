@@ -11,45 +11,21 @@ namespace ada::plfs {
 namespace {
 constexpr std::uint8_t kIndexMagicV1[8] = {'P', 'L', 'F', 'S', 'I', 'D', 'X', '1'};
 constexpr std::uint8_t kIndexMagicV2[8] = {'P', 'L', 'F', 'S', 'I', 'D', 'X', '2'};
-constexpr std::uint8_t kStreamMagic[8] = {'A', 'D', 'A', 'S', 'T', 'R', 'M', '1'};
+constexpr std::uint8_t kIndexMagicV3[8] = {'P', 'L', 'F', 'S', 'I', 'D', 'X', '3'};
+// v2 only: the record carries a per-frame u64 offset table.
+constexpr std::uint8_t kV2FrameTable = 0x02;
+// Smallest encoded record (v1: no checksum or flags), to bound a lying count.
+constexpr std::size_t kMinRecordBytes = 8 + 8 + 4 + 4 + 4 + 8;
+
+bool has_magic(std::span<const std::uint8_t> image, const std::uint8_t (&magic)[8]) {
+  return image.size() >= 8 && std::memcmp(image.data(), magic, 8) == 0;
 }
 
-std::vector<std::uint8_t> encode_index(const std::vector<IndexRecord>& records) {
-  ByteWriter w;
-  w.put_bytes(kIndexMagicV2);
-  w.put_u32_le(static_cast<std::uint32_t>(records.size()));
-  for (const IndexRecord& r : records) {
-    w.put_u64_le(r.logical_offset);
-    w.put_u64_le(r.length);
-    w.put_u32_le(r.backend);
-    w.put_string_le(r.label);
-    w.put_string_le(r.dropping);
-    w.put_u64_le(r.physical_offset);
-    w.put_u32_le(r.crc32c);
-    w.put_u8(r.flags);
-    if (r.has_frame_table()) {
-      w.put_u32_le(static_cast<std::uint32_t>(r.frame_offsets.size()));
-      for (const std::uint64_t off : r.frame_offsets) w.put_u64_le(off);
-    }
-    if (r.has_frame_base()) {
-      w.put_u64_le(r.frame_base);
-      w.put_u32_le(r.frame_count);
-    }
-  }
-  return w.take();
-}
-
-Result<std::vector<IndexRecord>> decode_index(std::span<const std::uint8_t> image) {
-  bool v2 = false;
-  if (image.size() >= 12 && std::memcmp(image.data(), kIndexMagicV2, 8) == 0) {
-    v2 = true;
-  } else if (image.size() < 12 || std::memcmp(image.data(), kIndexMagicV1, 8) != 0) {
-    return corrupt_data("bad plfs index magic");
-  }
-  ByteReader r(image.subspan(8));
+/// The records (and, for v3, the stream state) after the magic.
+Result<Index> decode_body(ByteReader& r, int version) {
   ADA_ASSIGN_OR_RETURN(const std::uint32_t count, r.get_u32_le());
-  std::vector<IndexRecord> records;
-  records.reserve(count);
+  Index index;
+  index.records.reserve(std::min<std::size_t>(count, r.remaining() / kMinRecordBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     IndexRecord record;
     ADA_ASSIGN_OR_RETURN(record.logical_offset, r.get_u64_le());
@@ -58,77 +34,131 @@ Result<std::vector<IndexRecord>> decode_index(std::span<const std::uint8_t> imag
     ADA_ASSIGN_OR_RETURN(record.label, r.get_string_le());
     ADA_ASSIGN_OR_RETURN(record.dropping, r.get_string_le());
     ADA_ASSIGN_OR_RETURN(record.physical_offset, r.get_u64_le());
-    if (v2) {
+    if (version >= 2) {
       ADA_ASSIGN_OR_RETURN(record.crc32c, r.get_u32_le());
       ADA_ASSIGN_OR_RETURN(record.flags, r.get_u8());
-      if (record.has_frame_table()) {
-        ADA_ASSIGN_OR_RETURN(const std::uint32_t frames, r.get_u32_le());
-        // Bound the allocation by the bytes actually present: a lying count
-        // must fail cheaply, not reserve gigabytes.
-        if (frames > r.remaining() / 8) {
-          return corrupt_data("frame table count exceeds index size");
-        }
-        record.frame_offsets.reserve(frames);
-        for (std::uint32_t f = 0; f < frames; ++f) {
-          std::uint64_t off = 0;
-          ADA_ASSIGN_OR_RETURN(off, r.get_u64_le());
-          record.frame_offsets.push_back(off);
-        }
-      }
-      if (record.has_frame_base()) {
-        ADA_ASSIGN_OR_RETURN(record.frame_base, r.get_u64_le());
-        ADA_ASSIGN_OR_RETURN(record.frame_count, r.get_u32_le());
-      }
     }
-    records.push_back(std::move(record));
+    const std::uint8_t known = IndexRecord::kHasChecksum | IndexRecord::kHasFrameSpan |
+                               (version == 2 ? kV2FrameTable : 0);
+    if ((record.flags & ~known) != 0) return corrupt_data("unknown index record flags");
+    // v2 frame table: arithmetic iff frame f sits at 16 + f * frame_bytes
+    // and the frames fill the extent.  Only an arithmetic table is a span.
+    const bool table = (record.flags & kV2FrameTable) != 0;
+    bool arithmetic = false;
+    std::uint32_t table_frames = 0;
+    if (table) {
+      ADA_ASSIGN_OR_RETURN(table_frames, r.get_u32_le());
+      // Bound by the bytes present: a lying count must fail cheaply.
+      if (table_frames > r.remaining() / 8) {
+        return corrupt_data("frame table count exceeds index size");
+      }
+      const std::uint64_t payload = record.length - std::min<std::uint64_t>(record.length, 16);
+      const std::uint64_t frame_bytes = table_frames != 0 ? payload / table_frames : 0;
+      arithmetic = record.length >= 16 && payload == table_frames * frame_bytes;
+      for (std::uint32_t f = 0; f < table_frames; ++f) {
+        ADA_ASSIGN_OR_RETURN(const std::uint64_t offset, r.get_u64_le());
+        arithmetic = arithmetic && offset == 16 + f * frame_bytes;
+      }
+      record.flags &= static_cast<std::uint8_t>(~kV2FrameTable);
+    }
+    if (record.has_frame_span()) {
+      ADA_ASSIGN_OR_RETURN(record.frame_base, r.get_u64_le());
+      ADA_ASSIGN_OR_RETURN(record.frame_count, r.get_u32_le());
+    }
+    if (table && !arithmetic) {
+      record.flags &= static_cast<std::uint8_t>(~IndexRecord::kHasFrameSpan);
+      record.frame_base = 0;
+      record.frame_count = 0;
+    } else if (table && !record.has_frame_span()) {
+      record.set_frame_span(FrameSpan{0, table_frames});
+    }
+    index.records.push_back(std::move(record));
+  }
+  if (version == 3) {
+    ADA_ASSIGN_OR_RETURN(const std::uint8_t streamed, r.get_u8());
+    if (streamed > 1) return corrupt_data("bad stream state flag");
+    if (streamed == 1) {
+      StreamState state;
+      ADA_ASSIGN_OR_RETURN(const std::uint8_t sealed, r.get_u8());
+      if (sealed > 1) return corrupt_data("bad stream sealed flag");
+      state.sealed = sealed != 0;
+      ADA_ASSIGN_OR_RETURN(state.sealed_frames, r.get_u64_le());
+      ADA_ASSIGN_OR_RETURN(state.sealed_chunks, r.get_u64_le());
+      ADA_ASSIGN_OR_RETURN(state.floor_frames, r.get_u64_le());
+      ADA_ASSIGN_OR_RETURN(state.retention_drops, r.get_u64_le());
+      if (state.floor_frames > state.sealed_frames) {
+        return corrupt_data("stream floor above the watermark");
+      }
+      index.stream = state;
+    }
   }
   if (!r.at_end()) return corrupt_data("trailing bytes after plfs index records");
-  return records;
+  return index;
 }
 
-std::vector<std::uint8_t> encode_stream_state(const StreamState& state) {
+}  // namespace
+
+std::vector<std::uint8_t> encode_index(const Index& index) {
   ByteWriter w;
-  w.put_bytes(kStreamMagic);
-  w.put_u8(state.sealed ? 1 : 0);
-  w.put_u64_le(state.sealed_frames);
-  w.put_u64_le(state.sealed_chunks);
-  w.put_u64_le(state.floor_frames);
-  w.put_u64_le(state.retention_drops);
-  std::vector<std::uint8_t> image = w.take();
-  const std::uint32_t crc = crc32c(image);
-  ByteWriter tail;
-  tail.put_u32_le(crc);
-  const std::vector<std::uint8_t> tail_bytes = tail.take();
-  image.insert(image.end(), tail_bytes.begin(), tail_bytes.end());
-  return image;
+  w.put_bytes(kIndexMagicV3);
+  w.put_u32_le(static_cast<std::uint32_t>(index.records.size()));
+  for (const IndexRecord& r : index.records) {
+    w.put_u64_le(r.logical_offset);
+    w.put_u64_le(r.length);
+    w.put_u32_le(r.backend);
+    w.put_string_le(r.label);
+    w.put_string_le(r.dropping);
+    w.put_u64_le(r.physical_offset);
+    w.put_u32_le(r.crc32c);
+    w.put_u8(r.flags);
+    if (r.has_frame_span()) {
+      w.put_u64_le(r.frame_base);
+      w.put_u32_le(r.frame_count);
+    }
+  }
+  w.put_u8(index.stream.has_value() ? 1 : 0);
+  if (index.stream.has_value()) {
+    const StreamState& state = *index.stream;
+    w.put_u8(state.sealed ? 1 : 0);
+    w.put_u64_le(state.sealed_frames);
+    w.put_u64_le(state.sealed_chunks);
+    w.put_u64_le(state.floor_frames);
+    w.put_u64_le(state.retention_drops);
+  }
+  w.put_u32_le(crc32c(w.bytes()));
+  return w.take();
 }
 
-Result<StreamState> decode_stream_state(std::span<const std::uint8_t> image) {
-  // magic(8) + sealed(1) + 4 x u64(32) + crc(4)
-  constexpr std::size_t kStateBytes = 8 + 1 + 4 * 8 + 4;
-  if (image.size() != kStateBytes) return corrupt_data("bad stream state size");
-  if (std::memcmp(image.data(), kStreamMagic, 8) != 0) {
-    return corrupt_data("bad stream state magic");
+bool is_legacy_index(std::span<const std::uint8_t> image) {
+  return has_magic(image, kIndexMagicV1) || has_magic(image, kIndexMagicV2);
+}
+
+Result<Index> decode_index(std::span<const std::uint8_t> image) {
+  int version = 0;
+  if (has_magic(image, kIndexMagicV3)) {
+    version = 3;
+    // The CRC seals the whole image: a torn or bit-flipped index is never
+    // parsed, let alone trusted.
+    if (image.size() < 8 + 4 + 1 + 4) return corrupt_data("short plfs index");
+    ByteReader crc_reader(image.last(4));
+    const std::uint32_t stored = crc_reader.get_u32_le().value();
+    image = image.first(image.size() - 4);
+    if (stored != crc32c(image.data(), image.size())) {
+      return corrupt_data("plfs index crc mismatch");
+    }
+  } else if (has_magic(image, kIndexMagicV2)) {
+    version = 2;
+  } else if (has_magic(image, kIndexMagicV1)) {
+    version = 1;
+  } else {
+    return corrupt_data("bad plfs index magic");
   }
-  ByteReader r(image.subspan(8, kStateBytes - 8 - 4));
-  StreamState state;
-  std::uint8_t sealed = 0;
-  ADA_ASSIGN_OR_RETURN(sealed, r.get_u8());
-  if (sealed > 1) return corrupt_data("bad stream state sealed flag");
-  state.sealed = sealed != 0;
-  ADA_ASSIGN_OR_RETURN(state.sealed_frames, r.get_u64_le());
-  ADA_ASSIGN_OR_RETURN(state.sealed_chunks, r.get_u64_le());
-  ADA_ASSIGN_OR_RETURN(state.floor_frames, r.get_u64_le());
-  ADA_ASSIGN_OR_RETURN(state.retention_drops, r.get_u64_le());
-  ByteReader crc_r(image.subspan(kStateBytes - 4));
-  ADA_ASSIGN_OR_RETURN(const std::uint32_t stored_crc, crc_r.get_u32_le());
-  if (stored_crc != crc32c(image.data(), kStateBytes - 4)) {
-    return corrupt_data("stream state crc mismatch");
+  ByteReader r(image.subspan(8));
+  auto index = decode_body(r, version);
+  if (!index.is_ok() && index.error().code() != ErrorCode::kCorruptData) {
+    return corrupt_data("malformed plfs index: " + index.error().message());
   }
-  if (state.floor_frames > state.sealed_frames) {
-    return corrupt_data("stream state floor above watermark");
-  }
-  return state;
+  return index;
 }
 
 std::uint64_t logical_size(const std::vector<IndexRecord>& records) {
@@ -137,14 +167,14 @@ std::uint64_t logical_size(const std::vector<IndexRecord>& records) {
   return end;
 }
 
-bool is_complete(const std::vector<IndexRecord>& records) {
+bool is_complete(const std::vector<IndexRecord>& records, bool from_first) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
   extents.reserve(records.size());
   for (const IndexRecord& r : records) {
     if (r.length > 0) extents.emplace_back(r.logical_offset, r.logical_offset + r.length);
   }
   std::sort(extents.begin(), extents.end());
-  std::uint64_t cursor = 0;
+  std::uint64_t cursor = from_first && !extents.empty() ? extents.front().first : 0;
   for (const auto& [begin, end] : extents) {
     if (begin != cursor) return false;  // hole or overlap
     cursor = end;

@@ -6,9 +6,13 @@
 // physical offset).  ADA's I/O dispatcher leans on exactly this: each
 // dropping carries the label of the data subset it stores, so a tag query
 // resolves to the droppings with that label.
+//
+// The index image is the container's only published state: its records and,
+// for a container that streams, the stream state, sealed by one CRC32C.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,17 +21,22 @@
 
 namespace ada::plfs {
 
+/// Global frames [base, base + count) of a subset's frame axis.
+struct FrameSpan {
+  std::uint64_t base = 0;
+  std::uint32_t count = 0;
+};
+
 /// One logical extent of a container.
 struct IndexRecord {
-  /// flags bits (v2 index format).
+  /// flags bits.
   static constexpr std::uint8_t kHasChecksum = 0x01;
-  /// Record carries a per-extent frame table (frame-granular addressing).
-  static constexpr std::uint8_t kHasFrameTable = 0x02;
-  /// Record carries a global frame span (streaming ingest: the extent holds
-  /// frames [frame_base, frame_base + frame_count) of the subset's frame
-  /// axis).  Readers clamp to the container's sealed-frame watermark
-  /// (StreamState) using exactly this span.
-  static constexpr std::uint8_t kHasFrameBase = 0x04;
+  /// Record carries its frame span: the extent is one canonical RAW image
+  /// holding global frames [frame_base, frame_base + frame_count) of its
+  /// subset (batch extents start at 0).  Range queries address frames by
+  /// it, and readers of a live stream clamp to the sealed-frame watermark
+  /// (StreamState) with it.
+  static constexpr std::uint8_t kHasFrameSpan = 0x04;
 
   std::uint64_t logical_offset = 0;  // position in the logical file
   std::uint64_t length = 0;
@@ -37,10 +46,8 @@ struct IndexRecord {
   std::uint64_t physical_offset = 0; // offset inside the dropping file
   std::uint32_t crc32c = 0;          // extent checksum (valid iff kHasChecksum)
   std::uint8_t flags = 0;
-  /// Byte offset of each decoded frame relative to the extent start, in
-  /// frame order (valid iff kHasFrameTable).  Lets a range query read only
-  /// the extents and slices it needs instead of the whole subset.
-  std::vector<std::uint64_t> frame_offsets;
+  std::uint64_t frame_base = 0;      // valid iff kHasFrameSpan
+  std::uint32_t frame_count = 0;     // valid iff kHasFrameSpan
 
   bool has_checksum() const noexcept { return (flags & kHasChecksum) != 0; }
   void set_checksum(std::uint32_t crc) noexcept {
@@ -48,51 +55,26 @@ struct IndexRecord {
     flags |= kHasChecksum;
   }
 
-  bool has_frame_table() const noexcept { return (flags & kHasFrameTable) != 0; }
-  void set_frame_table(std::vector<std::uint64_t> offsets) {
-    frame_offsets = std::move(offsets);
-    flags |= kHasFrameTable;
-  }
-
-  /// Global frame index of the extent's first frame (valid iff
-  /// kHasFrameBase), plus the number of frames the extent holds.  Written by
-  /// the streaming ingest so the sealed prefix is computable from the index
-  /// alone, whatever order a racing reader saw index and stream state in.
-  std::uint64_t frame_base = 0;
-  std::uint32_t frame_count = 0;
-
-  bool has_frame_base() const noexcept { return (flags & kHasFrameBase) != 0; }
-  void set_frame_base(std::uint64_t base, std::uint32_t count) noexcept {
-    frame_base = base;
-    frame_count = count;
-    flags |= kHasFrameBase;
+  bool has_frame_span() const noexcept { return (flags & kHasFrameSpan) != 0; }
+  void set_frame_span(FrameSpan span) noexcept {
+    frame_base = span.base;
+    frame_count = span.count;
+    flags |= kHasFrameSpan;
   }
 
   friend bool operator==(const IndexRecord&, const IndexRecord&) = default;
 };
 
-/// Serialize an index to its on-disk image (little-endian, magic-prefixed).
-/// Writes the v2 format ("PLFSIDX2"), which adds a per-record CRC32C
-/// checksum + flags byte.
-std::vector<std::uint8_t> encode_index(const std::vector<IndexRecord>& records);
-
-/// Parse an on-disk index image.  Accepts both v2 ("PLFSIDX2") and legacy
-/// v1 ("PLFSIDX1") images; v1 records decode with no checksum (readers then
-/// skip verification for those extents).
-Result<std::vector<IndexRecord>> decode_index(std::span<const std::uint8_t> image);
-
-/// Live-stream publication state of a container ("stream.plfs", next to the
-/// index on backend 0, replaced atomically on every chunk flush).
+/// Live-stream publication state of a container, carried in its index.
 ///
 /// The *sealed-frame watermark* `sealed_frames` is the publication point:
 /// global frames [floor_frames, sealed_frames) are durable on every tag and
-/// safe to serve; anything at or beyond the watermark is the open tail --
-/// possibly mid-flush, possibly missing on some tags -- and must stay
-/// invisible to readers.  The watermark only moves forward (monotone), the
-/// floor only rises (windowed retention dropping the oldest chunks), and
-/// `sealed` flips to true exactly once when the stream finishes.  Containers
-/// written by batch ingest have no stream state at all; readers then treat
-/// every indexed extent as sealed (the pre-streaming behavior, bit for bit).
+/// safe to serve; anything at or beyond the watermark is the open tail and
+/// must stay invisible to readers.  The watermark only moves forward
+/// (monotone), the floor only rises (windowed retention dropping the oldest
+/// chunks), and `sealed` flips to true exactly once when the stream
+/// finishes.  Containers written by batch ingest have no stream state at
+/// all; readers then treat every indexed extent as sealed.
 struct StreamState {
   bool sealed = false;
   std::uint64_t sealed_frames = 0;   // watermark: frames below this are readable
@@ -103,19 +85,36 @@ struct StreamState {
   friend bool operator==(const StreamState&, const StreamState&) = default;
 };
 
-/// Serialize stream state ("ADASTRM1" magic, little-endian fields, trailing
-/// CRC32C over everything before it -- a torn or bit-flipped state file is
-/// detected, never trusted).
-std::vector<std::uint8_t> encode_stream_state(const StreamState& state);
+/// A container's published state: one image, replaced atomically and
+/// exactly once by every logical write.
+struct Index {
+  std::vector<IndexRecord> records;
+  std::optional<StreamState> stream;  // nullopt: the container never streamed
 
-/// Parse an on-disk stream-state image; kCorruptData on bad magic, short or
-/// oversized image, or CRC mismatch.
-Result<StreamState> decode_stream_state(std::span<const std::uint8_t> image);
+  friend bool operator==(const Index&, const Index&) = default;
+};
+
+/// Serialize to the v3 image ("PLFSIDX3", little-endian): the records, the
+/// optional stream state, then a CRC32C over every byte before it.
+std::vector<std::uint8_t> encode_index(const Index& index);
+
+/// Parse an on-disk index image; every failure is kCorruptData.  v3 images
+/// must pass their CRC.  Legacy v2 ("PLFSIDX2") and v1 ("PLFSIDX1") images
+/// still decode, with no stream state: a v2 frame table that is plain
+/// arithmetic (frame f at 16 + f * frame_bytes, filling the extent) becomes
+/// a span, any other table leaves the record without one, and v1 records
+/// carry no checksum (readers then skip verification for those extents).
+Result<Index> decode_index(std::span<const std::uint8_t> image);
+
+/// True for a v1 or v2 image: decoded for compatibility, never written.
+bool is_legacy_index(std::span<const std::uint8_t> image);
 
 /// Logical file size implied by an index (max extent end).
 std::uint64_t logical_size(const std::vector<IndexRecord>& records);
 
-/// True if extents tile [0, logical_size) exactly once (no holes/overlap).
-bool is_complete(const std::vector<IndexRecord>& records);
+/// True if extents tile [start, logical_size) exactly once (no holes or
+/// overlap), where start is 0, or the lowest extent offset when
+/// `from_first` (retention deleted the records below it).
+bool is_complete(const std::vector<IndexRecord>& records, bool from_first = false);
 
 }  // namespace ada::plfs

@@ -39,17 +39,13 @@ struct VerifyReport {
   /// consistent -- do not run repair on a container still being written.
   bool stream_open = false;
 
-  /// Stream state file present but undecodable (torn write, bit flip).
-  /// Repair reconstructs a conservative watermark from the index and seals.
-  bool stream_state_corrupt = false;
-
-  /// True when the logical extents tile [0, size) without holes/overlap.
+  /// True when the logical extents tile [0, size) without holes/overlap --
+  /// from the first live extent once retention has raised the floor.
   bool extents_complete = false;
 
   bool clean() const noexcept {
     return broken_records.empty() && checksum_bad_records.empty() &&
-           orphan_droppings.empty() && open_tail_records.empty() &&
-           !stream_state_corrupt && extents_complete;
+           orphan_droppings.empty() && open_tail_records.empty() && extents_complete;
   }
 };
 
@@ -63,22 +59,23 @@ struct RepairActions {
   /// for forensics, never deleted or served) and dropped from the index.
   std::size_t extents_quarantined = 0;
   /// Open-tail records quarantined + dropped while sealing an interrupted
-  /// stream (the sealed prefix below the watermark is untouched).
+  /// stream, with the intact chunks above a damaged one (the cut).
   std::size_t tail_records_dropped = 0;
 };
 
-/// Repair in place: rewrite the index without broken records, quarantine
-/// checksum-bad droppings, and delete orphan droppings.  Data whose
-/// droppings are intact is never modified.  Extent completeness is *not*
-/// restored (lost extents stay lost) -- the report tells the caller what is
-/// gone.
+/// Repair in place: quarantine checksum-bad droppings, publish one index
+/// image without the broken and quarantined records, then delete orphan
+/// droppings.  Data whose droppings are intact is never modified.  Extent
+/// completeness is *not* restored (lost extents stay lost) -- the report
+/// tells the caller what is gone.
 ///
-/// Interrupted streams: when the report carries open-tail records or a
-/// corrupt stream state, repair quarantines the tail droppings, drops their
-/// records, and *seals* the stream at the watermark (reconstructed from the
-/// index -- min across tags of each tag's covered frame end -- if the state
-/// file is corrupt).  Only run repair on streams known to be dead; sealing a
-/// live stream ends it.
+/// Interrupted streams: repair also quarantines the open tail's droppings
+/// and drops their records, and the same publication *seals* the stream at
+/// its watermark.  A damaged chunk below the watermark cuts the stream at
+/// its first frame: every chunk above the cut is quarantined with the tail
+/// and the watermark drops to the cut, so each tag reads a byte-prefix of
+/// the stream again.  Only run repair on streams known to be dead; sealing
+/// a live stream ends it.
 Result<RepairActions> repair_container(PlfsMount& mount, const std::string& logical_name);
 
 }  // namespace ada::plfs

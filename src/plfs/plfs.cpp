@@ -24,7 +24,9 @@ namespace ada::plfs {
 
 namespace {
 constexpr const char* kIndexFile = "index.plfs";
-constexpr const char* kStreamStateFile = "stream.plfs";
+// Where a v2 container kept its stream state; read_index refuses a legacy
+// container that still holds one.
+constexpr const char* kLegacyStreamStateFile = "stream.plfs";
 constexpr const char* kQuarantineSuffix = ".quarantined";
 
 // Fault-injection sites (docs/robustness.md).
@@ -32,7 +34,6 @@ constexpr const char* kSiteWriteDropping = "plfs.write_dropping";
 constexpr const char* kSiteReadDropping = "plfs.read_dropping";
 constexpr const char* kSiteWriteIndex = "plfs.write_index";
 constexpr const char* kSiteReadIndex = "plfs.read_index";
-constexpr const char* kSiteWriteStreamState = "plfs.write_stream_state";
 
 bool valid_logical_name(const std::string& name) {
   if (name.empty() || name == "." || name == "..") return false;
@@ -102,6 +103,21 @@ Result<fault::Outcome> enter_read_site() {
 /// Overflow-safe: does [offset, offset + length) lie inside `size` bytes?
 bool fits(std::uint64_t size, std::uint64_t offset, std::uint64_t length) {
   return offset <= size && length <= size - offset;
+}
+
+/// One past the highest dropping ordinal in use.  NOT records.size():
+/// retention and repair shrink the index, and a size-derived name would then
+/// collide with (and overwrite) a live chunk's dropping.
+std::uint64_t next_ordinal(const std::vector<IndexRecord>& records) {
+  std::uint64_t ordinal = 0;
+  for (const IndexRecord& r : records) {
+    const auto dot = r.dropping.rfind('.');
+    if (dot == std::string::npos) continue;
+    char* end = nullptr;
+    const unsigned long long n = std::strtoull(r.dropping.c_str() + dot + 1, &end, 10);
+    if (end != nullptr && *end == '\0') ordinal = std::max<std::uint64_t>(ordinal, n + 1);
+  }
+  return ordinal;
 }
 
 /// A file descriptor closed on scope exit.
@@ -180,7 +196,8 @@ std::string PlfsMount::index_path(const std::string& logical_name) const {
   return container_dir(0, logical_name) + "/" + kIndexFile;
 }
 
-Status PlfsMount::create_container(const std::string& logical_name) {
+Status PlfsMount::create_container(const std::string& logical_name,
+                                   std::optional<StreamState> stream) {
   if (!valid_logical_name(logical_name)) {
     return invalid_argument("bad logical name: " + logical_name);
   }
@@ -192,7 +209,7 @@ Status PlfsMount::create_container(const std::string& logical_name) {
     fs::create_directories(container_dir(b, logical_name), ec);
     if (ec) return io_error("cannot create container dir on backend " + backends_[b].name);
   }
-  return write_index(logical_name, {});
+  return write_index(logical_name, Index{{}, stream});
 }
 
 bool PlfsMount::container_exists(const std::string& logical_name) const {
@@ -221,34 +238,14 @@ std::uint64_t PlfsMount::rewrite_generation(const std::string& logical_name) con
   return it == clock_->rewrite.end() ? 0 : it->second;
 }
 
-Result<std::optional<StreamState>> PlfsMount::read_stream_state(
-    const std::string& logical_name) const {
-  if (!container_exists(logical_name)) {
-    return not_found("container " + logical_name + " does not exist");
-  }
-  const std::string path = container_dir(0, logical_name) + "/" + kStreamStateFile;
-  if (!fs::exists(path)) return std::optional<StreamState>{};
-  ADA_ASSIGN_OR_RETURN(const auto image, read_file(path));
-  ADA_ASSIGN_OR_RETURN(StreamState state, decode_stream_state(image));
-  return std::optional<StreamState>{state};
-}
-
 Status PlfsMount::write_stream_state(const std::string& logical_name,
                                      const StreamState& state) {
-  if (!container_exists(logical_name)) {
-    return not_found("container " + logical_name + " does not exist");
-  }
-  // Bump the mutation clock first, mirroring write_index: a failed publish
-  // can only cause a spurious cache miss, never a stale hit.  The rewrite
-  // clock stays put -- moving the watermark forward rewrites no history.
-  bump_generation(logical_name);
-  ADA_RETURN_IF_ERROR(fault::check(kSiteWriteStreamState));
-  return write_file_atomic(container_dir(0, logical_name) + "/" + kStreamStateFile,
-                           encode_stream_state(state));
+  ADA_ASSIGN_OR_RETURN(Index index, read_index(logical_name));
+  index.stream = state;
+  return write_index(logical_name, index);
 }
 
-Status PlfsMount::write_index(const std::string& logical_name,
-                              const std::vector<IndexRecord>& records) const {
+Status PlfsMount::write_index(const std::string& logical_name, const Index& index) const {
   // Bump first: if the write fails (or tears before the atomic rename) the
   // container is treated as mutated anyway -- caches re-read instead of
   // trusting entries recorded before the attempt.
@@ -256,80 +253,82 @@ Status PlfsMount::write_index(const std::string& logical_name,
   // The index is replaced atomically (tmp + rename); an injected fault here
   // models a crash before the rename, so readers keep the previous index.
   ADA_RETURN_IF_ERROR(fault::check(kSiteWriteIndex));
-  return write_file_atomic(index_path(logical_name), encode_index(records));
+  return write_file_atomic(index_path(logical_name), encode_index(index));
 }
 
-Result<std::vector<IndexRecord>> PlfsMount::read_index(const std::string& logical_name) const {
+Result<Index> PlfsMount::read_index(const std::string& logical_name) const {
   if (!container_exists(logical_name)) {
     return not_found("container " + logical_name + " does not exist");
   }
   ADA_RETURN_IF_ERROR(fault::check(kSiteReadIndex));
   ADA_ASSIGN_OR_RETURN(const auto image, read_file(index_path(logical_name)));
+  if (is_legacy_index(image) &&
+      fs::exists(container_dir(0, logical_name) + "/" + kLegacyStreamStateFile)) {
+    return failed_precondition("container " + logical_name +
+                               " is a legacy stream: its open tail is not marked in the "
+                               "index; re-ingest it");
+  }
   return decode_index(image);
 }
 
-Result<IndexRecord> PlfsMount::append(const std::string& logical_name, const std::string& label,
-                                      std::uint32_t backend_id,
-                                      std::span<const std::uint8_t> bytes,
-                                      const std::vector<std::uint64_t>* frame_offsets,
-                                      const std::uint64_t* frame_base,
-                                      std::uint32_t frame_count) {
-  if (backend_id >= backend_count()) {
-    return invalid_argument("backend " + std::to_string(backend_id) + " out of range");
+Result<std::vector<IndexRecord>> PlfsMount::append(const std::string& logical_name,
+                                                   const std::vector<Extent>& extents,
+                                                   std::optional<StreamState> stream) {
+  for (const Extent& extent : extents) {
+    if (extent.backend >= backend_count()) {
+      return invalid_argument("backend " + std::to_string(extent.backend) + " out of range");
+    }
   }
-  const obs::Span span("plfs_append", label);
+  const obs::Span span("plfs_append", logical_name);
   ADA_OBS_COUNT("plfs.append.calls", 1);
-  ADA_OBS_COUNT("plfs.append.bytes", bytes.size());
-  if (obs::enabled()) {
-    obs::Registry::global()
-        .counter("plfs.append.bytes." + backends_[backend_id].name)
-        .add(bytes.size());
-  }
-  ADA_ASSIGN_OR_RETURN(auto records, read_index(logical_name));
+  ADA_ASSIGN_OR_RETURN(Index index, read_index(logical_name));
 
-  IndexRecord record;
-  record.logical_offset = logical_size(records);
-  record.length = bytes.size();
-  record.backend = backend_id;
-  record.label = label;
-  // Name suffix: one past the highest ordinal in use, NOT records.size().
-  // Retention and repair shrink the index, and a size-derived name would
-  // then collide with (and overwrite) a live chunk's dropping.
-  std::uint64_t ordinal = 0;
-  for (const IndexRecord& r : records) {
-    const auto dot = r.dropping.rfind('.');
-    if (dot == std::string::npos) continue;
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(r.dropping.c_str() + dot + 1, &end, 10);
-    if (end != nullptr && *end == '\0') ordinal = std::max<std::uint64_t>(ordinal, n + 1);
+  std::uint64_t ordinal = next_ordinal(index.records);
+  std::uint64_t offset = logical_size(index.records);
+  std::vector<IndexRecord> added;
+  added.reserve(extents.size());
+  for (const Extent& extent : extents) {
+    ADA_OBS_COUNT("plfs.append.bytes", extent.bytes.size());
+    if (obs::enabled()) {
+      obs::Registry::global()
+          .counter("plfs.append.bytes." + backends_[extent.backend].name)
+          .add(extent.bytes.size());
+    }
+    IndexRecord record;
+    record.logical_offset = offset;
+    record.length = extent.bytes.size();
+    record.backend = extent.backend;
+    record.label = extent.label;
+    record.dropping = "dropping." + (extent.label.empty() ? std::string("data") : extent.label) +
+                      "." + std::to_string(ordinal++);
+    record.physical_offset = 0;  // one dropping file per extent
+    {
+      const obs::Span crc_span("crc");
+      record.set_checksum(crc32c(extent.bytes.data(), extent.bytes.size()));
+    }
+    if (extent.span.has_value()) record.set_frame_span(*extent.span);
+    const std::string path = container_dir(extent.backend, logical_name) + "/" + record.dropping;
+    {
+      const obs::Span write_span("dropping_write");
+      ADA_RETURN_IF_ERROR(retry_sync("plfs_write_dropping", retry_policy_, [&] {
+        return write_dropping_bytes(path, extent.bytes);
+      }));
+    }
+    offset += record.length;
+    added.push_back(std::move(record));
   }
-  record.dropping =
-      "dropping." + (label.empty() ? std::string("data") : label) + "." + std::to_string(ordinal);
-  record.physical_offset = 0;  // one dropping file per append
-  {
-    const obs::Span crc_span("crc");
-    record.set_checksum(crc32c(bytes.data(), bytes.size()));
-  }
-  if (frame_offsets != nullptr) record.set_frame_table(*frame_offsets);
-  if (frame_base != nullptr) record.set_frame_base(*frame_base, frame_count);
-
-  const std::string path = container_dir(backend_id, logical_name) + "/" + record.dropping;
-  {
-    const obs::Span write_span("dropping_write");
-    ADA_RETURN_IF_ERROR(retry_sync("plfs_write_dropping", retry_policy_,
-                                   [&] { return write_dropping_bytes(path, bytes); }));
-  }
-  records.push_back(record);
+  index.records.insert(index.records.end(), added.begin(), added.end());
+  if (stream.has_value()) index.stream = stream;
   const obs::Span index_span("index_write");
-  ADA_RETURN_IF_ERROR(write_index(logical_name, records));
-  return record;
+  ADA_RETURN_IF_ERROR(write_index(logical_name, index));
+  return added;
 }
 
 Result<std::uint64_t> PlfsMount::label_size(const std::string& logical_name,
                                             const std::string& label) const {
-  ADA_ASSIGN_OR_RETURN(const auto records, read_index(logical_name));
+  ADA_ASSIGN_OR_RETURN(const Index index, read_index(logical_name));
   std::uint64_t total = 0;
-  for (const IndexRecord& record : records) {
+  for (const IndexRecord& record : index.records) {
     if (record.label == label) total += record.length;
   }
   return total;
@@ -386,7 +385,7 @@ Result<std::vector<std::string>> PlfsMount::list_dropping_files(
   if (!fs::is_directory(dir)) return out;  // backend never got this container
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name == kIndexFile || name == kStreamStateFile || is_quarantined_name(name)) continue;
+    if (name == kIndexFile || is_quarantined_name(name)) continue;
     out.push_back(name);
   }
   if (ec) return io_error("cannot list " + dir + ": " + ec.message());
@@ -394,15 +393,14 @@ Result<std::vector<std::string>> PlfsMount::list_dropping_files(
   return out;
 }
 
-Status PlfsMount::rewrite_index(const std::string& logical_name,
-                                const std::vector<IndexRecord>& records) {
+Status PlfsMount::rewrite_index(const std::string& logical_name, const Index& index) {
   if (!container_exists(logical_name)) {
     return not_found("container " + logical_name + " does not exist");
   }
   // Wholesale index replacement (repair, retention) can rewrite history:
   // fence frame-block cache entries too, not just whole-subset entries.
   bump_rewrite_generation(logical_name);
-  return write_index(logical_name, records);
+  return write_index(logical_name, index);
 }
 
 Result<std::vector<std::string>> PlfsMount::list_containers() const {

@@ -3,10 +3,10 @@
 // This is the functional half of the I/O dispatcher substrate.  A mount owns
 // N backends (paper Fig. 6: mnt1, mnt2, ...), each a directory on the host
 // file system.  Creating logical file "bar" creates a "bar/" container
-// directory on every backend; appends become dropping files on the chosen
-// backend plus index records.  Reads go through the ADA I/O retriever
-// (ada/indexer.hpp), which resolves index records to droppings and reads
-// each extent with read_dropping_extent below.
+// directory on every backend; each write adds dropping files on the chosen
+// backends, then publishes the index once.  Reads go through the ADA I/O
+// retriever (ada/indexer.hpp), which resolves index records to droppings and
+// reads each extent with read_dropping_extent below.
 //
 // Data written through a mount is real bytes in real files: the correctness
 // tests and examples operate on what a real deployment would store, while
@@ -66,6 +66,14 @@ Result<std::span<std::uint8_t>> read_dropping_extent(const std::string& host_pat
                                                      std::uint64_t offset, std::uint64_t length,
                                                      const ExtentSink& sink);
 
+/// One extent of a publication (PlfsMount::append).
+struct Extent {
+  std::string label;
+  std::uint32_t backend = 0;
+  std::span<const std::uint8_t> bytes;
+  std::optional<FrameSpan> span;  // set for a canonical RAW extent
+};
+
 class PlfsMount {
  public:
   /// Validate backends and create their root directories.
@@ -76,9 +84,12 @@ class PlfsMount {
   }
   const Backend& backend(std::uint32_t id) const { return backends_.at(id); }
 
-  /// Create an (empty) container for `logical_name` on every backend.
-  /// Fails with kAlreadyExists if the container is already present.
-  Status create_container(const std::string& logical_name);
+  /// Create an (empty) container for `logical_name` on every backend and
+  /// publish its first index image, carrying `stream` for a container that
+  /// will stream.  Fails with kAlreadyExists if the container is already
+  /// present.
+  Status create_container(const std::string& logical_name,
+                          std::optional<StreamState> stream = std::nullopt);
 
   bool container_exists(const std::string& logical_name) const;
 
@@ -87,23 +98,23 @@ class PlfsMount {
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const noexcept { return retry_policy_; }
 
-  /// Append `bytes` to the logical file, storing the dropping on `backend_id`
-  /// tagged with `label`.  Returns the index record it created.  The extent's
-  /// CRC32C is computed over the intended bytes and stored in the record, so
-  /// a torn or corrupted write is caught at read time.  When `frame_offsets`
-  /// is non-null the record additionally carries a frame table (byte offset
-  /// of each decoded frame within this extent) for frame-range queries.
-  /// When `frame_base` is non-null the record also carries a global frame
-  /// span [*frame_base, *frame_base + frame_count) -- streaming ingest uses
-  /// this so readers can clamp to the sealed-frame watermark.
-  Result<IndexRecord> append(const std::string& logical_name, const std::string& label,
-                             std::uint32_t backend_id, std::span<const std::uint8_t> bytes,
-                             const std::vector<std::uint64_t>* frame_offsets = nullptr,
-                             const std::uint64_t* frame_base = nullptr,
-                             std::uint32_t frame_count = 0);
+  /// One logical write: write each extent's dropping (on its backend,
+  /// tagged with its label, CRC32C computed over the intended bytes so a
+  /// torn or corrupted write is caught at read time), then publish ONE index
+  /// image -- the current records plus one record per extent, in order, with
+  /// `stream` replacing the stream state when given.  A failure before the
+  /// publish leaves only unreferenced droppings (fsck orphans): no published
+  /// record ever names a dropping that was not written.  Returns the new
+  /// records.  A single extent is the one-element case.
+  Result<std::vector<IndexRecord>> append(const std::string& logical_name,
+                                          const std::vector<Extent>& extents,
+                                          std::optional<StreamState> stream = std::nullopt);
 
-  /// The container's index records.
-  Result<std::vector<IndexRecord>> read_index(const std::string& logical_name) const;
+  /// The container's published index: records plus stream state.  A legacy
+  /// v2 container that still holds a stream-state file is refused with
+  /// kFailedPrecondition: its unsealed tail is not told apart in the index,
+  /// so serving it as batch data would be wrong.
+  Result<Index> read_index(const std::string& logical_name) const;
 
   /// Total bytes stored under `label` (0 if none).
   Result<std::uint64_t> label_size(const std::string& logical_name,
@@ -130,20 +141,15 @@ class PlfsMount {
   /// Monotonic per-container *rewrite* generation.  Unlike the mutation
   /// clock, this only advances on writes that can rewrite history --
   /// rewrite_index (repair, retention), remove_container, replace_container
-  /// -- never on plain appends or stream-state watermark bumps.  Cached
-  /// frame-range blocks below a sealed watermark stay valid across chunk
-  /// flushes by validating against this clock instead of the mutation clock.
+  /// -- never on appends (stream flushes included) or watermark bumps.
+  /// Cached frame-range blocks below a sealed watermark stay valid across
+  /// chunk flushes by validating against this clock instead of the mutation
+  /// clock.
   std::uint64_t rewrite_generation(const std::string& logical_name) const;
 
-  /// The container's live-stream state ("stream.plfs" on backend 0), or
-  /// nullopt for containers that never streamed (batch ingest).  A present
-  /// but corrupt state file is an error (kCorruptData), not nullopt --
-  /// readers must not silently treat a torn state as "everything sealed".
-  Result<std::optional<StreamState>> read_stream_state(const std::string& logical_name) const;
-
-  /// Atomically publish the container's stream state.  Bumps the mutation
-  /// generation (watermark moves fence whole-subset cache entries) but not
-  /// the rewrite generation.  Fault site: "plfs.write_stream_state".
+  /// Republish the current records with this stream state.  Bumps the
+  /// mutation generation (watermark moves fence whole-subset cache entries)
+  /// but not the rewrite generation.
   Status write_stream_state(const std::string& logical_name, const StreamState& state);
 
   /// Containers present (by index files on backend 0).
@@ -160,10 +166,10 @@ class PlfsMount {
   Result<std::vector<std::string>> list_dropping_files(std::uint32_t backend_id,
                                                        const std::string& logical_name) const;
 
-  /// Overwrite the container's index wholesale.  For repair tools only --
-  /// normal writers go through append().
-  Status rewrite_index(const std::string& logical_name,
-                       const std::vector<IndexRecord>& records);
+  /// Publish `index` wholesale: repair and retention, which may rewrite
+  /// history, so the rewrite generation advances too.  Normal writers go
+  /// through append().
+  Status rewrite_index(const std::string& logical_name, const Index& index);
 
  private:
   /// Per-container mutation generations, shared by every copy of the mount
@@ -179,8 +185,7 @@ class PlfsMount {
 
   std::string container_dir(std::uint32_t backend_id, const std::string& logical_name) const;
   std::string index_path(const std::string& logical_name) const;
-  Status write_index(const std::string& logical_name,
-                     const std::vector<IndexRecord>& records) const;
+  Status write_index(const std::string& logical_name, const Index& index) const;
   void bump_generation(const std::string& logical_name) const;
   void bump_rewrite_generation(const std::string& logical_name) const;
 

@@ -238,19 +238,19 @@ TEST_F(ChaosPipelineTest, SeededFaultSweepNeverCorruptsSilently) {
 }
 
 /// Fault plan for the streaming path: same schedule shapes as
-/// plan_for_seed, but the site pool includes the watermark publish
-/// ("plfs.write_stream_state") -- the write whose failure leaves an open
-/// tail above the watermark (docs/streaming.md).
+/// plan_for_seed, on its own seed stream.  A failed "plfs.write_index" is
+/// the flush whose one publication never lands: its droppings stay
+/// unreferenced and the watermark stays put (docs/streaming.md).
 FaultPlan stream_plan_for_seed(std::uint64_t seed) {
   Rng rng(seed * 7919 + 13);
   static const char* kSites[] = {
-      "plfs.write_dropping", "plfs.read_dropping",      "plfs.write_index",
-      "plfs.read_index",     "plfs.write_stream_state",
+      "plfs.write_dropping", "plfs.read_dropping", "plfs.write_index",
+      "plfs.read_index",
   };
   FaultPlan plan;
   const std::uint64_t site_count = 1 + rng.uniform_index(2);
   for (std::uint64_t i = 0; i < site_count; ++i) {
-    const char* site = kSites[rng.uniform_index(5)];
+    const char* site = kSites[rng.uniform_index(4)];
     fault::Schedule schedule;
     switch (rng.uniform_index(4)) {
       case 0: schedule = fault::Schedule::fail_nth(1 + rng.uniform_index(6)); break;
@@ -363,7 +363,6 @@ TEST_F(ChaosPipelineTest, StreamingFlushFaultSweepKeepsSealedPrefixConsistent) {
     EXPECT_TRUE(report.checksum_bad_records.empty()) << "repair left corrupt extents";
     EXPECT_TRUE(report.open_tail_records.empty()) << "repair left an open tail";
     EXPECT_FALSE(report.stream_open) << "repair did not seal the interrupted stream";
-    EXPECT_FALSE(report.stream_state_corrupt);
 
     // Post-repair reads are prefixes of truth, frame-aligned at whatever
     // watermark survived; a tail follower terminates against the seal.

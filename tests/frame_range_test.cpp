@@ -3,14 +3,14 @@
 //
 // The contract under test: Ada::query(name, tag, range) is byte-identical to
 // slicing the same frames out of the full-subset query -- across codec
-// versions (v1/v2 streams), frame tables on/off (fast path vs fallback),
+// versions (v1/v2 streams), frame spans on/off (fast path vs fallback),
 // cache on/off (block cache vs direct reads), and batch vs streamed
 // (single- vs multi-extent) ingest.  The reference slicer below is an
 // independent decode-and-re-emit, not the production slice code.
 //
 // Also here: the ingest compat matrix (v1 containers read by a v2-capable
-// build and vice versa) and fsck over frame-table-bearing indexes (lying
-// tables are flagged and repaired, and can never crash a range query).
+// build and vice versa) and fsck over span-bearing indexes (a lying span
+// routes to the fallback and can never crash a range query).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -197,7 +197,7 @@ TEST_F(FrameRangeTest, FastPathEngagesOnTableBearingContainers) {
   ASSERT_TRUE(ada->ingest(system_, make_xtc(12), "bar.xtc").is_ok());
   ASSERT_TRUE(ada->query("bar.xtc", kProteinTag, FrameRange{2, 9, 2}).is_ok());
   EXPECT_EQ(obs::Registry::global().counter_value("query.range.fallback"), 0u)
-      << "table-bearing container should serve ranges without the fallback";
+      << "span-bearing container should serve ranges without the fallback";
   obs::set_enabled(false);
   obs::reset_all();
 }
@@ -281,7 +281,7 @@ TEST_F(FrameRangeTest, OverwriteInvalidatesCachedBlocks) {
 // --- ingest compat matrix -------------------------------------------------------
 
 TEST_F(FrameRangeTest, TableAndTablelessIngestsStoreIdenticalSubsets) {
-  // The frame table lives in the index only: the stored subset bytes (and
+  // The frame span lives in the index only: the stored subset bytes (and
   // therefore every full query) are identical with tables on or off.
   const auto xtc = make_xtc(9);
   auto with_tables = open_ada("with", true, 0);
@@ -311,75 +311,57 @@ TEST_F(FrameRangeTest, V1AndV2StreamsIngestToIdenticalSubsets) {
   }
 }
 
-// --- fsck over frame tables -----------------------------------------------------
+// --- fsck over frame spans ----------------------------------------------------
 
 TEST_F(FrameRangeTest, FsckAcceptsHealthyFrameTables) {
   auto ada = open_ada("fsck_ok", true, 0);
   ASSERT_TRUE(ada->ingest(system_, make_xtc(8), "bar.xtc").is_ok());
   const auto report = plfs::verify_container(ada->mount(), "bar.xtc").value();
   EXPECT_TRUE(report.clean());
-  // The ingest actually produced tables (the fsck pass wasn't vacuous).
-  bool saw_table = false;
-  const auto records = ada->mount().read_index("bar.xtc").value();
-  for (const auto& record : records) {
-    saw_table |= record.has_frame_table();
+  // The ingest actually produced spans (the fsck pass wasn't vacuous): each
+  // batch subset holds frames [0, 8).
+  std::size_t spans = 0;
+  const auto index = ada->mount().read_index("bar.xtc").value();
+  for (const auto& record : index.records) {
+    if (!record.has_frame_span()) continue;
+    ++spans;
+    EXPECT_EQ(record.frame_base, 0u);
+    EXPECT_EQ(record.frame_count, 8u);
   }
-  EXPECT_TRUE(saw_table);
-}
-
-TEST_F(FrameRangeTest, FsckFlagsAndRepairsLyingFrameTables) {
-  auto ada = open_ada("fsck_bad", true, 0);
-  ASSERT_TRUE(ada->ingest(system_, make_xtc(8), "bar.xtc").is_ok());
-
-  // Corrupt the protein record's table: a non-monotonic entry and an
-  // offset past the extent.
-  auto records = ada->mount().read_index("bar.xtc").value();
-  std::size_t corrupted = 0;
-  for (auto& record : records) {
-    if (record.label != kProteinTag || !record.has_frame_table()) continue;
-    auto table = record.frame_offsets;
-    ASSERT_GE(table.size(), 2u);
-    table[1] = table[0];                      // not strictly increasing
-    table.back() = record.length + 1000;      // out of bounds
-    record.set_frame_table(std::move(table));
-    ++corrupted;
-  }
-  ASSERT_GT(corrupted, 0u);
-  ASSERT_TRUE(ada->mount().rewrite_index("bar.xtc", records).is_ok());
-
-  const auto report = plfs::verify_container(ada->mount(), "bar.xtc").value();
-  EXPECT_FALSE(report.clean());
-  EXPECT_EQ(report.broken_records.size(), corrupted);
-
-  // A range query on the damaged container must return a Status (any
-  // outcome but a crash/overread); after repair the record is gone and the
-  // query fails cleanly.
-  (void)ada->query("bar.xtc", kProteinTag, FrameRange{0, 8, 1});
-  ASSERT_TRUE(plfs::repair_container(ada->mount(), "bar.xtc").is_ok());
-  const auto after = plfs::verify_container(ada->mount(), "bar.xtc").value();
-  EXPECT_TRUE(after.broken_records.empty());
+  EXPECT_EQ(spans, 2u);  // p and m; the label file carries none
 }
 
 TEST_F(FrameRangeTest, NonCanonicalTablesFallBackAndStayCorrect) {
-  // A table that passes fsck's monotonic check but is not a canonical RAW
-  // layout (first frame claimed at offset 0) must route to the fallback and
-  // still serve exactly the right bytes.
+  // Spans that do not describe their extent -- a count that does not divide
+  // it, a base off the floor, a count the stored RAW header contradicts --
+  // route to the fallback and still serve exactly the right bytes.  The
+  // data itself is intact, so fsck stays clean.
   auto ada = open_ada("noncanon", true, 0);
   ASSERT_TRUE(ada->ingest(system_, make_xtc(8), "bar.xtc").is_ok());
-  auto records = ada->mount().read_index("bar.xtc").value();
-  for (auto& record : records) {
-    if (record.label != kProteinTag || !record.has_frame_table()) continue;
-    auto table = record.frame_offsets;
-    for (auto& off : table) off -= 16;  // shift: still increasing, wrong base
-    record.set_frame_table(std::move(table));
-  }
-  ASSERT_TRUE(ada->mount().rewrite_index("bar.xtc", records).is_ok());
-  EXPECT_TRUE(plfs::verify_container(ada->mount(), "bar.xtc").value().clean());
-
+  const auto pristine = ada->mount().read_index("bar.xtc").value();
   const FrameRange range{1, 7, 2};
-  const auto got = ada->query("bar.xtc", kProteinTag, range);
-  ASSERT_TRUE(got.is_ok());
-  EXPECT_EQ(got.value(), reference_slice(ada->query("bar.xtc", kProteinTag).value(), range));
+  const auto want = reference_slice(ada->query("bar.xtc", kProteinTag).value(), range);
+  for (int lie = 0; lie < 3; ++lie) {
+    auto index = pristine;
+    for (auto& record : index.records) {
+      if (record.label != kProteinTag) continue;
+      if (lie == 0) record.frame_count -= 1;
+      if (lie == 1) record.frame_base += 1;
+      // 8 frames claimed as 2: a RAW-shaped frame size four times too big.
+      if (lie == 2) record.frame_count = 2;
+    }
+    ASSERT_TRUE(ada->mount().rewrite_index("bar.xtc", index).is_ok());
+    EXPECT_TRUE(plfs::verify_container(ada->mount(), "bar.xtc").value().clean()) << lie;
+
+    obs::reset_all();
+    obs::set_enabled(true);
+    const auto got = ada->query("bar.xtc", kProteinTag, range);
+    EXPECT_EQ(obs::Registry::global().counter_value("query.range.fallback"), 1u) << lie;
+    obs::set_enabled(false);
+    obs::reset_all();
+    ASSERT_TRUE(got.is_ok()) << lie << ": " << got.error().to_string();
+    EXPECT_EQ(got.value(), want) << lie;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Fuzz-style robustness tests for every user-facing surface: the PDB
 // parser, the label file, the categorizer schema, the selection language,
 // the command interpreter -- and the binary decode paths (XTC v2 streams,
-// raw v2 coordinate frames, PLFS frame tables).  Random inputs must produce
-// clean errors or valid results -- never crashes, hangs, or over-reads
-// (the suite runs under ADA_SANITIZE in CI).
+// raw v2 coordinate frames, PLFS index images and frame spans).  Random
+// inputs must produce clean errors or valid results -- never crashes,
+// hangs, or over-reads (the suite runs under ADA_SANITIZE in CI).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,8 +16,10 @@
 #include "ada/schema_config.hpp"
 #include "codec/bitstream.hpp"
 #include "codec/coord_codec.hpp"
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "formats/pdb.hpp"
+#include "formats/raw_traj.hpp"
 #include "formats/xtc_file.hpp"
 #include "plfs/container.hpp"
 #include "vmd/command.hpp"
@@ -149,7 +151,7 @@ TEST(FuzzTest, CommandInterpreterSurvives) {
 
 // ---------------------------------------------------------------------------
 // Binary surfaces: the v2 coordinate codec, the XTC v2 stream framing, and
-// the PLFS per-extent frame tables.
+// the PLFS index image and its per-extent frame spans.
 
 /// A small but real v2 stream: drifting coordinates so prediction engages,
 /// keyframe interval 3 so the stream mixes intra and predicted frames.
@@ -302,51 +304,18 @@ TEST(FuzzTest, IntraDecodeRejectsOffGridCoordinates) {
   EXPECT_TRUE(codec::decompress(crafted_two_atom_frame((1 << 30) - 2, 1)).is_ok());
 }
 
-TEST(FuzzTest, StreamStateDecoderSurvivesHostileImages) {
-  Rng rng(2005);
-  // Random images of every plausible size: never a crash, and anything that
-  // somehow decodes must satisfy the structural invariants a correct writer
-  // guarantees (the CRC makes an accidental pass astronomically unlikely,
-  // but the decoder may not rely on that for memory safety).
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::vector<std::uint8_t> image(rng.uniform_index(64));
-    for (auto& b : image) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-    const auto result = plfs::decode_stream_state(image);
-    if (result.is_ok()) {
-      EXPECT_LE(result.value().floor_frames, result.value().sealed_frames);
-    }
-  }
-
-  // Multi-bit corruptions of a real image (the exhaustive single-bit sweep
-  // lives in streaming_tail_test): clean error or invariant-satisfying
-  // state, never a crash or over-read.
-  plfs::StreamState state;
-  state.sealed_frames = 1000;
-  state.sealed_chunks = 20;
-  state.floor_frames = 12;
-  state.retention_drops = 4;
-  const auto pristine = plfs::encode_stream_state(state);
-  for (int trial = 0; trial < 400; ++trial) {
-    auto corrupt = pristine;
-    const int flips = 1 + static_cast<int>(rng.uniform_index(6));
-    for (int f = 0; f < flips; ++f) {
-      const std::size_t pos = rng.uniform_index(corrupt.size());
-      corrupt[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_index(8));
-    }
-    const auto result = plfs::decode_stream_state(corrupt);
-    if (result.is_ok()) {
-      EXPECT_LE(result.value().floor_frames, result.value().sealed_frames);
-    }
+// Re-seal an index image's trailing CRC32C over its (mutated) body: the
+// shape a buggy writer would publish, which the decoder must still survive.
+void reseal(std::vector<std::uint8_t>& image) {
+  const std::uint32_t crc = crc32c(image.data(), image.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    image[image.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
   }
 }
 
-TEST(FuzzTest, TornStreamIndexSuffixesDecodeToAPrefixOrFail) {
-  // An index whose records carry streamed frame spans (kHasFrameBase), cut
-  // at every byte -- the shape a torn index write leaves when a flush dies
-  // mid-publish.  Decoding must return a clean error or an exact record
-  // PREFIX of the original: never over-read, never invent or reorder a
-  // record, never resurrect a half-written suffix.
-  std::vector<plfs::IndexRecord> records;
+// An index whose records carry streamed frame spans, plus its stream state.
+plfs::Index streamed_index() {
+  plfs::Index index;
   for (int i = 0; i < 6; ++i) {
     plfs::IndexRecord r;
     r.logical_offset = static_cast<std::uint64_t>(i) * 1000;
@@ -355,43 +324,98 @@ TEST(FuzzTest, TornStreamIndexSuffixesDecodeToAPrefixOrFail) {
     r.label = (i % 2) != 0 ? "m" : "p";
     r.dropping = "dropping." + r.label + "." + std::to_string(i / 2);
     r.set_checksum(0x1234u + static_cast<std::uint32_t>(i));
-    r.set_frame_table({0, 100, 300});
-    r.set_frame_base(static_cast<std::uint64_t>(i / 2) * 3, 3);
-    records.push_back(std::move(r));
+    r.set_frame_span(plfs::FrameSpan{static_cast<std::uint64_t>(i / 2) * 3, 3});
+    index.records.push_back(std::move(r));
   }
-  const auto image = plfs::encode_index(records);
-  const auto full = plfs::decode_index(image);
-  ASSERT_TRUE(full.is_ok());
-  ASSERT_EQ(full.value(), records);
+  plfs::StreamState state;
+  state.sealed_frames = 9;
+  state.sealed_chunks = 3;
+  state.floor_frames = 3;
+  state.retention_drops = 1;
+  index.stream = state;
+  return index;
+}
 
-  for (std::size_t len = 0; len < image.size(); ++len) {
-    const auto result = plfs::decode_index(std::span(image.data(), len));
-    if (!result.is_ok()) continue;
-    ASSERT_LE(result.value().size(), records.size()) << "a " << len
-        << "-byte truncation decoded MORE records than were encoded";
-    for (std::size_t i = 0; i < result.value().size(); ++i) {
-      EXPECT_EQ(result.value()[i], records[i])
-          << "truncation at " << len << " altered record " << i;
+// Anything that decodes satisfies the invariants a correct writer keeps.
+void expect_decoded_invariants(const Result<plfs::Index>& result) {
+  if (!result.is_ok()) {
+    EXPECT_EQ(result.error().code(), ErrorCode::kCorruptData) << result.error().to_string();
+    return;
+  }
+  if (result.value().stream.has_value()) {
+    EXPECT_LE(result.value().stream->floor_frames, result.value().stream->sealed_frames);
+  }
+}
+
+TEST(FuzzTest, StreamStateDecoderSurvivesHostileImages) {
+  Rng rng(2005);
+  // Random images of every plausible size, half of them carrying the v3
+  // magic and a valid seal over random bytes: never a crash or over-read,
+  // and anything that decodes satisfies the writer's invariants.
+  const std::uint8_t magic[8] = {'P', 'L', 'F', 'S', 'I', 'D', 'X', '3'};
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::uint8_t> image(rng.uniform_index(96));
+    for (auto& b : image) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+    if ((trial % 2) != 0 && image.size() >= 12) {
+      std::copy(std::begin(magic), std::end(magic), image.begin());
+      reseal(image);
     }
+    expect_decoded_invariants(plfs::decode_index(image));
   }
 
-  // Random splices and bit flips across the whole image: parse or reject,
-  // never crash (the suite runs under ADA_SANITIZE in CI).
-  Rng rng(2006);
-  for (int trial = 0; trial < 300; ++trial) {
-    auto corrupt = image;
-    const int flips = 1 + static_cast<int>(rng.uniform_index(8));
+  // Multi-bit corruptions of a real image: the CRC rejects them all (the
+  // exhaustive single-bit sweep lives in streaming_tail_test).
+  const auto pristine = plfs::encode_index(streamed_index());
+  for (int trial = 0; trial < 400; ++trial) {
+    auto corrupt = pristine;
+    const int flips = 1 + static_cast<int>(rng.uniform_index(6));
     for (int f = 0; f < flips; ++f) {
       const std::size_t pos = rng.uniform_index(corrupt.size());
       corrupt[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_index(8));
     }
-    (void)plfs::decode_index(corrupt);
+    if (corrupt == pristine) continue;  // flips that cancelled out
+    const auto result = plfs::decode_index(corrupt);
+    ASSERT_FALSE(result.is_ok()) << "trial " << trial << ": corruption passed the CRC";
+    EXPECT_EQ(result.error().code(), ErrorCode::kCorruptData);
   }
 }
 
-TEST(FuzzTest, MutatedFrameTablesNeverCrashRangeQueries) {
+TEST(FuzzTest, TornStreamIndexSuffixesDecodeToAPrefixOrFail) {
+  // A v3 image cut at every byte -- the shape a torn index write leaves
+  // when a flush dies mid-publish -- is always kCorruptData: the CRC seals
+  // the whole image, so not even a record prefix is ever served.
+  const plfs::Index index = streamed_index();
+  const auto image = plfs::encode_index(index);
+  const auto full = plfs::decode_index(image);
+  ASSERT_TRUE(full.is_ok());
+  ASSERT_EQ(full.value(), index);
+  for (std::size_t len = 0; len < image.size(); ++len) {
+    const auto result = plfs::decode_index(std::span(image.data(), len));
+    ASSERT_FALSE(result.is_ok()) << "a " << len << "-byte truncation decoded";
+    EXPECT_EQ(result.error().code(), ErrorCode::kCorruptData);
+  }
+
+  // Past the CRC: mutate record bytes, then re-seal.  Parse or reject with
+  // kCorruptData, never crash, over-read or over-allocate (the suite runs
+  // under ADA_SANITIZE in CI).
+  Rng rng(2006);
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto mutated = image;
+    const int edits = 1 + static_cast<int>(rng.uniform_index(4));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t pos = 8 + rng.uniform_index(mutated.size() - 12);
+      const auto flip = static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+      mutated[pos] = (trial % 3) == 0 ? static_cast<std::uint8_t>(rng.uniform_index(256))
+                                      : static_cast<std::uint8_t>(mutated[pos] ^ flip);
+    }
+    reseal(mutated);
+    expect_decoded_invariants(plfs::decode_index(mutated));
+  }
+}
+
+TEST(FuzzTest, MutatedFrameSpansNeverCrashRangeQueries) {
   namespace fs = std::filesystem;
-  const std::string root = testing::TempDir() + "/ada_fuzz_tables";
+  const std::string root = testing::TempDir() + "/ada_fuzz_spans";
   fs::remove_all(root);
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   core::AdaConfig config;
@@ -401,7 +425,7 @@ TEST(FuzzTest, MutatedFrameTablesNeverCrashRangeQueries) {
 
   workload::TrajectoryGenerator gen(system, workload::DynamicsSpec{});
   formats::XtcWriter writer;
-  for (std::uint32_t f = 0; f < 6; ++f) {
+  for (std::uint32_t f = 0; f < 8; ++f) {
     const auto coords = gen.next_frame();
     ASSERT_TRUE(
         writer.add_frame(gen.current_step(), gen.current_time_ps(), system.box(), coords).is_ok());
@@ -410,37 +434,54 @@ TEST(FuzzTest, MutatedFrameTablesNeverCrashRangeQueries) {
   const auto pristine = ada.mount().read_index("bar.xtc").value();
 
   Rng rng(2004);
-  for (int trial = 0; trial < 40; ++trial) {
-    auto records = pristine;
-    for (auto& record : records) {
-      if (!record.has_frame_table() || rng.uniform_index(2) == 0) continue;
-      auto table = record.frame_offsets;
-      switch (rng.uniform_index(4)) {
-        case 0:  // scramble entries
-          for (auto& off : table) {
-            if (rng.uniform_index(3) == 0) off = rng.uniform_index(std::uint64_t{1} << 40);
-          }
-          break;
-        case 1:  // truncate
-          table.resize(rng.uniform_index(table.size() + 1));
-          break;
-        case 2:  // pad with garbage entries
-          for (int i = 0; i < 5; ++i) table.push_back(rng.uniform_index(std::uint64_t{1} << 40));
-          break;
-        default:  // off-by-small shifts
-          for (auto& off : table) off += rng.uniform_index(32);
-          break;
-      }
-      record.set_frame_table(std::move(table));
-    }
-    ASSERT_TRUE(ada.mount().rewrite_index("bar.xtc", records).is_ok());
+  for (int trial = 0; trial < 60; ++trial) {
     core::FrameRange range;
     range.begin = static_cast<std::uint32_t>(rng.uniform_index(10));
     range.end = range.begin + static_cast<std::uint32_t>(rng.uniform_index(10));
     range.stride = 1 + static_cast<std::uint32_t>(rng.uniform_index(4));
-    // Ok (served or fallback) or a clean error -- never a crash or over-read.
+    ASSERT_TRUE(ada.mount().rewrite_index("bar.xtc", pristine).is_ok());
+    const auto expected = ada.query("bar.xtc", core::kProteinTag, range);
+    ASSERT_TRUE(expected.is_ok()) << expected.error().to_string();
+
+    auto index = pristine;
+    bool length_lied = false;
+    for (auto& record : index.records) {
+      if (rng.uniform_index(2) == 0) continue;
+      switch (rng.uniform_index(5)) {
+        case 0:  // base off the floor
+          record.frame_base = rng.uniform_index(std::uint64_t{1} << 40);
+          break;
+        case 1:  // count that does not describe the extent
+          record.frame_count = static_cast<std::uint32_t>(rng.uniform_index(40));
+          break;
+        case 2:  // span on a record that had none, or none where one was
+          record.flags ^= plfs::IndexRecord::kHasFrameSpan;
+          break;
+        case 3:  // off-by-small count
+          record.frame_count += static_cast<std::uint32_t>(rng.uniform_index(3)) - 1;
+          break;
+        default:  // length that lies about the dropping
+          record.length += rng.uniform_index(64) + 1;
+          length_lied = true;
+          break;
+      }
+    }
+    ASSERT_TRUE(ada.mount().rewrite_index("bar.xtc", index).is_ok());
+    // A lying span only routes the query to the fallback: the same bytes.
+    // A lying length fails its extent read cleanly.  An empty selection reads
+    // no extent, so its header's atom count comes from the span unverified;
+    // only its frame count is pinned.
     const auto result = ada.query("bar.xtc", core::kProteinTag, range);
-    (void)result;
+    if (!length_lied) {
+      ASSERT_TRUE(result.is_ok()) << trial << ": " << result.error().to_string();
+    }
+    if (!result.is_ok()) continue;
+    const auto frames = formats::RawTrajReader::open(expected.value()).value().frame_count();
+    if (frames == 0) {
+      EXPECT_EQ(formats::RawTrajReader::open(result.value()).value().frame_count(), 0u);
+    } else {
+      EXPECT_EQ(result.value(), expected.value()) << "trial " << trial;
+    }
   }
   ASSERT_TRUE(ada.mount().rewrite_index("bar.xtc", pristine).is_ok());
   fs::remove_all(root);

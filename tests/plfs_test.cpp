@@ -1,4 +1,4 @@
-// Tests for the PLFS container layer: index codec (v1/v2), container
+// Tests for the PLFS container layer: index codec (v1/v2/v3), container
 // lifecycle, multi-backend droppings, extent checksums, and the
 // fault-injected retry paths.  Reads go through the one CRC-verified read
 // path that remains, the ADA I/O retriever over Indexer::locate.
@@ -6,6 +6,8 @@
 
 #include <filesystem>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "ada/indexer.hpp"
 #include "common/binary_io.hpp"
@@ -24,6 +26,9 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
+/// A batch container's index: records, no stream state.
+Index index_of(std::vector<IndexRecord> records) { return Index{std::move(records), std::nullopt}; }
+
 // --- index codec -----------------------------------------------------------------
 
 TEST(IndexCodecTest, RoundTrip) {
@@ -32,14 +37,15 @@ TEST(IndexCodecTest, RoundTrip) {
       {100, 50, 1, "m", "dropping.m.1", 0},
       {150, 7, 0, "", "dropping.data.2", 32},
   };
-  const auto image = encode_index(records);
+  const auto image = encode_index(index_of(records));
   const auto decoded = decode_index(image).value();
-  EXPECT_EQ(decoded, records);
+  EXPECT_EQ(decoded.records, records);
+  EXPECT_FALSE(decoded.stream.has_value());
 }
 
 TEST(IndexCodecTest, EmptyIndex) {
   const auto image = encode_index({});
-  EXPECT_TRUE(decode_index(image).value().empty());
+  EXPECT_TRUE(decode_index(image).value().records.empty());
 }
 
 TEST(IndexCodecTest, BadMagicRejected) {
@@ -49,13 +55,13 @@ TEST(IndexCodecTest, BadMagicRejected) {
 }
 
 TEST(IndexCodecTest, TrailingGarbageRejected) {
-  auto image = encode_index({{0, 1, 0, "p", "d", 0}});
+  auto image = encode_index(index_of({{0, 1, 0, "p", "d", 0}}));
   image.push_back(0xff);
   EXPECT_FALSE(decode_index(image).is_ok());
 }
 
 TEST(IndexCodecTest, TruncationRejected) {
-  const auto image = encode_index({{0, 1, 0, "p", "d", 0}});
+  const auto image = encode_index(index_of({{0, 1, 0, "p", "d", 0}}));
   EXPECT_FALSE(decode_index(std::span(image).subspan(0, image.size() - 3)).is_ok());
 }
 
@@ -67,13 +73,17 @@ TEST(IndexCodecTest, LogicalSizeAndCompleteness) {
   EXPECT_FALSE(is_complete(records));
   std::vector<IndexRecord> overlapping = {{0, 100, 0, "p", "a", 0}, {50, 100, 1, "m", "b", 0}};
   EXPECT_FALSE(is_complete(overlapping));
+  // Retention deletes the lowest records: tiling then starts at the first.
+  std::vector<IndexRecord> retained = {{100, 50, 1, "m", "b", 0}, {150, 50, 0, "p", "c", 0}};
+  EXPECT_FALSE(is_complete(retained));
+  EXPECT_TRUE(is_complete(retained, /*from_first=*/true));
 }
 
 TEST(IndexCodecTest, V2RoundTripsChecksums) {
   IndexRecord checked = {0, 5, 0, "p", "d0", 0};
   checked.set_checksum(0xDEADBEEF);
   const IndexRecord unchecked = {5, 3, 1, "m", "d1", 0};  // no checksum flag
-  const auto decoded = decode_index(encode_index({checked, unchecked})).value();
+  const auto decoded = decode_index(encode_index(index_of({checked, unchecked}))).value().records;
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_TRUE(decoded[0].has_checksum());
   EXPECT_EQ(decoded[0].crc32c, 0xDEADBEEFu);
@@ -92,11 +102,96 @@ TEST(IndexCodecTest, LegacyV1ImageDecodesWithoutChecksums) {
   w.put_string_le("p");     // label
   w.put_string_le("d.p.0"); // dropping
   w.put_u64_le(0);          // physical_offset
-  const auto decoded = decode_index(w.take()).value();
+  const auto decoded = decode_index(w.take()).value().records;
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].length, 11u);
   EXPECT_EQ(decoded[0].dropping, "d.p.0");
   EXPECT_FALSE(decoded[0].has_checksum()) << "v1 records carry no checksum";
+}
+
+// A v2 ("PLFSIDX2") record as the pre-v3 writer laid it out: checksum, flags,
+// then the optional u64 frame table (0x02) and frame base (0x04).
+struct V2Record {
+  std::uint64_t length = 0;
+  std::vector<std::uint64_t> table;  // written iff has_table
+  bool has_table = false;
+  bool has_base = false;
+  std::uint64_t base = 0;
+  std::uint32_t count = 0;
+};
+
+std::vector<std::uint8_t> v2_image(const std::vector<V2Record>& records) {
+  ByteWriter w;
+  const std::uint8_t magic[8] = {'P', 'L', 'F', 'S', 'I', 'D', 'X', '2'};
+  w.put_bytes(magic);
+  w.put_u32_le(static_cast<std::uint32_t>(records.size()));
+  std::uint64_t offset = 0;
+  for (const V2Record& r : records) {
+    w.put_u64_le(offset);
+    w.put_u64_le(r.length);
+    w.put_u32_le(0);
+    w.put_string_le("p");
+    w.put_string_le("dropping.p." + std::to_string(offset));
+    w.put_u64_le(0);
+    w.put_u32_le(0xC0FFEE);
+    w.put_u8(static_cast<std::uint8_t>(0x01 | (r.has_table ? 0x02 : 0) | (r.has_base ? 0x04 : 0)));
+    if (r.has_table) {
+      w.put_u32_le(static_cast<std::uint32_t>(r.table.size()));
+      for (const std::uint64_t off : r.table) w.put_u64_le(off);
+    }
+    if (r.has_base) {
+      w.put_u64_le(r.base);
+      w.put_u32_le(r.count);
+    }
+    offset += r.length;
+  }
+  return w.take();
+}
+
+TEST(IndexCodecTest, V2FrameTablesDecodeToSpansOnlyWhenArithmetic) {
+  constexpr std::uint64_t kFrame = 44 + 12 * 5;  // a 5-atom RAW frame
+  const std::uint64_t length = 16 + 3 * kFrame;
+  const std::vector<std::uint64_t> arithmetic = {16, 16 + kFrame, 16 + 2 * kFrame};
+  const auto index = decode_index(v2_image({
+                                     {length, arithmetic, true, false, 0, 0},
+                                     {length, {16, 20, 16 + 2 * kFrame}, true, false, 0, 0},
+                                     {length, {16, 16 + kFrame}, true, false, 0, 0},
+                                     {length, arithmetic, true, true, 6, 3},
+                                     {length, {}, false, true, 9, 3},
+                                     {16, {}, true, false, 0, 0},
+                                 }))
+                         .value();
+  ASSERT_EQ(index.records.size(), 6u);
+  EXPECT_FALSE(index.stream.has_value());
+  const auto span_of = [&](std::size_t i) {
+    const IndexRecord& r = index.records[i];
+    EXPECT_TRUE(r.has_checksum()) << i;
+    return r.has_frame_span() ? std::optional<std::pair<std::uint64_t, std::uint32_t>>(
+                                    {r.frame_base, r.frame_count})
+                              : std::nullopt;
+  };
+  using Span = std::pair<std::uint64_t, std::uint32_t>;
+  EXPECT_EQ(span_of(0), Span(0, 3)) << "an arithmetic batch table becomes span [0, 3)";
+  EXPECT_EQ(span_of(1), std::nullopt) << "a lying table leaves no span";
+  EXPECT_EQ(span_of(2), std::nullopt) << "a truncated table leaves no span";
+  EXPECT_EQ(span_of(3), Span(6, 3)) << "a streamed record keeps its frame base";
+  EXPECT_EQ(span_of(4), Span(9, 3)) << "a table-less streamed record keeps its span";
+  EXPECT_EQ(span_of(5), Span(0, 0)) << "an empty table over a header-only extent";
+
+  // Re-encoding writes v3: the spans round-trip, the tables are gone.
+  const auto image = encode_index(index);
+  EXPECT_FALSE(is_legacy_index(image));
+  EXPECT_EQ(decode_index(image).value(), index);
+}
+
+TEST(IndexCodecTest, V2TruncationsFailCleanly) {
+  const auto image = v2_image({{16 + 2 * 56, {16, 72}, true, true, 0, 2}});
+  ASSERT_TRUE(is_legacy_index(image));
+  for (std::size_t len = 0; len < image.size(); ++len) {
+    const auto r = decode_index(std::span(image.data(), len));
+    ASSERT_FALSE(r.is_ok()) << len;
+    EXPECT_EQ(r.error().code(), ErrorCode::kCorruptData) << len;
+  }
 }
 
 // --- mount ------------------------------------------------------------------------
@@ -118,6 +213,14 @@ class PlfsMountTest : public testing::Test {
                                              const std::string& label) const {
     ADA_ASSIGN_OR_RETURN(const auto locations, core::Indexer(*mount_).locate(logical_name, label));
     return core::IoRetriever(*mount_).retrieve(locations);
+  }
+
+  /// A one-extent publication (the single-extent case of PlfsMount::append).
+  Result<IndexRecord> append(const std::string& logical_name, const std::string& label,
+                             std::uint32_t backend, std::span<const std::uint8_t> bytes) {
+    ADA_ASSIGN_OR_RETURN(auto records,
+                         mount_->append(logical_name, {Extent{label, backend, bytes, {}}}));
+    return records.front();
   }
 
   std::string root_;
@@ -157,8 +260,8 @@ TEST_F(PlfsMountTest, BadLogicalNamesRejected) {
 
 TEST_F(PlfsMountTest, AppendPlacesDroppingOnChosenBackend) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  const auto r1 = mount_->append("bar", "p", 0, bytes_of("protein-data")).value();
-  const auto r2 = mount_->append("bar", "m", 1, bytes_of("misc")).value();
+  const auto r1 = append("bar", "p", 0, bytes_of("protein-data")).value();
+  const auto r2 = append("bar", "m", 1, bytes_of("misc")).value();
   EXPECT_EQ(r1.logical_offset, 0u);
   EXPECT_EQ(r2.logical_offset, 12u);
   EXPECT_TRUE(fs::exists(root_ + "/mnt1/bar/" + r1.dropping));
@@ -168,9 +271,9 @@ TEST_F(PlfsMountTest, AppendPlacesDroppingOnChosenBackend) {
 
 TEST_F(PlfsMountTest, RetrieveReassemblesAcrossBackends) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("hello ")).is_ok());
-  ASSERT_TRUE(mount_->append("bar", "m", 1, bytes_of("plfs ")).is_ok());
-  ASSERT_TRUE(mount_->append("bar", "p", 1, bytes_of("world")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 0, bytes_of("hello ")).is_ok());
+  ASSERT_TRUE(append("bar", "m", 1, bytes_of("plfs ")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 1, bytes_of("world")).is_ok());
   const auto locations = core::Indexer(*mount_).locate("bar", "p").value();
   ASSERT_EQ(locations.size(), 2u);
   EXPECT_EQ(locations[0].backend, 0u);
@@ -181,9 +284,9 @@ TEST_F(PlfsMountTest, RetrieveReassemblesAcrossBackends) {
 
 TEST_F(PlfsMountTest, ReadLabelFiltersSubsets) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("AAA")).is_ok());
-  ASSERT_TRUE(mount_->append("bar", "m", 1, bytes_of("BBB")).is_ok());
-  ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("CCC")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 0, bytes_of("AAA")).is_ok());
+  ASSERT_TRUE(append("bar", "m", 1, bytes_of("BBB")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 0, bytes_of("CCC")).is_ok());
   const auto p = read_tag("bar", "p").value();
   EXPECT_EQ(std::string(p.begin(), p.end()), "AAACCC");
   const auto m = read_tag("bar", "m").value();
@@ -195,19 +298,19 @@ TEST_F(PlfsMountTest, ReadLabelFiltersSubsets) {
 
 TEST_F(PlfsMountTest, LabelSize) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("12345")).is_ok());
-  ASSERT_TRUE(mount_->append("bar", "p", 1, bytes_of("678")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 0, bytes_of("12345")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 1, bytes_of("678")).is_ok());
   EXPECT_EQ(mount_->label_size("bar", "p").value(), 8u);
   EXPECT_EQ(mount_->label_size("bar", "m").value(), 0u);
 }
 
 TEST_F(PlfsMountTest, AppendToMissingContainerFails) {
-  EXPECT_FALSE(mount_->append("nope", "p", 0, bytes_of("x")).is_ok());
+  EXPECT_FALSE(append("nope", "p", 0, bytes_of("x")).is_ok());
 }
 
 TEST_F(PlfsMountTest, AppendToBadBackendFails) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  EXPECT_FALSE(mount_->append("bar", "p", 7, bytes_of("x")).is_ok());
+  EXPECT_FALSE(append("bar", "p", 7, bytes_of("x")).is_ok());
 }
 
 TEST_F(PlfsMountTest, ListContainers) {
@@ -219,17 +322,31 @@ TEST_F(PlfsMountTest, ListContainers) {
 
 TEST_F(PlfsMountTest, MissingDroppingDetectedOnRead) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  const auto record = mount_->append("bar", "p", 0, bytes_of("payload")).value();
+  const auto record = append("bar", "p", 0, bytes_of("payload")).value();
   fs::remove(root_ + "/mnt1/bar/" + record.dropping);
   EXPECT_FALSE(read_tag("bar", "p").is_ok());
 }
 
 TEST_F(PlfsMountTest, EmptyContainerReadsEmpty) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  EXPECT_TRUE(mount_->read_index("bar").value().empty());
+  EXPECT_TRUE(mount_->read_index("bar").value().records.empty());
   const auto none = read_tag("bar", "p");
   ASSERT_FALSE(none.is_ok());
   EXPECT_EQ(none.error().code(), ErrorCode::kNotFound);
+}
+
+TEST_F(PlfsMountTest, LegacyStreamContainerIsRefused) {
+  // A v2 container beside its old stream-state file: the v2 index does not
+  // mark the unsealed tail, so serving it as batch data would be wrong.
+  ASSERT_TRUE(mount_->create_container("bar").is_ok());
+  const std::string dir = root_ + "/mnt1/bar/";
+  ASSERT_TRUE(write_file(dir + "index.plfs", v2_image({{7, {}, false, false, 0, 0}})).is_ok());
+  ASSERT_EQ(mount_->read_index("bar").value().records.size(), 1u);  // v2 batch: fine
+  ASSERT_TRUE(write_file(dir + "stream.plfs", bytes_of("ADASTRM1")).is_ok());
+  const auto refused = mount_->read_index("bar");
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.error().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_FALSE(append("bar", "p", 0, bytes_of("x")).is_ok()) << "appended past a refused index";
 }
 
 // --- extent checksums --------------------------------------------------------------
@@ -237,8 +354,8 @@ TEST_F(PlfsMountTest, EmptyContainerReadsEmpty) {
 TEST_F(PlfsMountTest, AppendStoresExtentChecksum) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
   const auto payload = bytes_of("checksummed payload");
-  ASSERT_TRUE(mount_->append("bar", "p", 0, payload).is_ok());
-  const auto records = mount_->read_index("bar").value();
+  ASSERT_TRUE(append("bar", "p", 0, payload).is_ok());
+  const auto records = mount_->read_index("bar").value().records;
   ASSERT_EQ(records.size(), 1u);
   EXPECT_TRUE(records[0].has_checksum());
   EXPECT_EQ(records[0].crc32c, crc32c(payload.data(), payload.size()));
@@ -246,7 +363,7 @@ TEST_F(PlfsMountTest, AppendStoresExtentChecksum) {
 
 TEST_F(PlfsMountTest, BitFlipOnDiskCaughtByRead) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  const auto record = mount_->append("bar", "p", 0, bytes_of("precious bytes")).value();
+  const auto record = append("bar", "p", 0, bytes_of("precious bytes")).value();
   const std::string path = root_ + "/mnt1/bar/" + record.dropping;
   auto bytes = read_file(path).value();
   bytes[3] ^= 0x08;  // length unchanged: only the checksum can see this
@@ -268,7 +385,7 @@ TEST_F(PlfsMountTest, TornWriteReportsSuccessButReadCatchesIt) {
   // The torn write itself MUST report success -- that is the failure mode
   // being modeled (silent short write).  The read side is the detector.
   const fault::ScopedFault torn("plfs.write_dropping", fault::Schedule::torn_write(0.5, 1));
-  ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("0123456789abcdef")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 0, bytes_of("0123456789abcdef")).is_ok());
   const auto read = read_tag("bar", "p");
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.error().code(), ErrorCode::kCorruptData);
@@ -277,7 +394,7 @@ TEST_F(PlfsMountTest, TornWriteReportsSuccessButReadCatchesIt) {
 TEST_F(PlfsMountTest, CorruptReadNeverServesBadBytes) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
   const auto payload = bytes_of("the one true payload");
-  ASSERT_TRUE(mount_->append("bar", "p", 0, payload).is_ok());
+  ASSERT_TRUE(append("bar", "p", 0, payload).is_ok());
   // An in-flight corruption on every read attempt: the checksum must turn
   // it into a typed error, not silently different bytes.
   const fault::ScopedFault corrupt("plfs.read_dropping",
@@ -294,7 +411,7 @@ TEST_F(PlfsMountTest, CorruptReadNeverServesBadBytes) {
 TEST_F(PlfsMountTest, WriteRetriesThroughTransientFault) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
   const fault::ScopedFault flaky("plfs.write_dropping", fault::Schedule::fail_nth(1));
-  ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("survives a retry")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 0, bytes_of("survives a retry")).is_ok());
   EXPECT_EQ(fault::Injector::global().hits("plfs.write_dropping"), 2u);
   const auto p = read_tag("bar", "p").value();
   EXPECT_EQ(std::string(p.begin(), p.end()), "survives a retry");
@@ -302,7 +419,7 @@ TEST_F(PlfsMountTest, WriteRetriesThroughTransientFault) {
 
 TEST_F(PlfsMountTest, ReadRetriesThroughTransientFault) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("flaky read")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 0, bytes_of("flaky read")).is_ok());
   const fault::ScopedFault flaky("plfs.read_dropping", fault::Schedule::fail_nth(1));
   const auto p = read_tag("bar", "p").value();
   EXPECT_EQ(std::string(p.begin(), p.end()), "flaky read");
@@ -316,7 +433,7 @@ TEST_F(PlfsMountTest, RetryExhaustionSurfacesTypedError) {
   fast.initial_backoff_s = 1e-4;
   mount_->set_retry_policy(fast);
   const fault::ScopedFault down("plfs.write_dropping", fault::Schedule::down_window(1, 100));
-  const auto result = mount_->append("bar", "p", 0, bytes_of("never lands"));
+  const auto result = append("bar", "p", 0, bytes_of("never lands"));
   ASSERT_FALSE(result.is_ok());
   // down: windows inject kUnavailable (a down server) -- transient, so the
   // retry loop runs to exhaustion and surfaces the last injected error.
@@ -326,14 +443,14 @@ TEST_F(PlfsMountTest, RetryExhaustionSurfacesTypedError) {
 
 TEST_F(PlfsMountTest, FailedIndexWriteLeavesOldIndexIntact) {
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  ASSERT_TRUE(mount_->append("bar", "p", 0, bytes_of("first")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 0, bytes_of("first")).is_ok());
   {
     // Crash-before-rename on the next index update: the append fails, the
     // previous index generation stays readable (atomic tmp+rename).
     const fault::ScopedFault crash("plfs.write_index", fault::Schedule::fail_nth(1));
-    EXPECT_FALSE(mount_->append("bar", "m", 1, bytes_of("second")).is_ok());
+    EXPECT_FALSE(append("bar", "m", 1, bytes_of("second")).is_ok());
   }
-  const auto records = mount_->read_index("bar").value();
+  const auto records = mount_->read_index("bar").value().records;
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].label, "p");
   const auto p = read_tag("bar", "p").value();
@@ -355,12 +472,13 @@ class ExtentBoundsTest : public PlfsMountTest {
   /// `checksummed` false forges a v1 (no-CRC) record.
   void forge(std::uint64_t offset, std::uint64_t length, bool checksummed) {
     ASSERT_TRUE(mount_->create_container("bar").is_ok());
-    ASSERT_TRUE(mount_->append("bar", "p", 0, std::vector<std::uint8_t>(100, 0x5A)).is_ok());
-    auto records = mount_->read_index("bar").value();
-    records[0].physical_offset = offset;
-    records[0].length = length;
-    if (!checksummed) records[0].flags &= static_cast<std::uint8_t>(~IndexRecord::kHasChecksum);
-    ASSERT_TRUE(mount_->rewrite_index("bar", records).is_ok());
+    ASSERT_TRUE(append("bar", "p", 0, std::vector<std::uint8_t>(100, 0x5A)).is_ok());
+    auto index = mount_->read_index("bar").value();
+    IndexRecord& record = index.records[0];
+    record.physical_offset = offset;
+    record.length = length;
+    if (!checksummed) record.flags &= static_cast<std::uint8_t>(~IndexRecord::kHasChecksum);
+    ASSERT_TRUE(mount_->rewrite_index("bar", index).is_ok());
   }
 
   void expect_corrupt_on_every_read() {
@@ -402,7 +520,7 @@ TEST_F(ExtentBoundsTest, OverflowHugeLengthInMultiExtentSubsetIsCorrupt) {
   // The multi-extent image is preallocated from the index: a forged length
   // must not size it.
   ASSERT_NO_FATAL_FAILURE(forge(0, kHugeLength, /*checksummed=*/true));
-  ASSERT_TRUE(mount_->append("bar", "p", 1, bytes_of("second extent")).is_ok());
+  ASSERT_TRUE(append("bar", "p", 1, bytes_of("second extent")).is_ok());
   const auto locations = core::Indexer(*mount_).locate("bar", "p").value();
   ASSERT_EQ(locations.size(), 2u);
   const auto subset = core::IoRetriever(*mount_).retrieve(locations);
@@ -429,12 +547,12 @@ TEST_F(ExtentBoundsTest, InteriorExtentIsReadAndCheckedAlone) {
   // The retriever and fsck read exactly [offset, +length) of a dropping:
   // the bytes around it are neither served nor checksummed.
   ASSERT_TRUE(mount_->create_container("bar").is_ok());
-  const auto record = mount_->append("bar", "p", 0, bytes_of("0123456789")).value();
-  auto records = mount_->read_index("bar").value();
-  records[0].physical_offset = 2;
-  records[0].length = 5;
-  records[0].set_checksum(crc32c(bytes_of("23456")));
-  ASSERT_TRUE(mount_->rewrite_index("bar", records).is_ok());
+  const auto record = append("bar", "p", 0, bytes_of("0123456789")).value();
+  auto index = mount_->read_index("bar").value();
+  index.records[0].physical_offset = 2;
+  index.records[0].length = 5;
+  index.records[0].set_checksum(crc32c(bytes_of("23456")));
+  ASSERT_TRUE(mount_->rewrite_index("bar", index).is_ok());
   EXPECT_TRUE(verify_container(*mount_, "bar").value().checksum_bad_records.empty());
   const auto p = read_tag("bar", "p").value();
   EXPECT_EQ(std::string(p.begin(), p.end()), "23456");

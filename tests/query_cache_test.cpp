@@ -204,7 +204,7 @@ class QueryCachePipelineTest : public testing::Test {
 
   /// Count of index records carrying the reserved label file tag.
   std::size_t label_file_records(Ada& ada, const std::string& name) {
-    const auto records = ada.mount().read_index(name).value();
+    const auto records = ada.mount().read_index(name).value().records;
     std::size_t n = 0;
     for (const auto& record : records) {
       if (record.label == kLabelFileTag) ++n;
@@ -352,7 +352,7 @@ TEST_F(QueryCachePipelineTest, FsckRepairQuarantineInvalidates) {
   ASSERT_EQ(ada->query("bar.xtc", kProteinTag).value(), cached);  // warm
 
   // Flip one byte of the protein dropping on disk (silent media corruption).
-  const auto records = ada->mount().read_index("bar.xtc").value();
+  const auto records = ada->mount().read_index("bar.xtc").value().records;
   const auto p_record = std::find_if(records.begin(), records.end(), [](const auto& r) {
     return r.label == kProteinTag;
   });

@@ -28,9 +28,11 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +45,7 @@
 #include "common/crc32c.hpp"
 #include "common/faults.hpp"
 #include "formats/raw_traj.hpp"
+#include "formats/xtc_file.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "plfs/container.hpp"
@@ -55,7 +58,21 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// --- StreamState codec ---------------------------------------------------------------
+// --- StreamState in the index image -------------------------------------------------
+
+// A streamed container's index image: two chunk records and the stream state.
+plfs::Index streamed_index(const plfs::StreamState& state) {
+  plfs::Index index;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    plfs::IndexRecord r{i * 1000u, 1000, i, i == 0 ? "p" : "m",
+                        "dropping.x." + std::to_string(i), 0};
+    r.set_checksum(0x1234u + i);
+    r.set_frame_span(plfs::FrameSpan{i * 3u, 3});
+    index.records.push_back(r);
+  }
+  index.stream = state;
+  return index;
+}
 
 TEST(StreamStateCodecTest, RoundTripsEveryField) {
   plfs::StreamState state;
@@ -64,50 +81,53 @@ TEST(StreamStateCodecTest, RoundTripsEveryField) {
   state.sealed_chunks = 77;
   state.floor_frames = 42;
   state.retention_drops = 9;
-  const auto image = encode_stream_state(state);
-  const auto back = plfs::decode_stream_state(image);
+  const plfs::Index index = streamed_index(state);
+  const auto back = plfs::decode_index(plfs::encode_index(index));
   ASSERT_TRUE(back.is_ok()) << back.error().to_string();
-  EXPECT_EQ(back.value(), state);
+  EXPECT_EQ(back.value(), index);
 
-  const auto empty = plfs::decode_stream_state(plfs::encode_stream_state(plfs::StreamState{}));
+  const auto empty =
+      plfs::decode_index(plfs::encode_index(plfs::Index{{}, plfs::StreamState{}}));
   ASSERT_TRUE(empty.is_ok());
-  EXPECT_EQ(empty.value(), plfs::StreamState{});
+  ASSERT_TRUE(empty.value().stream.has_value());
+  EXPECT_EQ(*empty.value().stream, plfs::StreamState{});
 }
 
 TEST(StreamStateCodecTest, RejectsTruncationAndEveryBitFlip) {
   plfs::StreamState state;
   state.sealed_frames = 0xDEADBEEF;
   state.sealed_chunks = 3;
-  const auto image = plfs::encode_stream_state(state);
+  const auto image = plfs::encode_index(streamed_index(state));
 
   // Any truncation (including empty) and any extension must fail cleanly.
   for (std::size_t len = 0; len < image.size(); ++len) {
-    const auto r = plfs::decode_stream_state(std::span(image.data(), len));
+    const auto r = plfs::decode_index(std::span(image.data(), len));
     ASSERT_FALSE(r.is_ok()) << "decoded a " << len << "-byte truncation";
     EXPECT_EQ(r.error().code(), ErrorCode::kCorruptData);
   }
   auto padded = image;
   padded.push_back(0);
-  EXPECT_FALSE(plfs::decode_stream_state(padded).is_ok());
+  EXPECT_FALSE(plfs::decode_index(padded).is_ok());
 
   // The trailing CRC makes every single-bit flip detectable.
   for (std::size_t byte = 0; byte < image.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       auto flipped = image;
       flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      const auto r = plfs::decode_stream_state(flipped);
-      EXPECT_FALSE(r.is_ok()) << "bit " << bit << " of byte " << byte << " went undetected";
+      const auto r = plfs::decode_index(flipped);
+      ASSERT_FALSE(r.is_ok()) << "bit " << bit << " of byte " << byte << " went undetected";
+      EXPECT_EQ(r.error().code(), ErrorCode::kCorruptData);
     }
   }
 }
 
 TEST(StreamStateCodecTest, RejectsInconsistentFields) {
   // floor above the watermark can never be produced by a correct writer;
-  // a state claiming it is corrupt, not merely odd.
+  // an image claiming it is corrupt, not merely odd.
   plfs::StreamState bad;
   bad.floor_frames = 10;
   bad.sealed_frames = 5;
-  const auto r = plfs::decode_stream_state(plfs::encode_stream_state(bad));
+  const auto r = plfs::decode_index(plfs::encode_index(plfs::Index{{}, bad}));
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.error().code(), ErrorCode::kCorruptData);
 }
@@ -416,7 +436,7 @@ TEST_F(StreamingTailTest, RewriteGenerationStillFencesFrameBlocks) {
 
   // Corrupt the protein dropping; repair quarantines it and rewrites the
   // index -- a rewrite-generation bump.  The cached block must NOT survive.
-  const auto records = ada->mount().read_index("live.xtc").value();
+  const auto records = ada->mount().read_index("live.xtc").value().records;
   const auto p_record = std::find_if(records.begin(), records.end(), [](const auto& r) {
     return r.label == kProteinTag;
   });
@@ -493,11 +513,14 @@ TEST_F(StreamingTailTest, RetentionRaisesTheFloorAndUnlinksDroppings) {
   }
   EXPECT_LT(on_disk, reference_on_disk) << "retention never unlinked a dropping";
 
-  // No orphans, no broken records, no open tail -- retention is clean.
+  // No orphans, no broken records, no open tail -- retention is clean, and
+  // the surviving extents tile from the first live one.
   const auto verify = plfs::verify_container(reader->mount(), "live.xtc").value();
   EXPECT_TRUE(verify.broken_records.empty());
   EXPECT_TRUE(verify.orphan_droppings.empty());
   EXPECT_TRUE(verify.open_tail_records.empty());
+  EXPECT_TRUE(verify.extents_complete);
+  EXPECT_TRUE(verify.clean());
   obs::set_enabled(false);
 }
 
@@ -512,14 +535,22 @@ TEST_F(StreamingTailTest, FsckSealsAnInterruptedStreamQuarantiningOnlyTheOpenTai
     ASSERT_TRUE(stream.is_ok());
     for (std::uint32_t f = 0; f < 4; ++f) ASSERT_TRUE(push(stream.value(), frames, f).is_ok());
     ASSERT_EQ(stream.value().sealed_frames(), 4u);
-
-    // Crash mid-flush: the chunk's extents land in the index, then the
-    // watermark publish dies.  This is exactly the torn state a power cut
-    // between the two atomic writes leaves behind.
-    const fault::ScopedFault torn("plfs.write_stream_state", fault::Schedule::fail_nth(1));
-    ASSERT_TRUE(push(stream.value(), frames, 4).is_ok());
-    EXPECT_FALSE(push(stream.value(), frames, 5).is_ok());  // flush fails
     // The stream object is abandoned here, like the dead process's memory.
+  }
+  // A producer that publishes a chunk's extents ahead of its watermark
+  // (IoDispatcher::dispatch_one per tag, then PlfsMount::write_stream_state)
+  // and dies between the two leaves the next chunk indexed above it.
+  IoDispatcher dispatcher(writer->mount(), writer->config().placement);
+  const std::uint64_t first = 4;
+  for (const auto& [tag, selection] : labels_.groups) {
+    formats::RawTrajWriter chunk(static_cast<std::uint32_t>(selection.count()));
+    for (std::uint32_t f = 4; f < 6; ++f) {
+      ASSERT_TRUE(chunk
+                      .add_frame(frames.steps[f], frames.times[f], system_.box(),
+                                 frames.coords[f], selection)
+                      .is_ok());
+    }
+    ASSERT_TRUE(dispatcher.dispatch_one("live.xtc", tag, chunk.finish(), &first, 2).is_ok());
   }
 
   // Readers still see only the sealed prefix -- the indexer clamps the
@@ -529,7 +560,6 @@ TEST_F(StreamingTailTest, FsckSealsAnInterruptedStreamQuarantiningOnlyTheOpenTai
 
   const auto verify = plfs::verify_container(reader->mount(), "live.xtc").value();
   EXPECT_TRUE(verify.stream_open);
-  EXPECT_FALSE(verify.stream_state_corrupt);
   EXPECT_EQ(verify.open_tail_records.size(), 2u);  // one per tag (p, m)
   EXPECT_TRUE(verify.broken_records.empty()) << "the open tail was misclassified as broken";
   EXPECT_TRUE(verify.orphan_droppings.empty()) << "tail droppings are referenced, not orphans";
@@ -556,7 +586,42 @@ TEST_F(StreamingTailTest, FsckSealsAnInterruptedStreamQuarantiningOnlyTheOpenTai
   EXPECT_EQ(done.frames, 0u);
 }
 
-TEST_F(StreamingTailTest, FsckReconstructsACorruptStreamStateFromTheIndex) {
+TEST_F(StreamingTailTest, FailedFlushPublishLeavesOrphansNotAnOpenTail) {
+  auto writer = open_ada("unpublished");
+  const auto frames = make_frames(6);
+  {
+    auto stream = writer->begin_stream(labels_, "live.xtc", /*chunk_frames=*/2);
+    ASSERT_TRUE(stream.is_ok());
+    for (std::uint32_t f = 0; f < 4; ++f) ASSERT_TRUE(push(stream.value(), frames, f).is_ok());
+    // Crash before the flush's one publication: its droppings are written,
+    // the index never names them, and the watermark stays put.
+    const fault::ScopedFault crash("plfs.write_index", fault::Schedule::fail_nth(1));
+    ASSERT_TRUE(push(stream.value(), frames, 4).is_ok());
+    EXPECT_FALSE(push(stream.value(), frames, 5).is_ok());
+  }
+
+  auto reader = open_ada("unpublished");
+  const auto prefix = reader->query("live.xtc", kProteinTag).value();
+  EXPECT_EQ(formats::RawTrajCatReader::open(prefix).value().frame_count(), 4u);
+  const auto verify = plfs::verify_container(reader->mount(), "live.xtc").value();
+  EXPECT_TRUE(verify.stream_open);
+  EXPECT_TRUE(verify.open_tail_records.empty()) << "an unpublished chunk became an open tail";
+  EXPECT_EQ(verify.orphan_droppings.size(), 2u);  // one per tag (p, m)
+
+  const auto actions = plfs::repair_container(reader->mount(), "live.xtc").value();
+  EXPECT_EQ(actions.orphans_removed, 2u);
+  EXPECT_EQ(actions.tail_records_dropped, 0u);
+  const auto after = plfs::verify_container(reader->mount(), "live.xtc").value();
+  EXPECT_TRUE(after.clean());
+  EXPECT_FALSE(after.stream_open);
+  const auto state = reader->stream_progress("live.xtc").value();
+  ASSERT_TRUE(state.has_value());
+  EXPECT_TRUE(state->sealed);
+  EXPECT_EQ(state->sealed_frames, 4u);
+  EXPECT_EQ(reader->query("live.xtc", kProteinTag).value(), prefix);
+}
+
+TEST_F(StreamingTailTest, IndexBitFlipIsCorruptData) {
   auto writer = open_ada("torn");
   const auto frames = make_frames(4);
   {
@@ -565,31 +630,87 @@ TEST_F(StreamingTailTest, FsckReconstructsACorruptStreamStateFromTheIndex) {
     for (std::uint32_t f = 0; f < 4; ++f) ASSERT_TRUE(push(stream.value(), frames, f).is_ok());
   }  // abandoned unsealed at watermark 4
 
+  // Bit-flip the published image (index.plfs lives on backend 0): records
+  // and stream state share its CRC, so neither is ever trusted half-torn.
   auto reader = open_ada("torn");
-  const auto before = reader->query("live.xtc", kProteinTag).value();
-
-  // Bit-flip the on-disk state file (stream.plfs lives on backend 0).
-  const std::string state_path = reader->mount().dropping_host_path(0, "live.xtc", "stream.plfs");
-  auto image = read_file(state_path).value();
+  const std::string index_path = reader->mount().dropping_host_path(0, "live.xtc", "index.plfs");
+  auto image = read_file(index_path).value();
   image[image.size() / 2] ^= 0x10;
-  ASSERT_TRUE(write_file(state_path, image).is_ok());
+  ASSERT_TRUE(write_file(index_path, image).is_ok());
 
-  ASSERT_FALSE(reader->stream_progress("live.xtc").is_ok());
-  const auto verify = plfs::verify_container(reader->mount(), "live.xtc").value();
-  EXPECT_TRUE(verify.stream_state_corrupt);
-  EXPECT_FALSE(verify.clean());
+  const auto progress = reader->stream_progress("live.xtc");
+  ASSERT_FALSE(progress.is_ok());
+  EXPECT_EQ(progress.error().code(), ErrorCode::kCorruptData);
+  const auto query = reader->query("live.xtc", kProteinTag);
+  ASSERT_FALSE(query.is_ok());
+  EXPECT_EQ(query.error().code(), ErrorCode::kCorruptData);
+  const auto verify = plfs::verify_container(reader->mount(), "live.xtc");
+  ASSERT_FALSE(verify.is_ok()) << "fsck diagnosed a container whose index is unreadable";
+  EXPECT_EQ(verify.error().code(), ErrorCode::kCorruptData);
+}
 
-  ASSERT_TRUE(plfs::repair_container(reader->mount(), "live.xtc").is_ok());
+// Each logical write writes its droppings, then publishes exactly one index
+// image (counted as hits of the "plfs.write_index" site).
+TEST_F(StreamingTailTest, EveryLogicalWritePublishesTheIndexOnce) {
+  const auto publications = [](const std::function<void()>& write) {
+    const fault::ScopedFault count(
+        "plfs.write_index", fault::Schedule::fail_nth(std::numeric_limits<std::uint64_t>::max()));
+    write();
+    return fault::Injector::global().hits("plfs.write_index");
+  };
+  const auto frames = make_frames(5);
 
-  // Repair derived the watermark from the index (both tags cover [0, 4))
-  // and sealed there; the data reads back unchanged.
-  auto post = open_ada("torn");
-  const auto state = post->stream_progress("live.xtc").value();
-  ASSERT_TRUE(state.has_value());
-  EXPECT_TRUE(state->sealed);
-  EXPECT_EQ(state->sealed_frames, 4u);
-  EXPECT_EQ(state->floor_frames, 0u);
-  EXPECT_EQ(post->query("live.xtc", kProteinTag).value(), before);
+  // Batch ingest: the create, then subsets + label file + kept original.
+  AdaConfig config;
+  config.placement = PlacementPolicy::active_on_ssd(0, 1);
+  config.keep_original = true;
+  Ada batch(plfs::PlfsMount::open({{"ssd", root_ + "/once/ssd"}, {"hdd", root_ + "/once/hdd"}})
+                .value(),
+            config);
+  formats::XtcWriter xtc;
+  for (std::uint32_t f = 0; f < 5; ++f) {
+    ASSERT_TRUE(
+        xtc.add_frame(frames.steps[f], frames.times[f], system_.box(), frames.coords[f]).is_ok());
+  }
+  const auto xtc_image = xtc.take();
+  EXPECT_EQ(publications([&] { ASSERT_TRUE(batch.ingest(system_, xtc_image, "bar.xtc").is_ok()); }),
+            2u);
+  EXPECT_EQ(batch.mount().read_index("bar.xtc").value().records.size(), 4u);  // p, m, labels, xtc
+
+  // Streaming, with retention keeping only the newest chunk.
+  auto ada = open_ada("once_stream", 0, /*retain_bytes=*/1);
+  std::optional<IngestStream> stream;
+  EXPECT_EQ(publications([&] {
+              auto begun = ada->begin_stream(labels_, "live.xtc", /*chunk_frames=*/2);
+              ASSERT_TRUE(begun.is_ok());
+              stream.emplace(std::move(begun).value());
+            }),
+            1u);  // the create carries the initial stream state
+  ASSERT_TRUE(stream.has_value());
+  ASSERT_TRUE(push(*stream, frames, 0).is_ok());
+  EXPECT_EQ(publications([&] { ASSERT_TRUE(push(*stream, frames, 1).is_ok()); }), 1u);  // flush
+  ASSERT_TRUE(push(*stream, frames, 2).is_ok());
+  // A flush, then a retention drop of the older chunk.
+  EXPECT_EQ(publications([&] { ASSERT_TRUE(push(*stream, frames, 3).is_ok()); }), 2u);
+  EXPECT_EQ(stream->floor_frames(), 2u);
+  // finish (no partial chunk left to flush): the label file with the seal.
+  EXPECT_EQ(publications([&] { ASSERT_TRUE(stream->finish().is_ok()); }), 1u);
+
+  // Repair: quarantine a corrupt extent and drop its record in one image.
+  const auto records = ada->mount().read_index("live.xtc").value().records;
+  ASSERT_FALSE(records.empty());
+  const std::string path =
+      ada->mount().dropping_host_path(records.front().backend, "live.xtc",
+                                      records.front().dropping);
+  auto bytes = read_file(path).value();
+  bytes[bytes.size() / 2] ^= 0x01;
+  ASSERT_TRUE(write_file(path, bytes).is_ok());
+  EXPECT_EQ(publications([&] {
+              const auto repaired = plfs::repair_container(ada->mount(), "live.xtc");
+              ASSERT_TRUE(repaired.is_ok());
+              EXPECT_EQ(repaired.value().extents_quarantined, 1u);
+            }),
+            1u);
 }
 
 // --- the concurrent reader/writer battery --------------------------------------------

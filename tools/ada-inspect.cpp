@@ -56,14 +56,25 @@ int main(int argc, char** argv) {
   }
 
   const std::string logical = args.get("name");
-  const auto records = tools::must(middleware.mount().read_index(logical), "read index");
+  const auto index = tools::must(middleware.mount().read_index(logical), "read index");
   Table table({"logical offset", "length", "backend", "label", "dropping"});
-  for (const auto& r : records) {
+  for (const auto& r : index.records) {
     table.add_row({std::to_string(r.logical_offset), format_bytes(static_cast<double>(r.length)),
                    middleware.mount().backend(r.backend).name, r.label, r.dropping});
   }
-  std::fprintf(report_out, "container %s (%zu extents):\n", logical.c_str(), records.size());
+  std::fprintf(report_out, "container %s (%zu extents):\n", logical.c_str(),
+               index.records.size());
   table.print(table_out);
+  if (index.stream.has_value()) {
+    const plfs::StreamState& state = *index.stream;
+    std::fprintf(report_out,
+                 "stream: watermark %llu frames, floor %llu, %s (%llu chunks, %llu dropped)\n",
+                 static_cast<unsigned long long>(state.sealed_frames),
+                 static_cast<unsigned long long>(state.floor_frames),
+                 state.sealed ? "sealed" : "OPEN",
+                 static_cast<unsigned long long>(state.sealed_chunks),
+                 static_cast<unsigned long long>(state.retention_drops));
+  }
 
   const auto labels = middleware.labels(logical);
   if (labels.is_ok()) {
@@ -74,15 +85,21 @@ int main(int argc, char** argv) {
 
   if (args.has("fsck") || args.has("repair")) {
     const auto report = tools::must(plfs::verify_container(middleware.mount(), logical), "fsck");
-    std::fprintf(report_out, "\nfsck: %s (%zu broken records, %zu orphans, extents %s)\n",
-                report.clean() ? "clean" : "NOT CLEAN", report.broken_records.size(),
-                report.orphan_droppings.size(),
-                report.extents_complete ? "complete" : "INCOMPLETE");
+    std::fprintf(report_out,
+                 "\nfsck: %s (%zu broken records, %zu checksum-bad, %zu open-tail, %zu orphans, "
+                 "extents %s)\n",
+                 report.clean() ? "clean" : "NOT CLEAN", report.broken_records.size(),
+                 report.checksum_bad_records.size(), report.open_tail_records.size(),
+                 report.orphan_droppings.size(),
+                 report.extents_complete ? "complete" : "INCOMPLETE");
     if (args.has("repair") && !report.clean()) {
       const auto actions =
           tools::must(plfs::repair_container(middleware.mount(), logical), "repair");
-      std::fprintf(report_out, "repaired: dropped %zu records, removed %zu orphans\n",
-                   actions.records_dropped, actions.orphans_removed);
+      std::fprintf(report_out,
+                   "repaired: dropped %zu broken records, quarantined %zu extents, dropped %zu "
+                   "open-tail records, removed %zu orphans\n",
+                   actions.records_dropped, actions.extents_quarantined,
+                   actions.tail_records_dropped, actions.orphans_removed);
     }
     tools::metrics_end(args);
     return report.clean() ? 0 : 1;

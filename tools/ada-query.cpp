@@ -20,7 +20,7 @@
 //
 // With --frames A:B (half-open, either side optional: "10:", ":50") and/or
 // --stride K, only the selected frames of the tagged subset are fetched --
-// the frame-range query that addresses per-extent frame tables when the
+// the frame-range query that addresses per-extent frame spans when the
 // container carries them.
 //
 // With --follow, the query tails a live stream (ada-ingest --stream running

@@ -242,6 +242,19 @@ set -e
     exit 1
 }
 
+echo "== retention smoke: --retain-bytes stream, then ada-inspect --fsck exits 0 =="
+# Retention deletes the oldest chunks' records; fsck must judge the stream
+# by its live extents and call it clean.
+"$BUILD_DIR/tools/ada-ingest" --pdb "$WORK/gen_stream/system.pdb" \
+    --xtc "$WORK/gen_stream/traj.xtc" --ssd "$WORK/ssd4" --hdd "$WORK/hdd4" --name live.xtc \
+    --stream --chunk-frames 2 --retain-bytes 1 >/dev/null
+"$BUILD_DIR/tools/ada-inspect" --ssd "$WORK/ssd4" --hdd "$WORK/hdd4" --name live.xtc \
+    --fsck >"$WORK/retained_fsck.log" || {
+    echo "FAIL: ada-inspect --fsck of a healthy retained stream exited non-zero" >&2
+    cat "$WORK/retained_fsck.log" >&2
+    exit 1
+}
+
 echo "== follow flag validation: non-positive --poll-ms/--timeout-s rejected =="
 # Each of these is always user error (busy-spin / timeout-before-first-poll):
 # the tool must refuse loudly with usage exit 2 instead of running anyway.
@@ -304,6 +317,15 @@ SERVE_GATE_EXIT=$?
 set -e
 [ "$SERVE_GATE_EXIT" -eq 1 ] || {
     echo "FAIL: serve gate should exit 1 on the regressed fixture, got $SERVE_GATE_EXIT" >&2
+    exit 1
+}
+
+echo "== one published state: no container holds a stream-state file =="
+# The index image carries the stream state; a separate stream.plfs next to
+# it would be a second, unordered publication.
+STRAY_STATE="$(find "$WORK" -name stream.plfs)"
+[ -z "$STRAY_STATE" ] || {
+    echo "FAIL: stream-state files beside the index: $STRAY_STATE" >&2
     exit 1
 }
 
