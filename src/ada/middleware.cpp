@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "ada/label_store.hpp"
-#include "common/binary_io.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "formats/raw_traj.hpp"
@@ -285,40 +284,16 @@ std::string partial_block_tag(const Tag& tag, std::uint64_t block, std::uint64_t
   return tag + '\x01' + std::to_string(block) + '\x02' + std::to_string(frames);
 }
 
-// True iff the extent can be one canonical RawTrajWriter image of its span:
-// a 16-byte header followed by `frame_count` frames of one RAW-shaped size.
-// `frame_bytes` accumulates the uniform frame size across extents (0 = not
-// yet known).  Anything else (records without a span, lying spans) routes
-// the query down the slice-the-full-subset fallback, so a malformed span can
-// never cause an out-of-bounds slice.
-bool canonical_extent(const DatasetLocation& location, std::uint64_t& frame_bytes) {
-  if (location.bytes < 16) return false;
-  if (location.frame_count == 0) return location.bytes == 16;  // header only
-  const std::uint64_t payload = location.bytes - 16;
-  const std::uint64_t span = payload / location.frame_count;
-  if (span * location.frame_count != payload) return false;
-  if (span < 44 || (span - 44) % 12 != 0) return false;  // RAW frame shape
-  if ((span - 44) / 12 > std::numeric_limits<std::uint32_t>::max()) return false;
-  if (frame_bytes == 0) frame_bytes = span;
-  return frame_bytes == span;
-}
-
-// True iff a fetched extent's RAW header states its span's frame count (its
-// length then fixes the atom count canonical_extent derived).
-bool header_matches(std::span<const std::uint8_t> extent, const DatasetLocation& location) {
-  const auto raw = formats::RawTrajReader::open(extent);
-  return raw.is_ok() && raw.value().frame_count() == location.frame_count;
-}
-
-// The RAW header (magic | atoms | frames) of a range result.
-void append_raw_header(std::vector<std::uint8_t>& out, std::uint32_t atoms,
-                       std::uint32_t frames) {
-  ByteWriter header;
-  header.put_bytes(formats::kRawMagic);
-  header.put_u32_le(atoms);
-  header.put_u32_le(frames);
-  const auto& bytes = header.bytes();
-  out.insert(out.end(), bytes.begin(), bytes.end());
+// True iff the extent's length is a RAW file of its span's frames, of the
+// atom count `atoms` accumulates across extents (nullopt = not yet known).
+// Anything else routes the query down the slice-the-full-subset fallback, so
+// a malformed span can never cause an out-of-bounds slice.
+bool canonical_extent(const DatasetLocation& location, std::optional<std::uint32_t>& atoms) {
+  const auto implied = formats::raw_atom_count(location.bytes, location.frame_count);
+  if (!implied.has_value()) return false;
+  if (location.frame_count == 0) return true;
+  if (!atoms.has_value()) atoms = implied;
+  return atoms == implied;
 }
 
 // Global frame indices a range selects out of `total` frames.
@@ -329,47 +304,29 @@ std::vector<std::uint64_t> select_frames(const FrameRange& range, std::uint64_t 
   return picked;
 }
 
-// Fallback slicer: cut the selected frames out of a full (possibly
-// concatenated) subset image.  Byte-identical to the fast path by
-// construction -- both emit header + verbatim frame records.
-Result<std::vector<std::uint8_t>> slice_raw_frames(std::span<const std::uint8_t> image,
-                                                   const FrameRange& range) {
-  ADA_ASSIGN_OR_RETURN(const auto cat, formats::RawTrajCatReader::open(image));
-  const std::uint64_t frame_bytes = formats::raw_frame_bytes(cat.atom_count());
-  const auto picked = select_frames(range, cat.frame_count());
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + picked.size() * frame_bytes);
-  append_raw_header(out, cat.atom_count(), static_cast<std::uint32_t>(picked.size()));
-  // The reader validated every segment and their shared frame size, so
-  // frame g sits at 16 + (g - first) * frame_bytes of the segment holding it.
-  std::uint64_t segment = 0;  // byte offset of the current segment
-  std::uint64_t first = 0;    // its first frame
-  const auto frames_at = [&](std::uint64_t offset) {
-    return ByteReader(image.subspan(offset + 12, 4)).get_u32_le().value();
-  };
-  std::uint64_t frames = picked.empty() ? 0 : frames_at(0);
-  for (const std::uint64_t g : picked) {
-    while (g >= first + frames) {
-      segment += 16 + frames * frame_bytes;
-      first += frames;
-      frames = frames_at(segment);
-    }
-    const auto* frame = image.data() + segment + 16 + (g - first) * frame_bytes;
-    out.insert(out.end(), frame, frame + frame_bytes);
-  }
-  return out;
-}
-
 }  // namespace
+
+Result<Ada::IndexSnapshot> Ada::snapshot_index(const std::string& logical_name) const {
+  // Both generations are observed BEFORE the index read, so a racing write
+  // leaves anything filled from it detectably stale.
+  IndexSnapshot snapshot;
+  snapshot.generation = subset_generation(logical_name);
+  snapshot.block_generation = cache_ != nullptr ? mount_.rewrite_generation(logical_name) : 0;
+  ADA_ASSIGN_OR_RETURN(snapshot.index, mount_.read_index(logical_name));
+  return snapshot;
+}
 
 Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, const Tag& tag,
                                              const FrameRange& range) const {
-  return query_range(logical_name, tag, range, nullptr);
+  ADA_ASSIGN_OR_RETURN(RangeImage answer,
+                       query_range(logical_name, tag, range, std::nullopt, /*empty_header=*/true));
+  return std::move(answer.image);
 }
 
-Result<std::vector<std::uint8_t>> Ada::query_range(
-    const std::string& logical_name, const Tag& tag, const FrameRange& range,
-    std::optional<plfs::StreamState>* stream) const {
+Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const Tag& tag,
+                                         const FrameRange& range,
+                                         std::optional<IndexSnapshot> snapshot,
+                                         bool empty_header) const {
   const obs::Span span("query_range", tag);
   ADA_OBS_COUNT("query.calls", 1);
   ADA_OBS_COUNT("query.range.calls", 1);
@@ -380,30 +337,41 @@ Result<std::vector<std::uint8_t>> Ada::query_range(
   // only history-rewriting writes advance (retention, repair, overwrite).  A
   // streaming chunk flush bumps the mutation clock but not this one, so
   // sealed-prefix blocks stay hittable across flushes -- the flush extends
-  // the readable prefix instead of invalidating it.  Both generations are
-  // observed BEFORE the index read, so a racing write leaves filled blocks
-  // (or a fallback's whole-subset fill) detectably stale.
+  // the readable prefix instead of invalidating it.
+  if (!snapshot.has_value()) {
+    ADA_ASSIGN_OR_RETURN(snapshot, snapshot_index(logical_name));
+  }
   Located located;
-  located.generation = subset_generation(logical_name);
-  const std::uint64_t block_generation =
-      cache_ != nullptr ? mount_.rewrite_generation(logical_name) : 0;
-  ADA_ASSIGN_OR_RETURN(plfs::Index index, mount_.read_index(logical_name));
-  if (stream != nullptr) *stream = index.stream;
+  located.generation = snapshot->generation;
+  const std::uint64_t block_generation = snapshot->block_generation;
   // The retention floor: frames below it are gone (0 unless a stream dropped chunks).
-  const std::uint64_t base_frame = index.stream.has_value() ? index.stream->floor_frames : 0;
+  const std::uint64_t base_frame =
+      snapshot->index.stream.has_value() ? snapshot->index.stream->floor_frames : 0;
   ADA_ASSIGN_OR_RETURN(located.extents,
-                       Indexer(mount_).locate(std::move(index), logical_name, tag));
+                       Indexer(mount_).locate(std::move(snapshot->index), logical_name, tag));
   const std::vector<DatasetLocation>& locations = located.extents;
   if (range.begin < base_frame) {
     return out_of_range("frame " + std::to_string(range.begin) +
                         " is below the retention floor (" + std::to_string(base_frame) + ")");
   }
 
+  // Both paths answer through one writer: the picked frames' records,
+  // verbatim, behind one canonical header.
+  const auto answer = [&](std::uint32_t atoms, const std::vector<std::uint64_t>& picked,
+                          const auto& record_of) -> Result<RangeImage> {
+    if (picked.empty() && !empty_header) return RangeImage{};
+    formats::RawTrajWriter out(atoms, picked.size());
+    for (const std::uint64_t g : picked) ADA_RETURN_IF_ERROR(out.append_record(record_of(g)));
+    RangeImage result{out.finish(), picked.size()};
+    count_query_bytes(tag, result.image.size());
+    return result;
+  };
+
   // Fallback: the whole subset (through the subset cache when armed), read
   // from the extents located above, then sliced.  The full image of a
   // retained stream starts at the floor, not frame 0, so the selection
   // shifts into the image's local numbering.
-  const auto fallback = [&]() -> Result<std::vector<std::uint8_t>> {
+  const auto fallback = [&]() -> Result<RangeImage> {
     ADA_OBS_COUNT("query.range.fallback", 1);
     ADA_ASSIGN_OR_RETURN(const Subset full, read_subset(logical_name, tag, &located));
     FrameRange local_range = range;
@@ -413,43 +381,34 @@ Result<std::vector<std::uint8_t>> Ada::query_range(
           range.end > base_frame ? range.end - base_frame : 0);
     }
     const obs::Span copy_span("copy");
-    auto sliced = slice_raw_frames(full.bytes(), local_range);
-    if (sliced.is_ok()) count_query_bytes(tag, sliced.value().size());
-    return sliced;
+    ADA_ASSIGN_OR_RETURN(const auto cat, formats::RawTrajCatReader::open(full.bytes()));
+    return answer(cat.atom_count(), select_frames(local_range, cat.frame_count()),
+                  [&](std::uint64_t g) { return cat.record(static_cast<std::uint32_t>(g)); });
   };
 
   // Global frame numbering comes from the extents' spans, contiguous from
   // the floor.  An extent without a span, a span gap, or a length that is
   // not its span's frames routes to the fallback -- as does a zero-frame
   // dataset, whose atom count only the stored RAW header can supply.
-  std::uint64_t frame_bytes = 0;
+  std::optional<std::uint32_t> atoms;
   std::uint64_t total_frames = base_frame;
   for (const DatasetLocation& location : locations) {
     if (!location.has_frame_span || location.frame_base != total_frames ||
-        !canonical_extent(location, frame_bytes)) {
+        !canonical_extent(location, atoms)) {
       return fallback();
     }
     total_frames += location.frame_count;
   }
   if (total_frames == base_frame) return fallback();
-
-  const auto atoms = static_cast<std::uint32_t>((frame_bytes - 44) / 12);
   const auto picked = select_frames(range, total_frames);
 
   // Owning extent of global frame `g`: last extent whose first frame is
   // <= g (ties from zero-frame extents resolve to the later, owning one).
   const auto extent_of = [&](std::uint64_t g) {
-    std::size_t lo = 0;
-    std::size_t hi = locations.size();
-    while (hi - lo > 1) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (locations[mid].frame_base <= g) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+    const auto after =
+        std::upper_bound(locations.begin(), locations.end(), g,
+                         [](std::uint64_t f, const DatasetLocation& l) { return f < l.frame_base; });
+    return static_cast<std::size_t>(after - locations.begin()) - 1;
   };
 
   // Plan: one pass over the picked blocks, ascending, resolves which the
@@ -488,37 +447,49 @@ Result<std::vector<std::uint8_t>> Ada::query_range(
       if (needed.empty() || needed.back() != e) needed.push_back(e);
     }
   }
+  // An empty selection still states its atom count in its header: take it
+  // from the smallest extent's stored header, never from span arithmetic
+  // alone.
+  if (picked.empty() && empty_header) {
+    const auto smallest = std::min_element(
+        locations.begin(), locations.end(), [](const DatasetLocation& a, const DatasetLocation& b) {
+          return std::pair(a.frame_count == 0, a.bytes) < std::pair(b.frame_count == 0, b.bytes);
+        });
+    needed.push_back(static_cast<std::size_t>(smallest - locations.begin()));
+  }
 
   // Fetch: every extent the uncached blocks need, in one call.  These
   // CRC-verified, retried reads are the only bytes that may land in the
-  // cache below.
+  // cache below.  Each must open as the RAW image its span describes; a span
+  // the stored header contradicts lied: slice the full subset instead
+  // (dropping the block claims first, so waiters fill their own).
   std::vector<DatasetLocation> want;
   want.reserve(needed.size());
   for (const std::size_t e : needed) want.push_back(locations[e]);
   ADA_ASSIGN_OR_RETURN(auto images,
                        IoRetriever(mount_, retrieve_options()).retrieve_extents(want));
-  std::vector<std::vector<std::uint8_t>> fetched(locations.size());  // by extent index
+  std::vector<std::optional<formats::RawTrajReader>> readers(locations.size());  // by extent
   for (std::size_t k = 0; k < needed.size(); ++k) {
-    // A span the stored RAW header contradicts lied: slice the full subset
-    // instead (dropping the block claims first, so waiters fill their own).
-    if (!header_matches(images[k], locations[needed[k]])) {
+    const std::size_t e = needed[k];
+    auto reader = formats::RawTrajReader::open(images[k]);
+    if (!reader.is_ok() || reader.value().frame_count() != locations[e].frame_count ||
+        reader.value().atom_count() != *atoms) {
       blocks.clear();
       return fallback();
     }
-    fetched[needed[k]] = std::move(images[k]);
+    readers[e] = reader.value();
   }
 
-  // Assemble: header, then each picked frame out of its (hit or built) block.
+  // Assemble: each picked frame out of its (hit or built) block.  A built
+  // block is its frames' records, back to back.
   const obs::Span copy_span("copy");
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + picked.size() * frame_bytes);
-  append_raw_header(out, atoms, static_cast<std::uint32_t>(picked.size()));
+  const std::uint64_t frame_bytes = formats::raw_frame_bytes(*atoms);
   std::uint64_t current_block = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t current_lo = 0;     // first global frame of current block
   QueryCache::Image held;           // keeps the current block's image alive
   std::vector<std::uint8_t> local;  // block assembled from extents
   const std::vector<std::uint8_t>* image = nullptr;
-  for (const std::uint64_t g : picked) {
+  return answer(*atoms, picked, [&](std::uint64_t g) {
     const std::uint64_t b = g / kFrameBlock;
     if (b != current_block) {
       current_block = b;
@@ -530,10 +501,9 @@ Result<std::vector<std::uint8_t>> Ada::query_range(
         local.reserve((block.hi - block.lo) * frame_bytes);
         for (std::uint64_t f = block.lo; f < block.hi; ++f) {
           const std::size_t e = extent_of(f);
-          // canonical_extent proved offset + frame_bytes <= extent length.
-          const std::uint64_t off = 16 + (f - locations[e].frame_base) * frame_bytes;
-          const auto* frame = fetched[e].data() + off;
-          local.insert(local.end(), frame, frame + frame_bytes);
+          const auto record =
+              readers[e]->record(static_cast<std::uint32_t>(f - locations[e].frame_base));
+          local.insert(local.end(), record.begin(), record.end());
         }
         if (cache_ != nullptr) cache_->insert(logical_name, block.key, block_generation, local);
       }
@@ -542,39 +512,35 @@ Result<std::vector<std::uint8_t>> Ada::query_range(
       // rather than at function exit.
       block.claim.reset();
     }
-    const std::uint64_t off = (g - current_lo) * frame_bytes;
-    const auto* frame = image->data() + off;
-    out.insert(out.end(), frame, frame + frame_bytes);
-  }
-  count_query_bytes(tag, out.size());
-  return out;
+    return std::span<const std::uint8_t>(*image).subspan((g - current_lo) * frame_bytes,
+                                                         frame_bytes);
+  });
 }
 
 Result<Ada::TailChunk> Ada::query_tail(const std::string& logical_name, const Tag& tag,
                                        std::uint64_t from_frame) const {
   const obs::Span span("query_tail", tag);
   ADA_OBS_COUNT("stream.tail_polls", 1);
-  // One range query over one index image serves both the frames sealed from
-  // `from_frame` on and the state they were sealed under, so the chunk and
-  // its `sealed` flag always agree.  Frame counts are u32, so a cursor past
-  // u32 range selects nothing (clamped, never truncated into an earlier
-  // frame).  A cursor below a stream's retention floor is kOutOfRange.
-  const auto begin = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(from_frame, std::numeric_limits<std::uint32_t>::max()));
-  std::optional<plfs::StreamState> state;
-  auto image = query_range(logical_name, tag, FrameRange{begin}, &state);
+  ADA_RETURN_IF_ERROR(check_user_tag(tag));
+  // One index image serves both the frames and the state they were sealed
+  // under, so the chunk and its `sealed` flag always agree.
+  ADA_ASSIGN_OR_RETURN(IndexSnapshot snapshot, snapshot_index(logical_name));
+  const std::optional<plfs::StreamState> state = snapshot.index.stream;
   TailChunk chunk;
   chunk.from_frame = from_frame;
   chunk.sealed = !state.has_value() || state->sealed;  // batch containers are all sealed
-  if (!image.is_ok()) {
-    // A live stream that has sealed nothing yet has no extents to locate.
-    const bool nothing_sealed = state.has_value() && state->sealed_frames == 0;
-    if (nothing_sealed && image.error().code() == ErrorCode::kNotFound) return chunk;
-    return image.error();
-  }
-  ADA_ASSIGN_OR_RETURN(const auto raw, formats::RawTrajReader::open(image.value()));
-  chunk.frames = raw.frame_count();
-  if (chunk.frames != 0) chunk.image = std::move(image).value();
+  // A cursor at or above a stream's watermark (a stream that has sealed
+  // nothing yet included) has nothing new: the index alone answers it.
+  if (state.has_value() && from_frame >= state->sealed_frames) return chunk;
+  // Frame counts are u32, so a cursor past u32 range selects nothing
+  // (clamped, never truncated into an earlier frame).  A cursor below a
+  // stream's retention floor is kOutOfRange.
+  const auto begin = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(from_frame, std::numeric_limits<std::uint32_t>::max()));
+  ADA_ASSIGN_OR_RETURN(RangeImage answer, query_range(logical_name, tag, FrameRange{begin},
+                                                      std::move(snapshot), false));
+  chunk.frames = answer.frames;
+  chunk.image = std::move(answer.image);
   return chunk;
 }
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "ada/categorizer.hpp"
-#include "codec/coord_codec.hpp"
 #include "ada/dispatcher.hpp"
 #include "ada/indexer.hpp"
 #include "ada/ingest_stream.hpp"
@@ -70,12 +69,6 @@ struct AdaConfig {
   /// default) such an ingest fails with kAlreadyExists instead of piling
   /// duplicate subsets onto the live container.
   bool overwrite = false;
-
-  /// Coordinate codec version for trajectories written on ADA's behalf
-  /// (tools and benches build their formats::XtcWriter from this; the read
-  /// path decodes either version transparently).  kV1 keeps the stream
-  /// byte-compatible with pre-v2 consumers; kV2 adds inter-frame prediction.
-  codec::CodecVersion codec = codec::CodecVersion::kV1;
 
   /// Give each batch-ingested subset its frame span in the PLFS index,
   /// enabling the frame-range query fast path.  Disabling stores the same
@@ -289,12 +282,27 @@ class Ada {
   Result<Subset> read_subset(const std::string& logical_name, const Tag& tag,
                              const Located* located, bool reserved_ok = false) const;
 
-  /// The frame-range query behind query(range) and query_tail(): when
-  /// `stream` is non-null it receives the stream state of the index image the
-  /// query read, even when the query then fails.
-  Result<std::vector<std::uint8_t>> query_range(const std::string& logical_name, const Tag& tag,
-                                                const FrameRange& range,
-                                                std::optional<plfs::StreamState>* stream) const;
+  /// One index image and the cache generations observed before reading it.
+  struct IndexSnapshot {
+    std::uint64_t generation = 0;        // whole-subset fence (subset_generation)
+    std::uint64_t block_generation = 0;  // frame-block fence (rewrite generation)
+    plfs::Index index;
+  };
+  Result<IndexSnapshot> snapshot_index(const std::string& logical_name) const;
+
+  /// A range answer and the frames it holds.
+  struct RangeImage {
+    std::vector<std::uint8_t> image;
+    std::uint64_t frames = 0;
+  };
+
+  /// The frame-range engine behind query(range) and query_tail(), planned
+  /// from `snapshot` (nullopt: read here).  With `empty_header` an empty
+  /// selection answers a header-only image (its atom count costs one extent
+  /// read); without it, an empty image.
+  Result<RangeImage> query_range(const std::string& logical_name, const Tag& tag,
+                                 const FrameRange& range, std::optional<IndexSnapshot> snapshot,
+                                 bool empty_header) const;
 
   /// Scatter-gather knobs for this middleware's retrievers.
   RetrieveOptions retrieve_options() const noexcept {

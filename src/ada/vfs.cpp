@@ -84,15 +84,8 @@ Result<std::vector<std::uint8_t>> VfsShim::read(const std::string& path,
                                 : ada_->query(logical, *tag);
     }
     // Untagged read of an ADA dataset: every user subset, in tag order (the
-    // ADA(all) retrieval the paper benchmarks).  Pre-size via the indexer so
-    // the concatenation never reallocates mid-copy (the same fix
-    // Ada::PartialQuery::concat applies).
+    // ADA(all) retrieval the paper benchmarks).
     ADA_ASSIGN_OR_RETURN(const auto tags, ada_->tags(logical));
-    std::uint64_t total = 0;
-    for (const Tag& t : tags) {
-      ADA_ASSIGN_OR_RETURN(const auto bytes, ada_->subset_bytes(logical, t));
-      total += bytes;
-    }
     // Per-tag queries run as one batch under the read_threads budget (one
     // thread: inline, in tag order; more: fanned onto the shared pool, each
     // query keeping its own extent-level budget -- nested run_batch is
@@ -106,13 +99,14 @@ Result<std::vector<std::uint8_t>> VfsShim::read(const std::string& path,
       subsets[i] = ada_->query(logical, tags[i]);
       return subsets[i].is_ok();
     });
-    std::vector<std::uint8_t> out;
-    out.reserve(total);
-    for (auto& subset : subsets) {
-      if (!subset.is_ok()) return subset.error();
-      out.insert(out.end(), subset.value().begin(), subset.value().end());
+    // PartialQuery::concat sizes the result from the fetched subsets, so the
+    // concatenation never reallocates mid-copy.
+    Ada::PartialQuery all;
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+      if (!subsets[i].is_ok()) return subsets[i].error();
+      all.subsets.emplace(tags[i], std::move(subsets[i]).value());
     }
-    return out;
+    return all.concat();
   }
   if (tag.has_value()) {
     return failed_precondition("tagged read of a non-ADA path: " + path);

@@ -11,8 +11,8 @@
 // waiters, each with a private condition variable.  release() hands the
 // freed slot directly to the OLDEST waiter of that key and notifies exactly
 // that one waiter -- one wakeup per release, never a thundering herd across
-// every key (the serve layer multiplies windows by tenants, so an
-// every-waiter-every-release broadcast would scale as waiters x releases).
+// every key (an every-waiter-every-release broadcast would scale as waiters
+// x releases).
 // Because the slot is handed off rather than returned to a free pool, a
 // late acquire() can never barge past a queued waiter: grants are strictly
 // FIFO per key.
@@ -29,7 +29,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "common/check.hpp"
 
@@ -40,18 +39,7 @@ class AdmissionWindow {
   /// `keys` resources, each admitting at most `depth` concurrent holders.
   /// depth == 0 means unbounded (acquire never blocks).
   AdmissionWindow(std::size_t keys, unsigned depth) : depth_(depth), keys_(keys) {
-    if (depth_ != 0) {
-      slots_ = std::make_unique<Key[]>(keys_);
-      for (std::size_t i = 0; i < keys_; ++i) slots_[i].depth = depth_;
-    }
-  }
-
-  /// Per-key depths (the serve layer's per-tenant windows): key `i` admits
-  /// at most `depths[i]` concurrent holders, 0 = that key is unbounded.
-  explicit AdmissionWindow(const std::vector<unsigned>& depths)
-      : depth_(0), keys_(depths.size()) {
-    slots_ = std::make_unique<Key[]>(keys_);
-    for (std::size_t i = 0; i < keys_; ++i) slots_[i].depth = depths[i];
+    if (depth_ != 0) slots_ = std::make_unique<Key[]>(keys_);
   }
 
   AdmissionWindow(const AdmissionWindow&) = delete;
@@ -64,9 +52,8 @@ class AdmissionWindow {
     if (slots_ == nullptr) return 0;
     ADA_CHECK(key < keys_);
     Key& slot = slots_[key];
-    if (slot.depth == 0) return 0;
     std::unique_lock<std::mutex> lock(slot.mutex);
-    if (slot.in_flight < slot.depth && slot.waiters.empty()) {
+    if (slot.in_flight < depth_ && slot.waiters.empty()) {
       ++slot.in_flight;
       return 0;
     }
@@ -81,25 +68,10 @@ class AdmissionWindow {
     return waits;
   }
 
-  /// Take a slot only if one is free right now (no queueing): the serve
-  /// scheduler probes windows under its own lock and must never block a
-  /// worker on a tenant that is already at depth.
-  bool try_acquire(std::size_t key) {
-    if (slots_ == nullptr) return true;
-    ADA_CHECK(key < keys_);
-    Key& slot = slots_[key];
-    if (slot.depth == 0) return true;
-    const std::lock_guard<std::mutex> lock(slot.mutex);
-    if (slot.in_flight >= slot.depth || !slot.waiters.empty()) return false;
-    ++slot.in_flight;
-    return true;
-  }
-
   void release(std::size_t key) {
     if (slots_ == nullptr) return;
     ADA_CHECK(key < keys_);
     Key& slot = slots_[key];
-    if (slot.depth == 0) return;
     const std::lock_guard<std::mutex> lock(slot.mutex);
     ADA_CHECK(slot.in_flight > 0);
     if (slot.waiters.empty()) {
@@ -113,16 +85,6 @@ class AdmissionWindow {
     next->granted = true;
     wakeups_.fetch_add(1, std::memory_order_relaxed);
     next->cv.notify_one();
-  }
-
-  /// The uniform depth this window was built with (0 when unbounded or when
-  /// constructed from per-key depths; see depth(key) for the latter).
-  unsigned depth() const noexcept { return depth_; }
-
-  unsigned depth(std::size_t key) const {
-    if (slots_ == nullptr) return 0;
-    ADA_CHECK(key < keys_);
-    return slots_[key].depth;
   }
 
   /// Slots currently held on `key` (test/diagnostic hook).
@@ -162,7 +124,6 @@ class AdmissionWindow {
     mutable std::mutex mutex;
     std::deque<Waiter*> waiters;
     unsigned in_flight = 0;
-    unsigned depth = 0;  // 0 = this key never blocks
   };
 
   const unsigned depth_;

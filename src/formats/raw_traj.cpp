@@ -1,13 +1,17 @@
 #include "formats/raw_traj.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
 #include "common/binary_io.hpp"
+#include "common/check.hpp"
 
 namespace ada::formats {
 
 namespace {
+
+constexpr std::uint8_t kRawMagic[8] = {'A', 'D', 'A', 'R', 'A', 'W', '1', '\0'};
 
 void encode_frame_header(std::uint8_t* out, std::uint32_t step, float time_ps,
                          const chem::Box& box) {
@@ -33,7 +37,39 @@ std::uint8_t* encode_floats(std::uint8_t* out, std::span<const float> values) {
   return out + values.size_bytes();
 }
 
+/// One frame record of `atoms` atoms, decoded.
+Result<TrajFrame> decode_record(std::span<const std::uint8_t> record, std::uint32_t atoms) {
+  ByteReader r(record);
+  TrajFrame out;
+  ADA_ASSIGN_OR_RETURN(out.step, r.get_u32_le());
+  ADA_ASSIGN_OR_RETURN(out.time_ps, r.get_f32_le());
+  for (float& v : out.box.matrix) {
+    ADA_ASSIGN_OR_RETURN(v, r.get_f32_le());
+  }
+  out.coords.resize(std::size_t{3} * atoms);
+  for (float& v : out.coords) {
+    ADA_ASSIGN_OR_RETURN(v, r.get_f32_le());
+  }
+  return out;
+}
+
+/// Every frame of `reader`, decoded in order.
+template <typename Reader>
+Result<std::vector<TrajFrame>> read_frames(const Reader& reader) {
+  std::vector<TrajFrame> frames;
+  frames.reserve(reader.frame_count());
+  for (std::uint32_t i = 0; i < reader.frame_count(); ++i) {
+    ADA_ASSIGN_OR_RETURN(TrajFrame f, reader.frame(i));
+    frames.push_back(std::move(f));
+  }
+  return frames;
+}
+
 }  // namespace
+
+bool looks_like_raw(std::span<const std::uint8_t> data) {
+  return data.size() >= 8 && std::memcmp(data.data(), kRawMagic, 8) == 0;
+}
 
 std::vector<std::uint8_t> make_raw_image(std::uint32_t atom_count, std::uint32_t frames) {
   std::vector<std::uint8_t> image(raw_file_bytes(atom_count, frames));
@@ -53,8 +89,10 @@ void encode_raw_frame(std::uint8_t* out, std::uint32_t step, float time_ps, cons
   }
 }
 
-RawTrajWriter::RawTrajWriter(std::uint32_t atom_count)
-    : atom_count_(atom_count), buffer_(make_raw_image(atom_count, 0)) {}
+RawTrajWriter::RawTrajWriter(std::uint32_t atom_count, std::uint64_t reserve_frames)
+    : atom_count_(atom_count), buffer_(make_raw_image(atom_count, 0)) {
+  buffer_.reserve(raw_file_bytes(atom_count, reserve_frames));
+}
 
 std::uint8_t* RawTrajWriter::append_frame() {
   const std::size_t at = buffer_.size();
@@ -91,74 +129,70 @@ Status RawTrajWriter::add_frame(std::uint32_t step, float time_ps, const chem::B
   return Status::ok();
 }
 
+Status RawTrajWriter::append_record(std::span<const std::uint8_t> record) {
+  if (record.size() != raw_frame_bytes(atom_count_)) {
+    return invalid_argument("frame record is " + std::to_string(record.size()) +
+                            " bytes, expected " + std::to_string(raw_frame_bytes(atom_count_)));
+  }
+  buffer_.insert(buffer_.end(), record.begin(), record.end());
+  ++frame_count_;
+  return Status::ok();
+}
+
 std::vector<std::uint8_t> RawTrajWriter::finish() {
   const std::uint32_t wire = to_little_endian32(frame_count_);
   std::memcpy(buffer_.data() + 12, &wire, 4);
   return std::move(buffer_);
 }
 
-Result<RawTrajReader> RawTrajReader::open(std::span<const std::uint8_t> data) {
-  if (data.size() < 16) return corrupt_data("raw trajectory too small for header");
-  if (std::memcmp(data.data(), kRawMagic, 8) != 0) return corrupt_data("bad raw trajectory magic");
+Result<RawTrajReader> RawTrajReader::open_prefix(std::span<const std::uint8_t> data) {
+  if (data.size() < 16 || !looks_like_raw(data)) return corrupt_data("bad raw trajectory header");
   ByteReader r(data.subspan(8));
   ADA_ASSIGN_OR_RETURN(const std::uint32_t atoms, r.get_u32_le());
   ADA_ASSIGN_OR_RETURN(const std::uint32_t frames, r.get_u32_le());
-  const std::size_t expected = raw_file_bytes(atoms, frames);
-  if (data.size() != expected) {
-    return corrupt_data("raw trajectory size mismatch: file " + std::to_string(data.size()) +
-                        " bytes, header implies " + std::to_string(expected));
+  // Divide rather than multiply: a hostile header's frames x frame size can
+  // wrap 64 bits back onto the real length.
+  if (frames != 0 && (data.size() - 16) / frames < raw_frame_bytes(atoms)) {
+    return corrupt_data("raw trajectory truncated: " + std::to_string(data.size()) +
+                        " bytes hold no " + std::to_string(frames) + " frames of " +
+                        std::to_string(atoms) + " atoms");
   }
-  return RawTrajReader(data, atoms, frames);
+  return RawTrajReader(data.first(raw_file_bytes(atoms, frames)), atoms, frames);
+}
+
+Result<RawTrajReader> RawTrajReader::open(std::span<const std::uint8_t> data) {
+  ADA_ASSIGN_OR_RETURN(const RawTrajReader reader, open_prefix(data));
+  if (reader.data_.size() != data.size()) {
+    return corrupt_data("raw trajectory size mismatch: file " + std::to_string(data.size()) +
+                        " bytes, header implies " + std::to_string(reader.data_.size()));
+  }
+  return reader;
 }
 
 Result<TrajFrame> RawTrajReader::frame(std::uint32_t index) const {
   if (index >= frame_count_) {
     return out_of_range("frame " + std::to_string(index) + " of " + std::to_string(frame_count_));
   }
-  const std::size_t offset = 16 + std::size_t{index} * raw_frame_bytes(atom_count_);
-  ByteReader r(data_.subspan(offset, raw_frame_bytes(atom_count_)));
-  TrajFrame out;
-  ADA_ASSIGN_OR_RETURN(out.step, r.get_u32_le());
-  ADA_ASSIGN_OR_RETURN(out.time_ps, r.get_f32_le());
-  for (float& v : out.box.matrix) {
-    ADA_ASSIGN_OR_RETURN(v, r.get_f32_le());
-  }
-  out.coords.resize(std::size_t{3} * atom_count_);
-  for (float& v : out.coords) {
-    ADA_ASSIGN_OR_RETURN(v, r.get_f32_le());
-  }
-  return out;
+  return decode_record(record(index), atom_count_);
 }
 
-Result<std::vector<TrajFrame>> RawTrajReader::read_all() const {
-  std::vector<TrajFrame> frames;
-  frames.reserve(frame_count_);
-  for (std::uint32_t i = 0; i < frame_count_; ++i) {
-    ADA_ASSIGN_OR_RETURN(TrajFrame f, frame(i));
-    frames.push_back(std::move(f));
-  }
-  return frames;
+std::span<const std::uint8_t> RawTrajReader::record(std::uint32_t index) const {
+  ADA_CHECK(index < frame_count_);
+  return data_.subspan(raw_file_bytes(atom_count_, index), raw_frame_bytes(atom_count_));
 }
+
+Result<std::vector<TrajFrame>> RawTrajReader::read_all() const { return read_frames(*this); }
 
 Result<RawTrajCatReader> RawTrajCatReader::open(std::span<const std::uint8_t> data) {
   RawTrajCatReader cat;
   std::size_t offset = 0;
   while (offset < data.size()) {
-    // Peek the segment header to learn its extent, then validate the slice.
-    const auto rest = data.subspan(offset);
-    if (rest.size() < 16 || std::memcmp(rest.data(), kRawMagic, 8) != 0) {
-      return corrupt_data("garbage at offset " + std::to_string(offset) +
-                          " between raw segments");
+    auto segment = RawTrajReader::open_prefix(data.subspan(offset));
+    if (!segment.is_ok()) {
+      return corrupt_data("raw segment at offset " + std::to_string(offset) + ": " +
+                          segment.error().message());
     }
-    ByteReader header(rest.subspan(8));
-    ADA_ASSIGN_OR_RETURN(const std::uint32_t atoms, header.get_u32_le());
-    ADA_ASSIGN_OR_RETURN(const std::uint32_t frames, header.get_u32_le());
-    const std::size_t segment_bytes = raw_file_bytes(atoms, frames);
-    if (segment_bytes > rest.size()) {
-      return corrupt_data("raw segment at offset " + std::to_string(offset) + " truncated");
-    }
-    ADA_ASSIGN_OR_RETURN(RawTrajReader reader,
-                         RawTrajReader::open(rest.subspan(0, segment_bytes)));
+    const RawTrajReader& reader = segment.value();
     if (cat.segments_.empty()) {
       cat.atom_count_ = reader.atom_count();
     } else if (reader.atom_count() != cat.atom_count_) {
@@ -168,7 +202,7 @@ Result<RawTrajCatReader> RawTrajCatReader::open(std::span<const std::uint8_t> da
     }
     cat.segments_.push_back(Segment{reader, cat.frame_count_});
     cat.frame_count_ += reader.frame_count();
-    offset += segment_bytes;
+    offset += reader.data_.size();
   }
   return cat;
 }
@@ -177,28 +211,20 @@ Result<TrajFrame> RawTrajCatReader::frame(std::uint32_t index) const {
   if (index >= frame_count_) {
     return out_of_range("frame " + std::to_string(index) + " of " + std::to_string(frame_count_));
   }
-  // Binary search the owning segment.
-  std::size_t lo = 0;
-  std::size_t hi = segments_.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (segments_[mid].first_frame <= index) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return segments_[lo].reader.frame(index - segments_[lo].first_frame);
+  return decode_record(record(index), atom_count_);
 }
 
-Result<std::vector<TrajFrame>> RawTrajCatReader::read_all() const {
-  std::vector<TrajFrame> frames;
-  frames.reserve(frame_count_);
-  for (const Segment& segment : segments_) {
-    ADA_ASSIGN_OR_RETURN(auto part, segment.reader.read_all());
-    for (auto& f : part) frames.push_back(std::move(f));
-  }
-  return frames;
+std::span<const std::uint8_t> RawTrajCatReader::record(std::uint32_t index) const {
+  ADA_CHECK(index < frame_count_);
+  // The owning segment is the last one starting at or before `index` (ties
+  // from zero-frame segments resolve to the later, owning one).
+  const Segment& segment =
+      *(std::upper_bound(segments_.begin(), segments_.end(), index,
+                         [](std::uint32_t i, const Segment& s) { return i < s.first_frame; }) -
+        1);
+  return segment.reader.record(index - segment.first_frame);
 }
+
+Result<std::vector<TrajFrame>> RawTrajCatReader::read_all() const { return read_frames(*this); }
 
 }  // namespace ada::formats

@@ -10,7 +10,8 @@
 //
 // Per-frame size is therefore 44 + 12*atom_count bytes, which for the GPCR
 // system (43,520 atoms) gives the paper's ~522 KB/frame (Table 2: 327 MB for
-// 626 frames).
+// 626 frames).  This file is the layout's one owner: every other module
+// builds, slices and reads RAW images only through the helpers below.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +25,6 @@
 
 namespace ada::formats {
 
-constexpr std::uint8_t kRawMagic[8] = {'A', 'D', 'A', 'R', 'A', 'W', '1', '\0'};
-
 /// Bytes per RAW frame for a given atom count.
 constexpr std::size_t raw_frame_bytes(std::uint32_t atom_count) noexcept {
   return 44 + std::size_t{12} * atom_count;
@@ -35,6 +34,28 @@ constexpr std::size_t raw_frame_bytes(std::uint32_t atom_count) noexcept {
 constexpr std::size_t raw_file_bytes(std::uint32_t atom_count, std::uint64_t frames) noexcept {
   return 16 + frames * raw_frame_bytes(atom_count);
 }
+
+/// The atom count whose RAW frame record is `frame_bytes` long (the inverse
+/// of raw_frame_bytes), or nullopt when no atom count gives that size.
+constexpr std::optional<std::uint32_t> raw_atom_count(std::uint64_t frame_bytes) noexcept {
+  if (frame_bytes < 44 || (frame_bytes - 44) % 12 != 0 || (frame_bytes - 44) / 12 > UINT32_MAX) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint32_t>((frame_bytes - 44) / 12);
+}
+
+/// The same for a whole RAW file of `frames` frames and `file_bytes` bytes.
+/// A zero-frame file is a bare header, which fixes no atom count: it yields 0.
+constexpr std::optional<std::uint32_t> raw_atom_count(std::uint64_t file_bytes,
+                                                      std::uint64_t frames) noexcept {
+  if (file_bytes < 16 || (frames == 0 && file_bytes != 16)) return std::nullopt;
+  if (frames == 0) return 0;
+  if ((file_bytes - 16) % frames != 0) return std::nullopt;
+  return raw_atom_count((file_bytes - 16) / frames);
+}
+
+/// True if `data` begins with the RAW magic (format sniffing).
+bool looks_like_raw(std::span<const std::uint8_t> data);
 
 /// A RAW image of `frames` frames, header written and frame records zeroed,
 /// for filling frame f in place at raw_file_bytes(atom_count, f).
@@ -49,7 +70,9 @@ void encode_raw_frame(std::uint8_t* out, std::uint32_t step, float time_ps, cons
 /// Streaming RAW writer (in-memory image; persist through the storage layer).
 class RawTrajWriter {
  public:
-  explicit RawTrajWriter(std::uint32_t atom_count);
+  /// `reserve_frames` sizes the image up front, so appending that many
+  /// frames never reallocates.
+  explicit RawTrajWriter(std::uint32_t atom_count, std::uint64_t reserve_frames = 0);
 
   /// Append one frame; coords must hold atom_count*3 floats.
   Status add_frame(std::uint32_t step, float time_ps, const chem::Box& box,
@@ -60,6 +83,10 @@ class RawTrajWriter {
   /// copy).  The selection must hold atom_count atoms, all inside the frame.
   Status add_frame(std::uint32_t step, float time_ps, const chem::Box& box,
                    std::span<const float> full_coords, const chem::Selection& selection);
+
+  /// Append one frame record verbatim, as RawTrajReader::record() views it
+  /// (raw_frame_bytes(atom_count) bytes, copied as they are).
+  Status append_record(std::span<const std::uint8_t> record);
 
   std::uint32_t atom_count() const noexcept { return atom_count_; }
   std::uint32_t frame_count() const noexcept { return frame_count_; }
@@ -89,10 +116,18 @@ class RawTrajReader {
   /// Decode frame `index` (random access: frames are fixed-size).
   Result<TrajFrame> frame(std::uint32_t index) const;
 
+  /// Frame `index`'s encoded record, viewed in place (index < frame_count()).
+  std::span<const std::uint8_t> record(std::uint32_t index) const;
+
   /// Decode all frames.
   Result<std::vector<TrajFrame>> read_all() const;
 
  private:
+  friend class RawTrajCatReader;
+
+  /// The RAW image at the start of `data`, which may run on past it.
+  static Result<RawTrajReader> open_prefix(std::span<const std::uint8_t> data);
+
   RawTrajReader(std::span<const std::uint8_t> data, std::uint32_t atoms, std::uint32_t frames)
       : data_(data), atom_count_(atoms), frame_count_(frames) {}
 
@@ -115,6 +150,10 @@ class RawTrajCatReader {
 
   /// Decode logical frame `index`.
   Result<TrajFrame> frame(std::uint32_t index) const;
+
+  /// Logical frame `index`'s encoded record, viewed in place in the segment
+  /// holding it (index < frame_count()).
+  std::span<const std::uint8_t> record(std::uint32_t index) const;
 
   /// Decode all frames in order.
   Result<std::vector<TrajFrame>> read_all() const;

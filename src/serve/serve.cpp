@@ -169,13 +169,15 @@ AdaService::JobPtr AdaService::pick_next(Tenant** picked_tenant) {
     for (std::size_t i = 0; i < n; ++i) {
       Tenant* tenant = tenant_order_[(rr_pos_ + i) % n];
       if (tenant->queue.empty()) continue;
-      // Gate order matters: the deficit check runs before the window probe
-      // so a tenant blocked purely on its I/O share is visible below.
+      // Gate order matters: the deficit check runs before the in-flight
+      // bound so a tenant blocked purely on its I/O share is visible below.
       if (tenant->deficit <= 0) {
         deficit_blocked = true;
         continue;
       }
-      if (!tenant->window.try_acquire(0)) continue;
+      if (tenant->quota.max_inflight != 0 && tenant->inflight >= tenant->quota.max_inflight) {
+        continue;
+      }
       JobPtr job = tenant->queue.front();
       job->expected_bytes = 0;
       if (const auto it = tenant->last_bytes.find(job->key); it != tenant->last_bytes.end()) {
@@ -187,7 +189,6 @@ AdaService::JobPtr AdaService::pick_next(Tenant** picked_tenant) {
       // (submit() already hard-rejects the truly unserveable ones).
       if (tenant->quota.memory_bytes != 0 && tenant->inflight > 0 &&
           tenant->inflight_bytes + job->expected_bytes > tenant->quota.memory_bytes) {
-        tenant->window.release(0);
         continue;
       }
       tenant->queue.pop_front();
@@ -328,7 +329,6 @@ void AdaService::finish_jobs(const std::vector<std::pair<Tenant*, JobPtr>>& jobs
       tenant->deficit -= static_cast<std::int64_t>(actual);
       --tenant->inflight;
       tenant->inflight_bytes -= job->expected_bytes;
-      tenant->window.release(0);
       if (result.is_ok()) {
         tenant->last_bytes[job->key] = actual;
         ++tenant->stats.completed;

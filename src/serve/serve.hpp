@@ -13,12 +13,12 @@
 //     second fill instead of sharing bytes that may predate the write:
 //     duplicate work is possible under races, a stale share is not.
 //
-//   * Per-tenant admission control.  Each tenant gets its own
-//     AdmissionWindow lane (bounded in-flight), an optional in-memory
-//     response-byte budget, and an I/O byte quantum consumed by a
-//     deficit-round-robin scheduler (charged in arrears with the actual
-//     response size), so one hot tenant replaying a big subset cannot
-//     starve a cold tenant's first frame.
+//   * Per-tenant admission control.  Each tenant gets its own lane (a
+//     bounded in-flight count), an optional in-memory response-byte
+//     budget, and an I/O byte quantum consumed by a deficit-round-robin
+//     scheduler (charged in arrears with the actual response size), so one
+//     hot tenant replaying a big subset cannot starve a cold tenant's first
+//     frame.
 //
 //   * Backpressure.  Per-tenant queues are bounded; a full queue rejects
 //     the request immediately with a typed kOverloaded error instead of
@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "ada/middleware.hpp"
-#include "common/admission.hpp"
 #include "common/result.hpp"
 
 namespace ada::serve {
@@ -53,7 +52,7 @@ namespace ada::serve {
 /// Per-tenant resource limits.  Zero means "unbounded" for every field
 /// except io_quantum_bytes (the DRR share; zero falls back to the default).
 struct TenantQuota {
-  /// Concurrent requests in service for this tenant (its admission window).
+  /// Concurrent requests in service for this tenant (its lane's bound).
   unsigned max_inflight = 4;
   /// Queued-but-not-started requests before submit() sheds with kOverloaded.
   std::size_t queue_capacity = 64;
@@ -180,13 +179,12 @@ class AdaService {
 
   struct Tenant {
     Tenant(std::string tenant_name, const TenantQuota& q)
-        : name(std::move(tenant_name)), quota(q), window(1, q.max_inflight) {
+        : name(std::move(tenant_name)), quota(q) {
       if (quota.io_quantum_bytes == 0) quota.io_quantum_bytes = TenantQuota{}.io_quantum_bytes;
       deficit = static_cast<std::int64_t>(quota.io_quantum_bytes);
     }
     std::string name;
     TenantQuota quota;
-    AdmissionWindow window;  // single-key lane: this tenant's in-flight bound
     std::deque<JobPtr> queue;
     unsigned inflight = 0;
     std::uint64_t inflight_bytes = 0;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/result.hpp"
+#include "formats/raw_traj.hpp"
 #include "formats/xtc_file.hpp"
 #include "storage/memory.hpp"
 
@@ -47,9 +48,9 @@ class FrameStore {
 
  private:
   static double frame_bytes(const formats::TrajFrame& frame) noexcept {
-    // 12 bytes per atom of float coords + the frame metadata, mirroring the
-    // RAW on-disk footprint (what the paper calls raw data in memory).
-    return static_cast<double>(frame.coords.size()) * sizeof(float) + 44.0;
+    // The frame's RAW on-disk footprint (what the paper calls raw data in
+    // memory): float coords plus the frame metadata.
+    return static_cast<double>(formats::raw_frame_bytes(frame.atom_count()));
   }
 
   std::vector<formats::TrajFrame> frames_;

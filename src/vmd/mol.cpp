@@ -79,28 +79,26 @@ Status MolSession::addfile_via_ada(const std::string& logical_name,
   Stopwatch read_watch;
   std::vector<std::pair<chem::Selection, std::vector<std::uint8_t>>> subsets;
   for (const core::Tag& t : labels.tags()) {
-    ADA_ASSIGN_OR_RETURN(const auto image, ada_->query(logical_name, t));
-    subsets.emplace_back(labels.groups.at(t), image);
+    ADA_ASSIGN_OR_RETURN(auto image, ada_->query(logical_name, t));
+    subsets.emplace_back(labels.groups.at(t), std::move(image));
   }
   profiler_.add("vmd;load;read", read_watch.elapsed_seconds());
 
   Stopwatch merge_watch;
-  std::vector<std::unique_ptr<formats::RawTrajCatReader>> readers;
-  std::uint32_t frame_count = 0;
+  std::vector<formats::RawTrajCatReader> readers;
   for (auto& [selection, image] : subsets) {
     ADA_ASSIGN_OR_RETURN(auto reader, formats::RawTrajCatReader::open(image));
-    if (readers.empty()) {
-      frame_count = reader.frame_count();
-    } else if (reader.frame_count() != frame_count) {
+    if (!readers.empty() && reader.frame_count() != readers.front().frame_count()) {
       return corrupt_data("subsets of " + logical_name + " disagree on frame count");
     }
-    readers.push_back(std::make_unique<formats::RawTrajCatReader>(reader));
+    readers.push_back(std::move(reader));
   }
+  const std::uint32_t frame_count = readers.empty() ? 0 : readers.front().frame_count();
   for (std::uint32_t f = 0; f < frame_count; ++f) {
     formats::TrajFrame merged;
     merged.coords.resize(std::size_t{3} * system_->atom_count());
     for (std::size_t s = 0; s < readers.size(); ++s) {
-      ADA_ASSIGN_OR_RETURN(const formats::TrajFrame piece, readers[s]->frame(f));
+      ADA_ASSIGN_OR_RETURN(const formats::TrajFrame piece, readers[s].frame(f));
       merged.step = piece.step;
       merged.time_ps = piece.time_ps;
       merged.box = piece.box;
@@ -124,7 +122,7 @@ Status MolSession::addfile_host(const std::string& path) {
   ADA_ASSIGN_OR_RETURN(const auto image, read_file(path));
   profiler_.add("vmd;load;read", stopwatch.elapsed_seconds());
   // Sniff the container format.
-  if (image.size() >= 8 && std::memcmp(image.data(), formats::kRawMagic, 8) == 0) {
+  if (formats::looks_like_raw(image)) {
     return load_raw_image(image, chem::Selection::all(system_->atom_count()));
   }
   if (formats::looks_like_trr(image)) return load_trr_image(image);

@@ -1,7 +1,10 @@
 // Unit tests for PDB / XTC / RAW file formats.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "chem/selection.hpp"
+#include "common/binary_io.hpp"
 #include "formats/pdb.hpp"
 #include "formats/raw_traj.hpp"
 #include "formats/xtc_file.hpp"
@@ -278,6 +281,68 @@ TEST(RawTest, CorruptHeaderRejected) {
   EXPECT_FALSE(RawTrajReader::open(bad).is_ok());
   // Truncation is detected by the size check.
   EXPECT_FALSE(RawTrajReader::open(std::span(image).subspan(0, image.size() - 1)).is_ok());
+
+  // 2^31 frames of 715,827,879 atoms: frames x frame size is exactly 2^64,
+  // so a wrapping size check would accept this bare 16-byte header.
+  auto wrapped = RawTrajWriter(715'827'879).finish();
+  const std::uint32_t frames = to_little_endian32(std::uint32_t{1} << 31);
+  std::memcpy(wrapped.data() + 12, &frames, 4);
+  EXPECT_FALSE(RawTrajReader::open(wrapped).is_ok());
+  EXPECT_FALSE(RawTrajCatReader::open(wrapped).is_ok());
+}
+
+TEST(RawTest, AtomCountInvertsTheSizeFormulas) {
+  for (const std::uint32_t atoms : {0u, 1u, 925u, 43'520u}) {
+    EXPECT_EQ(raw_atom_count(raw_frame_bytes(atoms)), atoms);
+    for (const std::uint64_t frames : {1u, 7u}) {
+      EXPECT_EQ(raw_atom_count(raw_file_bytes(atoms, frames), frames), atoms);
+      // One byte off, or a frame count that splits the payload unevenly, is
+      // not RAW-shaped.
+      EXPECT_FALSE(raw_atom_count(raw_file_bytes(atoms, frames) + 1, frames).has_value());
+    }
+  }
+  for (const std::uint64_t bad : {0u, 43u, 45u, 56u + 11u}) {
+    EXPECT_FALSE(raw_atom_count(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(raw_atom_count(std::uint64_t{44} + 12 * (std::uint64_t{1} << 32)).has_value());
+  // A bare header fixes no atom count; anything longer with no frames is junk.
+  EXPECT_EQ(raw_atom_count(raw_file_bytes(925, 0), 0), 0u);
+  EXPECT_FALSE(raw_atom_count(raw_file_bytes(925, 0) + 56, 0).has_value());
+  EXPECT_FALSE(raw_atom_count(raw_file_bytes(0, 0) - 1, 1).has_value());
+}
+
+TEST(RawTest, RecordsCopyVerbatimIntoANewImage) {
+  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
+  RawTrajWriter writer(system.atom_count());
+  for (std::uint32_t f = 0; f < 4; ++f) {
+    ASSERT_TRUE(writer
+                    .add_frame(f, static_cast<float>(f), system.box(),
+                               wiggle(system.reference_coords(), 0.01f, 200 + f))
+                    .is_ok());
+  }
+  const auto image = writer.finish();
+  EXPECT_TRUE(looks_like_raw(image));
+  const auto reader = RawTrajReader::open(image).value();
+
+  // Frames 3 and 1, record by record, make the image a writer of those frames
+  // would: one header, then the records unchanged.
+  RawTrajWriter picked(system.atom_count(), /*reserve_frames=*/2);
+  for (const std::uint32_t f : {3u, 1u}) {
+    EXPECT_EQ(reader.record(f).size(), raw_frame_bytes(system.atom_count()));
+    ASSERT_TRUE(picked.append_record(reader.record(f)).is_ok());
+  }
+  const auto copied = picked.finish();
+  const auto copy = RawTrajReader::open(copied);
+  ASSERT_TRUE(copy.is_ok());
+  EXPECT_EQ(copy.value().frame_count(), 2u);
+  EXPECT_EQ(copy.value().frame(0).value().coords, reader.frame(3).value().coords);
+  EXPECT_EQ(copy.value().frame(1).value().step, 1u);
+
+  // A record of another atom count is refused.
+  RawTrajWriter other(system.atom_count() + 1);
+  EXPECT_FALSE(other.append_record(reader.record(0)).is_ok());
+  EXPECT_EQ(other.frame_count(), 0u);
+  EXPECT_FALSE(looks_like_raw(std::span(image).first(7)));
 }
 
 // --- subset extraction ----------------------------------------------------------------

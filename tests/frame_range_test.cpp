@@ -364,5 +364,40 @@ TEST_F(FrameRangeTest, NonCanonicalTablesFallBackAndStayCorrect) {
   }
 }
 
+TEST_F(FrameRangeTest, EmptySelectionTakesItsAtomCountFromAStoredHeader) {
+  // An empty selection still answers a header, and its atom count comes from
+  // one CRC-verified extent read -- never from span arithmetic alone, which a
+  // lying frame_count can bend into another RAW-shaped frame size.
+  auto ada = open_ada("empty", true, 0);
+  ASSERT_TRUE(ada->ingest(system_, make_xtc(8), "bar.xtc").is_ok());
+  const auto atoms = categorize_protein_misc(system_).selection(kProteinTag).value().count();
+  const auto want = formats::RawTrajWriter(static_cast<std::uint32_t>(atoms)).finish();
+  const FrameRange past_the_end{20, 30, 1};
+
+  obs::reset_all();
+  obs::set_enabled(true);
+  const auto honest = ada->query("bar.xtc", kProteinTag, past_the_end);
+  const auto& registry = obs::Registry::global();
+  EXPECT_EQ(registry.counter_value("plfs.read.calls"), 1u) << "one header read";
+  EXPECT_EQ(registry.counter_value("query.range.fallback"), 0u);
+  ASSERT_TRUE(honest.is_ok()) << honest.error().to_string();
+  EXPECT_EQ(honest.value(), want);
+
+  // 8 frames claimed as 2: the span implies 4x the frame size, which is
+  // RAW-shaped.  The stored header says 8 frames, so the query falls back.
+  auto index = ada->mount().read_index("bar.xtc").value();
+  for (auto& record : index.records) {
+    if (record.label == kProteinTag) record.frame_count = 2;
+  }
+  ASSERT_TRUE(ada->mount().rewrite_index("bar.xtc", index).is_ok());
+  obs::reset_all();
+  const auto lied = ada->query("bar.xtc", kProteinTag, past_the_end);
+  EXPECT_EQ(registry.counter_value("query.range.fallback"), 1u);
+  obs::set_enabled(false);
+  obs::reset_all();
+  ASSERT_TRUE(lied.is_ok()) << lied.error().to_string();
+  EXPECT_EQ(lied.value(), want);
+}
+
 }  // namespace
 }  // namespace ada::core

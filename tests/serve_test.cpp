@@ -106,39 +106,6 @@ TEST(AdmissionWindowTest, ReleaseDoesNotWakeOtherKeys) {
   EXPECT_EQ(window.wakeups(), 1u);
 }
 
-TEST(AdmissionWindowTest, TryAcquireProbesWithoutQueueing) {
-  AdmissionWindow window(/*keys=*/1, /*depth=*/2);
-  EXPECT_TRUE(window.try_acquire(0));
-  EXPECT_TRUE(window.try_acquire(0));
-  EXPECT_FALSE(window.try_acquire(0)) << "at depth: the probe must not block or queue";
-  EXPECT_EQ(window.in_flight(0), 2u);
-  window.release(0);
-  EXPECT_TRUE(window.try_acquire(0));
-  window.release(0);
-  window.release(0);
-
-  AdmissionWindow unbounded(/*keys=*/1, /*depth=*/0);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(unbounded.try_acquire(0));
-}
-
-TEST(AdmissionWindowTest, PerKeyDepthsAreIndependent) {
-  AdmissionWindow window(std::vector<unsigned>{2, 0, 1});
-  EXPECT_EQ(window.depth(), 0u);  // no uniform depth
-  EXPECT_EQ(window.depth(0), 2u);
-  EXPECT_EQ(window.depth(1), 0u);
-  EXPECT_EQ(window.depth(2), 1u);
-
-  EXPECT_TRUE(window.try_acquire(0));
-  EXPECT_TRUE(window.try_acquire(0));
-  EXPECT_FALSE(window.try_acquire(0));
-  for (int i = 0; i < 16; ++i) EXPECT_TRUE(window.try_acquire(1));  // unbounded key
-  EXPECT_TRUE(window.try_acquire(2));
-  EXPECT_FALSE(window.try_acquire(2));
-  window.release(0);
-  window.release(0);
-  window.release(2);
-}
-
 // --- QueryCache: the duplicate-fill counter ------------------------------------------
 
 // The concurrent-cold-miss race made visible: two fills of the same key and

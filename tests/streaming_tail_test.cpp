@@ -291,10 +291,11 @@ TEST_F(StreamingTailTest, TailDrainReassemblesTheFullSubset) {
   auto stream = writer->begin_stream(labels_, "live.xtc", /*chunk_frames=*/4);
   ASSERT_TRUE(stream.is_ok());
 
-  // Drain exactly like ada-query --follow: poll, strip each batch's RAW
-  // header, advance the cursor, stop at sealed && empty.
+  // Drain exactly like ada-query --follow: poll, append each batch's frame
+  // records to one image, advance the cursor, stop at sealed && empty.
   std::uint64_t cursor = 0;
-  std::vector<std::uint8_t> payload;
+  formats::RawTrajWriter followed(
+      static_cast<std::uint32_t>(labels_.selection(kProteinTag).value().count()));
   auto drain = [&] {
     for (;;) {
       const auto chunk = reader->query_tail("live.xtc", kProteinTag, cursor);
@@ -303,8 +304,9 @@ TEST_F(StreamingTailTest, TailDrainReassemblesTheFullSubset) {
       const auto raw = formats::RawTrajReader::open(chunk.value().image);
       ASSERT_TRUE(raw.is_ok());
       EXPECT_EQ(raw.value().frame_count(), chunk.value().frames);
-      payload.insert(payload.end(), chunk.value().image.begin() + 16,
-                     chunk.value().image.end());
+      for (std::uint32_t f = 0; f < raw.value().frame_count(); ++f) {
+        ASSERT_TRUE(followed.append_record(raw.value().record(f)).is_ok());
+      }
       cursor += chunk.value().frames;
     }
   };
@@ -327,10 +329,44 @@ TEST_F(StreamingTailTest, TailDrainReassemblesTheFullSubset) {
   EXPECT_EQ(done.frames, 0u);
   EXPECT_TRUE(done.image.empty());
 
-  // The reassembled payload is the one-shot range query minus its header.
-  const auto oneshot = reader->query("live.xtc", kProteinTag, FrameRange{0, 9, 1}).value();
-  ASSERT_EQ(payload.size(), oneshot.size() - 16);
-  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), oneshot.begin() + 16));
+  // The reassembled image is the one-shot range query, header included.
+  EXPECT_EQ(followed.finish(),
+            reader->query("live.xtc", kProteinTag, FrameRange{0, 9, 1}).value());
+}
+
+TEST_F(StreamingTailTest, CaughtUpPollsReadNoExtent) {
+  auto writer = open_ada("caught_up");
+  auto reader = open_ada("caught_up");
+  const auto frames = make_frames(4);
+  auto stream = writer->begin_stream(labels_, "live.xtc", /*chunk_frames=*/2);
+  ASSERT_TRUE(stream.is_ok());
+  for (std::uint32_t f = 0; f < 3; ++f) ASSERT_TRUE(push(stream.value(), frames, f).is_ok());
+  ASSERT_EQ(stream.value().sealed_frames(), 2u);
+
+  // A cursor at or past the watermark is answered from the index image
+  // alone: a tail poll, and no range query or extent read behind it.
+  obs::reset_all();
+  obs::set_enabled(true);
+  const auto& registry = obs::Registry::global();
+  for (const std::uint64_t cursor : {2u, 3u}) {
+    const auto chunk = reader->query_tail("live.xtc", kProteinTag, cursor);
+    ASSERT_TRUE(chunk.is_ok()) << chunk.error().to_string();
+    EXPECT_EQ(chunk.value().frames, 0u);
+    EXPECT_FALSE(chunk.value().sealed);
+    EXPECT_TRUE(chunk.value().image.empty());
+  }
+  EXPECT_EQ(registry.counter_value("stream.tail_polls"), 2u);
+  EXPECT_EQ(registry.counter_value("query.calls"), 0u);
+  EXPECT_EQ(registry.counter_value("plfs.read.calls"), 0u);
+
+  // A cursor behind it runs one range query over the same image.
+  const auto behind = reader->query_tail("live.xtc", kProteinTag, 0);
+  ASSERT_TRUE(behind.is_ok()) << behind.error().to_string();
+  EXPECT_EQ(behind.value().frames, 2u);
+  EXPECT_EQ(registry.counter_value("query.range.calls"), 1u);
+  obs::set_enabled(false);
+  obs::reset_all();
+  ASSERT_TRUE(stream.value().finish().is_ok());
 }
 
 TEST_F(StreamingTailTest, TailQueryOnBatchContainerIsOneSealedChunk) {

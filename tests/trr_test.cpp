@@ -1,6 +1,8 @@
 // Tests for the TRR trajectory format and the concatenated-RAW reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "formats/raw_traj.hpp"
 #include "formats/trr_file.hpp"
 #include "workload/gpcr_builder.hpp"
@@ -158,6 +160,30 @@ TEST(RawCatTest, MultiSegmentLogicalOrder) {
   ASSERT_EQ(all.size(), 9u);
   EXPECT_EQ(all[8].step, 8u);
   EXPECT_FALSE(cat.frame(9).is_ok());
+}
+
+TEST(RawCatTest, RecordsViewEverySegmentInPlace) {
+  const auto system = tiny_system();
+  std::vector<std::uint8_t> image = raw_segment(system, 0, 2);
+  const auto empty = raw_segment(system, 2, 0);
+  const auto seg3 = raw_segment(system, 2, 3);
+  image.insert(image.end(), empty.begin(), empty.end());
+  image.insert(image.end(), seg3.begin(), seg3.end());
+
+  const auto cat = RawTrajCatReader::open(image).value();
+  ASSERT_EQ(cat.frame_count(), 5u);
+  const auto third = RawTrajReader::open(seg3).value();
+  for (std::uint32_t f = 0; f < 5; ++f) {
+    const auto record = cat.record(f);
+    // A view into the concatenated image, never a copy.
+    EXPECT_GE(record.data(), image.data()) << f;
+    EXPECT_LE(record.data() + record.size(), image.data() + image.size()) << f;
+    EXPECT_EQ(record.size(), raw_frame_bytes(system.atom_count()));
+    if (f >= 2) {
+      const auto want = third.record(f - 2);
+      EXPECT_TRUE(std::equal(record.begin(), record.end(), want.begin(), want.end())) << f;
+    }
+  }
 }
 
 TEST(RawCatTest, MismatchedAtomCountsRejected) {

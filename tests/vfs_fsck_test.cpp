@@ -2,6 +2,9 @@
 // container verifier/repair (failure-injection suite).
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
 #include <filesystem>
 
 #include "ada/ingest_stream.hpp"
@@ -252,6 +255,32 @@ TEST_F(VfsFsckTest, MissingDroppingDetectedAndRepaired) {
   EXPECT_TRUE(report.broken_records.empty());
   EXPECT_FALSE(ada_->query("bar.xtc", kProteinTag).is_ok());
   EXPECT_TRUE(ada_->query("bar.xtc", kMiscTag).is_ok());
+}
+
+TEST_F(VfsFsckTest, InspectReportsUnknownBackendAsBroken) {
+  ASSERT_TRUE(ada_->ingest(system_, make_xtc(2), "bar.xtc").is_ok());
+  // A CRC-valid index whose protein record names a backend the mount lacks.
+  auto index = ada_->mount().read_index("bar.xtc").value();
+  bool moved = false;
+  for (auto& record : index.records) {
+    if (record.label != kProteinTag) continue;
+    record.backend = 7;
+    moved = true;
+  }
+  ASSERT_TRUE(moved);
+  ASSERT_TRUE(ada_->mount().rewrite_index("bar.xtc", index).is_ok());
+
+  // The dump prints the id as unknown, and --fsck reports the record broken.
+  const std::string out = root_ + "/inspect.out";
+  const std::string command = std::string(ADA_INSPECT_BIN) + " --ssd " + root_ + "/ssd --hdd " +
+                              root_ + "/hdd --name bar.xtc --fsck >" + out + " 2>&1";
+  const int status = std::system(command.c_str());
+  const auto bytes = read_file(out).value();
+  const std::string report(bytes.begin(), bytes.end());
+  ASSERT_TRUE(WIFEXITED(status)) << report;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << report;
+  EXPECT_NE(report.find("unknown (7)"), std::string::npos) << report;
+  EXPECT_NE(report.find("fsck: NOT CLEAN (1 broken records"), std::string::npos) << report;
 }
 
 TEST_F(VfsFsckTest, TruncatedDroppingDetected) {

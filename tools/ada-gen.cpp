@@ -15,7 +15,7 @@
 #include <filesystem>
 #include <string>
 
-#include "ada/middleware.hpp"
+#include "codec/coord_codec.hpp"
 #include "common/units.hpp"
 #include "common/binary_io.hpp"
 #include "formats/pdb.hpp"
@@ -63,14 +63,10 @@ int main(int argc, char** argv) {
   workload::DynamicsSpec dynamics;
   dynamics.seed = spec.seed + 1;
   workload::TrajectoryGenerator gen(system, dynamics);
-  core::AdaConfig codec_config;  // carries the codec default (v1)
   const std::string codec_name = args.get("codec", "v1");
-  if (codec_name == "v2") {
-    codec_config.codec = codec::CodecVersion::kV2;
-  } else if (codec_name != "v1") {
-    tools::die_usage(kUsage);
-  }
-  formats::XtcWriter xtc({}, codec_config.codec);
+  if (codec_name != "v1" && codec_name != "v2") tools::die_usage(kUsage);
+  const auto codec = codec_name == "v2" ? codec::CodecVersion::kV2 : codec::CodecVersion::kV1;
+  formats::XtcWriter xtc({}, codec);
   formats::TrrWriter trr;
   const bool want_trr = args.has("trr");
   for (std::uint32_t f = 0; f < frames; ++f) {

@@ -56,11 +56,16 @@ int main(int argc, char** argv) {
   }
 
   const std::string logical = args.get("name");
-  const auto index = tools::must(middleware.mount().read_index(logical), "read index");
+  const plfs::PlfsMount& mount = middleware.mount();
+  const auto index = tools::must(mount.read_index(logical), "read index");
   Table table({"logical offset", "length", "backend", "label", "dropping"});
   for (const auto& r : index.records) {
+    // A backend this mount lacks is fsck's to judge (a broken record).
+    const std::string backend = r.backend < mount.backend_count()
+                                    ? mount.backend(r.backend).name
+                                    : "unknown (" + std::to_string(r.backend) + ")";
     table.add_row({std::to_string(r.logical_offset), format_bytes(static_cast<double>(r.length)),
-                   middleware.mount().backend(r.backend).name, r.label, r.dropping});
+                   backend, r.label, r.dropping});
   }
   std::fprintf(report_out, "container %s (%zu extents):\n", logical.c_str(),
                index.records.size());

@@ -41,6 +41,7 @@
 // --degraded, and the served bytes are identical to a direct query.
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -140,6 +141,12 @@ int main(int argc, char** argv) {
   tools::trace_begin(args);
   tools::faults_begin(args);
   std::FILE* report_out = tools::metrics_json_only(args) ? stderr : stdout;
+  const auto end_instruments = [&] {
+    tools::trace_end(args);
+    tools::telemetry_end(args);
+    tools::profile_end(args);
+    tools::metrics_end(args);
+  };
 
   core::AdaConfig config;
   config.placement = core::PlacementPolicy::active_on_ssd(0, 1);
@@ -182,18 +189,16 @@ int main(int argc, char** argv) {
       tools::must_ok(write_file(args.get("out"), partial.concat()), "write surviving subsets");
       std::fprintf(report_out, "wrote %s (surviving tags, tag order)\n", args.get("out").c_str());
     }
-    tools::trace_end(args);
-    tools::telemetry_end(args);
-    tools::profile_end(args);
-    tools::metrics_end(args);
+    end_instruments();
     return partial.partial() ? 2 : 0;
   }
 
   if (args.has("follow")) {
     const core::Tag tag = args.get("tag");
     std::uint64_t cursor = first_frame;
-    std::vector<std::uint8_t> payload;  // frame records only; header emitted once
-    std::uint32_t atoms = 0;
+    // Every drained batch arrives as one canonical RAW image; its frame
+    // records append to one image, opened at the first batch's atom count.
+    std::optional<formats::RawTrajWriter> followed;
     std::uint64_t polls = 0;
     bool final_drain = false;
     const auto deadline =
@@ -209,13 +214,12 @@ int main(int argc, char** argv) {
         }
       } else {
         const auto& chunk = chunk_result.value();
-        if (!chunk.image.empty()) {
-          // Each drained batch arrives as one canonical RAW segment; strip
-          // its 16-byte header and re-emit a single header at the end.
-          const auto segment =
-              tools::must(formats::RawTrajReader::open(chunk.image), "tail chunk");
-          atoms = segment.atom_count();
-          payload.insert(payload.end(), chunk.image.begin() + 16, chunk.image.end());
+        if (chunk.frames != 0) {
+          const auto batch = tools::must(formats::RawTrajReader::open(chunk.image), "tail chunk");
+          if (!followed.has_value()) followed.emplace(batch.atom_count(), batch.frame_count());
+          for (std::uint32_t f = 0; f < batch.frame_count(); ++f) {
+            tools::must_ok(followed->append_record(batch.record(f)), "tail chunk");
+          }
         }
         cursor += chunk.frames;
         if (chunk.sealed && chunk.frames == 0) break;
@@ -235,25 +239,19 @@ int main(int argc, char** argv) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
     }
-    const std::uint64_t frames = cursor - first_frame;
-    ByteWriter header;
-    header.put_bytes(std::span<const std::uint8_t>(formats::kRawMagic, 8));
-    header.put_u32_le(atoms);
-    header.put_u32_le(static_cast<std::uint32_t>(frames));
-    std::vector<std::uint8_t> out = header.take();
-    out.insert(out.end(), payload.begin(), payload.end());
+    if (!followed.has_value()) followed.emplace(0);  // nothing followed: a bare header
+    const std::uint32_t atoms = followed->atom_count();
+    const std::vector<std::uint8_t> out = followed->finish();
     std::fprintf(report_out, "followed %s tag %s: %llu frames x %u atoms in %llu polls, %s\n",
-                 logical.c_str(), tag.c_str(), static_cast<unsigned long long>(frames), atoms,
+                 logical.c_str(), tag.c_str(),
+                 static_cast<unsigned long long>(cursor - first_frame), atoms,
                  static_cast<unsigned long long>(polls),
                  format_bytes(static_cast<double>(out.size())).c_str());
     if (args.has("out")) {
       tools::must_ok(write_file(args.get("out"), out), "write followed subset");
       std::fprintf(report_out, "wrote %s\n", args.get("out").c_str());
     }
-    tools::trace_end(args);
-    tools::telemetry_end(args);
-    tools::profile_end(args);
-    tools::metrics_end(args);
+    end_instruments();
     return 0;
   }
 
@@ -281,9 +279,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(frame.stats.atoms),
                  static_cast<unsigned long long>(frame.stats.bonds), args.get("render").c_str());
   }
-  tools::trace_end(args);
-  tools::telemetry_end(args);
-  tools::profile_end(args);
-  tools::metrics_end(args);
+  end_instruments();
   return 0;
 }

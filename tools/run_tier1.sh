@@ -109,6 +109,16 @@ echo "$RANGE_OUT" | grep -q '2 frames' || {
     exit 1
 }
 
+echo "== batch follow smoke: --follow over a batch container =="
+# A batch container is sealed from the start: the follower drains it in one
+# chunk, then stops, and must write exactly the plain query's bytes.
+"$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd" --hdd "$WORK/hdd" --name traj.xtc \
+    --tag p --follow --poll-ms 10 --timeout-s 60 --out "$WORK/batch_followed.raw" >/dev/null
+cmp "$WORK/protein.raw" "$WORK/batch_followed.raw" || {
+    echo "FAIL: --follow over a batch container differs from the plain query" >&2
+    exit 1
+}
+
 echo "== telemetry smoke: --telemetry/--profile -> ada-stats render + openmetrics =="
 # Re-run the ingest with the telemetry sampler and profiler armed; the JSONL
 # series must render and the folded-stack profile must exist.
