@@ -1,5 +1,7 @@
 #include "ada/dispatcher.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -32,6 +34,93 @@ std::optional<plfs::FrameSpan> batch_span(bool enabled, const Tag& tag,
   return plfs::FrameSpan{0, raw.value().frame_count()};
 }
 
+/// The pipelined ingest's frame sink: a staged append with one dropping
+/// per label group (a RAW header piece, then one piece per frame) and one
+/// per extra.  Each worker encodes a frame's record for each tag into its
+/// slot's staging buffer, and the staged append checksums and writes it at
+/// the frame's offset of that tag's dropping while it is still in cache.
+class DroppingSink final : public FrameSink {
+ public:
+  DroppingSink(plfs::PlfsMount& mount, const PlacementPolicy& policy, bool frame_tables,
+               const std::string& logical_name, const LabelMap& labels,
+               std::span<const Blob> extras)
+      : mount_(mount),
+        policy_(policy),
+        frame_tables_(frame_tables),
+        logical_name_(logical_name),
+        labels_(labels),
+        extras_(extras) {}
+
+  Status open(std::uint32_t frames, std::size_t slots) override {
+    std::vector<plfs::StagedExtent> extents;
+    extents.reserve(labels_.groups.size() + extras_.size());
+    for (const auto& [tag, selection] : labels_.groups) {
+      const auto atoms = static_cast<std::uint32_t>(selection.count());
+      groups_.push_back(Group{&selection, atoms});
+      record_bytes_ = std::max(record_bytes_, formats::raw_frame_bytes(atoms));
+      extents.push_back(plfs::StagedExtent{
+          tag, policy_.backend_for(tag), formats::raw_file_bytes(atoms, frames),
+          std::size_t{1} + frames,
+          frame_tables_ ? std::optional<plfs::FrameSpan>(plfs::FrameSpan{0, frames})
+                        : std::nullopt});
+    }
+    for (const Blob& blob : extras_) {
+      extents.push_back(plfs::StagedExtent{
+          blob.tag, policy_.backend_for(blob.tag), blob.bytes.size(), 1,
+          blob.span.has_value() ? blob.span : batch_span(frame_tables_, blob.tag, blob.bytes)});
+    }
+    auto staged = mount_.begin_append(logical_name_, extents);
+    if (!staged.is_ok()) return staged.error();
+    staged_.emplace(std::move(staged).value());
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      std::uint8_t header[formats::kRawHeaderBytes];
+      formats::encode_raw_header(header, groups_[g].atoms, frames);
+      ADA_RETURN_IF_ERROR(staged_.value().write(g, 0, 0, header));
+    }
+    // Sized last, after everything that outlives the ingest.
+    staging_ = std::make_unique_for_overwrite<std::uint8_t[]>(slots * record_bytes_);
+    return Status::ok();
+  }
+
+  Status frame(std::size_t slot, std::uint32_t f, const formats::TrajFrame& decoded) override {
+    std::uint8_t* const record = staging_.get() + slot * record_bytes_;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      const Group& group = groups_[g];
+      formats::encode_raw_frame(record, decoded.step, decoded.time_ps, decoded.box,
+                                decoded.coords, *group.selection);
+      ADA_RETURN_IF_ERROR(staged_.value().write(
+          g, std::size_t{1} + f, formats::raw_file_bytes(group.atoms, f),
+          std::span(record, formats::raw_frame_bytes(group.atoms))));
+    }
+    return Status::ok();
+  }
+
+  /// After the decode: write the extras and publish the one index image.
+  Result<std::vector<plfs::IndexRecord>> commit() {
+    for (std::size_t e = 0; e < extras_.size(); ++e) {
+      ADA_RETURN_IF_ERROR(staged_.value().write(groups_.size() + e, 0, 0, extras_[e].bytes));
+    }
+    return staged_.value().commit();
+  }
+
+ private:
+  struct Group {
+    const chem::Selection* selection;
+    std::uint32_t atoms;
+  };
+
+  plfs::PlfsMount& mount_;
+  const PlacementPolicy& policy_;
+  const bool frame_tables_;
+  const std::string& logical_name_;
+  const LabelMap& labels_;
+  const std::span<const Blob> extras_;
+  std::vector<Group> groups_;
+  std::size_t record_bytes_ = 0;
+  std::optional<plfs::StagedAppend> staged_;
+  std::unique_ptr<std::uint8_t[]> staging_;  // one record per slot
+};
+
 }  // namespace
 
 PlacementPolicy PlacementPolicy::active_on_ssd(std::uint32_t ssd_backend,
@@ -62,6 +151,29 @@ Status IoDispatcher::dispatch(const std::string& logical_name,
   for (const auto& [tag, bytes] : subsets) blobs.push_back(Blob{tag, bytes, std::nullopt});
   blobs.insert(blobs.end(), extras.begin(), extras.end());
   return publish(logical_name, blobs).status();
+}
+
+Status IoDispatcher::ingest(const std::string& logical_name,
+                            const DataPreProcessor& preprocessor,
+                            std::span<const std::uint8_t> xtc_image,
+                            std::span<const Blob> extras, PreprocessStats* stats,
+                            unsigned threads) {
+  ADA_RETURN_IF_ERROR(mount_.create_container(logical_name));
+  auto records = [&]() -> Result<std::vector<plfs::IndexRecord>> {
+    DroppingSink sink(mount_, policy_, frame_tables_, logical_name, preprocessor.labels(),
+                      extras);
+    ADA_RETURN_IF_ERROR(preprocessor.decode(xtc_image, sink, stats, threads));
+    const obs::Span span("dispatch");
+    return sink.commit();
+  }();
+  if (!records.is_ok()) {
+    (void)mount_.remove_container(logical_name);
+    return records.error();
+  }
+  for (const plfs::IndexRecord& record : records.value()) {
+    count_dispatched(record.label, record.length);
+  }
+  return Status::ok();
 }
 
 Result<std::vector<plfs::IndexRecord>> IoDispatcher::publish(

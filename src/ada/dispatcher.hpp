@@ -4,7 +4,9 @@
 // tags and target storage path passed from the data pre-processor, the I/O
 // dispatcher sends each data subset to an underlying file system."  Built on
 // the PLFS container layer; the placement policy is the paper's
-// active-on-SSD / inactive-on-HDD rule, made configurable.
+// active-on-SSD / inactive-on-HDD rule, made configurable.  A batch ingest
+// dispatches while it decodes (ingest()): each subset's dropping is written
+// frame by frame as the pre-processor's workers produce the frames.
 #pragma once
 
 #include <map>
@@ -12,6 +14,7 @@
 #include <span>
 #include <string>
 
+#include "ada/preprocessor.hpp"
 #include "ada/tag.hpp"
 #include "common/result.hpp"
 #include "plfs/plfs.hpp"
@@ -58,6 +61,18 @@ class IoDispatcher {
   Status dispatch(const std::string& logical_name,
                   const std::map<Tag, std::vector<std::uint8_t>>& subsets,
                   std::span<const Blob> extras = {});
+
+  /// The pipelined batch ingest, storing exactly what dispatch() of
+  /// preprocessor.split(xtc_image) and `extras` stores: create the
+  /// container, open one dropping per label group and per extra, and
+  /// decode `xtc_image` (DataPreProcessor::decode at budget `threads`) with
+  /// every frame's records checksummed and written into their droppings by
+  /// the thread that decoded the frame; then write `extras` and publish one
+  /// index image.  No whole subset is ever held in memory.  On any failure
+  /// the container is removed: a failed ingest leaves nothing behind.
+  Status ingest(const std::string& logical_name, const DataPreProcessor& preprocessor,
+                std::span<const std::uint8_t> xtc_image, std::span<const Blob> extras,
+                PreprocessStats* stats = nullptr, unsigned threads = 1);
 
   /// Publish blobs to an existing container in one index image, with
   /// `stream` as its new stream state when given.

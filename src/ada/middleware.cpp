@@ -97,11 +97,9 @@ Result<IngestReport> Ada::ingest_with_labels(const LabelMap& labels,
 Result<IngestReport> Ada::ingest_into(const LabelMap& labels,
                                       std::span<const std::uint8_t> xtc_image,
                                       const std::string& container_name) {
-  DataPreProcessor preprocessor(labels);
+  const DataPreProcessor preprocessor(labels);
   IngestReport report;
   report.logical_name = container_name;
-  ADA_ASSIGN_OR_RETURN(const auto subsets,
-                       preprocessor.split(xtc_image, &report.preprocess, config_.threads));
 
   // The label file rides in the container (reserved label) so that later
   // sessions -- and the indexer -- can resolve tags without the .pdb.  It is
@@ -113,8 +111,9 @@ Result<IngestReport> Ada::ingest_into(const LabelMap& labels,
                      label_text.size()),
            std::nullopt}};
   if (config_.keep_original) extras.push_back(Blob{kOriginalTag, xtc_image, std::nullopt});
-  ADA_RETURN_IF_ERROR(dispatcher_.dispatch(container_name, subsets, extras));
-  for (const auto& [tag, bytes] : subsets) {
+  ADA_RETURN_IF_ERROR(dispatcher_.ingest(container_name, preprocessor, xtc_image, extras,
+                                         &report.preprocess, config_.threads));
+  for (const auto& [tag, bytes] : report.preprocess.subset_bytes) {
     report.backend_of_tag[tag] = dispatcher_.policy().backend_for(tag);
   }
   return report;

@@ -39,14 +39,53 @@ std::vector<std::uint32_t> range_starts(std::span<const formats::XtcFrameExtent>
   return starts;
 }
 
+/// split()'s sink: every tag's final RAW image, sized once from the frame
+/// count; frame f of a tag has its slot at raw_file_bytes(atoms, f) whichever
+/// range decodes it, so there are no per-range images and no merge.
+class ImageSink final : public FrameSink {
+ public:
+  explicit ImageSink(const LabelMap& labels) : labels_(labels) {}
+
+  Status open(std::uint32_t frames, std::size_t /*slots*/) override {
+    targets_.reserve(labels_.groups.size());
+    for (const auto& [tag, selection] : labels_.groups) {
+      const auto atoms = static_cast<std::uint32_t>(selection.count());
+      auto& image = images_.emplace(tag, formats::make_raw_image(atoms, frames)).first->second;
+      targets_.push_back(Target{&selection, atoms, image.data()});
+    }
+    return Status::ok();
+  }
+
+  Status frame(std::size_t /*slot*/, std::uint32_t f, const formats::TrajFrame& decoded) override {
+    for (const Target& t : targets_) {
+      formats::encode_raw_frame(t.image + formats::raw_file_bytes(t.atoms, f), decoded.step,
+                                decoded.time_ps, decoded.box, decoded.coords, *t.selection);
+    }
+    return Status::ok();
+  }
+
+  std::map<Tag, std::vector<std::uint8_t>> take() { return std::move(images_); }
+
+ private:
+  struct Target {
+    const chem::Selection* selection;
+    std::uint32_t atoms;
+    std::uint8_t* image;
+  };
+
+  const LabelMap& labels_;
+  std::map<Tag, std::vector<std::uint8_t>> images_;
+  std::vector<Target> targets_;
+};
+
 }  // namespace
 
 DataPreProcessor::DataPreProcessor(LabelMap labels) : labels_(std::move(labels)) {
   ADA_CHECK(labels_.is_partition());
 }
 
-Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
-    std::span<const std::uint8_t> xtc_image, PreprocessStats* stats, unsigned threads) const {
+Status DataPreProcessor::decode(std::span<const std::uint8_t> xtc_image, FrameSink& sink,
+                                PreprocessStats* stats, unsigned threads) const {
   const obs::Span span("preprocess");
 
   // Stage 1: header-only boundary scan -- frame extents, no decompression.
@@ -64,45 +103,39 @@ Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
     }
   }
 
-  // Every tag's final RAW image (and its size for the stats), sized once
-  // from the scan's frame count.  RAW frames are fixed-size, so frame f of
-  // a tag has its slot at raw_file_bytes(atoms, f) whichever range decodes
-  // it: no per-range images and no merge.
-  struct Target {
-    const chem::Selection* selection;
-    std::uint32_t atoms;
-    std::uint8_t* image;
-  };
-  std::map<Tag, std::vector<std::uint8_t>> out;
-  std::map<Tag, std::uint64_t> subset_bytes;
-  std::map<Tag, std::uint64_t> subset_atoms;
-  std::vector<Target> targets;
-  targets.reserve(labels_.groups.size());
-  for (const auto& [tag, selection] : labels_.groups) {
-    const auto atoms = static_cast<std::uint32_t>(selection.count());
-    auto& image = out.emplace(tag, formats::make_raw_image(atoms, frames)).first->second;
-    subset_bytes[tag] = image.size();
-    subset_atoms[tag] = atoms;
-    targets.push_back(Target{&selection, atoms, image.data()});
+  // The report (it outlives the call) first, then the sink's buffers, then
+  // the decode scratch: nothing that outlives the call is allocated above
+  // scratch, so freeing it leaves no hole in the heap.
+  if (stats != nullptr) {
+    stats->frames = frames;
+    stats->atoms = labels_.atom_count;
+    stats->compressed_bytes = xtc_image.size();
+    stats->subset_bytes.clear();
+    stats->subset_atoms.clear();
+    for (const auto& [tag, selection] : labels_.groups) {
+      const auto atoms = static_cast<std::uint32_t>(selection.count());
+      stats->subset_bytes[tag] = formats::raw_file_bytes(atoms, frames);
+      stats->subset_atoms[tag] = atoms;
+    }
   }
-
-  // Stage 2: decode each frame range into one of at most `budget` scratch
-  // slots -- a reader and a frame buffer sized here, on the calling thread,
-  // so pool workers allocate nothing -- and gather every tag's atom runs
-  // into the final images.  Nothing that outlives the call is allocated
-  // after the scratch, so freeing it leaves no hole in the heap.
   const unsigned budget = ThreadPool::shared().budget(threads);
   const std::vector<std::uint32_t> starts = range_starts(extents, budget);
+  const std::size_t slot_count = std::min<std::size_t>(budget, starts.size());
+  ADA_RETURN_IF_ERROR(sink.open(frames, slot_count));
+
+  // Stage 2: decode each frame range into one of the slots -- a reader and
+  // a frame buffer sized here, on the calling thread, so pool workers
+  // allocate nothing -- and hand every frame to the sink.
   struct Slot {
     formats::XtcReader reader;
     formats::TrajFrame frame;
     double decode_seconds = 0.0;  // inside XtcReader::next only
   };
-  std::vector<Slot> slots(std::min<std::size_t>(budget, starts.size()),
-                          Slot{formats::XtcReader(xtc_image), {}});
+  std::vector<Slot> slots(slot_count, Slot{formats::XtcReader(xtc_image), {}});
   for (Slot& slot : slots) slot.frame.coords.reserve(std::size_t{3} * labels_.atom_count);
 
-  auto decode_range = [&](std::size_t range, Slot& slot) -> Status {
+  auto decode_range = [&](std::size_t range, std::size_t slot_index) -> Status {
+    Slot& slot = slots[slot_index];
     const std::uint32_t last = range + 1 < starts.size() ? starts[range + 1] : frames;
     slot.reader.seek(extents[starts[range]].offset);
     for (std::uint32_t f = starts[range]; f < last; ++f) {
@@ -116,18 +149,14 @@ Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
         }
       }
       const obs::Span split_span("split");
-      const formats::TrajFrame& frame = slot.frame;
-      for (const Target& t : targets) {
-        formats::encode_raw_frame(t.image + formats::raw_file_bytes(t.atoms, f), frame.step,
-                                  frame.time_ps, frame.box, frame.coords, *t.selection);
-      }
+      ADA_RETURN_IF_ERROR(sink.frame(slot_index, f, slot.frame));
     }
     return Status::ok();
   };
 
   double decompress_seconds = 0.0;
   if (slots.size() == 1) {
-    ADA_RETURN_IF_ERROR(decode_range(0, slots.front()));
+    ADA_RETURN_IF_ERROR(decode_range(0, 0));
     decompress_seconds = slots.front().decode_seconds;
   } else if (slots.size() > 1) {
     // One pool task per slot, claiming ranges in frame order.  After a
@@ -138,13 +167,13 @@ Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
     std::atomic<std::size_t> next_range{0};
     std::atomic<bool> failed{false};
     std::vector<std::function<void()>> tasks;
-    for (Slot& slot : slots) {
-      tasks.push_back([&, slot = &slot] {
+    for (std::size_t slot_index = 0; slot_index < slots.size(); ++slot_index) {
+      tasks.push_back([&, slot_index] {
         while (!failed.load()) {
           const std::size_t range = next_range++;
           if (range >= starts.size()) return;
           const obs::Span range_span("split_range");
-          statuses[range] = decode_range(range, *slot);
+          statuses[range] = decode_range(range, slot_index);
           if (!statuses[range].is_ok()) failed = true;
         }
       });
@@ -154,16 +183,15 @@ Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
     for (const Status& status : statuses) ADA_RETURN_IF_ERROR(status);
   }
   ADA_OBS_COUNT("ingest.frames", frames);
+  if (stats != nullptr) stats->decompress_wall_seconds = decompress_seconds;
+  return Status::ok();
+}
 
-  if (stats != nullptr) {
-    stats->frames = frames;
-    stats->atoms = labels_.atom_count;
-    stats->compressed_bytes = xtc_image.size();
-    stats->decompress_wall_seconds = decompress_seconds;
-    stats->subset_bytes = std::move(subset_bytes);
-    stats->subset_atoms = std::move(subset_atoms);
-  }
-  return out;
+Result<std::map<Tag, std::vector<std::uint8_t>>> DataPreProcessor::split(
+    std::span<const std::uint8_t> xtc_image, PreprocessStats* stats, unsigned threads) const {
+  ImageSink sink(labels_);
+  ADA_RETURN_IF_ERROR(decode(xtc_image, sink, stats, threads));
+  return sink.take();
 }
 
 }  // namespace ada::core

@@ -7,12 +7,15 @@
 // storage-node CPU once at ingest so compute nodes never decompress again.
 //
 // Every XTC frame is a self-delimiting XDR item that decodes independently,
-// so split() works in frame ranges: a cheap header-only boundary scan
-// produces the frame extents, and so every tag's final image size (RAW
-// frames are fixed-size), allocated once; each range then decodes its
-// frames and gathers every tag's atom runs straight into those frames'
-// slots of the final images, on the shared pool when the thread budget
-// allows several ranges.  One range is the serial split; every thread count
+// so the decode engine works in frame ranges: a cheap header-only boundary
+// scan produces the frame extents (and so every tag's RAW size: RAW frames
+// are fixed-size); each range then decodes its frames, on the shared pool
+// when the thread budget allows several ranges, and hands each decoded
+// frame to a FrameSink on the worker that decoded it.  split() is the
+// in-memory sink: it gathers every tag's atom runs straight into that
+// frame's slot of the final images.  The batch ingest's sink checksums and
+// writes each frame's records into the tags' droppings instead
+// (ada/dispatcher.hpp).  One range is the serial decode; every thread count
 // is byte-identical to it (locked down by the e2e differential harness and
 // the parallel-split property test).
 #pragma once
@@ -25,6 +28,7 @@
 #include "ada/categorizer.hpp"
 #include "ada/tag.hpp"
 #include "common/result.hpp"
+#include "formats/xtc_file.hpp"
 
 namespace ada::core {
 
@@ -37,10 +41,28 @@ struct PreprocessStats {
   std::map<Tag, std::uint64_t> subset_atoms;     // atoms per subset
   /// Wall time of the decode.  With one frame range (threads = 1, or a
   /// stream with no second entry point) it is the time inside the XTC
-  /// decode calls only, not the per-tag gather or the scan.  With several
-  /// ranges it is the wall clock of the whole fan-out -- decode and gather
-  /// on every worker -- because overlapping decodes have no serial sum.
+  /// decode calls only, not the sink's work or the scan.  With several
+  /// ranges it is the wall clock of the whole fan-out -- decode and sink
+  /// (gather; in a batch ingest also checksum and write) on every worker --
+  /// because overlapping decodes have no serial sum.
   double decompress_wall_seconds = 0.0;
+};
+
+/// Where the decode engine delivers frames (DataPreProcessor::decode).
+class FrameSink {
+ public:
+  virtual ~FrameSink() = default;
+
+  /// Called once on the calling thread, after the scan and before any
+  /// frame: `frames` frames will arrive from at most `slots` concurrent
+  /// ranges.  Size per-slot scratch here, so frame() allocates nothing.
+  virtual Status open(std::uint32_t frames, std::size_t slots) = 0;
+
+  /// Frame number `frame`, decoded on slot `slot` (< slots).  Calls for one
+  /// slot never overlap; each frame arrives once, on whichever thread
+  /// decoded it.  An error stops the decode.
+  virtual Status frame(std::size_t slot, std::uint32_t frame,
+                       const formats::TrajFrame& decoded) = 0;
 };
 
 class DataPreProcessor {
@@ -50,15 +72,21 @@ class DataPreProcessor {
 
   const LabelMap& labels() const noexcept { return labels_; }
 
+  /// The decode engine: scan an XTC image, then decode every frame into
+  /// `sink`.  Every frame must carry exactly the label map's atom count.
+  /// `threads` is the concurrency budget (ThreadPool::budget): 1 (the
+  /// default) decodes serially on the calling thread; 0 uses every
+  /// shared-pool worker plus the caller; N > 1 decodes frame ranges on at
+  /// most N threads.  Ranges decode through scratch buffers this call
+  /// allocates on the calling thread after sink.open(), so pool workers
+  /// allocate nothing.  The first failure in frame order is returned.
+  Status decode(std::span<const std::uint8_t> xtc_image, FrameSink& sink,
+                PreprocessStats* stats = nullptr, unsigned threads = 1) const;
+
   /// Decompress an XTC image and split it into per-tag RAW trajectory
-  /// images.  Every frame must carry exactly the label map's atom count.
-  /// `threads` is the concurrency budget (ThreadPool::budget): 1 (this
-  /// function's default) decodes serially on the calling thread; 0 uses
-  /// every shared-pool worker plus the caller; N > 1 decodes frame ranges on
-  /// at most N threads.  Each range writes its frames into their slots of
-  /// the final images, decoding through scratch buffers this call allocates
-  /// on the calling thread, so pool workers allocate nothing.  The output
-  /// images are byte-identical for every thread count.
+  /// images: decode() into a sink that sizes every tag's final image once
+  /// and encodes each frame into its slot.  The output images are
+  /// byte-identical for every thread count.
   Result<std::map<Tag, std::vector<std::uint8_t>>> split(
       std::span<const std::uint8_t> xtc_image, PreprocessStats* stats = nullptr,
       unsigned threads = 1) const;

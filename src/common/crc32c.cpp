@@ -187,6 +187,36 @@ std::uint32_t crc32c_hw(const void* data, std::size_t size, std::uint32_t crc) n
 
 namespace ada {
 
+namespace {
+
+/// a * b mod P with both polynomials reflected: bit 31 is x^0, bit 0 is x^31.
+std::uint32_t multiply_mod_p(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t bit = 1u << 31; a != 0; bit >>= 1) {
+    if ((a & bit) != 0) {
+      product ^= b;
+      a ^= bit;
+    }
+    b = (b & 1u) != 0 ? (b >> 1) ^ 0x82F63B78u : b >> 1;  // b *= x
+  }
+  return product;
+}
+
+}  // namespace
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b) noexcept {
+  // crc(A || B) = crc(A) * x^(8 |B|) xor crc(B): the pre- and post-inversions
+  // of the two one-pass CRCs cancel, leaving the raw register shift.
+  std::uint32_t shift = 1u << 31;   // x^0
+  std::uint32_t square = 1u << 23;  // x^8: one zero byte
+  for (; len_b != 0; len_b >>= 1) {
+    if ((len_b & 1u) != 0) shift = multiply_mod_p(shift, square);
+    square = multiply_mod_p(square, square);
+  }
+  return multiply_mod_p(shift, crc_a) ^ crc_b;
+}
+
 std::uint32_t crc32c(const void* data, std::size_t size, std::uint32_t crc) noexcept {
   using Kernel = std::uint32_t (*)(const void*, std::size_t, std::uint32_t) noexcept;
   static const Kernel kernel =

@@ -30,6 +30,14 @@ inline std::uint32_t crc32c(const std::vector<std::uint8_t>& bytes,
   return crc32c(bytes.data(), bytes.size(), crc);
 }
 
+/// The CRC32C of A || B from crc_a = crc32c(A), crc_b = crc32c(B) and
+/// len_b = |B|, without the bytes: crc_a times x^(8 len_b) mod P (square and
+/// multiply, O(log len_b)), xor crc_b.  Pieces checksummed apart -- on
+/// different threads, in any order -- fold into the checksum of their
+/// concatenation.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b) noexcept;
+
 namespace detail {
 
 /// Interleave geometry of the hardware kernel: three lanes of kCrcLongLane

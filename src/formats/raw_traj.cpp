@@ -71,11 +71,15 @@ bool looks_like_raw(std::span<const std::uint8_t> data) {
   return data.size() >= 8 && std::memcmp(data.data(), kRawMagic, 8) == 0;
 }
 
+void encode_raw_header(std::uint8_t* out, std::uint32_t atom_count, std::uint32_t frames) {
+  const std::uint32_t counts[2] = {to_little_endian32(atom_count), to_little_endian32(frames)};
+  std::memcpy(out, kRawMagic, 8);
+  std::memcpy(out + 8, counts, 8);
+}
+
 std::vector<std::uint8_t> make_raw_image(std::uint32_t atom_count, std::uint32_t frames) {
   std::vector<std::uint8_t> image(raw_file_bytes(atom_count, frames));
-  const std::uint32_t header[2] = {to_little_endian32(atom_count), to_little_endian32(frames)};
-  std::memcpy(image.data(), kRawMagic, 8);
-  std::memcpy(image.data() + 8, header, 8);
+  encode_raw_header(image.data(), atom_count, frames);
   return image;
 }
 

@@ -57,6 +57,14 @@ constexpr std::optional<std::uint32_t> raw_atom_count(std::uint64_t file_bytes,
 /// True if `data` begins with the RAW magic (format sniffing).
 bool looks_like_raw(std::span<const std::uint8_t> data);
 
+/// Bytes of the RAW header (raw_file_bytes of zero frames).
+inline constexpr std::size_t kRawHeaderBytes = raw_file_bytes(0, 0);
+
+/// Encode the header of a RAW image of `frames` frames at `out`
+/// (kRawHeaderBytes bytes); frame f's record follows at
+/// raw_file_bytes(atom_count, f).
+void encode_raw_header(std::uint8_t* out, std::uint32_t atom_count, std::uint32_t frames);
+
 /// A RAW image of `frames` frames, header written and frame records zeroed,
 /// for filling frame f in place at raw_file_bytes(atom_count, f).
 std::vector<std::uint8_t> make_raw_image(std::uint32_t atom_count, std::uint32_t frames);

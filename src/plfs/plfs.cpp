@@ -7,12 +7,14 @@
 #include <cstring>
 #include <filesystem>
 #include <thread>
+#include <utility>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/binary_io.hpp"
+#include "common/check.hpp"
 #include "common/crc32c.hpp"
 #include "common/faults.hpp"
 #include "obs/metrics.hpp"
@@ -59,31 +61,52 @@ void damage(const fault::Outcome& outcome, std::span<std::uint8_t> bytes) {
   }
 }
 
-/// Write one dropping file under the write_dropping fault site.  Torn and
-/// corrupt outcomes REPORT SUCCESS -- that is the point: the stored CRC is
-/// computed over the intended bytes, so the damage is caught on read.
-Status write_dropping_bytes(const std::string& path, std::span<const std::uint8_t> bytes) {
-  const fault::Outcome outcome = fault::hit(kSiteWriteDropping);
-  switch (outcome.kind) {
-    case fault::Outcome::Kind::kError:
-      return outcome.to_error(kSiteWriteDropping);
-    case fault::Outcome::Kind::kDelay:
-      std::this_thread::sleep_for(std::chrono::duration<double>(outcome.delay_seconds));
-      break;
-    case fault::Outcome::Kind::kTorn: {
-      const auto keep = static_cast<std::size_t>(
-          static_cast<double>(bytes.size()) * outcome.fraction);
-      return write_file(path, bytes.subspan(0, keep));
-    }
-    case fault::Outcome::Kind::kCorrupt: {
-      std::vector<std::uint8_t> damaged(bytes.begin(), bytes.end());
-      damage(outcome, damaged);
-      return write_file(path, damaged);
-    }
-    case fault::Outcome::Kind::kNone:
-      break;
+/// Open (create or truncate) a dropping for writing under the
+/// write_dropping fault site: an error outcome fails this attempt and a
+/// delay is slept; a torn or corrupt outcome is left in `outcome` for
+/// commit to apply.
+Result<int> open_dropping(const std::string& path, fault::Outcome* outcome) {
+  *outcome = fault::hit(kSiteWriteDropping);
+  if (outcome->kind == fault::Outcome::Kind::kError) {
+    return outcome->to_error(kSiteWriteDropping);
   }
-  return write_file(path, bytes);
+  if (outcome->kind == fault::Outcome::Kind::kDelay) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(outcome->delay_seconds));
+  }
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return io_error("cannot create " + path);
+  return fd;
+}
+
+/// pwrite all of `bytes` at `offset`.
+Status write_at(int fd, const std::string& path, std::span<const std::uint8_t> bytes,
+                std::uint64_t offset) {
+  for (std::size_t done = 0; done < bytes.size();) {
+    const ssize_t put = ::pwrite(fd, bytes.data() + done, bytes.size() - done,
+                                 static_cast<off_t>(offset + done));
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) return io_error("short write on " + path);
+    done += static_cast<std::size_t>(put);
+  }
+  return Status::ok();
+}
+
+/// A torn outcome cuts the complete dropping to its surviving prefix, a
+/// corrupt one flips one byte of it.  Both REPORT SUCCESS -- that is the
+/// point: the stored CRC is over the intended bytes, so a read catches it.
+Status damage_dropping(const fault::Outcome& outcome, int fd, const std::string& path,
+                       std::uint64_t length) {
+  if (outcome.kind == fault::Outcome::Kind::kTorn) {
+    const auto keep = static_cast<off_t>(static_cast<double>(length) * outcome.fraction);
+    if (::ftruncate(fd, keep) != 0) return io_error("cannot truncate " + path);
+  } else if (outcome.kind == fault::Outcome::Kind::kCorrupt && length != 0) {
+    const auto at = static_cast<off_t>(flip_position(length, outcome.fraction));
+    std::uint8_t byte = 0;
+    if (::pread(fd, &byte, 1, at) != 1) return io_error("cannot read back " + path);
+    byte ^= 0x01;
+    return write_at(fd, path, std::span(&byte, 1), static_cast<std::uint64_t>(at));
+  }
+  return Status::ok();
 }
 
 /// Enter the read_dropping fault site: an injected error is returned, a
@@ -204,12 +227,25 @@ Status PlfsMount::create_container(const std::string& logical_name,
   if (container_exists(logical_name)) {
     return already_exists("container " + logical_name + " already exists");
   }
+  std::vector<std::string> created;
+  auto remove_created = [&] {
+    for (const std::string& dir : created) {
+      std::error_code ignored;
+      fs::remove_all(dir, ignored);
+    }
+  };
   for (std::uint32_t b = 0; b < backend_count(); ++b) {
     std::error_code ec;
-    fs::create_directories(container_dir(b, logical_name), ec);
-    if (ec) return io_error("cannot create container dir on backend " + backends_[b].name);
+    const std::string dir = container_dir(b, logical_name);
+    if (fs::create_directories(dir, ec)) created.push_back(dir);
+    if (ec) {
+      remove_created();
+      return io_error("cannot create container dir on backend " + backends_[b].name);
+    }
   }
-  return write_index(logical_name, Index{{}, stream});
+  const Status published = write_index(logical_name, Index{{}, stream});
+  if (!published.is_ok()) remove_created();
+  return published;
 }
 
 bool PlfsMount::container_exists(const std::string& logical_name) const {
@@ -271,57 +307,122 @@ Result<Index> PlfsMount::read_index(const std::string& logical_name) const {
   return decode_index(image);
 }
 
-Result<std::vector<IndexRecord>> PlfsMount::append(const std::string& logical_name,
-                                                   const std::vector<Extent>& extents,
-                                                   std::optional<StreamState> stream) {
-  for (const Extent& extent : extents) {
+Result<StagedAppend> PlfsMount::begin_append(const std::string& logical_name,
+                                             const std::vector<StagedExtent>& extents) {
+  for (const StagedExtent& extent : extents) {
     if (extent.backend >= backend_count()) {
       return invalid_argument("backend " + std::to_string(extent.backend) + " out of range");
     }
+    if (extent.pieces == 0) return invalid_argument("a staged extent needs at least one piece");
   }
-  const obs::Span span("plfs_append", logical_name);
-  ADA_OBS_COUNT("plfs.append.calls", 1);
   ADA_ASSIGN_OR_RETURN(Index index, read_index(logical_name));
-
   std::uint64_t ordinal = next_ordinal(index.records);
   std::uint64_t offset = logical_size(index.records);
-  std::vector<IndexRecord> added;
-  added.reserve(extents.size());
-  for (const Extent& extent : extents) {
-    ADA_OBS_COUNT("plfs.append.bytes", extent.bytes.size());
-    if (obs::enabled()) {
-      obs::Registry::global()
-          .counter("plfs.append.bytes." + backends_[extent.backend].name)
-          .add(extent.bytes.size());
-    }
+  StagedAppend staged(this, logical_name, std::move(index));
+  staged.added_.reserve(extents.size());
+  staged.droppings_.reserve(extents.size());
+  for (const StagedExtent& extent : extents) {
     IndexRecord record;
     record.logical_offset = offset;
-    record.length = extent.bytes.size();
+    record.length = extent.length;
     record.backend = extent.backend;
     record.label = extent.label;
     record.dropping = "dropping." + (extent.label.empty() ? std::string("data") : extent.label) +
                       "." + std::to_string(ordinal++);
     record.physical_offset = 0;  // one dropping file per extent
+    if (extent.span.has_value()) record.set_frame_span(*extent.span);
+    StagedAppend::Dropping dropping;
+    dropping.path = container_dir(extent.backend, logical_name) + "/" + record.dropping;
+    dropping.pieces.resize(extent.pieces);
+    ADA_ASSIGN_OR_RETURN(dropping.fd, retry_sync("plfs_write_dropping", retry_policy_, [&] {
+                           return open_dropping(dropping.path, &dropping.fault);
+                         }));
+    offset += record.length;
+    staged.added_.push_back(std::move(record));
+    staged.droppings_.push_back(std::move(dropping));
+  }
+  return staged;
+}
+
+Result<std::vector<IndexRecord>> PlfsMount::append(const std::string& logical_name,
+                                                   const std::vector<Extent>& extents,
+                                                   std::optional<StreamState> stream) {
+  std::vector<StagedExtent> staged_extents;
+  staged_extents.reserve(extents.size());
+  for (const Extent& extent : extents) {
+    staged_extents.push_back(
+        StagedExtent{extent.label, extent.backend, extent.bytes.size(), 1, extent.span});
+  }
+  ADA_ASSIGN_OR_RETURN(StagedAppend staged, begin_append(logical_name, staged_extents));
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    ADA_RETURN_IF_ERROR(staged.write(i, 0, 0, extents[i].bytes));
+  }
+  return staged.commit(std::move(stream));
+}
+
+StagedAppend::~StagedAppend() {
+  for (const Dropping& dropping : droppings_) {
+    if (dropping.fd >= 0) ::close(dropping.fd);
+  }
+}
+
+Status StagedAppend::write(std::size_t extent, std::size_t piece, std::uint64_t offset,
+                           std::span<const std::uint8_t> bytes) {
+  ADA_CHECK(extent < droppings_.size() && piece < droppings_[extent].pieces.size());
+  const obs::Span span("piece_write");
+  Dropping& dropping = droppings_[extent];
+  const std::uint32_t crc = crc32c(bytes.data(), bytes.size());
+  ADA_RETURN_IF_ERROR(retry_sync("plfs_write_dropping", mount_->retry_policy_, [&] {
+    return write_at(dropping.fd, dropping.path, bytes, offset);
+  }));
+  dropping.pieces[piece] = Piece{offset, bytes.size(), crc, true};
+  return Status::ok();
+}
+
+Result<std::vector<IndexRecord>> StagedAppend::commit(std::optional<StreamState> stream) {
+  const obs::Span span("plfs_append", logical_name_);
+  ADA_OBS_COUNT("plfs.append.calls", 1);
+  for (std::size_t i = 0; i < added_.size(); ++i) {
+    IndexRecord& record = added_[i];
+    Dropping& dropping = droppings_[i];
     {
       const obs::Span crc_span("crc");
-      record.set_checksum(crc32c(extent.bytes.data(), extent.bytes.size()));
+      std::uint32_t crc = 0;
+      std::uint64_t end = 0;
+      for (std::size_t k = 0; k < dropping.pieces.size(); ++k) {
+        const Piece& piece = dropping.pieces[k];
+        if (!piece.written || piece.offset != end) {
+          return internal_error("piece " + std::to_string(k) + " of " + dropping.path +
+                                " is missing or out of place");
+        }
+        crc = crc32c_combine(crc, piece.crc, piece.length);
+        end += piece.length;
+      }
+      if (end != record.length) {
+        return internal_error("the pieces of " + dropping.path + " do not fill its extent");
+      }
+      record.set_checksum(crc);
     }
-    if (extent.span.has_value()) record.set_frame_span(*extent.span);
-    const std::string path = container_dir(extent.backend, logical_name) + "/" + record.dropping;
     {
       const obs::Span write_span("dropping_write");
-      ADA_RETURN_IF_ERROR(retry_sync("plfs_write_dropping", retry_policy_, [&] {
-        return write_dropping_bytes(path, extent.bytes);
-      }));
+      ADA_RETURN_IF_ERROR(damage_dropping(dropping.fault, dropping.fd, dropping.path,
+                                          record.length));
+      if (::close(std::exchange(dropping.fd, -1)) != 0) {
+        return io_error("close failed on " + dropping.path);
+      }
     }
-    offset += record.length;
-    added.push_back(std::move(record));
+    ADA_OBS_COUNT("plfs.append.bytes", record.length);
+    if (obs::enabled()) {
+      obs::Registry::global()
+          .counter("plfs.append.bytes." + mount_->backends_[record.backend].name)
+          .add(record.length);
+    }
   }
-  index.records.insert(index.records.end(), added.begin(), added.end());
-  if (stream.has_value()) index.stream = stream;
+  index_.records.insert(index_.records.end(), added_.begin(), added_.end());
+  if (stream.has_value()) index_.stream = stream;
   const obs::Span index_span("index_write");
-  ADA_RETURN_IF_ERROR(write_index(logical_name, index));
-  return added;
+  ADA_RETURN_IF_ERROR(mount_->write_index(logical_name_, index_));
+  return std::move(added_);
 }
 
 Result<std::uint64_t> PlfsMount::label_size(const std::string& logical_name,

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/faults.hpp"
 #include "common/result.hpp"
 #include "common/retry.hpp"
 #include "plfs/container.hpp"
@@ -74,6 +75,72 @@ struct Extent {
   std::optional<FrameSpan> span;  // set for a canonical RAW extent
 };
 
+/// One extent of a staged publication (PlfsMount::begin_append): its
+/// `length` bytes arrive later as `pieces` writes that tile [0, length).
+struct StagedExtent {
+  std::string label;
+  std::uint32_t backend = 0;
+  std::uint64_t length = 0;
+  std::size_t pieces = 1;
+  std::optional<FrameSpan> span;  // set for a canonical RAW extent
+};
+
+class PlfsMount;
+
+/// A publication in progress: every extent's dropping is open, its bytes
+/// are written piece by piece, then commit() publishes ONE index image.
+/// Destroying it uncommitted closes the droppings and leaves them as
+/// unreferenced files (fsck orphans), like a crash before the publish.
+class StagedAppend {
+ public:
+  StagedAppend(StagedAppend&&) noexcept = default;
+  StagedAppend& operator=(StagedAppend&&) = delete;  // would drop open droppings
+  ~StagedAppend();
+
+  /// Checksum `bytes` and write them at `offset` of extent `extent`'s
+  /// dropping as its piece number `piece`.  Pieces of one extent must tile
+  /// it in piece order; each is written once.  Safe from several threads at
+  /// once for distinct pieces, and allocates nothing unless it fails.  A
+  /// failed write is retried under the mount's retry policy.
+  Status write(std::size_t extent, std::size_t piece, std::uint64_t offset,
+               std::span<const std::uint8_t> bytes);
+
+  /// Fold each extent's piece checksums in piece order into its record's
+  /// CRC32C, complete every dropping, then publish ONE index image: the
+  /// records read at begin_append plus one record per extent, in order, with
+  /// `stream` replacing the stream state when given.  Returns the new
+  /// records.  Call once, after every piece is written.
+  Result<std::vector<IndexRecord>> commit(std::optional<StreamState> stream = std::nullopt);
+
+ private:
+  friend class PlfsMount;
+
+  /// One written piece: where it landed and its CRC32C.
+  struct Piece {
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+    std::uint32_t crc = 0;
+    bool written = false;
+  };
+
+  /// One open dropping and what the write_dropping fault site chose for it.
+  struct Dropping {
+    std::string path;
+    int fd = -1;
+    fault::Outcome fault;  // torn or corrupt: applied at commit
+    std::vector<Piece> pieces;
+  };
+
+  StagedAppend(PlfsMount* mount, std::string logical_name, Index index)
+      : mount_(mount), logical_name_(std::move(logical_name)), index_(std::move(index)) {}
+
+  PlfsMount* mount_;
+  std::string logical_name_;
+  Index index_;                     // the published index the records extend
+  std::vector<IndexRecord> added_;  // one per extent, checksums set at commit
+  std::vector<Dropping> droppings_;
+};
+
 class PlfsMount {
  public:
   /// Validate backends and create their root directories.
@@ -87,7 +154,7 @@ class PlfsMount {
   /// Create an (empty) container for `logical_name` on every backend and
   /// publish its first index image, carrying `stream` for a container that
   /// will stream.  Fails with kAlreadyExists if the container is already
-  /// present.
+  /// present; any other failure removes the directories it created.
   Status create_container(const std::string& logical_name,
                           std::optional<StreamState> stream = std::nullopt);
 
@@ -98,14 +165,20 @@ class PlfsMount {
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const noexcept { return retry_policy_; }
 
-  /// One logical write: write each extent's dropping (on its backend,
-  /// tagged with its label, CRC32C computed over the intended bytes so a
-  /// torn or corrupted write is caught at read time), then publish ONE index
-  /// image -- the current records plus one record per extent, in order, with
-  /// `stream` replacing the stream state when given.  A failure before the
+  /// Begin one logical write: read the published index, name each extent's
+  /// dropping (on its backend, tagged with its label) and open it.  The
+  /// "plfs.write_dropping" fault site is consulted once per extent per open
+  /// attempt, under the retry policy: an error or a delay acts there, a torn
+  /// or corrupt outcome is applied at commit (after the CRC32C is taken over
+  /// the intended bytes, so a read catches it).  A failure before the
   /// publish leaves only unreferenced droppings (fsck orphans): no published
-  /// record ever names a dropping that was not written.  Returns the new
-  /// records.  A single extent is the one-element case.
+  /// record ever names a dropping that was not written.
+  Result<StagedAppend> begin_append(const std::string& logical_name,
+                                    const std::vector<StagedExtent>& extents);
+
+  /// One logical write of whole buffers: begin_append with one piece per
+  /// extent, each extent's bytes written as that piece, then commit.
+  /// Returns the new records.  A single extent is the one-element case.
   Result<std::vector<IndexRecord>> append(const std::string& logical_name,
                                           const std::vector<Extent>& extents,
                                           std::optional<StreamState> stream = std::nullopt);
@@ -172,6 +245,8 @@ class PlfsMount {
   Status rewrite_index(const std::string& logical_name, const Index& index);
 
  private:
+  friend class StagedAppend;
+
   /// Per-container mutation generations, shared by every copy of the mount
   /// (fsck tooling operating on a copy still advances the same clock).
   struct MutationClock {

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "ada/categorizer.hpp"
 #include "ada/label_store.hpp"
 #include "ada/middleware.hpp"
 #include "ada/preprocessor.hpp"
 #include "ada/schema_config.hpp"
+#include "common/binary_io.hpp"
+#include "common/faults.hpp"
 #include "formats/pdb.hpp"
 #include "formats/raw_traj.hpp"
 #include "formats/xtc_file.hpp"
@@ -460,6 +463,60 @@ TEST_F(AdaMiddlewareTest, BatchIngestReportsPerPhaseFailures) {
   EXPECT_TRUE(results[0].is_ok());
   EXPECT_FALSE(results[1].is_ok());
   EXPECT_TRUE(ada_->has_dataset("good.xtc"));
+}
+
+/// Every regular file under `dir`, by path relative to it, with its bytes.
+std::map<std::string, std::vector<std::uint8_t>> files_under(const std::string& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> files;
+  if (!fs::exists(dir)) return files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files[fs::relative(entry.path(), dir).string()] = read_file(entry.path().string()).value();
+    }
+  }
+  return files;
+}
+
+TEST_F(AdaMiddlewareTest, FailedFreshIngestLeavesNothingBehind) {
+  const auto system = tiny_system();
+  const auto xtc = make_xtc(system, 3);
+  RetryPolicy fast;
+  fast.max_attempts = 2;
+  fast.initial_backoff_s = 1e-4;
+  ada_->mount().set_retry_policy(fast);
+  {
+    // Every dropping open fails: the ingest fails with the injected error
+    // after its container was created, and removes all of it.
+    const fault::ScopedFault down("plfs.write_dropping", fault::Schedule::down_window(1, 100));
+    const auto failed = ada_->ingest(system, xtc, "bar.xtc");
+    ASSERT_FALSE(failed.is_ok());
+    EXPECT_EQ(failed.error().code(), ErrorCode::kUnavailable);
+  }
+  EXPECT_FALSE(ada_->has_dataset("bar.xtc"));
+  EXPECT_TRUE(files_under(root_).empty());
+  EXPECT_FALSE(fs::exists(root_ + "/ssd/bar.xtc"));
+  EXPECT_FALSE(fs::exists(root_ + "/hdd/bar.xtc"));
+  {
+    // The one index publication fails (hit 1 is the create's empty image),
+    // after every dropping was written: nothing is left either.
+    const fault::ScopedFault crash("plfs.write_index", fault::Schedule::fail_nth(2));
+    ASSERT_FALSE(ada_->ingest(system, xtc, "bar.xtc").is_ok());
+  }
+  EXPECT_FALSE(ada_->has_dataset("bar.xtc"));
+  EXPECT_TRUE(files_under(root_).empty());
+
+  // The retry succeeds and stores what a never-failed ingest stores.
+  ASSERT_TRUE(ada_->ingest(system, xtc, "bar.xtc").is_ok());
+  AdaConfig config;
+  config.placement = PlacementPolicy::active_on_ssd(0, 1);
+  Ada clean(plfs::PlfsMount::open({{"ssd", root_ + "/clean/ssd"}, {"hdd", root_ + "/clean/hdd"}})
+                .value(),
+            config);
+  ASSERT_TRUE(clean.ingest(system, xtc, "bar.xtc").is_ok());
+  const auto retried = files_under(root_ + "/ssd");
+  ASSERT_FALSE(retried.empty());
+  EXPECT_EQ(retried, files_under(root_ + "/clean/ssd"));
+  EXPECT_EQ(files_under(root_ + "/hdd"), files_under(root_ + "/clean/hdd"));
 }
 
 TEST_F(AdaMiddlewareTest, KeepOriginalStoresCompressedImage) {

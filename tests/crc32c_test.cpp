@@ -2,7 +2,8 @@
 // dispatched entry point and both kernels, the portable kernel against a
 // bit-at-a-time reference, a hardware-vs-portable differential over
 // lengths, misalignments and the interleave lane/block boundaries, and
-// incremental continuation at every split point.  The hardware half skips
+// incremental continuation at every split point, and crc32c_combine against
+// one-pass CRCs over random splits with either kernel.  The hardware half skips
 // on CPUs without SSE4.2.
 #include <gtest/gtest.h>
 
@@ -138,6 +139,53 @@ TEST(Crc32cTest, IncrementalContinuationAtEverySplit) {
     if (hw) {
       ASSERT_EQ(detail::crc32c_hw(b, b_len, detail::crc32c_hw(a, split, 0)), whole)
           << "hardware, split " << split;
+    }
+  }
+}
+
+TEST(Crc32cTest, CombineMatchesOnePassAtEverySplit) {
+  // Every split of a buffer that is not a multiple of 8 long, so both the
+  // empty pieces (split 0 and the end) and every odd length are covered.
+  const auto buffer = random_bytes(1029, 5);
+  const std::uint32_t whole = crc32c(buffer);
+  for (std::size_t split = 0; split <= buffer.size(); ++split) {
+    const std::size_t b_len = buffer.size() - split;
+    ASSERT_EQ(crc32c_combine(crc32c(buffer.data(), split),
+                             crc32c(buffer.data() + split, b_len), b_len),
+              whole)
+        << "split " << split;
+  }
+  EXPECT_EQ(crc32c_combine(0, 0, 0), 0u);
+  EXPECT_EQ(crc32c_combine(whole, 0, 0), whole);
+  EXPECT_EQ(crc32c_combine(0, whole, buffer.size()), whole);
+}
+
+TEST(Crc32cTest, CombineFoldsRandomPiecesWithEitherKernel) {
+  // A buffer cut at random points (empty pieces and lane-sized ones
+  // included), each piece checksummed apart, folds left to right into the
+  // one-pass CRC -- with the pieces' CRCs from the portable kernel, and from
+  // the hardware kernel where the CPU has one.
+  using Kernel = std::uint32_t (*)(const void*, std::size_t, std::uint32_t) noexcept;
+  std::vector<std::pair<const char*, Kernel>> kernels = {{"portable", &detail::crc32c_portable}};
+  if (detail::crc32c_hw_available()) kernels.emplace_back("hardware", &detail::crc32c_hw);
+  const auto buffer = random_bytes(3 * kCrcLongLane + 777, 6);
+  Rng rng(7);
+  for (const auto& [name, kernel] : kernels) {
+    const std::uint32_t whole = kernel(buffer.data(), buffer.size(), 0);
+    ASSERT_EQ(whole, crc32c(buffer)) << name;
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<std::size_t> cuts = {0, buffer.size()};
+      const std::size_t pieces = 1 + rng.uniform_index(9);
+      for (std::size_t k = 1; k < pieces; ++k) cuts.push_back(rng.uniform_index(buffer.size() + 1));
+      if (trial % 4 == 0) cuts.push_back(cuts.back());  // an empty piece
+      std::sort(cuts.begin(), cuts.end());
+      std::uint32_t folded = 0;
+      for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+        const std::size_t len = cuts[k + 1] - cuts[k];
+        folded = crc32c_combine(folded, kernel(buffer.data() + cuts[k], len, 0), len);
+      }
+      ASSERT_EQ(folded, whole) << name << ", trial " << trial << ", " << cuts.size() - 1
+                               << " pieces";
     }
   }
 }

@@ -1,11 +1,13 @@
-// Allocation count of the frame-parallel split on pool worker threads.
+// Allocation count of the frame-parallel decode on pool worker threads.
 //
 // A worker thread that allocates gets its own malloc arena, and the arena
 // keeps the decode buffers' pages after the ingest returns: the process
 // RSS then grows with the pool size although no data outlives the call.
-// DataPreProcessor::split therefore sizes every buffer on the calling
-// thread -- the final per-tag images and one scratch frame per concurrent
-// range -- and its ranges must not allocate on the workers at all.  This
+// The decode engine therefore sizes every buffer on the calling thread --
+// split()'s final per-tag images, the pipelined ingest's per-slot staging
+// records and open droppings, and one scratch frame per concurrent range --
+// and its ranges must not allocate on the workers at all, neither to
+// decode nor, in Ada::ingest, to checksum and write each record.  This
 // binary replaces the global operator new to count allocations made by
 // any thread other than the test's own, which here are the pool workers.
 #include <gtest/gtest.h>
@@ -13,12 +15,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <new>
 #include <thread>
 #include <vector>
 
 #include "ada/categorizer.hpp"
+#include "ada/middleware.hpp"
 #include "ada/preprocessor.hpp"
 #include "common/parallel.hpp"
 #include "formats/xtc_file.hpp"
@@ -95,18 +99,23 @@ TEST(ParallelIngestAllocTest, CounterSeesPoolWorkerAllocations) {
   EXPECT_GT(allocs, 0u);
 }
 
-TEST(ParallelIngestAllocTest, SplitAtBudgetFourAllocatesNothingOnPoolWorkers) {
-  // Eight paper-size frames at budget 4: eight one-frame ranges on four
-  // threads.  Repeated so the workers take ranges on every round.
-  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::paper_default()).build();
+/// Eight frames of the paper-size system.
+std::vector<std::uint8_t> paper_xtc(const chem::System& system) {
   workload::TrajectoryGenerator gen(system, workload::DynamicsSpec{});
   formats::XtcWriter writer;
   for (int f = 0; f < 8; ++f) {
     const std::uint32_t step = gen.current_step();
     const float time_ps = gen.current_time_ps();
-    ASSERT_TRUE(writer.add_frame(step, time_ps, system.box(), gen.next_frame()).is_ok());
+    EXPECT_TRUE(writer.add_frame(step, time_ps, system.box(), gen.next_frame()).is_ok());
   }
-  const auto xtc = writer.take();
+  return writer.take();
+}
+
+TEST(ParallelIngestAllocTest, SplitAtBudgetFourAllocatesNothingOnPoolWorkers) {
+  // Eight paper-size frames at budget 4: eight one-frame ranges on four
+  // threads.  Repeated so the workers take ranges on every round.
+  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::paper_default()).build();
+  const auto xtc = paper_xtc(system);
   const DataPreProcessor preprocessor(categorize_protein_misc(system));
   const auto serial = preprocessor.split(xtc, nullptr, 1).value();
 
@@ -117,6 +126,34 @@ TEST(ParallelIngestAllocTest, SplitAtBudgetFourAllocatesNothingOnPoolWorkers) {
     EXPECT_EQ(parallel.value(), serial) << "round " << round;
     EXPECT_EQ(allocs, 0u) << "round " << round;
   }
+}
+
+TEST(ParallelIngestAllocTest, IngestAtBudgetFourAllocatesNothingOnPoolWorkers) {
+  // The whole pipelined Ada::ingest: the workers decode, encode, checksum
+  // and pwrite every record into the droppings without one allocation.
+  namespace fs = std::filesystem;
+  const std::string root = testing::TempDir() + "/ada_ingest_alloc";
+  fs::remove_all(root);
+  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::paper_default()).build();
+  const auto xtc = paper_xtc(system);
+  const auto serial = DataPreProcessor(categorize_protein_misc(system)).split(xtc).value();
+  AdaConfig config;
+  config.placement = PlacementPolicy::active_on_ssd(0, 1);
+  config.threads = 4;
+  Ada ada(plfs::PlfsMount::open({{"ssd", root + "/ssd"}, {"hdd", root + "/hdd"}}).value(),
+          config);
+
+  for (int round = 0; round < 5; ++round) {
+    const std::string name = "round" + std::to_string(round) + ".xtc";
+    Result<IngestReport> report = internal_error("not run");
+    const auto allocs = other_thread_allocs([&] { report = ada.ingest(system, xtc, name); });
+    ASSERT_TRUE(report.is_ok()) << report.error().to_string();
+    EXPECT_EQ(allocs, 0u) << "round " << round;
+    for (const auto& [tag, image] : serial) {
+      EXPECT_EQ(ada.query(name, tag).value(), image) << "round " << round << ", tag " << tag;
+    }
+  }
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 // threads than frames) for both codec versions, through the facade at the
 // default budget (AdaConfig{}) and nested under ingest_batch's file-level
 // tasks, and pin down the header-only frame-boundary scanner the ranges are
-// cut from against the decoding reader.
+// cut from against the decoding reader.  The pipelined Ada::ingest, which
+// checksums and writes each frame's records into the droppings as the
+// workers decode them, must store containers byte-identical (every
+// dropping file and the index image) to split() + IoDispatcher::dispatch().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,8 +22,10 @@
 #include <vector>
 
 #include "ada/categorizer.hpp"
+#include "ada/label_store.hpp"
 #include "ada/middleware.hpp"
 #include "ada/preprocessor.hpp"
+#include "common/binary_io.hpp"
 #include "common/thread_pool.hpp"
 #include "formats/xtc_file.hpp"
 #include "workload/gpcr_builder.hpp"
@@ -36,9 +41,10 @@ namespace fs = std::filesystem;
 // keyframe every 3 frames, so a split has several ranges to cut.
 std::vector<std::uint8_t> make_xtc(const chem::System& system, std::uint32_t frames,
                                    std::vector<std::uint32_t>* steps = nullptr,
-                                   codec::CodecVersion version = codec::CodecVersion::kV1) {
+                                   codec::CodecVersion version = codec::CodecVersion::kV1,
+                                   std::uint32_t keyframe_interval = 3) {
   workload::TrajectoryGenerator gen(system, workload::DynamicsSpec{});
-  formats::XtcWriter writer({}, version, 3);
+  formats::XtcWriter writer({}, version, keyframe_interval);
   for (std::uint32_t f = 0; f < frames; ++f) {
     // Evaluate in sequence: next_frame() advances the step/time counters.
     const std::uint32_t step = gen.current_step();
@@ -78,6 +84,100 @@ TEST(ParallelIngestTest, SplitByteIdenticalToSerialForAnyFrameAndThreadCount) {
       }
     }
   }
+}
+
+/// Every file of a container, by backend and file name: the droppings and,
+/// on backend 0, the index image.
+std::map<std::string, std::vector<std::uint8_t>> container_files(const plfs::PlfsMount& mount,
+                                                                  const std::string& name) {
+  std::map<std::string, std::vector<std::uint8_t>> files;
+  for (std::uint32_t b = 0; b < mount.backend_count(); ++b) {
+    const fs::path dir = fs::path(mount.backend(b).host_root) / name;
+    if (!fs::is_directory(dir)) continue;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      files[mount.backend(b).name + "/" + entry.path().filename().string()] =
+          read_file(entry.path().string()).value();
+    }
+  }
+  return files;
+}
+
+TEST(ParallelIngestTest, PipelinedIngestStoresTheContainerOfSplitThenDispatch) {
+  const std::string root = testing::TempDir() + "/ada_pipelined_differential";
+  fs::remove_all(root);
+  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
+  const LabelMap labels = categorize_protein_misc(system);
+  const DataPreProcessor preprocessor(labels);
+  const std::string label_text = encode_label_file(labels);
+  const auto placement = PlacementPolicy::active_on_ssd(0, 1);
+  struct Codec {
+    codec::CodecVersion version;
+    std::uint32_t keyframe_interval;
+  };
+  const Codec codecs[] = {{codec::CodecVersion::kV1, 1},
+                          {codec::CodecVersion::kV2, 3},
+                          {codec::CodecVersion::kV2, 16}};
+  int case_id = 0;
+  for (const Codec& codec : codecs) {
+    for (const std::uint32_t frames : {0u, 1u, 2u, 7u, 8u, 33u}) {
+      const auto xtc = make_xtc(system, frames, nullptr, codec.version, codec.keyframe_interval);
+      const auto subsets = preprocessor.split(xtc).value();
+      for (const bool keep_original : {false, true}) {
+        for (const bool frame_tables : {true, false}) {
+          // The reference: the in-memory split, then one dispatch.
+          const std::string ref_base = root + "/ref" + std::to_string(case_id);
+          auto ref_mount = plfs::PlfsMount::open(
+                               {{"ssd", ref_base + "/ssd"}, {"hdd", ref_base + "/hdd"}})
+                               .value();
+          std::vector<Blob> extras = {
+              Blob{kLabelFileTag,
+                   std::span(reinterpret_cast<const std::uint8_t*>(label_text.data()),
+                             label_text.size()),
+                   std::nullopt}};
+          if (keep_original) extras.push_back(Blob{kOriginalTag, xtc, std::nullopt});
+          ASSERT_TRUE(IoDispatcher(ref_mount, placement, frame_tables)
+                          .dispatch("traj.xtc", subsets, extras)
+                          .is_ok());
+          const auto expected = container_files(ref_mount, "traj.xtc");
+          ASSERT_EQ(expected.size(), 2u + 2u + (keep_original ? 1u : 0u));  // index, p, m, labels
+
+          for (const unsigned threads : {1u, 2u, 4u, 0u}) {
+            SCOPED_TRACE(testing::Message()
+                         << frames << " frames, codec v" << static_cast<int>(codec.version)
+                         << " keyframes every " << codec.keyframe_interval << ", "
+                         << threads << " threads, keep_original " << keep_original
+                         << ", frame_tables " << frame_tables);
+            AdaConfig config;
+            config.placement = placement;
+            config.threads = threads;
+            config.keep_original = keep_original;
+            config.frame_tables = frame_tables;
+            const std::string base =
+                root + "/case" + std::to_string(case_id) + "t" + std::to_string(threads);
+            Ada ada(plfs::PlfsMount::open({{"ssd", base + "/ssd"}, {"hdd", base + "/hdd"}})
+                        .value(),
+                    config);
+            const auto report = ada.ingest_with_labels(labels, xtc, "traj.xtc");
+            ASSERT_TRUE(report.is_ok()) << report.error().to_string();
+            EXPECT_EQ(report.value().preprocess.frames, frames);
+            for (const auto& [tag, image] : subsets) {
+              EXPECT_EQ(report.value().preprocess.subset_bytes.at(tag), image.size()) << tag;
+            }
+            const auto stored = container_files(ada.mount(), "traj.xtc");
+            ASSERT_EQ(stored.size(), expected.size());
+            for (const auto& [file, bytes] : expected) {
+              ASSERT_TRUE(stored.count(file)) << "missing " << file;
+              EXPECT_TRUE(stored.at(file) == bytes) << file << " differs";
+            }
+            fs::remove_all(base);
+          }
+          fs::remove_all(ref_base);
+          ++case_id;
+        }
+      }
+    }
+  }
+  fs::remove_all(root);
 }
 
 TEST(ParallelIngestTest, ScannerExtentsMatchReaderPositions) {
