@@ -22,16 +22,20 @@ void count_dispatched(const Tag& tag, std::size_t bytes) {
   registry.counter("ingest.dispatched_bytes." + tag).add(bytes);
 }
 
-// The frame span of a batch blob, or nullopt when disabled, the label is
-// reserved (label files and kept originals are not RAW trajectories), or the
-// payload is not one canonical RAW image.  A missing span only costs range
-// queries their fast path -- it must never fail the ingest.
-std::optional<plfs::FrameSpan> batch_span(bool enabled, const Tag& tag,
-                                          std::span<const std::uint8_t> bytes) {
-  if (!enabled || tag == kLabelFileTag || tag == kOriginalTag) return std::nullopt;
-  const auto raw = formats::RawTrajReader::open(bytes);
-  if (!raw.is_ok()) return std::nullopt;
-  return plfs::FrameSpan{0, raw.value().frame_count()};
+// The shape a blob's record stores: its frame span (a streamed chunk's, or
+// [0, frames) for a batch blob) with the atom count of its own RAW header.
+// A reserved label (label files and kept originals are not RAW
+// trajectories), or a payload that is not one canonical RAW image of the
+// span, stores no atom count; a batch one stores no span either.  A missing
+// shape only costs range queries their planned path -- it must never fail
+// the ingest.
+std::optional<plfs::FrameSpan> shape_of(const Blob& blob) {
+  if (blob.tag == kLabelFileTag || blob.tag == kOriginalTag) return blob.span;
+  const auto raw = formats::RawTrajReader::open(blob.bytes);
+  if (!raw.is_ok()) return blob.span;
+  plfs::FrameSpan shape = blob.span.value_or(plfs::FrameSpan{0, raw.value().frame_count()});
+  if (shape.count == raw.value().frame_count()) shape.atoms = raw.value().atom_count();
+  return shape;
 }
 
 /// The pipelined ingest's frame sink: a staged append with one dropping
@@ -41,12 +45,11 @@ std::optional<plfs::FrameSpan> batch_span(bool enabled, const Tag& tag,
 /// the frame's offset of that tag's dropping while it is still in cache.
 class DroppingSink final : public FrameSink {
  public:
-  DroppingSink(plfs::PlfsMount& mount, const PlacementPolicy& policy, bool frame_tables,
+  DroppingSink(plfs::PlfsMount& mount, const PlacementPolicy& policy,
                const std::string& logical_name, const LabelMap& labels,
                std::span<const Blob> extras)
       : mount_(mount),
         policy_(policy),
-        frame_tables_(frame_tables),
         logical_name_(logical_name),
         labels_(labels),
         extras_(extras) {}
@@ -58,16 +61,14 @@ class DroppingSink final : public FrameSink {
       const auto atoms = static_cast<std::uint32_t>(selection.count());
       groups_.push_back(Group{&selection, atoms});
       record_bytes_ = std::max(record_bytes_, formats::raw_frame_bytes(atoms));
-      extents.push_back(plfs::StagedExtent{
-          tag, policy_.backend_for(tag), formats::raw_file_bytes(atoms, frames),
-          std::size_t{1} + frames,
-          frame_tables_ ? std::optional<plfs::FrameSpan>(plfs::FrameSpan{0, frames})
-                        : std::nullopt});
+      extents.push_back(plfs::StagedExtent{tag, policy_.backend_for(tag),
+                                           formats::raw_file_bytes(atoms, frames),
+                                           std::size_t{1} + frames,
+                                           plfs::FrameSpan{0, frames, atoms}});
     }
     for (const Blob& blob : extras_) {
-      extents.push_back(plfs::StagedExtent{
-          blob.tag, policy_.backend_for(blob.tag), blob.bytes.size(), 1,
-          blob.span.has_value() ? blob.span : batch_span(frame_tables_, blob.tag, blob.bytes)});
+      extents.push_back(plfs::StagedExtent{blob.tag, policy_.backend_for(blob.tag),
+                                           blob.bytes.size(), 1, shape_of(blob)});
     }
     auto staged = mount_.begin_append(logical_name_, extents);
     if (!staged.is_ok()) return staged.error();
@@ -111,7 +112,6 @@ class DroppingSink final : public FrameSink {
 
   plfs::PlfsMount& mount_;
   const PlacementPolicy& policy_;
-  const bool frame_tables_;
   const std::string& logical_name_;
   const LabelMap& labels_;
   const std::span<const Blob> extras_;
@@ -160,8 +160,7 @@ Status IoDispatcher::ingest(const std::string& logical_name,
                             unsigned threads) {
   ADA_RETURN_IF_ERROR(mount_.create_container(logical_name));
   auto records = [&]() -> Result<std::vector<plfs::IndexRecord>> {
-    DroppingSink sink(mount_, policy_, frame_tables_, logical_name, preprocessor.labels(),
-                      extras);
+    DroppingSink sink(mount_, policy_, logical_name, preprocessor.labels(), extras);
     ADA_RETURN_IF_ERROR(preprocessor.decode(xtc_image, sink, stats, threads));
     const obs::Span span("dispatch");
     return sink.commit();
@@ -184,9 +183,8 @@ Result<std::vector<plfs::IndexRecord>> IoDispatcher::publish(
   std::vector<plfs::Extent> extents;
   extents.reserve(blobs.size());
   for (const Blob& blob : blobs) {
-    extents.push_back(plfs::Extent{
-        blob.tag, policy_.backend_for(blob.tag), blob.bytes,
-        blob.span.has_value() ? blob.span : batch_span(frame_tables_, blob.tag, blob.bytes)});
+    extents.push_back(
+        plfs::Extent{blob.tag, policy_.backend_for(blob.tag), blob.bytes, shape_of(blob)});
   }
   auto records = mount_.append(logical_name, extents, stream);
   if (records.is_ok()) {

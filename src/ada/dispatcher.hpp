@@ -37,7 +37,8 @@ struct PlacementPolicy {
 };
 
 /// One labeled blob of a publication.  `span` is set for a streamed chunk
-/// (its global frames); a batch blob leaves it unset.
+/// (its global frames); a batch blob leaves it unset.  Either way the record
+/// takes its atom count from the blob's own RAW header.
 struct Blob {
   Tag tag;
   std::span<const std::uint8_t> bytes;
@@ -46,12 +47,12 @@ struct Blob {
 
 class IoDispatcher {
  public:
-  /// `frame_tables`: give each batch-dispatched RAW subset its frame span
-  /// [0, frames) in the index, enabling the frame-range query fast path.
-  /// Reserved labels and non-RAW payloads carry none.  Streamed blobs always
-  /// carry their span (readers clamp to the watermark with it).
-  IoDispatcher(plfs::PlfsMount& mount, PlacementPolicy policy, bool frame_tables = true)
-      : mount_(mount), policy_(std::move(policy)), frame_tables_(frame_tables) {}
+  /// Every RAW subset's record stores its shape: frame span (batch [0,
+  /// frames), a streamed chunk its global frames) and atom count.  Reserved
+  /// labels and non-RAW payloads carry none.  The third parameter is inert;
+  /// it stays for callers that still pass AdaConfig::frame_tables.
+  IoDispatcher(plfs::PlfsMount& mount, PlacementPolicy policy, bool /*frame_tables*/ = true)
+      : mount_(mount), policy_(std::move(policy)) {}
 
   const PlacementPolicy& policy() const noexcept { return policy_; }
   plfs::PlfsMount& mount() noexcept { return mount_; }
@@ -92,7 +93,6 @@ class IoDispatcher {
  private:
   plfs::PlfsMount& mount_;
   PlacementPolicy policy_;
-  bool frame_tables_;
 };
 
 }  // namespace ada::core

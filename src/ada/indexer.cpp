@@ -58,9 +58,9 @@ Result<std::vector<DatasetLocation>> Indexer::locate(plfs::Index index,
     location.physical_offset = record.physical_offset;
     location.crc32c = record.crc32c;
     location.has_crc = record.has_checksum();
-    location.has_frame_span = record.has_frame_span();
     location.frame_base = record.frame_base;
     location.frame_count = record.frame_count;
+    if (record.has_atom_count()) location.atom_count = record.atom_count;
     out.push_back(std::move(location));
   }
   return out;
@@ -121,6 +121,7 @@ Result<std::vector<std::uint8_t>> IoRetriever::retrieve_extent(
 
 Status IoRetriever::fetch(std::span<const DatasetLocation> locations,
                           const std::function<Status(std::size_t)>& read) const {
+  if (locations.empty()) return Status::ok();  // nothing to read: no read call
   const bool fan_out = options_.threads > 1 && locations.size() > 1;
   if (fan_out) {
     ADA_OBS_COUNT("retrieve.sg.calls", 1);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,13 +28,14 @@ struct DatasetLocation {
   std::uint64_t physical_offset = 0;  // extent offset inside the dropping
   std::uint32_t crc32c = 0;           // stored extent checksum
   bool has_crc = false;               // false for legacy v1 index records
-  /// Global frame span [frame_base, frame_base + frame_count) of this extent
-  /// (valid iff `has_frame_span`): the index-side half of frame-range
-  /// addressing.  locate() has already clamped the location list to the
-  /// sealed-frame watermark.
+  /// The extent's stored shape (valid iff `atom_count`, which a record only
+  /// stores beside its span): global frames [frame_base, frame_base +
+  /// frame_count) of `atom_count` atoms each, the index-side half of
+  /// frame-range addressing.  locate() has already clamped the location
+  /// list to the sealed-frame watermark.
   std::uint64_t frame_base = 0;
   std::uint32_t frame_count = 0;
-  bool has_frame_span = false;
+  std::optional<std::uint32_t> atom_count;
 };
 
 class Indexer {

@@ -16,7 +16,7 @@ namespace ada::core {
 Ada::Ada(plfs::PlfsMount mount, AdaConfig config)
     : mount_(std::move(mount)),
       config_(std::move(config)),
-      dispatcher_(mount_, config_.placement, config_.frame_tables) {
+      dispatcher_(mount_, config_.placement) {
   target_apps_upper_.reserve(config_.target_apps.size());
   for (const std::string& app : config_.target_apps) target_apps_upper_.push_back(to_upper(app));
   target_extensions_upper_.reserve(config_.target_extensions.size());
@@ -283,18 +283,6 @@ std::string partial_block_tag(const Tag& tag, std::uint64_t block, std::uint64_t
   return tag + '\x01' + std::to_string(block) + '\x02' + std::to_string(frames);
 }
 
-// True iff the extent's length is a RAW file of its span's frames, of the
-// atom count `atoms` accumulates across extents (nullopt = not yet known).
-// Anything else routes the query down the slice-the-full-subset fallback, so
-// a malformed span can never cause an out-of-bounds slice.
-bool canonical_extent(const DatasetLocation& location, std::optional<std::uint32_t>& atoms) {
-  const auto implied = formats::raw_atom_count(location.bytes, location.frame_count);
-  if (!implied.has_value()) return false;
-  if (location.frame_count == 0) return true;
-  if (!atoms.has_value()) atoms = implied;
-  return atoms == implied;
-}
-
 // Global frame indices a range selects out of `total` frames.
 std::vector<std::uint64_t> select_frames(const FrameRange& range, std::uint64_t total) {
   std::vector<std::uint64_t> picked;
@@ -366,11 +354,13 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
     return result;
   };
 
-  // Fallback: the whole subset (through the subset cache when armed), read
-  // from the extents located above, then sliced.  The full image of a
-  // retained stream starts at the floor, not frame 0, so the selection
-  // shifts into the image's local numbering.
-  const auto fallback = [&]() -> Result<RangeImage> {
+  // Records that store no shape (written before atom counts were) fall
+  // back: the whole subset (through the subset cache when armed), read from
+  // the extents located above, then sliced.  The full image of a retained
+  // stream starts at the floor, not frame 0, so the selection shifts into
+  // the image's local numbering.
+  if (!std::all_of(locations.begin(), locations.end(),
+                   [](const DatasetLocation& l) { return l.atom_count.has_value(); })) {
     ADA_OBS_COUNT("query.range.fallback", 1);
     ADA_ASSIGN_OR_RETURN(const Subset full, read_subset(logical_name, tag, &located));
     FrameRange local_range = range;
@@ -383,22 +373,25 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
     ADA_ASSIGN_OR_RETURN(const auto cat, formats::RawTrajCatReader::open(full.bytes()));
     return answer(cat.atom_count(), select_frames(local_range, cat.frame_count()),
                   [&](std::uint64_t g) { return cat.record(static_cast<std::uint32_t>(g)); });
-  };
+  }
 
-  // Global frame numbering comes from the extents' spans, contiguous from
-  // the floor.  An extent without a span, a span gap, or a length that is
-  // not its span's frames routes to the fallback -- as does a zero-frame
-  // dataset, whose atom count only the stored RAW header can supply.
-  std::optional<std::uint32_t> atoms;
+  // A stored shape is checked once, here: spans contiguous from the floor,
+  // one atom count, and each length exactly its span's frames of those atoms.
+  const std::uint32_t atoms = *locations.front().atom_count;
   std::uint64_t total_frames = base_frame;
   for (const DatasetLocation& location : locations) {
-    if (!location.has_frame_span || location.frame_base != total_frames ||
-        !canonical_extent(location, atoms)) {
-      return fallback();
+    if (location.frame_base != total_frames || location.atom_count != atoms ||
+        !formats::raw_file_has_shape(location.bytes, atoms, location.frame_count)) {
+      return corrupt_data("index record of " + location.host_path + " states " +
+                          std::to_string(location.frame_count) + " frames of " +
+                          std::to_string(*location.atom_count) + " atoms from frame " +
+                          std::to_string(location.frame_base) + " in " +
+                          std::to_string(location.bytes) + " bytes, not the " +
+                          std::to_string(atoms) + "-atom frames from frame " +
+                          std::to_string(total_frames));
     }
     total_frames += location.frame_count;
   }
-  if (total_frames == base_frame) return fallback();
   const auto picked = select_frames(range, total_frames);
 
   // Owning extent of global frame `g`: last extent whose first frame is
@@ -446,22 +439,10 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
       if (needed.empty() || needed.back() != e) needed.push_back(e);
     }
   }
-  // An empty selection still states its atom count in its header: take it
-  // from the smallest extent's stored header, never from span arithmetic
-  // alone.
-  if (picked.empty() && empty_header) {
-    const auto smallest = std::min_element(
-        locations.begin(), locations.end(), [](const DatasetLocation& a, const DatasetLocation& b) {
-          return std::pair(a.frame_count == 0, a.bytes) < std::pair(b.frame_count == 0, b.bytes);
-        });
-    needed.push_back(static_cast<std::size_t>(smallest - locations.begin()));
-  }
-
   // Fetch: every extent the uncached blocks need, in one call.  These
   // CRC-verified, retried reads are the only bytes that may land in the
-  // cache below.  Each must open as the RAW image its span describes; a span
-  // the stored header contradicts lied: slice the full subset instead
-  // (dropping the block claims first, so waiters fill their own).
+  // cache below.  Each must open as the RAW image its record describes; a
+  // stored header that contradicts the record means the record lied.
   std::vector<DatasetLocation> want;
   want.reserve(needed.size());
   for (const std::size_t e : needed) want.push_back(locations[e]);
@@ -472,9 +453,9 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
     const std::size_t e = needed[k];
     auto reader = formats::RawTrajReader::open(images[k]);
     if (!reader.is_ok() || reader.value().frame_count() != locations[e].frame_count ||
-        reader.value().atom_count() != *atoms) {
-      blocks.clear();
-      return fallback();
+        reader.value().atom_count() != atoms) {
+      return corrupt_data("extent " + locations[e].host_path +
+                          " does not hold the RAW frames its index record states");
     }
     readers[e] = reader.value();
   }
@@ -482,13 +463,13 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
   // Assemble: each picked frame out of its (hit or built) block.  A built
   // block is its frames' records, back to back.
   const obs::Span copy_span("copy");
-  const std::uint64_t frame_bytes = formats::raw_frame_bytes(*atoms);
+  const std::uint64_t frame_bytes = formats::raw_frame_bytes(atoms);
   std::uint64_t current_block = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t current_lo = 0;     // first global frame of current block
   QueryCache::Image held;           // keeps the current block's image alive
   std::vector<std::uint8_t> local;  // block assembled from extents
   const std::vector<std::uint8_t>* image = nullptr;
-  return answer(*atoms, picked, [&](std::uint64_t g) {
+  return answer(atoms, picked, [&](std::uint64_t g) {
     const std::uint64_t b = g / kFrameBlock;
     if (b != current_block) {
       current_block = b;

@@ -70,11 +70,8 @@ struct AdaConfig {
   /// duplicate subsets onto the live container.
   bool overwrite = false;
 
-  /// Give each batch-ingested subset its frame span in the PLFS index,
-  /// enabling the frame-range query fast path.  Disabling stores the same
-  /// droppings with span-less batch records; range queries then fall back to
-  /// whole-subset retrieval plus slicing.  Streamed extents always carry
-  /// their span.
+  /// No effect: every RAW subset's index record stores its shape (frame
+  /// span and atom count).  Kept declared for callers that still set it.
   bool frame_tables = true;
 
   /// Concurrent extent reads per query (scatter-gather retrieval,
@@ -165,10 +162,12 @@ class Ada {
 
   /// Frame-range query: a canonical single-segment RAW image holding exactly
   /// the frames `range` selects, byte-identical to slicing those frames out
-  /// of the full-subset query.  When every extent carries a frame span the
-  /// read touches only the extents the selection needs and caches fetched
-  /// frame blocks (when the cache is armed); otherwise it falls back to the
-  /// whole-subset read path and slices.
+  /// of the full-subset query.  When every extent's record stores its shape
+  /// (frame span and atom count) the read touches only the extents the
+  /// selection needs (none for an empty one) and caches fetched frame blocks
+  /// (when the cache is armed); a shape that contradicts itself, its
+  /// neighbours or its extent's header is kCorruptData.  Records that store
+  /// no shape (older images) fall back to the whole-subset read and slice.
   Result<std::vector<std::uint8_t>> query(const std::string& logical_name, const Tag& tag,
                                           const FrameRange& range) const;
 
@@ -298,8 +297,7 @@ class Ada {
 
   /// The frame-range engine behind query(range) and query_tail(), planned
   /// from `snapshot` (nullopt: read here).  With `empty_header` an empty
-  /// selection answers a header-only image (its atom count costs one extent
-  /// read); without it, an empty image.
+  /// selection answers a header-only image; without it, an empty image.
   Result<RangeImage> query_range(const std::string& logical_name, const Tag& tag,
                                  const FrameRange& range, std::optional<IndexSnapshot> snapshot,
                                  bool empty_header) const;

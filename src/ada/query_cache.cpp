@@ -62,30 +62,6 @@ QueryCache::Image QueryCache::locked_lookup(Shard& shard, const std::string& key
   return nullptr;
 }
 
-QueryCache::Image QueryCache::lookup(const std::string& logical_name, const Tag& tag,
-                                     std::uint64_t generation) {
-  Shard& shard = shard_of(logical_name);
-  Image image;
-  bool stale = false;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    image = locked_lookup(shard, make_key(logical_name, tag), generation, &stale);
-  }
-  if (image != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    ADA_OBS_COUNT("cache.hits", 1);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    ADA_OBS_COUNT("cache.misses", 1);
-    if (stale) {
-      invalidations_.fetch_add(1, std::memory_order_relaxed);
-      ADA_OBS_COUNT("cache.invalidations", 1);
-      publish_bytes();
-    }
-  }
-  return image;
-}
-
 QueryCache::Image QueryCache::lookup_or_fill(const std::string& logical_name, const Tag& tag,
                                              std::uint64_t generation, FillGuard* guard) {
   const std::string key = make_key(logical_name, tag);

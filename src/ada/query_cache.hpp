@@ -12,7 +12,7 @@
 //     in one of N shards chosen by hashing the logical name, so concurrent
 //     queries of different datasets never contend and invalidation of one
 //     dataset scans exactly one shard.  Each shard owns budget/N bytes.
-//   * Refcounted entries.  lookup() hands out a shared_ptr to immutable
+//   * Refcounted entries.  A hit hands out a shared_ptr to immutable
 //     bytes; eviction merely drops the cache's reference, so an in-flight
 //     reader is never invalidated mid-copy -- there is no entry lock to
 //     hold across the copy-out.
@@ -68,7 +68,7 @@ class QueryCache {
     /// already present: each one means a concurrent cold miss paid a full
     /// CRC-verified backend read whose bytes were already in memory.
     /// lookup_or_fill() keeps this at zero; a nonzero count means some
-    /// path raced plain lookup()+insert() around the single flight.
+    /// path inserted around the single flight.
     std::uint64_t duplicate_fills = 0;
     std::uint64_t bytes = 0;
     std::uint64_t entries = 0;
@@ -80,12 +80,6 @@ class QueryCache {
 
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
-
-  /// The cached image for (logical_name, tag), or null on miss.  `generation`
-  /// is the container's current mutation generation as observed by the
-  /// caller; an entry recorded under an older generation is stale -- it is
-  /// dropped and the lookup misses.
-  Image lookup(const std::string& logical_name, const Tag& tag, std::uint64_t generation);
 
  private:
   struct Shard;
@@ -140,8 +134,12 @@ class QueryCache {
     std::shared_ptr<Fill> fill_;
   };
 
-  /// Single-flight lookup.  A hit behaves like lookup() -- possibly after
-  /// blocking until a concurrent fill of the same (key, generation) lands.
+  /// Single-flight lookup of the cached image for (logical_name, tag).
+  /// `generation` is the container's current mutation generation as
+  /// observed by the caller; an entry recorded under an older generation is
+  /// stale -- it is dropped and the lookup misses.  A hit returns the image,
+  /// possibly after blocking until a concurrent fill of the same
+  /// (key, generation) lands.
   /// A true miss arms `*guard`: the caller is the unique leader expected to
   /// read the bytes and insert() them; every concurrent caller of the same
   /// key+generation waits on the guard instead of duplicating the backend

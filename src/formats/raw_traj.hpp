@@ -35,23 +35,14 @@ constexpr std::size_t raw_file_bytes(std::uint32_t atom_count, std::uint64_t fra
   return 16 + frames * raw_frame_bytes(atom_count);
 }
 
-/// The atom count whose RAW frame record is `frame_bytes` long (the inverse
-/// of raw_frame_bytes), or nullopt when no atom count gives that size.
-constexpr std::optional<std::uint32_t> raw_atom_count(std::uint64_t frame_bytes) noexcept {
-  if (frame_bytes < 44 || (frame_bytes - 44) % 12 != 0 || (frame_bytes - 44) / 12 > UINT32_MAX) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint32_t>((frame_bytes - 44) / 12);
-}
-
-/// The same for a whole RAW file of `frames` frames and `file_bytes` bytes.
-/// A zero-frame file is a bare header, which fixes no atom count: it yields 0.
-constexpr std::optional<std::uint32_t> raw_atom_count(std::uint64_t file_bytes,
-                                                      std::uint64_t frames) noexcept {
-  if (file_bytes < 16 || (frames == 0 && file_bytes != 16)) return std::nullopt;
-  if (frames == 0) return 0;
-  if ((file_bytes - 16) % frames != 0) return std::nullopt;
-  return raw_atom_count((file_bytes - 16) / frames);
+/// True iff `file_bytes` is exactly a RAW file of `frames` frames of
+/// `atom_count` atoms.  Divides rather than multiplies: a hostile frame
+/// count cannot wrap 64 bits back onto the real length.
+constexpr bool raw_file_has_shape(std::uint64_t file_bytes, std::uint32_t atom_count,
+                                  std::uint64_t frames) noexcept {
+  const std::uint64_t frame_bytes = raw_frame_bytes(atom_count);
+  return file_bytes >= 16 && (file_bytes - 16) / frame_bytes == frames &&
+         (file_bytes - 16) % frame_bytes == 0;
 }
 
 /// True if `data` begins with the RAW magic (format sniffing).

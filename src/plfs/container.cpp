@@ -39,8 +39,12 @@ Result<Index> decode_body(ByteReader& r, int version) {
       ADA_ASSIGN_OR_RETURN(record.flags, r.get_u8());
     }
     const std::uint8_t known = IndexRecord::kHasChecksum | IndexRecord::kHasFrameSpan |
-                               (version == 2 ? kV2FrameTable : 0);
+                               (version == 2 ? kV2FrameTable : 0) |
+                               (version == 3 ? IndexRecord::kHasAtomCount : 0);
     if ((record.flags & ~known) != 0) return corrupt_data("unknown index record flags");
+    if (record.has_atom_count() && !record.has_frame_span()) {
+      return corrupt_data("index record has an atom count but no frame span");
+    }
     // v2 frame table: arithmetic iff frame f sits at 16 + f * frame_bytes
     // and the frames fill the extent.  Only an arithmetic table is a span.
     const bool table = (record.flags & kV2FrameTable) != 0;
@@ -64,6 +68,9 @@ Result<Index> decode_body(ByteReader& r, int version) {
     if (record.has_frame_span()) {
       ADA_ASSIGN_OR_RETURN(record.frame_base, r.get_u64_le());
       ADA_ASSIGN_OR_RETURN(record.frame_count, r.get_u32_le());
+      if (record.has_atom_count()) {
+        ADA_ASSIGN_OR_RETURN(record.atom_count, r.get_u32_le());
+      }
     }
     if (table && !arithmetic) {
       record.flags &= static_cast<std::uint8_t>(~IndexRecord::kHasFrameSpan);
@@ -115,6 +122,7 @@ std::vector<std::uint8_t> encode_index(const Index& index) {
       w.put_u64_le(r.frame_base);
       w.put_u32_le(r.frame_count);
     }
+    if (r.has_atom_count()) w.put_u32_le(r.atom_count);
   }
   w.put_u8(index.stream.has_value() ? 1 : 0);
   if (index.stream.has_value()) {

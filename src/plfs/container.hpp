@@ -8,7 +8,10 @@
 // resolves to the droppings with that label.
 //
 // The index image is the container's only published state: its records and,
-// for a container that streams, the stream state, sealed by one CRC32C.
+// for a container that streams, the stream state, sealed by one CRC32C.  A
+// RAW extent's record carries its shape (frame span and atom count), so a
+// reader plans frame addresses from the index alone, as H5MD keeps a
+// dataset's shape in its metadata rather than deriving it from a byte count.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +24,13 @@
 
 namespace ada::plfs {
 
-/// Global frames [base, base + count) of a subset's frame axis.
+/// A RAW extent's shape: global frames [base, base + count) of its subset's
+/// frame axis, of `atoms` atoms each (nullopt in records that predate stored
+/// atom counts, and for a payload that is no RAW image).
 struct FrameSpan {
   std::uint64_t base = 0;
   std::uint32_t count = 0;
+  std::optional<std::uint32_t> atoms = std::nullopt;
 };
 
 /// One logical extent of a container.
@@ -37,6 +43,10 @@ struct IndexRecord {
   /// it, and readers of a live stream clamp to the sealed-frame watermark
   /// (StreamState) with it.
   static constexpr std::uint8_t kHasFrameSpan = 0x04;
+  /// Record carries the atom count of its frames (only beside a frame span):
+  /// with it, the span and the length are one checkable shape,
+  /// length == raw_file_bytes(atom_count, frame_count).
+  static constexpr std::uint8_t kHasAtomCount = 0x08;
 
   std::uint64_t logical_offset = 0;  // position in the logical file
   std::uint64_t length = 0;
@@ -48,6 +58,7 @@ struct IndexRecord {
   std::uint8_t flags = 0;
   std::uint64_t frame_base = 0;      // valid iff kHasFrameSpan
   std::uint32_t frame_count = 0;     // valid iff kHasFrameSpan
+  std::uint32_t atom_count = 0;      // valid iff kHasAtomCount
 
   bool has_checksum() const noexcept { return (flags & kHasChecksum) != 0; }
   void set_checksum(std::uint32_t crc) noexcept {
@@ -56,10 +67,15 @@ struct IndexRecord {
   }
 
   bool has_frame_span() const noexcept { return (flags & kHasFrameSpan) != 0; }
+  bool has_atom_count() const noexcept { return (flags & kHasAtomCount) != 0; }
   void set_frame_span(FrameSpan span) noexcept {
     frame_base = span.base;
     frame_count = span.count;
     flags |= kHasFrameSpan;
+    if (span.atoms.has_value()) {
+      atom_count = *span.atoms;
+      flags |= kHasAtomCount;
+    }
   }
 
   friend bool operator==(const IndexRecord&, const IndexRecord&) = default;
@@ -99,7 +115,7 @@ struct Index {
 std::vector<std::uint8_t> encode_index(const Index& index);
 
 /// Parse an on-disk index image; every failure is kCorruptData.  v3 images
-/// must pass their CRC.  Legacy v2 ("PLFSIDX2") and v1 ("PLFSIDX1") images
+/// must pass their CRC, and an atom count without a frame span is corrupt.  Legacy v2 ("PLFSIDX2") and v1 ("PLFSIDX1") images
 /// still decode, with no stream state: a v2 frame table that is plain
 /// arithmetic (frame f at 16 + f * frame_bytes, filling the extent) becomes
 /// a span, any other table leaves the record without one, and v1 records

@@ -72,7 +72,7 @@ struct Extent {
   std::string label;
   std::uint32_t backend = 0;
   std::span<const std::uint8_t> bytes;
-  std::optional<FrameSpan> span;  // set for a canonical RAW extent
+  std::optional<FrameSpan> span;  // the shape of a canonical RAW extent
 };
 
 /// One extent of a staged publication (PlfsMount::begin_append): its
@@ -82,7 +82,7 @@ struct StagedExtent {
   std::uint32_t backend = 0;
   std::uint64_t length = 0;
   std::size_t pieces = 1;
-  std::optional<FrameSpan> span;  // set for a canonical RAW extent
+  std::optional<FrameSpan> span;  // the shape of a canonical RAW extent
 };
 
 class PlfsMount;

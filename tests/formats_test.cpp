@@ -291,24 +291,27 @@ TEST(RawTest, CorruptHeaderRejected) {
   EXPECT_FALSE(RawTrajCatReader::open(wrapped).is_ok());
 }
 
-TEST(RawTest, AtomCountInvertsTheSizeFormulas) {
+TEST(RawTest, ShapeMatchesOnlyItsExactFileSize) {
   for (const std::uint32_t atoms : {0u, 1u, 925u, 43'520u}) {
-    EXPECT_EQ(raw_atom_count(raw_frame_bytes(atoms)), atoms);
-    for (const std::uint64_t frames : {1u, 7u}) {
-      EXPECT_EQ(raw_atom_count(raw_file_bytes(atoms, frames), frames), atoms);
-      // One byte off, or a frame count that splits the payload unevenly, is
-      // not RAW-shaped.
-      EXPECT_FALSE(raw_atom_count(raw_file_bytes(atoms, frames) + 1, frames).has_value());
+    for (const std::uint64_t frames : {0u, 1u, 7u}) {
+      const std::uint64_t bytes = raw_file_bytes(atoms, frames);
+      EXPECT_TRUE(raw_file_has_shape(bytes, atoms, frames)) << atoms << " x " << frames;
+      // One byte off, one frame off, or one atom off is another shape.
+      EXPECT_FALSE(raw_file_has_shape(bytes + 1, atoms, frames));
+      EXPECT_FALSE(raw_file_has_shape(bytes - 1, atoms, frames));
+      EXPECT_FALSE(raw_file_has_shape(bytes, atoms, frames + 1));
+      if (frames != 0) {
+        EXPECT_FALSE(raw_file_has_shape(bytes, atoms + 1, frames));
+      }
     }
   }
-  for (const std::uint64_t bad : {0u, 43u, 45u, 56u + 11u}) {
-    EXPECT_FALSE(raw_atom_count(bad).has_value()) << bad;
-  }
-  EXPECT_FALSE(raw_atom_count(std::uint64_t{44} + 12 * (std::uint64_t{1} << 32)).has_value());
-  // A bare header fixes no atom count; anything longer with no frames is junk.
-  EXPECT_EQ(raw_atom_count(raw_file_bytes(925, 0), 0), 0u);
-  EXPECT_FALSE(raw_atom_count(raw_file_bytes(925, 0) + 56, 0).has_value());
-  EXPECT_FALSE(raw_atom_count(raw_file_bytes(0, 0) - 1, 1).has_value());
+  // A bare header is zero frames of any atom count.
+  EXPECT_TRUE(raw_file_has_shape(16, 43'520, 0));
+  EXPECT_FALSE(raw_file_has_shape(15, 0, 0));
+  // 2^31 frames of 715,827,879 atoms is exactly 2^64 bytes of records:
+  // the multiplied size wraps onto a bare header, the shape check does not.
+  ASSERT_EQ(raw_file_bytes(715'827'879, std::uint64_t{1} << 31), 16u);
+  EXPECT_FALSE(raw_file_has_shape(16, 715'827'879, std::uint64_t{1} << 31));
 }
 
 TEST(RawTest, RecordsCopyVerbatimIntoANewImage) {

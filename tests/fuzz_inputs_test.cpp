@@ -313,7 +313,8 @@ void reseal(std::vector<std::uint8_t>& image) {
   }
 }
 
-// An index whose records carry streamed frame spans, plus its stream state.
+// An index whose records carry streamed shapes (span and atom count), plus
+// its stream state.
 plfs::Index streamed_index() {
   plfs::Index index;
   for (int i = 0; i < 6; ++i) {
@@ -324,7 +325,7 @@ plfs::Index streamed_index() {
     r.label = (i % 2) != 0 ? "m" : "p";
     r.dropping = "dropping." + r.label + "." + std::to_string(i / 2);
     r.set_checksum(0x1234u + static_cast<std::uint32_t>(i));
-    r.set_frame_span(plfs::FrameSpan{static_cast<std::uint64_t>(i / 2) * 3, 3});
+    r.set_frame_span(plfs::FrameSpan{static_cast<std::uint64_t>(i / 2) * 3, 3, 7});
     index.records.push_back(std::move(r));
   }
   plfs::StreamState state;
@@ -444,10 +445,9 @@ TEST(FuzzTest, MutatedFrameSpansNeverCrashRangeQueries) {
     ASSERT_TRUE(expected.is_ok()) << expected.error().to_string();
 
     auto index = pristine;
-    bool length_lied = false;
     for (auto& record : index.records) {
       if (rng.uniform_index(2) == 0) continue;
-      switch (rng.uniform_index(5)) {
+      switch (rng.uniform_index(6)) {
         case 0:  // base off the floor
           record.frame_base = rng.uniform_index(std::uint64_t{1} << 40);
           break;
@@ -460,21 +460,24 @@ TEST(FuzzTest, MutatedFrameSpansNeverCrashRangeQueries) {
         case 3:  // off-by-small count
           record.frame_count += static_cast<std::uint32_t>(rng.uniform_index(3)) - 1;
           break;
+        case 4:  // atom count that does not describe the frames
+          record.atom_count = static_cast<std::uint32_t>(rng.uniform_index(std::uint64_t{1} << 32));
+          break;
         default:  // length that lies about the dropping
           record.length += rng.uniform_index(64) + 1;
-          length_lied = true;
           break;
       }
     }
     ASSERT_TRUE(ada.mount().rewrite_index("bar.xtc", index).is_ok());
-    // A lying span only routes the query to the fallback: the same bytes,
-    // header included -- an empty selection takes its atom count from a
-    // stored RAW header too.  A lying length fails its extent read cleanly.
+    // A lying shape is a typed kCorruptData (an atom count left without its
+    // span already fails the index decode); anything served is exactly the
+    // honest answer, header included.
     const auto result = ada.query("bar.xtc", core::kProteinTag, range);
-    if (!length_lied) {
-      ASSERT_TRUE(result.is_ok()) << trial << ": " << result.error().to_string();
+    if (!result.is_ok()) {
+      EXPECT_EQ(result.error().code(), ErrorCode::kCorruptData)
+          << trial << ": " << result.error().to_string();
+      continue;
     }
-    if (!result.is_ok()) continue;
     EXPECT_EQ(result.value(), expected.value()) << "trial " << trial;
   }
   ASSERT_TRUE(ada.mount().rewrite_index("bar.xtc", pristine).is_ok());

@@ -123,57 +123,55 @@ TEST(ParallelIngestTest, PipelinedIngestStoresTheContainerOfSplitThenDispatch) {
       const auto xtc = make_xtc(system, frames, nullptr, codec.version, codec.keyframe_interval);
       const auto subsets = preprocessor.split(xtc).value();
       for (const bool keep_original : {false, true}) {
-        for (const bool frame_tables : {true, false}) {
-          // The reference: the in-memory split, then one dispatch.
-          const std::string ref_base = root + "/ref" + std::to_string(case_id);
-          auto ref_mount = plfs::PlfsMount::open(
-                               {{"ssd", ref_base + "/ssd"}, {"hdd", ref_base + "/hdd"}})
-                               .value();
-          std::vector<Blob> extras = {
-              Blob{kLabelFileTag,
-                   std::span(reinterpret_cast<const std::uint8_t*>(label_text.data()),
-                             label_text.size()),
-                   std::nullopt}};
-          if (keep_original) extras.push_back(Blob{kOriginalTag, xtc, std::nullopt});
-          ASSERT_TRUE(IoDispatcher(ref_mount, placement, frame_tables)
-                          .dispatch("traj.xtc", subsets, extras)
-                          .is_ok());
-          const auto expected = container_files(ref_mount, "traj.xtc");
-          ASSERT_EQ(expected.size(), 2u + 2u + (keep_original ? 1u : 0u));  // index, p, m, labels
+        // The reference: the in-memory split, then one dispatch.  The index
+        // images must match byte for byte too: the pipelined writer states
+        // each subset's shape itself, dispatch() reads it from the subset's
+        // RAW header, and both must store the same span and atom count.
+        const std::string ref_base = root + "/ref" + std::to_string(case_id);
+        auto ref_mount = plfs::PlfsMount::open(
+                             {{"ssd", ref_base + "/ssd"}, {"hdd", ref_base + "/hdd"}})
+                             .value();
+        std::vector<Blob> extras = {
+            Blob{kLabelFileTag,
+                 std::span(reinterpret_cast<const std::uint8_t*>(label_text.data()),
+                           label_text.size()),
+                 std::nullopt}};
+        if (keep_original) extras.push_back(Blob{kOriginalTag, xtc, std::nullopt});
+        ASSERT_TRUE(
+            IoDispatcher(ref_mount, placement).dispatch("traj.xtc", subsets, extras).is_ok());
+        const auto expected = container_files(ref_mount, "traj.xtc");
+        ASSERT_EQ(expected.size(), 2u + 2u + (keep_original ? 1u : 0u));  // index, p, m, labels
 
-          for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-            SCOPED_TRACE(testing::Message()
-                         << frames << " frames, codec v" << static_cast<int>(codec.version)
-                         << " keyframes every " << codec.keyframe_interval << ", "
-                         << threads << " threads, keep_original " << keep_original
-                         << ", frame_tables " << frame_tables);
-            AdaConfig config;
-            config.placement = placement;
-            config.threads = threads;
-            config.keep_original = keep_original;
-            config.frame_tables = frame_tables;
-            const std::string base =
-                root + "/case" + std::to_string(case_id) + "t" + std::to_string(threads);
-            Ada ada(plfs::PlfsMount::open({{"ssd", base + "/ssd"}, {"hdd", base + "/hdd"}})
-                        .value(),
-                    config);
-            const auto report = ada.ingest_with_labels(labels, xtc, "traj.xtc");
-            ASSERT_TRUE(report.is_ok()) << report.error().to_string();
-            EXPECT_EQ(report.value().preprocess.frames, frames);
-            for (const auto& [tag, image] : subsets) {
-              EXPECT_EQ(report.value().preprocess.subset_bytes.at(tag), image.size()) << tag;
-            }
-            const auto stored = container_files(ada.mount(), "traj.xtc");
-            ASSERT_EQ(stored.size(), expected.size());
-            for (const auto& [file, bytes] : expected) {
-              ASSERT_TRUE(stored.count(file)) << "missing " << file;
-              EXPECT_TRUE(stored.at(file) == bytes) << file << " differs";
-            }
-            fs::remove_all(base);
+        for (const unsigned threads : {1u, 2u, 4u, 0u}) {
+          SCOPED_TRACE(testing::Message()
+                       << frames << " frames, codec v" << static_cast<int>(codec.version)
+                       << " keyframes every " << codec.keyframe_interval << ", "
+                       << threads << " threads, keep_original " << keep_original);
+          AdaConfig config;
+          config.placement = placement;
+          config.threads = threads;
+          config.keep_original = keep_original;
+          const std::string base =
+              root + "/case" + std::to_string(case_id) + "t" + std::to_string(threads);
+          Ada ada(plfs::PlfsMount::open({{"ssd", base + "/ssd"}, {"hdd", base + "/hdd"}})
+                      .value(),
+                  config);
+          const auto report = ada.ingest_with_labels(labels, xtc, "traj.xtc");
+          ASSERT_TRUE(report.is_ok()) << report.error().to_string();
+          EXPECT_EQ(report.value().preprocess.frames, frames);
+          for (const auto& [tag, image] : subsets) {
+            EXPECT_EQ(report.value().preprocess.subset_bytes.at(tag), image.size()) << tag;
           }
-          fs::remove_all(ref_base);
-          ++case_id;
+          const auto stored = container_files(ada.mount(), "traj.xtc");
+          ASSERT_EQ(stored.size(), expected.size());
+          for (const auto& [file, bytes] : expected) {
+            ASSERT_TRUE(stored.count(file)) << "missing " << file;
+            EXPECT_TRUE(stored.at(file) == bytes) << file << " differs";
+          }
+          fs::remove_all(base);
         }
+        fs::remove_all(ref_base);
+        ++case_id;
       }
     }
   }

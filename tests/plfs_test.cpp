@@ -90,6 +90,36 @@ TEST(IndexCodecTest, V2RoundTripsChecksums) {
   EXPECT_FALSE(decoded[1].has_checksum());
 }
 
+TEST(IndexCodecTest, StoredShapeRoundTripsAndNeedsASpan) {
+  // A RAW record's shape: frame span plus atom count (flag 0x08), 4 bytes
+  // more than the span alone.  A record written before atom counts were
+  // stored keeps its span and decodes without one.
+  IndexRecord spanned = {0, 16 + 8 * (44 + 12 * 5), 0, "p", "dropping.p.0", 0};
+  spanned.set_checksum(0x1234u);
+  spanned.set_frame_span(FrameSpan{0, 8});
+  IndexRecord shaped = spanned;
+  shaped.set_frame_span(FrameSpan{0, 8, 5});
+  ASSERT_TRUE(shaped.has_atom_count());
+  EXPECT_EQ(shaped.flags, IndexRecord::kHasChecksum | IndexRecord::kHasFrameSpan |
+                              IndexRecord::kHasAtomCount);
+  EXPECT_EQ(encode_index(index_of({shaped})).size(),
+            encode_index(index_of({spanned})).size() + 4);
+  const auto decoded = decode_index(encode_index(index_of({shaped, spanned}))).value().records;
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[0], shaped);
+  EXPECT_EQ(decoded[0].atom_count, 5u);
+  EXPECT_EQ(decoded[1], spanned);
+  EXPECT_FALSE(decoded[1].has_atom_count());
+
+  // An atom count without a span describes no frames: the image is corrupt.
+  IndexRecord unspanned = {0, 16, 0, "p", "dropping.p.0", 0};
+  unspanned.flags = IndexRecord::kHasAtomCount;
+  unspanned.atom_count = 5;
+  const auto rejected = decode_index(encode_index(index_of({unspanned})));
+  ASSERT_FALSE(rejected.is_ok());
+  EXPECT_EQ(rejected.error().code(), ErrorCode::kCorruptData);
+}
+
 TEST(IndexCodecTest, LegacyV1ImageDecodesWithoutChecksums) {
   // Hand-build a "PLFSIDX1" image: the pre-checksum record layout.
   ByteWriter w;

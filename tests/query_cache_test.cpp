@@ -41,20 +41,27 @@ std::vector<std::uint8_t> image_of(std::size_t size, std::uint8_t fill) {
   return std::vector<std::uint8_t>(size, fill);
 }
 
+// A plain lookup: lookup_or_fill whose miss claim resolves on return.
+QueryCache::Image lookup(QueryCache& cache, const std::string& name, const Tag& tag,
+                         std::uint64_t generation) {
+  QueryCache::FillGuard guard;
+  return cache.lookup_or_fill(name, tag, generation, &guard);
+}
+
 // --- QueryCache unit tests -----------------------------------------------------------
 
 TEST(QueryCacheTest, HitMissAndLruEvictionUnderBudget) {
   QueryCache cache(/*budget_bytes=*/100, /*shard_count=*/1);
   cache.insert("a", "p", 1, image_of(40, 0xAA));
   cache.insert("b", "p", 1, image_of(40, 0xBB));
-  ASSERT_NE(cache.lookup("a", "p", 1), nullptr);  // "a" is now most recent
+  ASSERT_NE(lookup(cache, "a", "p", 1), nullptr);  // "a" is now most recent
 
   cache.insert("c", "p", 1, image_of(40, 0xCC));  // evicts LRU "b"
-  EXPECT_EQ(cache.lookup("b", "p", 1), nullptr);
-  const auto a = cache.lookup("a", "p", 1);
+  EXPECT_EQ(lookup(cache, "b", "p", 1), nullptr);
+  const auto a = lookup(cache, "a", "p", 1);
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(*a, image_of(40, 0xAA));
-  ASSERT_NE(cache.lookup("c", "p", 1), nullptr);
+  ASSERT_NE(lookup(cache, "c", "p", 1), nullptr);
 
   const QueryCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -68,15 +75,15 @@ TEST(QueryCacheTest, DistinctTagsOfOneDatasetAreDistinctEntries) {
   QueryCache cache(1000, 1);
   cache.insert("a", "p", 1, image_of(10, 0x01));
   cache.insert("a", "m", 1, image_of(20, 0x02));
-  EXPECT_EQ(*cache.lookup("a", "p", 1), image_of(10, 0x01));
-  EXPECT_EQ(*cache.lookup("a", "m", 1), image_of(20, 0x02));
+  EXPECT_EQ(*lookup(cache, "a", "p", 1), image_of(10, 0x01));
+  EXPECT_EQ(*lookup(cache, "a", "m", 1), image_of(20, 0x02));
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 TEST(QueryCacheTest, OversizedImagesAreNotCached) {
   QueryCache cache(/*budget_bytes=*/64, /*shard_count=*/1);
   cache.insert("a", "p", 1, image_of(65, 0xAA));
-  EXPECT_EQ(cache.lookup("a", "p", 1), nullptr);
+  EXPECT_EQ(lookup(cache, "a", "p", 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().evictions, 0u);  // nothing was sacrificed for it
 }
@@ -84,14 +91,14 @@ TEST(QueryCacheTest, OversizedImagesAreNotCached) {
 TEST(QueryCacheTest, StaleGenerationMissesAndDropsTheEntry) {
   QueryCache cache(1000, 1);
   cache.insert("a", "p", /*generation=*/1, image_of(10, 0xAA));
-  ASSERT_NE(cache.lookup("a", "p", 1), nullptr);
+  ASSERT_NE(lookup(cache, "a", "p", 1), nullptr);
   // The container mutated (generation advanced): the entry is stale.
-  EXPECT_EQ(cache.lookup("a", "p", 2), nullptr);
+  EXPECT_EQ(lookup(cache, "a", "p", 2), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_GE(cache.stats().invalidations, 1u);
   // A refill under the new generation serves again.
   cache.insert("a", "p", 2, image_of(10, 0xBB));
-  EXPECT_EQ(*cache.lookup("a", "p", 2), image_of(10, 0xBB));
+  EXPECT_EQ(*lookup(cache, "a", "p", 2), image_of(10, 0xBB));
 }
 
 TEST(QueryCacheTest, InvalidateDropsEveryTagOfTheDataset) {
@@ -100,20 +107,20 @@ TEST(QueryCacheTest, InvalidateDropsEveryTagOfTheDataset) {
   cache.insert("a", "m", 1, image_of(10, 0x02));
   cache.insert("b", "p", 1, image_of(10, 0x03));
   cache.invalidate("a");
-  EXPECT_EQ(cache.lookup("a", "p", 1), nullptr);
-  EXPECT_EQ(cache.lookup("a", "m", 1), nullptr);
-  EXPECT_NE(cache.lookup("b", "p", 1), nullptr);
+  EXPECT_EQ(lookup(cache, "a", "p", 1), nullptr);
+  EXPECT_EQ(lookup(cache, "a", "m", 1), nullptr);
+  EXPECT_NE(lookup(cache, "b", "p", 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(QueryCacheTest, EvictionNeverInvalidatesAnInFlightReader) {
   QueryCache cache(/*budget_bytes=*/64, /*shard_count=*/1);
   cache.insert("a", "p", 1, image_of(60, 0xAA));
-  const QueryCache::Image held = cache.lookup("a", "p", 1);
+  const QueryCache::Image held = lookup(cache, "a", "p", 1);
   ASSERT_NE(held, nullptr);
   // Force "a" out of the cache entirely.
   cache.insert("b", "p", 1, image_of(60, 0xBB));
-  EXPECT_EQ(cache.lookup("a", "p", 1), nullptr);
+  EXPECT_EQ(lookup(cache, "a", "p", 1), nullptr);
   // The reader's reference is still alive and intact.
   EXPECT_EQ(*held, image_of(60, 0xAA));
 }
@@ -121,7 +128,7 @@ TEST(QueryCacheTest, EvictionNeverInvalidatesAnInFlightReader) {
 TEST(QueryCacheTest, ZeroBudgetCachesNothing) {
   QueryCache cache(0, 4);
   cache.insert("a", "p", 1, image_of(1, 0xAA));
-  EXPECT_EQ(cache.lookup("a", "p", 1), nullptr);
+  EXPECT_EQ(lookup(cache, "a", "p", 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
@@ -143,7 +150,7 @@ TEST(QueryCacheTest, ConcurrentReadersVsEvictionAndInvalidation) {
       for (int i = 0; i < kIters; ++i) {
         const int key = (i + t) % kKeys;
         const std::string name = "ds" + std::to_string(key);
-        if (const QueryCache::Image hit = cache.lookup(name, "p", 7)) {
+        if (const QueryCache::Image hit = lookup(cache, name, "p", 7)) {
           if (*hit != value_for(key)) bad.fetch_add(1);
         } else {
           cache.insert(name, "p", 7, value_for(key));

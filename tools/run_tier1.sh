@@ -108,6 +108,15 @@ echo "$RANGE_OUT" | grep -q '2 frames' || {
     echo "$RANGE_OUT" >&2
     exit 1
 }
+# A selection past the end is a header-only image: exactly 16 bytes, whose
+# magic and atom count (the first 12) are the plain query's.
+"$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd" --hdd "$WORK/hdd" --name traj.xtc \
+    --tag p --frames 500: --out "$WORK/range_empty.raw" >/dev/null
+if [ "$(wc -c < "$WORK/range_empty.raw")" -ne 16 ] ||
+    ! cmp -s -n 12 "$WORK/protein.raw" "$WORK/range_empty.raw"; then
+    echo "FAIL: --frames 500: should serve a 16-byte header with the subset's atom count" >&2
+    exit 1
+fi
 
 echo "== batch follow smoke: --follow over a batch container =="
 # A batch container is sealed from the start: the follower drains it in one
