@@ -11,7 +11,7 @@
 //                  downed-server run through the armed-fault retry path.
 //   measured plane wall clock through the real middleware: a streamed
 //                  multi-extent GPCR dataset queried by two Ada instances over
-//                  the same backends, serial (read_threads=0) vs scatter-
+//                  the same backends, serial (read_threads=1) vs scatter-
 //                  gather (read_threads=4, queue_depth=4).  Parallel bytes are
 //                  checked identical to serial bytes before any timing.
 //
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
 
   core::AdaConfig serial_config;
   serial_config.placement = core::PlacementPolicy::active_on_ssd(0, 1);
-  serial_config.read_threads = 0;  // the pre-scatter-gather byte path
+  serial_config.read_threads = 1;  // the inline serial run of the fetch engine
   core::AdaConfig parallel_config = serial_config;
   parallel_config.read_threads = read_threads;
   parallel_config.read_queue_depth = queue_depth;
@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
   const bool measured_authoritative = cores >= read_threads;
   std::printf("\n--- measured: serial vs scatter-gather (%u tags, %u rounds) ---\n",
               static_cast<unsigned>(tags.size()), rounds);
-  std::printf("  serial (read_threads=0)    %10.4f s\n", serial_s);
+  std::printf("  serial (read_threads=1)    %10.4f s\n", serial_s);
   std::printf("  parallel (read_threads=%u) %10.4f s\n", read_threads, parallel_s);
   std::printf("  speedup: %.2fx%s\n", measured_speedup,
               measured_authoritative ? "" : "  [advisory: fewer cores than read threads]");

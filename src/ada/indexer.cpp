@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "common/admission.hpp"
@@ -10,6 +9,7 @@
 #include "common/crc32c.hpp"
 #include "common/parallel.hpp"
 #include "common/retry.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -77,6 +77,21 @@ Result<std::vector<Tag>> Indexer::tags(const std::string& logical_name) const {
   return out;
 }
 
+namespace {
+
+/// Extents one fetch round opens at most, so a fetch over a long stream's
+/// chunks never holds more descriptors open than this.
+constexpr std::size_t kRoundExtents = 64;
+
+/// One piece of a round: a slice of one of its open extents.
+struct Piece {
+  std::size_t extent = 0;  // index into the round's readers
+  std::uint64_t begin = 0;
+  std::uint64_t size = 0;
+};
+
+}  // namespace
+
 Result<std::vector<std::uint8_t>> IoRetriever::retrieve(
     std::span<const DatasetLocation> locations) const {
   // A one-extent subset (every batch-ingested tag) is its extent's buffer.
@@ -84,7 +99,7 @@ Result<std::vector<std::uint8_t>> IoRetriever::retrieve(
   // Otherwise each extent is read into its slot of one image.  Slots are
   // sized from the index, so a length is trusted only once its dropping is
   // seen to hold it: an extent that does not fit (or whose dropping is gone)
-  // gets an empty slot and fails its read below before asking for a buffer.
+  // gets an empty slot and fails its open below before asking for a buffer.
   std::vector<std::uint64_t> slot(locations.size() + 1, 0);
   for (std::size_t i = 0; i < locations.size(); ++i) {
     const DatasetLocation& location = locations[i];
@@ -94,9 +109,7 @@ Result<std::vector<std::uint8_t>> IoRetriever::retrieve(
   }
   std::vector<std::uint8_t> image(slot.back());
   ADA_RETURN_IF_ERROR(fetch(locations, [&](std::size_t i) {
-    return read_verified(locations[i], [&] {
-      return std::span(image).subspan(slot[i], slot[i + 1] - slot[i]);
-    });
+    return std::span(image).subspan(slot[i], slot[i + 1] - slot[i]);
   }));
   return image;
 }
@@ -105,10 +118,8 @@ Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
     std::span<const DatasetLocation> locations) const {
   std::vector<std::vector<std::uint8_t>> out(locations.size());
   ADA_RETURN_IF_ERROR(fetch(locations, [&](std::size_t i) {
-    return read_verified(locations[i], [&] {
-      out[i].resize(locations[i].bytes);
-      return std::span(out[i]);
-    });
+    out[i].resize(locations[i].bytes);
+    return std::span(out[i]);
   }));
   return out;
 }
@@ -120,90 +131,149 @@ Result<std::vector<std::uint8_t>> IoRetriever::retrieve_extent(
 }
 
 Status IoRetriever::fetch(std::span<const DatasetLocation> locations,
-                          const std::function<Status(std::size_t)>& read) const {
+                          const Buffers& buffer) const {
   if (locations.empty()) return Status::ok();  // nothing to read: no read call
-  const bool fan_out = options_.threads > 1 && locations.size() > 1;
-  if (fan_out) {
-    ADA_OBS_COUNT("retrieve.sg.calls", 1);
-    ADA_OBS_COUNT("retrieve.sg.extents", locations.size());
+  // Each round is one attempt under the mount's retry policy: a round that
+  // verified no extent is retried whole (its extents re-opened, so the fault
+  // site is hit again); one that verified some is progress, and the next
+  // round starts with a fresh budget at the first extent not yet verified.
+  for (std::size_t done = 0; done < locations.size();) {
+    ADA_RETURN_IF_ERROR(retry_sync("retrieve_dropping", mount_.retry_policy(),
+                                   [&] { return fetch_round(locations, buffer, &done); }));
+  }
+  std::uint64_t bytes = 0;
+  for (const DatasetLocation& location : locations) bytes += location.bytes;
+  ADA_OBS_COUNT("plfs.read.calls", 1);
+  ADA_OBS_COUNT("plfs.read.bytes", bytes);
+  return Status::ok();
+}
+
+Status IoRetriever::fetch_round(std::span<const DatasetLocation> locations,
+                                const Buffers& buffer, std::size_t* done) const {
+  const std::size_t first = *done;
+  const std::size_t last = std::min(locations.size(), first + kRoundExtents);
+  // Open in location order: the fault site and the bounds check, so an
+  // injected error or delay acts before any pread of its extent and site
+  // hits follow the serial order.  The first failure stops the opening; the
+  // extents before it are still read and verified.
+  std::vector<plfs::ExtentReader> readers;
+  readers.reserve(last - first);
+  Status failure = Status::ok();
+  for (std::size_t i = first; i < last; ++i) {
+    const DatasetLocation& location = locations[i];
+    const obs::Span open_span("read");  // the read layer: open + every pread
+    auto reader = plfs::ExtentReader::open(location.host_path, location.physical_offset,
+                                           location.bytes, /*fault_site=*/true);
+    if (!reader.is_ok()) {
+      failure = reader.error();
+      break;
+    }
+    readers.push_back(std::move(reader).value());
   }
 
-  // One read in flight runs in logical order.  A fan-out groups extents by
-  // owning backend (locality: within a backend, reads stay in logical order
-  // -- sequential on a spinning server), then interleaves the groups
+  // The round's bookkeeping is allocated before the extents' buffers, so
+  // none of it sits above an answer in the heap once the answer is freed.
+  std::vector<Piece> pieces;
+  std::uint32_t backends = 0;
+  for (std::size_t e = 0; e < readers.size(); ++e) {
+    const std::uint64_t length = readers[e].length();
+    for (std::uint64_t begin = 0; begin < length; begin += kPieceBytes) {
+      pieces.push_back(Piece{e, begin, std::min(kPieceBytes, length - begin)});
+    }
+    backends = std::max(backends, locations[first + e].backend + 1);
+  }
+  ADA_OBS_COUNT("retrieve.pieces", pieces.size());
+  const bool fan_out = pieces.size() > 1 && ThreadPool::shared().budget(options_.threads) > 1;
+  if (fan_out) {
+    ADA_OBS_COUNT("retrieve.sg.calls", 1);
+    ADA_OBS_COUNT("retrieve.sg.extents", readers.size());
+  }
+  const auto backend_of = [&](const Piece& piece) {
+    return locations[first + piece.extent].backend;
+  };
+
+  // One piece in flight runs in location order.  A fan-out groups pieces by
+  // owning backend (locality: within a backend, reads stay in location
+  // order -- sequential on a spinning server), then interleaves the groups
   // round-robin so the pool's in-order task claim spreads across backends
   // instead of queueing behind one server's admission window.
-  std::uint32_t backends = 0;
-  for (const DatasetLocation& location : locations) {
-    backends = std::max(backends, location.backend + 1);
-  }
-  std::vector<std::size_t> order(locations.size());
+  std::vector<std::size_t> order(pieces.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  if (fan_out) {
+  if (fan_out && backends > 1) {
     std::vector<std::vector<std::size_t>> by_backend(backends);
-    for (std::size_t i = 0; i < locations.size(); ++i) {
-      by_backend[locations[i].backend].push_back(i);
+    for (std::size_t p = 0; p < pieces.size(); ++p) {
+      by_backend[backend_of(pieces[p])].push_back(p);
     }
     order.clear();
-    for (std::size_t round = 0; order.size() < locations.size(); ++round) {
+    for (std::size_t round = 0; order.size() < pieces.size(); ++round) {
       for (const auto& group : by_backend) {
         if (round < group.size()) order.push_back(group[round]);
       }
     }
   }
-
-  // Per-backend admission window: a query may keep at most queue_depth
-  // extent reads in flight against any one backend.  A task holds exactly
-  // one slot while it reads, so blocked acquires always wait on running
-  // tasks and the batch drains (common/admission.hpp).
+  // A piece skipped past a failure keeps its OK status: the fold below
+  // stops at that failure before it reaches the skipped piece.
+  std::vector<Status> results(pieces.size());
+  std::vector<std::uint32_t> crcs(pieces.size(), 0);
   AdmissionWindow window(backends, fan_out ? options_.queue_depth : 0);
-  std::vector<Status> results(locations.size(), internal_error("extent read not executed"));
-  run_until_failure(order, options_.threads, [&](std::size_t index) {
-    const DatasetLocation& location = locations[index];
-    const std::uint64_t waits = window.acquire(location.backend);
-    if (waits != 0) ADA_OBS_COUNT("retrieve.sg.admission_waits", waits);
-    {
-      // Read + CRC verify pipelined on the worker: while this extent
-      // transfers, siblings verify, so transfer overlaps decode.
-      std::optional<obs::Span> span;
-      if (fan_out) span.emplace("sg_extent", location.backend_name);
-      results[index] = read(index);
+  std::vector<std::span<std::uint8_t>> slots;
+  slots.reserve(readers.size());
+  for (std::size_t e = 0; e < readers.size(); ++e) {
+    slots.push_back(buffer(first + e));
+    if (slots.back().size() != readers[e].length()) {
+      return internal_error("extent buffer of the wrong size for " +
+                            locations[first + e].host_path);
     }
-    window.release(location.backend);
-    return results[index].is_ok();
+  }
+
+  // Each piece task preads its slice and checksums it while the bytes are
+  // in cache.  A task holds exactly one admission slot while it reads, so
+  // blocked acquires always wait on running tasks and the batch drains
+  // (common/admission.hpp).
+  run_until_failure(order, options_.threads, [&](std::size_t p) {
+    const Piece& piece = pieces[p];
+    const std::uint32_t backend = backend_of(piece);
+    const std::uint64_t waits = window.acquire(backend);
+    if (waits != 0) ADA_OBS_COUNT("retrieve.sg.admission_waits", waits);
+    const std::span<std::uint8_t> bytes = slots[piece.extent].subspan(piece.begin, piece.size);
+    {
+      const obs::Span read_span("read");
+      results[p] = readers[piece.extent].read(piece.begin, bytes);
+    }
+    if (results[p].is_ok()) {
+      const obs::Span crc_span("crc");
+      crcs[p] = crc32c(bytes.data(), bytes.size());
+    }
+    window.release(backend);
+    return results[p].is_ok();
   });
 
-  // Ordered merge: tasks completed in whatever order the pool ran them, but
-  // the first failure in logical order wins (run_until_failure skips only
-  // reads past it).
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < locations.size(); ++i) {
-    if (!results[i].is_ok()) return results[i];
-    bytes += locations[i].bytes;
+  // Fold each extent's piece checksums in piece order and verify, in
+  // location order: the first failure is the one a serial loop stops on
+  // (run_until_failure skips only pieces past it).  A transient failure
+  // after progress ends the round as progress, so it is retried next round.
+  const auto end_round = [&](Status status) {
+    return *done > first && is_transient(status.error().code()) ? Status::ok() : status;
+  };
+  std::uint64_t round_bytes = 0;
+  std::size_t p = 0;
+  for (std::size_t e = 0; e < readers.size(); ++e) {
+    const obs::Span fold_span("crc");
+    std::uint32_t crc = 0;
+    for (; p < pieces.size() && pieces[p].extent == e; ++p) {
+      if (!results[p].is_ok()) return end_round(results[p]);
+      crc = crc32c_combine(crc, crcs[p], pieces[p].size);
+    }
+    const DatasetLocation& location = locations[first + e];
+    if (location.has_crc && crc != location.crc32c) {
+      ADA_OBS_COUNT("plfs.crc_mismatch", 1);
+      return corrupt_data("checksum mismatch on " + location.host_path);
+    }
+    round_bytes += location.bytes;
+    ++*done;
   }
-  ADA_OBS_COUNT("plfs.read.calls", 1);
-  ADA_OBS_COUNT("plfs.read.bytes", bytes);
-  if (fan_out) ADA_OBS_COUNT("retrieve.sg.bytes", bytes);
-  return Status::ok();
-}
-
-Status IoRetriever::read_verified(const DatasetLocation& location,
-                                  const plfs::ExtentSink& sink) const {
-  std::span<std::uint8_t> extent;
-  {
-    const obs::Span read_span("read");
-    ADA_ASSIGN_OR_RETURN(extent, retry_sync("retrieve_dropping", mount_.retry_policy(), [&] {
-                           return plfs::read_dropping_extent(location.host_path,
-                                                             location.physical_offset,
-                                                             location.bytes, sink);
-                         }));
-  }
-  const obs::Span crc_span("crc");
-  if (location.has_crc && crc32c(extent.data(), extent.size()) != location.crc32c) {
-    ADA_OBS_COUNT("plfs.crc_mismatch", 1);
-    return corrupt_data("checksum mismatch on " + location.host_path);
-  }
-  return Status::ok();
+  if (fan_out) ADA_OBS_COUNT("retrieve.sg.bytes", round_bytes);
+  return failure.is_ok() ? Status::ok() : end_round(failure);
 }
 
 }  // namespace ada::core

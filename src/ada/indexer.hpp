@@ -58,23 +58,28 @@ class Indexer {
 };
 
 /// Scatter-gather retrieval knobs (docs/performance.md, "Scatter-gather
-/// retrieval").  Every thread count runs the same fetch engine; the defaults
-/// are its one-thread run.
+/// retrieval").  Every thread count runs the same fetch engine and returns
+/// the same bytes and errors.
 struct RetrieveOptions {
-  /// Extent reads in flight per fetch.  0 and 1 both mean one: the engine
-  /// runs inline on the caller, extent by extent in logical order.  N > 1
-  /// fans per-extent read+verify tasks onto the shared thread pool so
-  /// transfer of one extent overlaps verification/decode of another.
+  /// Piece reads in flight per fetch, as AdaConfig::read_threads: 0 follows
+  /// the shared pool (one per pool worker plus the caller), 1 is the inline
+  /// serial run in logical order, N caps the pieces in flight.
   unsigned threads = 0;
 
-  /// Per-backend admission window when reads fan out: at most this many
-  /// extent reads in flight against any one backend (0 = unbounded).  Keeps
+  /// Per-backend admission window when pieces fan out: at most this many
+  /// piece reads in flight against any one backend (0 = unbounded).  Keeps
   /// a wide fan-out from swamping a single server while other backends idle.
   unsigned queue_depth = 4;
 };
 
 class IoRetriever {
  public:
+  /// Bytes per piece, the unit a fetch spreads over the pool: each piece is
+  /// one pread straight into its slice of the answer and one CRC32C of it
+  /// while the bytes are in cache (docs/performance.md, "Piece-parallel
+  /// extent reads").
+  static constexpr std::uint64_t kPieceBytes = 512 * 1024;
+
   explicit IoRetriever(const plfs::PlfsMount& mount, RetrieveOptions options = {})
       : mount_(mount), options_(options) {}
 
@@ -88,24 +93,29 @@ class IoRetriever {
       std::span<const DatasetLocation> locations) const;
 
   /// Fetch one located extent's bytes: an exact-extent read of its dropping
-  /// (plfs::read_dropping_extent: bounds-checked before anything is
-  /// allocated), retried under the mount's retry policy and verified in
-  /// place against the stored CRC32C -- a mismatch is a typed kCorruptData
-  /// error, never silently served bytes.
+  /// (plfs::ExtentReader: bounds-checked before anything is allocated),
+  /// retried under the mount's retry policy and verified against the stored
+  /// CRC32C -- a mismatch is a typed kCorruptData error, never silently
+  /// served bytes.
   Result<std::vector<std::uint8_t>> retrieve_extent(const DatasetLocation& location) const;
 
   const RetrieveOptions& options() const noexcept { return options_; }
 
  private:
-  /// The one fetch loop behind every read above: read(i) fetches
-  /// locations[i]; options().threads reads in flight (one = inline, in
-  /// order), and the first failure in location order is the error -- the
-  /// one a serial loop would stop on.
-  Status fetch(std::span<const DatasetLocation> locations,
-               const std::function<Status(std::size_t)>& read) const;
+  /// Hands out the buffer extent i lands in (after its bounds check).
+  using Buffers = std::function<std::span<std::uint8_t>(std::size_t)>;
 
-  /// retrieve_extent into the buffer `sink` hands out.
-  Status read_verified(const DatasetLocation& location, const plfs::ExtentSink& sink) const;
+  /// The one fetch engine behind every read above: locations[i] lands in
+  /// buffer(i).  Each extent is opened once, its pieces are read and
+  /// checksummed with options().threads in flight, and the piece checksums
+  /// fold in piece order into the extent's CRC32C.  The first failure in
+  /// location order is the error -- the one a serial loop would stop on.
+  Status fetch(std::span<const DatasetLocation> locations, const Buffers& buffer) const;
+
+  /// One attempt of fetch() at the extents from *done on, advancing *done
+  /// past every extent it read and verified.
+  Status fetch_round(std::span<const DatasetLocation> locations, const Buffers& buffer,
+                     std::size_t* done) const;
 
   const plfs::PlfsMount& mount_;
   RetrieveOptions options_;

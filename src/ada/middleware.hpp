@@ -74,16 +74,18 @@ struct AdaConfig {
   /// span and atom count).  Kept declared for callers that still set it.
   bool frame_tables = true;
 
-  /// Concurrent extent reads per query (scatter-gather retrieval,
-  /// docs/performance.md).  Every value runs the same fetch engine: 0 (the
-  /// default) and 1 are its one-thread run, inline on the caller in logical
-  /// order; N > 1 fans per-extent read + CRC-verify tasks onto the shared
-  /// thread pool, assembled in logical order.  The bytes never differ.
+  /// Concurrent piece reads per query (docs/performance.md, "Piece-parallel
+  /// extent reads"), the rule of `threads`: 0 (the default) follows the
+  /// shared pool, 1 is the inline serial run in logical order, N caps the
+  /// pieces in flight.  Every extent is cut into fixed-size pieces, each
+  /// pread into its slot of the answer and checksummed on the pool; the
+  /// piece CRCs fold into the extent's.  Every value runs the same fetch
+  /// engine: the bytes and errors never differ.  A fetch of one piece runs
+  /// inline on the caller.
   unsigned read_threads = 0;
 
-  /// Per-backend admission window when reads fan out (read_threads > 1): at
-  /// most this many extent reads in flight against any one backend
-  /// (0 = unbounded).
+  /// Per-backend admission window when pieces fan out: at most this many
+  /// piece reads in flight against any one backend (0 = unbounded).
   unsigned read_queue_depth = 4;
 
   /// Windowed retention budget for streaming ingest (0 = keep everything).

@@ -383,10 +383,14 @@ Result<CompressedFrame> compress(std::span<const float> coords, const CodecParam
 
 Status decompress_into(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
                        std::vector<float>& coords) {
-  coords.clear();
-  if (frame.atom_count == 0) return Status::ok();
+  if (frame.atom_count == 0) {
+    coords.clear();
+    return Status::ok();
+  }
   if (!(frame.precision > 0.0f)) return corrupt_data("compressed frame has invalid precision");
   ADA_RETURN_IF_ERROR(check_intra_header(frame, payload));
+  // decode_intra writes every value, so a reused vector is only resized (a
+  // no-op at a steady size), never value-initialised again.
   coords.resize(static_cast<std::size_t>(frame.atom_count) * 3);
   ADA_RETURN_IF_ERROR(decode_intra(frame, payload, coords.data()));
   ADA_OBS_COUNT("codec.decode.calls", 1);
@@ -465,8 +469,8 @@ Result<CompressedFrame> compress_v2(std::span<const float> coords, const CodecPa
 
 Status decompress_v2_into(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
                           PredictionContext& ctx, std::vector<float>& coords) {
-  coords.clear();
   if (frame.atom_count == 0) {
+    coords.clear();
     ctx.reset();
     return Status::ok();
   }

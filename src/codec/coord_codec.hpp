@@ -123,7 +123,8 @@ Result<std::vector<float>> decompress(const CompressedFrame& frame);
 /// decompress() into caller-owned storage: the records are read from
 /// `payload` (frame.payload is not read), e.g. straight out of a file image,
 /// and `coords` is resized to atom_count * 3 once the header checks pass,
-/// so a caller that reuses one vector allocates nothing per frame.
+/// so a caller that reuses one vector allocates and zero-fills nothing per
+/// frame.  On an error `coords` holds unspecified values.
 Status decompress_into(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
                        std::vector<float>& coords);
 

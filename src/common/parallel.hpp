@@ -10,7 +10,6 @@
 // their captures.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <limits>
@@ -31,7 +30,8 @@ inline void parallel_run(std::vector<std::function<void()>> tasks, unsigned thre
 }
 
 /// Run job(i) for every index in `order` with at most `threads` jobs in
-/// flight; 0 and 1 both mean one, run inline on the caller in `order`.
+/// flight: 0 follows the pool (one per worker plus the caller), 1 runs them
+/// inline on the caller in `order`, and so does a single job.
 /// job(i) returns false when it failed.  A job whose index is above a failed
 /// one is skipped unless it already started, so the lowest failing index
 /// always runs: a serial run stops at its first failure exactly like a loop,
@@ -50,7 +50,7 @@ void run_until_failure(std::span<const std::size_t> order, unsigned threads, Job
       }
     });
   }
-  ThreadPool::shared().run_batch(std::move(tasks), std::max(threads, 1u));
+  ThreadPool::shared().run_batch(std::move(tasks), threads);
 }
 
 }  // namespace ada

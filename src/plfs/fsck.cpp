@@ -47,12 +47,11 @@ Result<VerifyReport> verify_container(const PlfsMount& mount, const std::string&
     // The extent fits its dropping: read exactly it and verify the stored
     // checksum (v1 records carry none and are treated as intact).
     if (record.has_checksum()) {
-      std::vector<std::uint8_t> buffer;
-      ADA_ASSIGN_OR_RETURN(const auto extent,
-                           read_extent(path, record.physical_offset, record.length, [&] {
-                             buffer.resize(record.length);
-                             return std::span(buffer);
-                           }));
+      ADA_ASSIGN_OR_RETURN(const ExtentReader reader,
+                           ExtentReader::open(path, record.physical_offset, record.length,
+                                              /*fault_site=*/false));
+      std::vector<std::uint8_t> extent(record.length);
+      ADA_RETURN_IF_ERROR(reader.read(0, extent));
       if (crc32c(extent.data(), extent.size()) != record.crc32c) {
         report.checksum_bad_records.push_back(record);
       }

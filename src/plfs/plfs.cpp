@@ -143,17 +143,6 @@ std::uint64_t next_ordinal(const std::vector<IndexRecord>& records) {
   return ordinal;
 }
 
-/// A file descriptor closed on scope exit.
-struct ScopedFd {
-  explicit ScopedFd(int descriptor) : fd(descriptor) {}
-  ScopedFd(const ScopedFd&) = delete;
-  ScopedFd& operator=(const ScopedFd&) = delete;
-  ~ScopedFd() {
-    if (fd >= 0) ::close(fd);
-  }
-  const int fd;
-};
-
 }  // namespace
 
 Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& path) {
@@ -169,34 +158,48 @@ bool extent_fits(const std::string& path, std::uint64_t offset, std::uint64_t le
          fits(static_cast<std::uint64_t>(st.st_size), offset, length);
 }
 
-Result<std::span<std::uint8_t>> read_extent(const std::string& path, std::uint64_t offset,
-                                            std::uint64_t length, const ExtentSink& sink) {
-  const ScopedFd file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
-  if (file.fd < 0) return not_found("cannot open " + path);
+Result<ExtentReader> ExtentReader::open(const std::string& path, std::uint64_t offset,
+                                       std::uint64_t length, bool fault_site) {
+  fault::Outcome outcome;
+  if (fault_site) {
+    ADA_ASSIGN_OR_RETURN(outcome, enter_read_site());
+  }
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return not_found("cannot open " + path);
+  ExtentReader reader(fd, path, offset, length, outcome);
   struct stat st {};
-  if (::fstat(file.fd, &st) != 0) return io_error("fstat failed on " + path);
+  if (::fstat(fd, &st) != 0) return io_error("fstat failed on " + path);
   if (!fits(static_cast<std::uint64_t>(st.st_size), offset, length)) {
     return corrupt_data("dropping " + path + " size mismatch");
   }
-  const std::span<std::uint8_t> out = sink();
-  if (out.size() != length) return internal_error("extent buffer of the wrong size for " + path);
-  for (std::uint64_t done = 0; done < length;) {
-    const ssize_t got = ::pread(file.fd, out.data() + done, length - done,
-                                static_cast<off_t>(offset + done));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) return io_error("short read on " + path);
-    done += static_cast<std::uint64_t>(got);
-  }
-  return out;
+  return reader;
 }
 
-Result<std::span<std::uint8_t>> read_dropping_extent(const std::string& path,
-                                                     std::uint64_t offset, std::uint64_t length,
-                                                     const ExtentSink& sink) {
-  ADA_ASSIGN_OR_RETURN(const fault::Outcome outcome, enter_read_site());
-  ADA_ASSIGN_OR_RETURN(const auto extent, read_extent(path, offset, length, sink));
-  damage(outcome, extent);
-  return extent;
+ExtentReader::ExtentReader(ExtentReader&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      path_(std::move(other.path_)),
+      offset_(other.offset_),
+      length_(other.length_),
+      fault_(other.fault_) {}
+
+ExtentReader::~ExtentReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status ExtentReader::read(std::uint64_t begin, std::span<std::uint8_t> out) const {
+  ADA_CHECK(begin <= length_ && out.size() <= length_ - begin);
+  for (std::uint64_t done = 0; done < out.size();) {
+    const ssize_t got = ::pread(fd_, out.data() + done, out.size() - done,
+                                static_cast<off_t>(offset_ + begin + done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return io_error("short read on " + path_);
+    done += static_cast<std::uint64_t>(got);
+  }
+  if (fault_.kind == fault::Outcome::Kind::kCorrupt && length_ != 0) {
+    const std::size_t at = flip_position(length_, fault_.fraction);
+    if (at >= begin && at - begin < out.size()) out[at - begin] ^= 0x01;
+  }
+  return Status::ok();
 }
 
 Result<PlfsMount> PlfsMount::open(std::vector<Backend> backends) {

@@ -6,7 +6,7 @@
 // directory on every backend; each write adds dropping files on the chosen
 // backends, then publishes the index once.  Reads go through the ADA I/O
 // retriever (ada/indexer.hpp), which resolves index records to droppings and
-// reads each extent with read_dropping_extent below.
+// reads each extent through an ExtentReader below.
 //
 // Data written through a mount is real bytes in real files: the correctness
 // tests and examples operate on what a real deployment would store, while
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,33 +38,49 @@ struct Backend {
 /// Fault-aware read of a whole dropping file by host path: evaluates the
 /// "plfs.read_dropping" injection site (errors, latency, simulated media
 /// corruption) before/after the real read.  For tooling that inspects raw
-/// droppings; the I/O retriever reads only its extent (read_dropping_extent).
+/// droppings; the I/O retriever reads only its extent (ExtentReader).
 Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& host_path);
 
 /// True when [offset, offset + length) lies inside the file at `host_path`
 /// (one stat, overflow-safe); false when it does not or the file is gone.
 bool extent_fits(const std::string& host_path, std::uint64_t offset, std::uint64_t length);
 
-/// Hands out the buffer an exact-extent read lands in; called once per
-/// read attempt, after the bounds check, and must return exactly the
-/// extent's length.
-using ExtentSink = std::function<std::span<std::uint8_t>()>;
+/// One extent of a dropping, open for exact reads.  Opened once; its
+/// slices (pieces) may then be read from several threads at once.
+class ExtentReader {
+ public:
+  /// Open the dropping, fstat it and check that [offset, offset + length)
+  /// lies inside the file without u64 overflow (kCorruptData if not), so a
+  /// length is trusted before any buffer is sized from it.  With
+  /// `fault_site`, the "plfs.read_dropping" injection site is hit once
+  /// first: an error is returned, a delay is slept, and a corrupt outcome
+  /// is kept for read().  The ADA I/O retriever opens with the site;
+  /// plfs::verify_container without.
+  static Result<ExtentReader> open(const std::string& host_path, std::uint64_t offset,
+                                   std::uint64_t length, bool fault_site);
 
-/// Exact-extent read: open the dropping, fstat it, check that
-/// [offset, offset + length) lies inside the file without u64 overflow
-/// (kCorruptData if not) -- all before `sink` is asked for a buffer -- then
-/// pread exactly that range into it.  Returns the filled buffer.  No fault
-/// site: plfs::verify_container's read.
-Result<std::span<std::uint8_t>> read_extent(const std::string& host_path, std::uint64_t offset,
-                                            std::uint64_t length, const ExtentSink& sink);
+  ExtentReader(ExtentReader&& other) noexcept;
+  ExtentReader& operator=(ExtentReader&&) = delete;
+  ~ExtentReader();
 
-/// read_extent under the "plfs.read_dropping" injection site: errors and
-/// latency before the read, and a corrupt outcome flips one byte of the
-/// returned extent (simulated media error the caller's CRC must catch).
-/// The ADA I/O retriever's one extent read (IoRetriever) goes through it.
-Result<std::span<std::uint8_t>> read_dropping_extent(const std::string& host_path,
-                                                     std::uint64_t offset, std::uint64_t length,
-                                                     const ExtentSink& sink);
+  /// pread extent bytes [begin, begin + out.size()) into `out`.  A corrupt
+  /// outcome whose byte lies in the slice flips it here, after the pread (a
+  /// simulated media error the caller's checksum must catch).
+  Status read(std::uint64_t begin, std::span<std::uint8_t> out) const;
+
+  std::uint64_t length() const noexcept { return length_; }
+
+ private:
+  ExtentReader(int fd, std::string path, std::uint64_t offset, std::uint64_t length,
+               fault::Outcome fault)
+      : fd_(fd), path_(std::move(path)), offset_(offset), length_(length), fault_(fault) {}
+
+  int fd_ = -1;
+  std::string path_;
+  std::uint64_t offset_ = 0;
+  std::uint64_t length_ = 0;
+  fault::Outcome fault_;
+};
 
 /// One extent of a publication (PlfsMount::append).
 struct Extent {

@@ -9,14 +9,22 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <thread>
+
+#include <unistd.h>
 
 #include "ada/indexer.hpp"
 #include "ada/ingest_stream.hpp"
 #include "ada/middleware.hpp"
 #include "ada/vfs.hpp"
 #include "common/admission.hpp"
+#include "common/crc32c.hpp"
 #include "common/faults.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "platform/pipeline.hpp"
 #include "pvfs/pvfs.hpp"
 #include "pvfs/striping.hpp"
@@ -76,11 +84,13 @@ class ScatterGatherTest : public testing::Test {
   static constexpr std::uint32_t kFrames = 17;  // chunks of 3: extents 3,3,3,3,3,2
 
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_sg_test_" +
+    // The pid keeps concurrent test processes apart where heap addresses
+    // repeat across processes (sanitizer builds).
+    root_ = testing::TempDir() + "/ada_sg_test_" + std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this));
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
-    serial_ = open_ada(/*read_threads=*/0, /*queue_depth=*/4, /*cache_bytes=*/0);
+    serial_ = open_ada(/*read_threads=*/1, /*queue_depth=*/4, /*cache_bytes=*/0);
 
     // Streamed ingest with small chunks: every chunk flushes one dropping
     // per tag, so each tag's subset spans six extents -- the multi-extent
@@ -258,6 +268,225 @@ TEST_F(ScatterGatherTest, StressConcurrentQueriesStayIdentical) {
   }
   for (auto& caller : callers) caller.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// --- piece engine ---------------------------------------------------------------------
+
+/// Extents of every size around the piece boundary, written straight
+/// through PLFS: a batch container with one tag per size, and a streamed
+/// container whose one tag spans every size, one chunk publication each.
+class PieceReadTest : public testing::Test {
+ protected:
+  static constexpr std::uint64_t kPiece = IoRetriever::kPieceBytes;
+  static constexpr std::uint64_t kSizes[] = {0, 1, kPiece - 1, kPiece, kPiece + 1, 3 * kPiece + 17};
+  static constexpr std::size_t kLargest = 5;  // four pieces
+  static constexpr unsigned kThreadCounts[] = {1, 2, 0};
+
+  void SetUp() override {
+    fault::Injector::global().disarm_all();
+    // The pid keeps concurrent test processes apart where heap addresses
+    // repeat across processes (sanitizer builds).
+    root_ = testing::TempDir() + "/ada_piece_test_" + std::to_string(::getpid()) + "_" +
+            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    fs::remove_all(root_);
+    mount_ = std::make_unique<plfs::PlfsMount>(
+        plfs::PlfsMount::open({{"ssd", root_ + "/ssd"}, {"hdd", root_ + "/hdd"}}).value());
+    RetryPolicy fast;  // keep injected-retry wall time negligible
+    fast.max_attempts = 3;
+    fast.initial_backoff_s = 1e-4;
+    mount_->set_retry_policy(fast);
+
+    Rng rng(23);
+    std::vector<plfs::Extent> batch;
+    for (std::size_t i = 0; i < std::size(kSizes); ++i) {
+      std::vector<std::uint8_t> bytes(kSizes[i]);
+      for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng.next_u64());
+      stream_bytes_.insert(stream_bytes_.end(), bytes.begin(), bytes.end());
+      bytes_.push_back(std::move(bytes));
+    }
+    for (std::size_t i = 0; i < bytes_.size(); ++i) {
+      batch.push_back(plfs::Extent{tag(i), static_cast<std::uint32_t>(i % 2), bytes_[i], {}});
+    }
+    ASSERT_TRUE(mount_->create_container("batch").is_ok());
+    ASSERT_TRUE(mount_->append("batch", batch).is_ok());
+    plfs::StreamState state;
+    ASSERT_TRUE(mount_->create_container("stream", state).is_ok());
+    for (std::size_t i = 0; i < bytes_.size(); ++i) {
+      state.sealed_chunks = i + 1;
+      state.sealed = i + 1 == bytes_.size();
+      const plfs::Extent chunk{"p", static_cast<std::uint32_t>(i % 2), bytes_[i], {}};
+      ASSERT_TRUE(mount_->append("stream", {chunk}, state).is_ok());
+    }
+  }
+  void TearDown() override {
+    fault::Injector::global().disarm_all();
+    fs::remove_all(root_);
+  }
+
+  static Tag tag(std::size_t i) { return std::string(1, 's') += std::to_string(i); }
+
+  std::vector<DatasetLocation> locate(const std::string& name, const Tag& tag) const {
+    return Indexer(*mount_).locate(name, tag).value();
+  }
+
+  Result<std::vector<std::uint8_t>> read(const std::string& name, const Tag& tag,
+                                         unsigned threads) const {
+    ADA_ASSIGN_OR_RETURN(const auto locations, Indexer(*mount_).locate(name, tag));
+    return IoRetriever(*mount_, RetrieveOptions{threads, 4}).retrieve(locations);
+  }
+
+  /// An answer as one comparable string: its bytes' size and CRC, or the
+  /// error's code and message.
+  static std::string describe(const Result<std::vector<std::uint8_t>>& answer) {
+    if (!answer.is_ok()) return answer.error().to_string();
+    return "ok " + std::to_string(answer.value().size()) + " bytes, crc " +
+           std::to_string(crc32c(answer.value()));
+  }
+
+  /// Flip one byte of a dropping on disk.
+  static void flip_on_disk(const std::string& path, std::uint64_t at) {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open()) << path;
+    file.seekg(static_cast<std::streamoff>(at));
+    const int byte = file.get();
+    file.seekp(static_cast<std::streamoff>(at));
+    file.put(static_cast<char>(byte ^ 0x01));
+  }
+
+  std::string root_;
+  std::unique_ptr<plfs::PlfsMount> mount_;
+  std::vector<std::vector<std::uint8_t>> bytes_;
+  std::vector<std::uint8_t> stream_bytes_;
+};
+
+TEST_F(PieceReadTest, AnswersAreByteIdenticalAcrossThreadCounts) {
+  for (const unsigned threads : kThreadCounts) {
+    SCOPED_TRACE("read_threads " + std::to_string(threads));
+    for (std::size_t i = 0; i < bytes_.size(); ++i) {
+      const auto got = read("batch", tag(i), threads);
+      ASSERT_TRUE(got.is_ok()) << got.error().to_string();
+      EXPECT_EQ(got.value(), bytes_[i]) << kSizes[i] << "-byte extent";
+    }
+    const auto streamed = read("stream", "p", threads);
+    ASSERT_TRUE(streamed.is_ok()) << streamed.error().to_string();
+    EXPECT_EQ(streamed.value(), stream_bytes_);
+    const auto extents =
+        IoRetriever(*mount_, RetrieveOptions{threads, 4}).retrieve_extents(locate("stream", "p"));
+    ASSERT_TRUE(extents.is_ok()) << extents.error().to_string();
+    EXPECT_EQ(extents.value(), bytes_);
+  }
+}
+
+TEST_F(PieceReadTest, CorruptByteInAnyPieceIsCorruptData) {
+  const DatasetLocation location = locate("batch", tag(kLargest)).front();
+  ASSERT_EQ(location.bytes, 3 * kPiece + 17);
+  for (const std::uint64_t at : {std::uint64_t{100}, kPiece + kPiece / 2, 3 * kPiece + 5}) {
+    SCOPED_TRACE("byte " + std::to_string(at));
+    // A simulated media error from the fault site, flipped after its
+    // piece's pread and before that piece's checksum.
+    const double fraction = (static_cast<double>(at) + 0.5) / static_cast<double>(location.bytes);
+    for (const unsigned threads : kThreadCounts) {
+      const fault::ScopedFault corrupt("plfs.read_dropping",
+                                       fault::Schedule::corrupt_read(1, fraction));
+      const auto got = read("batch", tag(kLargest), threads);
+      ASSERT_FALSE(got.is_ok()) << "read_threads " << threads;
+      EXPECT_EQ(got.error().code(), ErrorCode::kCorruptData);
+      EXPECT_EQ(got.error().message(), "checksum mismatch on " + location.host_path);
+    }
+    // The same byte damaged on disk.
+    flip_on_disk(location.host_path, location.physical_offset + at);
+    for (const unsigned threads : kThreadCounts) {
+      const auto got = read("batch", tag(kLargest), threads);
+      ASSERT_FALSE(got.is_ok()) << "read_threads " << threads;
+      EXPECT_EQ(got.error().code(), ErrorCode::kCorruptData);
+      EXPECT_EQ(got.error().message(), "checksum mismatch on " + location.host_path);
+    }
+    flip_on_disk(location.host_path, location.physical_offset + at);
+    EXPECT_TRUE(read("batch", tag(kLargest), 0).is_ok());
+  }
+}
+
+TEST_F(PieceReadTest, TruncatedDroppingFailsAsTheSerialRun) {
+  const DatasetLocation batch = locate("batch", tag(kLargest)).front();
+  fs::resize_file(batch.host_path, batch.physical_offset + 2 * kPiece);
+  const DatasetLocation chunk = locate("stream", "p")[4];
+  fs::resize_file(chunk.host_path, chunk.physical_offset + 1);
+  for (const auto& [name, subset] : {std::pair<std::string, Tag>{"batch", tag(kLargest)},
+                                     std::pair<std::string, Tag>{"stream", "p"}}) {
+    const auto serial = read(name, subset, 1);
+    ASSERT_FALSE(serial.is_ok()) << name;
+    EXPECT_EQ(serial.error().code(), ErrorCode::kCorruptData) << name;
+    for (const unsigned threads : {2u, 0u}) {
+      EXPECT_EQ(describe(read(name, subset, threads)), describe(serial))
+          << name << " at read_threads " << threads;
+    }
+  }
+}
+
+TEST_F(PieceReadTest, FaultSiteIsHitOncePerExtent) {
+  for (const unsigned threads : kThreadCounts) {
+    SCOPED_TRACE("read_threads " + std::to_string(threads));
+    {
+      const fault::ScopedFault count("plfs.read_dropping", fault::Schedule::fail_nth(1u << 30));
+      ASSERT_TRUE(read("batch", tag(kLargest), threads).is_ok());
+      EXPECT_EQ(fault::Injector::global().hits("plfs.read_dropping"), 1u);
+    }
+    const fault::ScopedFault count("plfs.read_dropping", fault::Schedule::fail_nth(1u << 30));
+    ASSERT_TRUE(read("stream", "p", threads).is_ok());
+    EXPECT_EQ(fault::Injector::global().hits("plfs.read_dropping"), std::size(kSizes));
+  }
+}
+
+TEST_F(PieceReadTest, FaultSchedulesAnswerAlikeAtEveryThreadCount) {
+  // The schedule shapes the chaos tier arms at the read site.  Site hits
+  // follow location order at every thread count, so each schedule picks the
+  // same extents and every answer, code and message is the serial run's.
+  std::vector<fault::Schedule> schedules;
+  for (std::uint64_t k = 1; k <= 6; ++k) schedules.push_back(fault::Schedule::fail_nth(k));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    schedules.push_back(fault::Schedule::fail_probability(0.3, seed));
+  }
+  schedules.push_back(fault::Schedule::down_window(2, 4));
+  schedules.push_back(fault::Schedule::down_window(1, 9));
+  for (std::uint64_t k = 1; k <= 6; ++k) {
+    schedules.push_back(fault::Schedule::corrupt_read(k, 0.1 * static_cast<double>(k)));
+  }
+  for (std::size_t s = 0; s < schedules.size(); ++s) {
+    SCOPED_TRACE("schedule " + std::to_string(s));
+    std::string serial;
+    for (const unsigned threads : kThreadCounts) {
+      const fault::ScopedFault armed("plfs.read_dropping", schedules[s]);
+      std::string answers = describe(read("stream", "p", threads));
+      for (std::size_t i = 0; i < bytes_.size(); ++i) {
+        answers += " | " + describe(read("batch", tag(i), threads));
+      }
+      if (threads == 1) {
+        serial = answers;
+      } else {
+        EXPECT_EQ(answers, serial) << "read_threads " << threads;
+      }
+    }
+  }
+}
+
+TEST_F(PieceReadTest, OnePieceFetchStaysOnTheCaller) {
+  obs::reset_all();
+  obs::set_enabled(true);
+  auto& registry = obs::Registry::global();
+  const std::uint64_t submitted = registry.counter_value("pool.submitted");
+  for (const std::size_t i : {std::size_t{1}, std::size_t{3}}) {  // 1 byte, one full piece
+    ASSERT_TRUE(read("batch", tag(i), 0).is_ok());
+  }
+  EXPECT_EQ(registry.counter_value("pool.submitted"), submitted);
+  EXPECT_EQ(registry.counter_value("retrieve.pieces"), 2u);
+  ASSERT_TRUE(read("batch", tag(kLargest), 0).is_ok());
+  EXPECT_EQ(registry.counter_value("retrieve.pieces"), 6u);
+  if (ThreadPool::shared().worker_count() > 0) {
+    EXPECT_GT(registry.counter_value("pool.submitted"), submitted)
+        << "a four-piece fetch fans out onto the pool";
+  }
+  obs::set_enabled(false);
+  obs::reset_all();
 }
 
 // --- DES plane -----------------------------------------------------------------------

@@ -254,7 +254,7 @@ class ServeTest : public testing::Test {
             std::to_string(reinterpret_cast<std::uintptr_t>(this));
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
-    serial_ = open_ada(/*read_threads=*/0, /*queue_depth=*/4, /*cache_bytes=*/0);
+    serial_ = open_ada(/*read_threads=*/1, /*queue_depth=*/4, /*cache_bytes=*/0);
 
     // Streamed ingest with small chunks: every tag's subset spans six
     // extents, so a held-open fill has several dropping reads to delay.

@@ -62,7 +62,7 @@ constexpr const char* kUsage =
     "                 [--frames A:B] [--stride K]\n"
     "                 [--out <subset.raw>] [--render <frame.ppm> --pdb <file>]\n"
     "                 [--metrics[=json|openmetrics]] [--trace <out.json>] [--cache <bytes>]\n"
-    "                 [--read-threads <n>] [--queue-depth <n>]\n"
+    "                 [--read-threads <n: 0 = pool (default), 1 = serial>] [--queue-depth <n>]\n"
     "                 [--telemetry <ts.jsonl[,interval_ms]>] [--profile <out.folded[,interval_us]>]\n"
     "                 [--faults site=spec[,site=spec...]] [--degraded]\n"
     "                 [--follow [--from <frame>] [--poll-ms <ms>] [--timeout-s <s>]]\n"
@@ -154,9 +154,9 @@ int main(int argc, char** argv) {
   // the cached and uncached read paths are byte-identical, the cache only
   // short-circuits repeated reads within this process's lifetime).
   config.cache_bytes = args.count<std::uint64_t>("cache", 0);
-  // --read-threads=<n> fans extent reads onto the shared pool (0/1 = one
-  // read at a time, the default); --queue-depth=<n> bounds
-  // in-flight reads per backend (0 = unbounded).  docs/performance.md.
+  // --read-threads=<n> caps the piece reads in flight (0 = follow the
+  // shared pool, the default; 1 = serial); --queue-depth=<n> bounds
+  // in-flight piece reads per backend (0 = unbounded).  docs/performance.md.
   config.read_threads = args.count("read-threads", 0u);
   config.read_queue_depth = args.count("queue-depth", 4u);
   core::Ada middleware(

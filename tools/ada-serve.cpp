@@ -1,7 +1,8 @@
 // ada-serve: a long-lived multi-tenant query service over one shared Ada.
 //
 //   ada-serve --ssd /mnt/ssd --hdd /mnt/hdd --spool /run/ada
-//             [--workers <n>] [--cache <bytes>] [--read-threads <n>]
+//             [--workers <n>] [--cache <bytes>]
+//             [--read-threads <n: 0 = pool (default), 1 = serial>]
 //             [--queue-depth <n>] [--queue-cap <n>] [--inflight <n>]
 //             [--memory-quota <bytes>] [--quantum <bytes>]
 //             [--stop-file <path>] [--idle-timeout-s <s>] [--poll-ms <ms>]
@@ -34,7 +35,8 @@ using namespace ada;
 namespace {
 constexpr const char* kUsage =
     "usage: ada-serve --ssd <dir> --hdd <dir> --spool <dir>\n"
-    "                 [--workers <n>] [--cache <bytes>] [--read-threads <n>]\n"
+    "                 [--workers <n>] [--cache <bytes>]\n"
+    "                 [--read-threads <n: 0 = pool (default), 1 = serial>]\n"
     "                 [--queue-depth <n>] [--queue-cap <n>] [--inflight <n>]\n"
     "                 [--memory-quota <bytes>] [--quantum <bytes>]\n"
     "                 [--stop-file <path>] [--idle-timeout-s <s>] [--poll-ms <ms>]\n"
@@ -50,6 +52,7 @@ int main(int argc, char** argv) {
   // only while the image lives somewhere.  64 MiB default, --cache=0 to
   // prove the uncached path stays correct.
   config.cache_bytes = args.count<std::uint64_t>("cache", 64ull << 20);
+  // Piece reads in flight per query: 0 follows the shared pool, 1 is serial.
   config.read_threads = args.count("read-threads", 0u);
   config.read_queue_depth = args.count("queue-depth", 4u);
   serve::ServeConfig serve_config;

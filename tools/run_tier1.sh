@@ -25,8 +25,8 @@ ctest --test-dir "$BUILD_DIR" -L unit --output-on-failure -j "$(nproc)"
 echo "== tracing tier (ctest -L check-trace) =="
 ctest --test-dir "$BUILD_DIR" -L check-trace --output-on-failure -j "$(nproc)"
 
-echo "== frame-parallel ingest (ThreadPool, ParallelIngest[Alloc], Categorizer suites) =="
-ctest --test-dir "$BUILD_DIR" -R 'ThreadPool|ParallelIngest|Categorizer' --output-on-failure -j "$(nproc)"
+echo "== pool users (ThreadPool, ParallelIngest[Alloc], Categorizer, PieceRead suites) =="
+ctest --test-dir "$BUILD_DIR" -R 'ThreadPool|ParallelIngest|Categorizer|PieceRead' --output-on-failure -j "$(nproc)"
 
 echo "== perf tier smoke (ctest -L check-perf) =="
 ctest --test-dir "$BUILD_DIR" -L check-perf --output-on-failure
@@ -181,7 +181,7 @@ set -e
     exit 1
 }
 
-echo "== scatter-gather smoke: --read-threads byte-identical + degraded exit 2 =="
+echo "== scatter-gather smoke: --read-threads byte-identical over pieces + degraded exit 2 =="
 # Parallel retrieval must serve the same bytes the serial query wrote above.
 "$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd" --hdd "$WORK/hdd" --name traj.xtc \
     --tag p --read-threads 4 --queue-depth 2 --out "$WORK/protein_sg.raw" >/dev/null
@@ -189,6 +189,28 @@ cmp "$WORK/protein.raw" "$WORK/protein_sg.raw" || {
     echo "FAIL: --read-threads 4 served different bytes than the serial query" >&2
     exit 1
 }
+# A subset of several pieces (96 tiny frames: about 1 MB of protein, three
+# 512 KiB pieces): the serial run, the pool default and four piece readers
+# must write the same bytes.
+"$BUILD_DIR/tools/ada-gen" --out "$WORK/gen_pieces" --size tiny --frames 96 >/dev/null
+"$BUILD_DIR/tools/ada-ingest" --pdb "$WORK/gen_pieces/system.pdb" --xtc "$WORK/gen_pieces/traj.xtc" \
+    --ssd "$WORK/ssd5" --hdd "$WORK/hdd5" --name traj.xtc >/dev/null
+for read_threads in 1 default 4; do
+    threads_flag=()
+    [ "$read_threads" = default ] || threads_flag=(--read-threads "$read_threads")
+    "$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd5" --hdd "$WORK/hdd5" --name traj.xtc \
+        --tag p "${threads_flag[@]}" --out "$WORK/pieces_$read_threads.raw" >/dev/null
+done
+[ "$(wc -c < "$WORK/pieces_1.raw")" -gt 1048576 ] || {
+    echo "FAIL: the piece smoke's subset does not span several 512 KiB pieces" >&2
+    exit 1
+}
+for read_threads in default 4; do
+    cmp "$WORK/pieces_1.raw" "$WORK/pieces_$read_threads.raw" || {
+        echo "FAIL: --read-threads $read_threads served different bytes than --read-threads 1" >&2
+        exit 1
+    }
+done
 # A down backend under parallel reads still degrades to an explicit partial
 # result (exit 2) -- the scatter-gather merge surfaces the failure, never junk.
 set +e
