@@ -1,6 +1,5 @@
 #include "ada/dispatcher.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -40,9 +39,10 @@ std::optional<plfs::FrameSpan> shape_of(const Blob& blob) {
 
 /// The pipelined ingest's frame sink: a staged append with one dropping
 /// per label group (a RAW header piece, then one piece per frame) and one
-/// per extra.  Each worker encodes a frame's record for each tag into its
-/// slot's staging buffer, and the staged append checksums and writes it at
-/// the frame's offset of that tag's dropping while it is still in cache.
+/// per extra.  Each slot's staging buffer holds one frame's records for
+/// every tag; the worker decodes a frame straight into its slot's records,
+/// and the staged append checksums and writes each record at the frame's
+/// offset of that tag's dropping while it is still in cache.
 class DroppingSink final : public FrameSink {
  public:
   DroppingSink(plfs::PlfsMount& mount, const PlacementPolicy& policy,
@@ -57,10 +57,11 @@ class DroppingSink final : public FrameSink {
   Status open(std::uint32_t frames, std::size_t slots) override {
     std::vector<plfs::StagedExtent> extents;
     extents.reserve(labels_.groups.size() + extras_.size());
+    std::size_t slot_bytes = 0;  // one frame's records, every tag's
     for (const auto& [tag, selection] : labels_.groups) {
       const auto atoms = static_cast<std::uint32_t>(selection.count());
-      groups_.push_back(Group{&selection, atoms});
-      record_bytes_ = std::max(record_bytes_, formats::raw_frame_bytes(atoms));
+      groups_.push_back(Group{atoms, slot_bytes});
+      slot_bytes += formats::raw_frame_bytes(atoms);
       extents.push_back(plfs::StagedExtent{tag, policy_.backend_for(tag),
                                            formats::raw_file_bytes(atoms, frames),
                                            std::size_t{1} + frames,
@@ -78,20 +79,29 @@ class DroppingSink final : public FrameSink {
       formats::encode_raw_header(header, groups_[g].atoms, frames);
       ADA_RETURN_IF_ERROR(staged_.value().write(g, 0, 0, header));
     }
+    records_.resize(slots * groups_.size());
     // Sized last, after everything that outlives the ingest.
-    staging_ = std::make_unique_for_overwrite<std::uint8_t[]>(slots * record_bytes_);
+    staging_ = std::make_unique_for_overwrite<std::uint8_t[]>(slots * slot_bytes);
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      for (std::size_t g = 0; g < groups_.size(); ++g) {
+        records_[slot * groups_.size() + g] =
+            staging_.get() + slot * slot_bytes + groups_[g].offset;
+      }
+    }
     return Status::ok();
   }
 
-  Status frame(std::size_t slot, std::uint32_t f, const formats::TrajFrame& decoded) override {
-    std::uint8_t* const record = staging_.get() + slot * record_bytes_;
+  std::span<std::uint8_t* const> records(std::size_t slot, std::uint32_t /*f*/) override {
+    return std::span(records_.data() + slot * groups_.size(), groups_.size());
+  }
+
+  Status frame(std::size_t slot, std::uint32_t f, const formats::FrameStamp& stamp) override {
     for (std::size_t g = 0; g < groups_.size(); ++g) {
-      const Group& group = groups_[g];
-      formats::encode_raw_frame(record, decoded.step, decoded.time_ps, decoded.box,
-                                decoded.coords, *group.selection);
+      std::uint8_t* const record = records_[slot * groups_.size() + g];
+      formats::encode_raw_frame_header(record, stamp);
       ADA_RETURN_IF_ERROR(staged_.value().write(
-          g, std::size_t{1} + f, formats::raw_file_bytes(group.atoms, f),
-          std::span(record, formats::raw_frame_bytes(group.atoms))));
+          g, std::size_t{1} + f, formats::raw_file_bytes(groups_[g].atoms, f),
+          std::span(record, formats::raw_frame_bytes(groups_[g].atoms))));
     }
     return Status::ok();
   }
@@ -106,8 +116,8 @@ class DroppingSink final : public FrameSink {
 
  private:
   struct Group {
-    const chem::Selection* selection;
     std::uint32_t atoms;
+    std::size_t offset;  // of the group's record in a slot's staging
   };
 
   plfs::PlfsMount& mount_;
@@ -116,9 +126,9 @@ class DroppingSink final : public FrameSink {
   const LabelMap& labels_;
   const std::span<const Blob> extras_;
   std::vector<Group> groups_;
-  std::size_t record_bytes_ = 0;
   std::optional<plfs::StagedAppend> staged_;
-  std::unique_ptr<std::uint8_t[]> staging_;  // one record per slot
+  std::vector<std::uint8_t*> records_;       // each slot's records, by group
+  std::unique_ptr<std::uint8_t[]> staging_;  // one frame's records per slot
 };
 
 }  // namespace

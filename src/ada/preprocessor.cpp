@@ -1,5 +1,6 @@
 #include "ada/preprocessor.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 
@@ -41,25 +42,34 @@ std::vector<std::uint32_t> range_starts(std::span<const formats::XtcFrameExtent>
 
 /// split()'s sink: every tag's final RAW image, sized once from the frame
 /// count; frame f of a tag has its slot at raw_file_bytes(atoms, f) whichever
-/// range decodes it, so there are no per-range images and no merge.
+/// range decodes it, and that slot is the frame's record, so there are no
+/// per-range images, no gather and no merge.
 class ImageSink final : public FrameSink {
  public:
   explicit ImageSink(const LabelMap& labels) : labels_(labels) {}
 
-  Status open(std::uint32_t frames, std::size_t /*slots*/) override {
+  Status open(std::uint32_t frames, std::size_t slots) override {
     targets_.reserve(labels_.groups.size());
     for (const auto& [tag, selection] : labels_.groups) {
       const auto atoms = static_cast<std::uint32_t>(selection.count());
       auto& image = images_.emplace(tag, formats::make_raw_image(atoms, frames)).first->second;
-      targets_.push_back(Target{&selection, atoms, image.data()});
+      targets_.push_back(Target{atoms, image.data()});
     }
+    records_.resize(slots * targets_.size());
     return Status::ok();
   }
 
-  Status frame(std::size_t /*slot*/, std::uint32_t f, const formats::TrajFrame& decoded) override {
-    for (const Target& t : targets_) {
-      formats::encode_raw_frame(t.image + formats::raw_file_bytes(t.atoms, f), decoded.step,
-                                decoded.time_ps, decoded.box, decoded.coords, *t.selection);
+  std::span<std::uint8_t* const> records(std::size_t slot, std::uint32_t f) override {
+    const std::span out(records_.data() + slot * targets_.size(), targets_.size());
+    for (std::size_t g = 0; g < targets_.size(); ++g) {
+      out[g] = targets_[g].image + formats::raw_file_bytes(targets_[g].atoms, f);
+    }
+    return out;
+  }
+
+  Status frame(std::size_t slot, std::uint32_t /*f*/, const formats::FrameStamp& stamp) override {
+    for (std::size_t g = 0; g < targets_.size(); ++g) {
+      formats::encode_raw_frame_header(records_[slot * targets_.size() + g], stamp);
     }
     return Status::ok();
   }
@@ -68,7 +78,6 @@ class ImageSink final : public FrameSink {
 
  private:
   struct Target {
-    const chem::Selection* selection;
     std::uint32_t atoms;
     std::uint8_t* image;
   };
@@ -76,6 +85,7 @@ class ImageSink final : public FrameSink {
   const LabelMap& labels_;
   std::map<Tag, std::vector<std::uint8_t>> images_;
   std::vector<Target> targets_;
+  std::vector<std::uint8_t*> records_;  // each slot's current records
 };
 
 }  // namespace
@@ -123,28 +133,48 @@ Status DataPreProcessor::decode(std::span<const std::uint8_t> xtc_image, FrameSi
   const std::size_t slot_count = std::min<std::size_t>(budget, starts.size());
   ADA_RETURN_IF_ERROR(sink.open(frames, slot_count));
 
-  // Stage 2: decode each frame range into one of the slots -- a reader and
-  // a frame buffer sized here, on the calling thread, so pool workers
-  // allocate nothing -- and hand every frame to the sink.
+  // Stage 2: decode each frame range on one of the slots -- a reader sized
+  // here, on the calling thread, so pool workers allocate nothing -- into
+  // the records the sink lends for each frame, and hand the frame to the
+  // sink.  A v1 frame's atom runs go straight to their records by the
+  // scatter plan; only an image with a v2 frame (or a big-endian host)
+  // needs a scratch frame per slot to decode into and gather from.
+  std::vector<const chem::Selection*> groups;
+  groups.reserve(labels_.groups.size());
+  for (const auto& [tag, selection] : labels_.groups) groups.push_back(&selection);
+  const std::vector<codec::ScatterRun> plan = formats::raw_scatter_plan(groups);
+  const bool scratch = !formats::kRawFloatsNative ||
+                       std::any_of(extents.begin(), extents.end(),
+                                   [](const formats::XtcFrameExtent& e) { return e.v2; });
   struct Slot {
     formats::XtcReader reader;
-    formats::TrajFrame frame;
-    double decode_seconds = 0.0;  // inside XtcReader::next only
+    formats::TrajFrame frame;  // its coordinates only on the scratch path
+    double decode_seconds = 0.0;  // inside the decode and its scatter or gather only
   };
   std::vector<Slot> slots(slot_count, Slot{formats::XtcReader(xtc_image), {}});
-  for (Slot& slot : slots) slot.frame.coords.reserve(std::size_t{3} * labels_.atom_count);
+  if (scratch) {
+    for (Slot& slot : slots) slot.frame.coords.reserve(std::size_t{3} * labels_.atom_count);
+  }
 
   auto decode_range = [&](std::size_t range, std::size_t slot_index) -> Status {
     Slot& slot = slots[slot_index];
     const std::uint32_t last = range + 1 < starts.size() ? starts[range + 1] : frames;
     slot.reader.seek(extents[starts[range]].offset);
     for (std::uint32_t f = starts[range]; f < last; ++f) {
+      const std::span<std::uint8_t* const> records = sink.records(slot_index, f);
       {
         const obs::Span decode_span("decode");
         const Stopwatch decode_clock;
-        ADA_ASSIGN_OR_RETURN(const bool decoded, slot.reader.next(slot.frame));
+        bool decoded = false;
+        if (scratch) {
+          ADA_ASSIGN_OR_RETURN(decoded, slot.reader.next(slot.frame));
+          decoded = decoded && slot.frame.coords.size() == std::size_t{3} * labels_.atom_count;
+          if (decoded) formats::encode_raw_coords(plan, slot.frame.coords, records);
+        } else {
+          ADA_ASSIGN_OR_RETURN(decoded, slot.reader.next_routed(slot.frame, plan, records));
+        }
         slot.decode_seconds += decode_clock.elapsed_seconds();
-        if (!decoded || slot.frame.coords.size() != std::size_t{3} * labels_.atom_count) {
+        if (!decoded) {
           return corrupt_data("frame " + std::to_string(f) + " does not match its scanned extent");
         }
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <type_traits>
 
@@ -203,10 +204,12 @@ Status check_intra_header(const CompressedFrame& frame, std::span<const std::uin
   return check_payload_plausible(frame, payload, frame.atom_count > 1 ? frame.atom_count - 1 : 0);
 }
 
-/// Decode the v1/intra record layout of `payload` into `out` (atom_count * 3
-/// values): exact grid positions for T = int32 (prediction contexts stay
-/// lossless in the integer domain), or coordinates -- grid * 1/precision,
-/// as a v2 decode converts its grid -- for T = float.
+/// Decode the v1/intra record layout of `payload`, scattered per `plan`
+/// (ScatterRun) into `records`: exact grid positions for T = int32
+/// (prediction contexts stay lossless in the integer domain), or
+/// coordinates -- grid * 1/precision, as a v2 decode converts its grid --
+/// for T = float.  A flat decode is a one-run plan.  The plan is walked run
+/// by run with the per-atom loop inside, so routing adds no per-atom work.
 ///
 /// Record at a time: each record is bounds-checked once (its flag, then the
 /// flag plus that record's width against bits_remaining()), and its fields
@@ -214,14 +217,18 @@ Status check_intra_header(const CompressedFrame& frame, std::span<const std::uin
 /// frame header decides, per record kind -- else one window per field.
 /// Values are reconstructed in int64; any outside the grid is rejected.
 template <typename T>
-Status decode_intra(const CompressedFrame& frame, std::span<const std::uint8_t> payload, T* out) {
+Status decode_intra(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
+                    std::span<const ScatterRun> plan, std::span<std::uint8_t* const> records) {
   const float inv_precision = 1.0f / frame.precision;
-  const auto put = [&](std::int64_t v) {
+  const auto put = [&](std::uint8_t*& at, std::int64_t v) {
+    T value;
     if constexpr (std::is_same_v<T, float>) {
-      *out++ = static_cast<float>(static_cast<std::int32_t>(v)) * inv_precision;
+      value = static_cast<float>(static_cast<std::int32_t>(v)) * inv_precision;
     } else {
-      *out++ = static_cast<std::int32_t>(v);
+      value = static_cast<std::int32_t>(v);
     }
+    std::memcpy(at, &value, sizeof value);
+    at += sizeof value;
   };
   BitReader reader(payload);
   const unsigned fb0 = frame.full_bits[0];
@@ -236,7 +243,7 @@ Status decode_intra(const CompressedFrame& frame, std::span<const std::uint8_t> 
   const bool large_in_window = large_bits <= BitReader::kWindowBits;
   const bool small_in_window = small_bits <= BitReader::kWindowBits;
 
-  // First atom: absolute, no flag.
+  // First atom: absolute, no flag; it opens the first run.
   if (reader.bits_remaining() < large_bits - 1) {
     return truncated(large_bits - 1, reader.bits_remaining());
   }
@@ -244,36 +251,49 @@ Status decode_intra(const CompressedFrame& frame, std::span<const std::uint8_t> 
   std::int64_t y = m1 + reader.take(fb1);
   std::int64_t z = m2 + reader.take(fb2);
   std::uint32_t bad = off_grid(x) | off_grid(y) | off_grid(z);
-  put(x);
-  put(y);
-  put(z);
+  std::uint8_t* out = records[plan[0].target] + plan[0].offset;
+  put(out, x);
+  put(out, y);
+  put(out, z);
 
-  for (std::uint32_t i = 1; i < frame.atom_count; ++i) {
-    const std::size_t remaining = reader.bits_remaining();
-    if (remaining == 0) return truncated(1, 0);
-    const std::uint64_t w = reader.window();
-    const bool large = (w >> 63) != 0;
-    const unsigned width = large ? large_bits : small_bits;
-    if (remaining < width) return truncated(width, remaining);
-    if (large) {
-      const auto f = take_record(reader, w, large_in_window, fb0, fb1, fb2);
-      x = m0 + f[0];
-      y = m1 + f[1];
-      z = m2 + f[2];
-    } else {
-      const auto f = take_record(reader, w, small_in_window, k, k, k);
-      x += zigzag_decode(f[0]);
-      y += zigzag_decode(f[1]);
-      z += zigzag_decode(f[2]);
+  std::uint32_t i = 1;
+  for (std::size_t r = 0; r < plan.size(); ++r) {
+    if (r != 0) out = records[plan[r].target] + plan[r].offset;
+    for (const std::uint32_t end = plan[r].end; i < end; ++i) {
+      const std::size_t remaining = reader.bits_remaining();
+      if (remaining == 0) return truncated(1, 0);
+      const std::uint64_t w = reader.window();
+      const bool large = (w >> 63) != 0;
+      const unsigned width = large ? large_bits : small_bits;
+      if (remaining < width) return truncated(width, remaining);
+      if (large) {
+        const auto f = take_record(reader, w, large_in_window, fb0, fb1, fb2);
+        x = m0 + f[0];
+        y = m1 + f[1];
+        z = m2 + f[2];
+      } else {
+        const auto f = take_record(reader, w, small_in_window, k, k, k);
+        x += zigzag_decode(f[0]);
+        y += zigzag_decode(f[1]);
+        z += zigzag_decode(f[2]);
+      }
+      bad |= off_grid(x) | off_grid(y) | off_grid(z);
+      put(out, x);
+      put(out, y);
+      put(out, z);
     }
-    bad |= off_grid(x) | off_grid(y) | off_grid(z);
-    put(x);
-    put(y);
-    put(z);
   }
   ADA_RETURN_IF_ERROR(check_consumed(reader, frame));
   if (bad != 0) return corrupt_data("coordinate outside the quantization grid");
   return Status::ok();
+}
+
+/// decode_intra() of every atom into the flat array `out`.
+template <typename T>
+Status decode_intra(const CompressedFrame& frame, std::span<const std::uint8_t> payload, T* out) {
+  const ScatterRun whole{frame.atom_count, 0, 0};
+  std::uint8_t* const base = reinterpret_cast<std::uint8_t*>(out);
+  return decode_intra<T>(frame, payload, std::span(&whole, 1), std::span(&base, 1));
 }
 
 /// Linear two-frame extrapolation, clamped into the valid grid so the
@@ -393,6 +413,24 @@ Status decompress_into(const CompressedFrame& frame, std::span<const std::uint8_
   // no-op at a steady size), never value-initialised again.
   coords.resize(static_cast<std::size_t>(frame.atom_count) * 3);
   ADA_RETURN_IF_ERROR(decode_intra(frame, payload, coords.data()));
+  ADA_OBS_COUNT("codec.decode.calls", 1);
+  ADA_OBS_COUNT("codec.decode.atoms", frame.atom_count);
+  ADA_OBS_COUNT("codec.decode.bytes_in", payload.size());
+  return Status::ok();
+}
+
+Status decompress_routed(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
+                         std::span<const ScatterRun> plan,
+                         std::span<std::uint8_t* const> records) {
+  const std::uint32_t routed = plan.empty() ? 0 : plan.back().end;
+  if (routed != frame.atom_count) {
+    return corrupt_data("frame has " + std::to_string(frame.atom_count) +
+                        " atoms, the scatter plan routes " + std::to_string(routed));
+  }
+  if (frame.atom_count == 0) return Status::ok();
+  if (!(frame.precision > 0.0f)) return corrupt_data("compressed frame has invalid precision");
+  ADA_RETURN_IF_ERROR(check_intra_header(frame, payload));
+  ADA_RETURN_IF_ERROR(decode_intra<float>(frame, payload, plan, records));
   ADA_OBS_COUNT("codec.decode.calls", 1);
   ADA_OBS_COUNT("codec.decode.atoms", frame.atom_count);
   ADA_OBS_COUNT("codec.decode.bytes_in", payload.size());

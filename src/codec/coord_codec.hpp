@@ -128,6 +128,27 @@ Result<std::vector<float>> decompress(const CompressedFrame& frame);
 Status decompress_into(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
                        std::vector<float>& coords);
 
+/// One run of a scatter plan (decompress_routed): the frame's atoms from the
+/// previous run's end (0 for the first run) up to `end` are stored as
+/// consecutive xyz float32 triplets, in host byte order, in
+/// records[target] from byte `offset` on.
+struct ScatterRun {
+  std::uint32_t end = 0;
+  std::uint32_t target = 0;
+  std::size_t offset = 0;
+};
+
+/// decompress_into() that scatters each run of `plan` to its record
+/// instead of filling one array, so a caller that splits frames by atom
+/// runs needs no whole-frame buffer.  The plan's ends ascend, its last run
+/// ends at the frame's atom count (else corrupt_data) and every target
+/// indexes `records`, whose sizes the caller guarantees.  The header,
+/// bounds, grid and payload_bits checks are decompress_into()'s, with its
+/// error codes.  On an error the records hold unspecified values.
+Status decompress_routed(const CompressedFrame& frame, std::span<const std::uint8_t> payload,
+                         std::span<const ScatterRun> plan,
+                         std::span<std::uint8_t* const> records);
+
 /// Compress one frame of a v2 stream.  Picks the cheapest predictor the
 /// context supports (intra when `ctx` is empty or mismatched) and rotates
 /// `ctx` so the next frame can predict from this one.  Call ctx.reset()

@@ -21,6 +21,7 @@ void encode_frame_header(std::uint8_t* out, std::uint32_t step, float time_ps,
   for (std::size_t i = 0; i < 9; ++i) {
     words[2 + i] = to_little_endian32(std::bit_cast<std::uint32_t>(box.matrix[i]));
   }
+  static_assert(sizeof(words) == kRawFrameHeaderBytes);
   std::memcpy(out, words, sizeof(words));
 }
 
@@ -83,10 +84,49 @@ std::vector<std::uint8_t> make_raw_image(std::uint32_t atom_count, std::uint32_t
   return image;
 }
 
+void encode_raw_frame_header(std::uint8_t* out, const FrameStamp& stamp) {
+  encode_frame_header(out, stamp.step, stamp.time_ps, stamp.box);
+}
+
+std::vector<codec::ScatterRun> raw_scatter_plan(std::span<const chem::Selection* const> groups) {
+  struct Piece {
+    chem::Run run;
+    std::uint32_t group;
+    std::uint32_t before;  // the group's atoms ahead of the run
+  };
+  std::vector<Piece> pieces;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::uint32_t before = 0;
+    for (const chem::Run& run : groups[g]->runs()) {
+      pieces.push_back(Piece{run, static_cast<std::uint32_t>(g), before});
+      before += run.size();
+    }
+  }
+  std::sort(pieces.begin(), pieces.end(),
+            [](const Piece& a, const Piece& b) { return a.run.begin < b.run.begin; });
+  std::vector<codec::ScatterRun> plan;
+  plan.reserve(pieces.size());
+  for (const Piece& piece : pieces) {
+    ADA_CHECK(piece.run.begin == (plan.empty() ? 0 : plan.back().end));
+    plan.push_back(codec::ScatterRun{piece.run.end, piece.group, raw_coords_offset(piece.before)});
+  }
+  return plan;
+}
+
+void encode_raw_coords(std::span<const codec::ScatterRun> plan, std::span<const float> full_coords,
+                       std::span<std::uint8_t* const> records) {
+  std::uint32_t begin = 0;
+  for (const codec::ScatterRun& run : plan) {
+    encode_floats(records[run.target] + run.offset,
+                  full_coords.subspan(std::size_t{3} * begin, std::size_t{3} * (run.end - begin)));
+    begin = run.end;
+  }
+}
+
 void encode_raw_frame(std::uint8_t* out, std::uint32_t step, float time_ps, const chem::Box& box,
                       std::span<const float> full_coords, const chem::Selection& selection) {
   encode_frame_header(out, step, time_ps, box);
-  out += 44;
+  out += kRawFrameHeaderBytes;
   for (const chem::Run& run : selection.runs()) {
     out = encode_floats(
         out, full_coords.subspan(std::size_t{3} * run.begin, std::size_t{3} * run.size()));
@@ -113,7 +153,7 @@ Status RawTrajWriter::add_frame(std::uint32_t step, float time_ps, const chem::B
   }
   std::uint8_t* out = append_frame();
   encode_frame_header(out, step, time_ps, box);
-  encode_floats(out + 44, coords);
+  encode_floats(out + kRawFrameHeaderBytes, coords);
   return Status::ok();
 }
 

@@ -14,6 +14,7 @@
 // builds, slices and reads RAW images only through the helpers below.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -25,10 +26,25 @@
 
 namespace ada::formats {
 
+/// Bytes of a frame record's header (step, time, box); the record's
+/// coordinates follow it.
+inline constexpr std::size_t kRawFrameHeaderBytes = 44;
+
+/// Byte offset, inside a frame record, of the coordinates of the record's
+/// atom `index`.
+constexpr std::size_t raw_coords_offset(std::uint32_t index) noexcept {
+  return kRawFrameHeaderBytes + std::size_t{12} * index;
+}
+
 /// Bytes per RAW frame for a given atom count.
 constexpr std::size_t raw_frame_bytes(std::uint32_t atom_count) noexcept {
-  return 44 + std::size_t{12} * atom_count;
+  return raw_coords_offset(atom_count);
 }
+
+/// True where a host float32 has the RAW layout's (little-endian) byte
+/// order: only there may a decoder store coordinates straight into frame
+/// records (codec::decompress_routed stores host floats).
+inline constexpr bool kRawFloatsNative = std::endian::native == std::endian::little;
 
 /// Total RAW file size for a given atom and frame count.
 constexpr std::size_t raw_file_bytes(std::uint32_t atom_count, std::uint64_t frames) noexcept {
@@ -59,6 +75,21 @@ void encode_raw_header(std::uint8_t* out, std::uint32_t atom_count, std::uint32_
 /// A RAW image of `frames` frames, header written and frame records zeroed,
 /// for filling frame f in place at raw_file_bytes(atom_count, f).
 std::vector<std::uint8_t> make_raw_image(std::uint32_t atom_count, std::uint32_t frames);
+
+/// Encode a frame record's header at `out` (kRawFrameHeaderBytes bytes).
+void encode_raw_frame_header(std::uint8_t* out, const FrameStamp& stamp);
+
+/// The scatter plan (codec::ScatterRun) that routes a frame's atoms into
+/// the frame records of `groups`, group g's record being records[g]: every
+/// group's runs in atom order, each with the byte offset of its first atom
+/// in its group's record.  The groups must partition the frame's atoms.
+std::vector<codec::ScatterRun> raw_scatter_plan(std::span<const chem::Selection* const> groups);
+
+/// Fill the coordinates of the frame records `records` from the full frame
+/// `full_coords` by `plan` (raw_scatter_plan): the gather of a frame that
+/// was decoded whole.  Headers are left as they are.
+void encode_raw_coords(std::span<const codec::ScatterRun> plan, std::span<const float> full_coords,
+                       std::span<std::uint8_t* const> records);
 
 /// Encode one RAW frame record at `out` (raw_frame_bytes(selection.count())
 /// bytes): the header, then `selection`'s atoms of the full frame

@@ -132,6 +132,18 @@ Result<bool> XtcReader::next(TrajFrame& out) {
   return true;
 }
 
+Result<bool> XtcReader::next_routed(FrameStamp& stamp, std::span<const codec::ScatterRun> plan,
+                                    std::span<std::uint8_t* const> records) {
+  if (pos_ == data_.size()) return false;
+  ADA_ASSIGN_OR_RETURN(const ParsedFrame frame, parse_frame(data_.subspan(pos_)));
+  if (frame.v2) return unsupported("a routed decode takes v1 frames only");
+  ctx_.reset();
+  ADA_RETURN_IF_ERROR(codec::decompress_routed(frame.coords, frame.payload, plan, records));
+  stamp = FrameStamp{frame.step, frame.time_ps, frame.box};
+  pos_ += frame.bytes;
+  return true;
+}
+
 void XtcReader::seek(std::size_t offset) {
   pos_ = offset;
   ctx_.reset();
@@ -219,6 +231,7 @@ Result<std::vector<XtcFrameExtent>> scan_xtc_extents(std::span<const std::uint8_
     extent.size = size;
     extent.atom_count = load_u32_be(data.data() + pos + 4);
     extent.intra = intra;
+    extent.v2 = codec_magic == kAda3dV2Magic;
     extents.push_back(extent);
     pos += size;
   }

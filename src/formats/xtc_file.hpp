@@ -35,11 +35,15 @@ constexpr std::uint32_t kAda3dMagic = 0xada3;
 /// Coordinate-block magic of the v2 (temporal-prediction) codec variant.
 constexpr std::uint32_t kAda3dV2Magic = 0xada4;
 
-/// One decoded trajectory frame.
-struct TrajFrame {
+/// A frame's metadata: everything but its coordinates.
+struct FrameStamp {
   std::uint32_t step = 0;
   float time_ps = 0.0f;
   chem::Box box;
+};
+
+/// One decoded trajectory frame.
+struct TrajFrame : FrameStamp {
   std::vector<float> coords;  // xyz triplets, nm
 
   std::uint32_t atom_count() const noexcept { return static_cast<std::uint32_t>(coords.size() / 3); }
@@ -96,6 +100,14 @@ class XtcReader {
   /// cleanly at end of stream.
   Result<bool> next(TrajFrame& frame);
 
+  /// Decode the next frame, which must be a v1 frame, with its coordinates
+  /// scattered per `plan` into `records` (codec::decompress_routed) rather
+  /// than into a coordinate buffer; `stamp` receives its step, time and box.
+  /// A v2 frame is unsupported: its decode needs the grid context.  False
+  /// cleanly at end of stream.
+  Result<bool> next_routed(FrameStamp& stamp, std::span<const codec::ScatterRun> plan,
+                           std::span<std::uint8_t* const> records);
+
   /// Skip the next frame without decompressing (index/seek support);
   /// returns false cleanly at end of stream.  Skipping drops the v2
   /// prediction context, so the next decoded frame must be a keyframe.
@@ -135,6 +147,7 @@ struct XtcFrameExtent {
   std::size_t size = 0;          // encoded bytes: prelude + padded payload
   std::uint32_t atom_count = 0;  // from the frame header
   bool intra = true;             // self-contained decode entry point (always true for v1)
+  bool v2 = false;               // a codec v2 coordinate block, keyframe or predicted
 };
 
 /// Walk the XDR frame headers of an XTC image and return every frame's

@@ -18,6 +18,7 @@
 #include "formats/xtc_file.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -317,8 +318,7 @@ TEST(PolicyTest, SingleBackend) {
 class AdaMiddlewareTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_mw_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = test::unique_temp_dir("ada_mw_test");
     fs::remove_all(root_);
     AdaConfig config;
     config.placement = PlacementPolicy::active_on_ssd(0, 1);

@@ -31,6 +31,7 @@
 #include "plfs/fsck.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -121,8 +122,7 @@ class ChaosPipelineTest : public testing::Test {
  protected:
   void SetUp() override {
     fault::Injector::global().disarm_all();
-    root_ = testing::TempDir() + "/ada_chaos_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = test::unique_temp_dir("ada_chaos");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
     xtc_ = make_xtc(system_, 3);

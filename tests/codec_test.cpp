@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "codec/bitstream.hpp"
+#include "chem/selection.hpp"
 #include "codec/coord_codec.hpp"
 #include "common/binary_io.hpp"
 #include "common/rng.hpp"
@@ -763,6 +764,148 @@ TEST(CodecDifferentialTest, EncoderOutputMatchesReference) {
     ASSERT_TRUE(got.is_ok());
     expect_same_floats(got.value(), *want, compressed.precision);
   }
+}
+
+// --- routed decode ---------------------------------------------------------------
+//
+// decompress_routed scatters a v1 frame's atom runs straight into per-group
+// RAW frame records.  It must store exactly what decompress_into followed
+// by formats::encode_raw_frame stores, and reject what decompress_into
+// rejects, with the same error code.
+
+/// A partition of a frame's atoms into groups, its scatter plan and one RAW
+/// frame record per group.
+struct RoutedFrame {
+  std::vector<chem::Selection> groups;
+  std::vector<ScatterRun> plan;
+  std::vector<std::vector<std::uint8_t>> records;
+  std::vector<std::uint8_t*> pointers;
+};
+
+/// `atoms` atoms dealt to `group_count` groups in runs of 1..max_run atoms,
+/// so groups interleave (max_run 1: every run is a single atom).  Group
+/// `empty_group` gets no atom when it is a group and another one exists.
+RoutedFrame random_routing(Rng& rng, std::uint32_t atoms, std::uint32_t group_count,
+                           std::uint32_t max_run, std::uint32_t empty_group = ~0u) {
+  RoutedFrame out;
+  out.groups.resize(group_count);
+  const bool skip = empty_group < group_count && group_count > 1;
+  for (std::uint32_t begin = 0; begin < atoms;) {
+    const auto end =
+        std::min<std::uint32_t>(atoms, begin + 1 + static_cast<std::uint32_t>(rng.uniform_index(max_run)));
+    auto g = static_cast<std::uint32_t>(rng.uniform_index(group_count));
+    if (skip && g == empty_group) g = (g + 1) % group_count;
+    out.groups[g].add_run(chem::Run{begin, end});
+    begin = end;
+  }
+  std::vector<const chem::Selection*> groups;
+  for (const chem::Selection& group : out.groups) {
+    groups.push_back(&group);
+    out.records.emplace_back(
+        formats::raw_frame_bytes(static_cast<std::uint32_t>(group.count())));
+  }
+  out.plan = formats::raw_scatter_plan(groups);
+  for (auto& record : out.records) out.pointers.push_back(record.data());
+  return out;
+}
+
+/// `f` decoded routed and through decompress_into + encode_raw_frame: the
+/// same outcome, error code and record bytes.  Returns whether accepted.
+bool check_routed(const CompressedFrame& f, RoutedFrame& routed) {
+  const formats::FrameStamp stamp{17, 2.5f, chem::Box::orthorhombic(3, 4, 5)};
+  std::vector<float> coords;
+  const Status whole = decompress_into(f, f.payload, coords);
+  const Status scattered = decompress_routed(f, f.payload, routed.plan, routed.pointers);
+  EXPECT_EQ(scattered.is_ok(), whole.is_ok()) << describe(f);
+  if (!whole.is_ok() || !scattered.is_ok()) {
+    if (!whole.is_ok() && !scattered.is_ok()) {
+      EXPECT_EQ(scattered.error().code(), whole.error().code())
+          << describe(f) << ": " << scattered.error().to_string();
+    }
+    return false;
+  }
+  for (std::size_t g = 0; g < routed.groups.size(); ++g) {
+    std::vector<std::uint8_t> want(routed.records[g].size());
+    formats::encode_raw_frame(want.data(), stamp.step, stamp.time_ps, stamp.box, coords,
+                              routed.groups[g]);
+    formats::encode_raw_frame_header(routed.records[g].data(), stamp);
+    EXPECT_TRUE(routed.records[g] == want) << "group " << g << ": " << describe(f);
+  }
+  return true;
+}
+
+TEST(CodecRoutedTest, RandomPlansMatchDecompressIntoAndEncodeRawFrame) {
+  Rng rng(4501);
+  for (const std::uint32_t atoms : {1u, 2u, 3u, 17u, 64u, 500u, 1000u}) {
+    for (int rep = 0; rep < 12; ++rep) {
+      const auto coords = random_cluster_coords(rng, atoms, 6.0f, rep % 3 == 0 ? 3.0f : 0.2f);
+      const CompressedFrame f = compress(coords, {}).value();
+      const auto group_count = static_cast<std::uint32_t>(1 + rep % 4);
+      const std::uint32_t max_run = rep % 3 == 0 ? 1u : rep % 3 == 1 ? 8u : atoms;
+      const std::uint32_t empty_group = rep % 2 == 0 ? group_count - 1 : ~0u;
+      RoutedFrame routed = random_routing(rng, atoms, group_count, max_run, empty_group);
+      SCOPED_TRACE(testing::Message() << atoms << " atoms, " << group_count << " groups, "
+                                      << routed.plan.size() << " runs");
+      EXPECT_TRUE(check_routed(f, routed));
+    }
+  }
+}
+
+TEST(CodecRoutedTest, HostileFramesFailAsTheScratchPathDoes) {
+  // The differential suite's random frames: accepted ones route to the
+  // same bytes; truncated payloads, lying payload_bits and off-grid
+  // coordinates fail with decompress_into's error code.
+  Rng rng(4502);
+  int accepted = 0;
+  int rejected = 0;
+  const auto visit = [&](const CompressedFrame& f, std::uint32_t max_run) {
+    RoutedFrame routed = random_routing(rng, f.atom_count, 3, max_run, 1);
+    (check_routed(f, routed) ? accepted : rejected) += 1;
+  };
+  for (std::uint32_t atoms = 1; atoms <= 48; ++atoms) {
+    for (int rep = 0; rep < 6; ++rep) {
+      const auto k = static_cast<unsigned>(rng.uniform_index(32));
+      const std::array<unsigned, 3> widths = {static_cast<unsigned>(rng.uniform_index(33)),
+                                              static_cast<unsigned>(rng.uniform_index(33)),
+                                              static_cast<unsigned>(rng.uniform_index(33))};
+      const BuiltFrame built = random_intra_frame(rng, atoms, k, widths);
+      const CompressedFrame& f = built.frame;
+      const std::uint32_t max_run = rep % 2 == 0 ? 1u : atoms;
+      visit(f, max_run);
+      if (reference_intra(f).has_value() && atoms >= 2) {
+        const std::uint64_t from = built.record_starts[built.record_starts.size() - 1];
+        for (std::uint64_t cut = from; cut < f.payload_bits; ++cut) {
+          CompressedFrame cut_frame = f;
+          cut_frame.payload.resize(static_cast<std::size_t>((cut + 7) / 8));
+          cut_frame.payload_bits = cut;
+          visit(cut_frame, max_run);
+        }
+        for (const std::uint64_t lie : {f.payload_bits + 1, f.payload_bits - 1,
+                                        std::uint64_t{1} << 40}) {
+          CompressedFrame lying = f;
+          lying.payload_bits = lie;
+          visit(lying, max_run);
+        }
+      }
+      CompressedFrame off_grid = f;
+      off_grid.min_quantum[rep % 3] = static_cast<std::int32_t>(kGrid - 1);
+      off_grid.min_quantum[(rep + 1) % 3] = static_cast<std::int32_t>(kGrid / 2);
+      visit(off_grid, max_run);
+    }
+  }
+  EXPECT_GT(accepted, 50);
+  EXPECT_GT(rejected, 300);
+}
+
+TEST(CodecRoutedTest, PlanMustRouteEveryAtomOfTheFrame) {
+  Rng rng(4503);
+  const CompressedFrame f = compress(random_cluster_coords(rng, 10, 6.0f, 0.2f), {}).value();
+  RoutedFrame short_plan = random_routing(rng, 9, 2, 4);
+  const Status status = decompress_routed(f, f.payload, short_plan.plan, short_plan.pointers);
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_EQ(status.error().code(), ErrorCode::kCorruptData);
+  // An empty frame routes nothing: an empty plan, no record touched.
+  EXPECT_TRUE(decompress_routed(compress({}, {}).value(), {}, {}, {}).is_ok());
 }
 
 // --- golden vectors ------------------------------------------------------------

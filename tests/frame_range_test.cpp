@@ -36,6 +36,7 @@
 #include "plfs/fsck.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -62,8 +63,7 @@ std::vector<std::uint8_t> reference_slice(const std::vector<std::uint8_t>& full,
 class FrameRangeTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_range_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = test::unique_temp_dir("ada_range");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   }

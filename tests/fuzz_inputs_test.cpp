@@ -27,6 +27,7 @@
 #include "vmd/select.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada {
 namespace {
@@ -416,7 +417,7 @@ TEST(FuzzTest, TornStreamIndexSuffixesDecodeToAPrefixOrFail) {
 
 TEST(FuzzTest, MutatedFrameSpansNeverCrashRangeQueries) {
   namespace fs = std::filesystem;
-  const std::string root = testing::TempDir() + "/ada_fuzz_spans";
+  const std::string root = test::unique_temp_dir("ada_fuzz_spans");
   fs::remove_all(root);
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   core::AdaConfig config;

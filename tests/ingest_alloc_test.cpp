@@ -12,6 +12,8 @@
 // any thread other than the test's own, which here are the pool workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -25,7 +27,9 @@
 #include "ada/middleware.hpp"
 #include "ada/preprocessor.hpp"
 #include "common/parallel.hpp"
+#include "formats/raw_traj.hpp"
 #include "formats/xtc_file.hpp"
+#include "test_util.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
 
@@ -35,9 +39,20 @@ std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_other_thread_allocs{0};
 thread_local bool t_test_thread = false;
 
+// Allocations of at least g_large_bytes on any thread while counting: how
+// many, and the sizes of the first kLargeKept.
+constexpr std::size_t kLargeKept = 64;
+std::atomic<std::size_t> g_large_bytes{~std::size_t{0}};
+std::atomic<std::size_t> g_large_count{0};
+std::array<std::atomic<std::size_t>, kLargeKept> g_large_sizes{};
+
 void* counted_alloc(std::size_t size, std::size_t align) {
-  if (g_counting.load(std::memory_order_relaxed) && !t_test_thread) {
-    g_other_thread_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (g_counting.load(std::memory_order_relaxed)) {
+    if (!t_test_thread) g_other_thread_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (size >= g_large_bytes.load(std::memory_order_relaxed)) {
+      const std::size_t at = g_large_count.fetch_add(1, std::memory_order_relaxed);
+      if (at < kLargeKept) g_large_sizes[at].store(size, std::memory_order_relaxed);
+    }
   }
   if (size == 0) size = 1;
   void* p = align > alignof(std::max_align_t)
@@ -55,6 +70,20 @@ std::uint64_t other_thread_allocs(const std::function<void()>& fn) {
   fn();
   g_counting.store(false);
   return g_other_thread_allocs.load();
+}
+
+/// Sizes of the allocations of at least `bytes` bytes, made on any thread
+/// while `fn` runs on this one.
+std::vector<std::size_t> large_allocs(std::size_t bytes, const std::function<void()>& fn) {
+  g_large_count.store(0);
+  g_large_bytes.store(bytes);
+  other_thread_allocs(fn);
+  g_large_bytes.store(~std::size_t{0});
+  std::vector<std::size_t> sizes;
+  for (std::size_t i = 0; i < std::min(g_large_count.load(), kLargeKept); ++i) {
+    sizes.push_back(g_large_sizes[i].load());
+  }
+  return sizes;
 }
 
 }  // namespace
@@ -100,9 +129,10 @@ TEST(ParallelIngestAllocTest, CounterSeesPoolWorkerAllocations) {
 }
 
 /// Eight frames of the paper-size system.
-std::vector<std::uint8_t> paper_xtc(const chem::System& system) {
+std::vector<std::uint8_t> paper_xtc(const chem::System& system,
+                                    codec::CodecVersion version = codec::CodecVersion::kV1) {
   workload::TrajectoryGenerator gen(system, workload::DynamicsSpec{});
-  formats::XtcWriter writer;
+  formats::XtcWriter writer({}, version);
   for (int f = 0; f < 8; ++f) {
     const std::uint32_t step = gen.current_step();
     const float time_ps = gen.current_time_ps();
@@ -132,7 +162,7 @@ TEST(ParallelIngestAllocTest, IngestAtBudgetFourAllocatesNothingOnPoolWorkers) {
   // The whole pipelined Ada::ingest: the workers decode, encode, checksum
   // and pwrite every record into the droppings without one allocation.
   namespace fs = std::filesystem;
-  const std::string root = testing::TempDir() + "/ada_ingest_alloc";
+  const std::string root = test::unique_temp_dir("ada_ingest_alloc");
   fs::remove_all(root);
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::paper_default()).build();
   const auto xtc = paper_xtc(system);
@@ -151,6 +181,49 @@ TEST(ParallelIngestAllocTest, IngestAtBudgetFourAllocatesNothingOnPoolWorkers) {
     EXPECT_EQ(allocs, 0u) << "round " << round;
     for (const auto& [tag, image] : serial) {
       EXPECT_EQ(ada.query(name, tag).value(), image) << "round " << round << ", tag " << tag;
+    }
+  }
+  fs::remove_all(root);
+}
+
+TEST(ParallelIngestAllocTest, V1IngestAtBudgetFourAllocatesNoWholeFrame) {
+  // A v1 frame decodes straight into its per-tag records, so no thread
+  // allocates 3 x atom_count floats or more but the slots' staging, one
+  // frame's records for every tag per slot.  The v2 ingest is the control:
+  // its predicted frames decode through a scratch frame per slot, and the
+  // counter must see one.
+  namespace fs = std::filesystem;
+  const std::string root = test::unique_temp_dir("ada_ingest_whole_frame");
+  fs::remove_all(root);
+  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::paper_default()).build();
+  const LabelMap labels = categorize_protein_misc(system);
+  std::size_t frame_records_bytes = 0;
+  for (const auto& [tag, selection] : labels.groups) {
+    frame_records_bytes += formats::raw_frame_bytes(static_cast<std::uint32_t>(selection.count()));
+  }
+  const std::size_t whole_frame_bytes = std::size_t{3} * system.atom_count() * sizeof(float);
+  AdaConfig config;
+  config.placement = PlacementPolicy::active_on_ssd(0, 1);
+  config.threads = 4;
+  Ada ada(plfs::PlfsMount::open({{"ssd", root + "/ssd"}, {"hdd", root + "/hdd"}}).value(),
+          config);
+
+  for (const auto version : {codec::CodecVersion::kV1, codec::CodecVersion::kV2}) {
+    const auto xtc = paper_xtc(system, version);
+    const std::string name = "v" + std::to_string(static_cast<int>(version)) + ".xtc";
+    Result<IngestReport> report = internal_error("not run");
+    const auto sizes =
+        large_allocs(whole_frame_bytes, [&] { report = ada.ingest_with_labels(labels, xtc, name); });
+    ASSERT_TRUE(report.is_ok()) << report.error().to_string();
+    ASSERT_FALSE(sizes.empty()) << "the staging is at least one frame's records";
+    const auto scratch_frames = std::count(sizes.begin(), sizes.end(), whole_frame_bytes);
+    if (version == codec::CodecVersion::kV1) {
+      for (const std::size_t size : sizes) {
+        EXPECT_EQ(size % frame_records_bytes, 0u)
+            << size << " bytes: neither staging nor below 3 x atom_count floats";
+      }
+    } else {
+      EXPECT_GE(scratch_frames, 1) << "the control must see the v2 scratch frames";
     }
   }
   fs::remove_all(root);

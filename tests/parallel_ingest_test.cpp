@@ -30,6 +30,7 @@
 #include "formats/xtc_file.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -103,7 +104,7 @@ std::map<std::string, std::vector<std::uint8_t>> container_files(const plfs::Plf
 }
 
 TEST(ParallelIngestTest, PipelinedIngestStoresTheContainerOfSplitThenDispatch) {
-  const std::string root = testing::TempDir() + "/ada_pipelined_differential";
+  const std::string root = test::unique_temp_dir("ada_pipelined_differential");
   fs::remove_all(root);
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   const LabelMap labels = categorize_protein_misc(system);
@@ -231,7 +232,7 @@ TEST(ParallelIngestTest, DefaultBudgetByteIdenticalToSerial) {
   // AdaConfig{} follows the pool; its ingest must store exactly what the
   // paper's serial decode (threads = 1) stores, for empty, single-frame,
   // odd and more-frames-than-workers images.
-  const std::string root = testing::TempDir() + "/ada_parallel_default";
+  const std::string root = test::unique_temp_dir("ada_parallel_default");
   fs::remove_all(root);
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   const unsigned workers = ThreadPool::shared().worker_count();
@@ -269,7 +270,7 @@ TEST(ParallelIngestTest, BatchIngestNestsFrameRangesUnderFileTasks) {
   // split fans its frame ranges out to the same pool: the nested batches
   // must neither deadlock nor race (run under -DADA_SANITIZE=thread) and
   // must store the serial bytes.
-  const std::string root = testing::TempDir() + "/ada_parallel_nested";
+  const std::string root = test::unique_temp_dir("ada_parallel_nested");
   fs::remove_all(root);
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   AdaConfig config;
@@ -329,7 +330,7 @@ TEST(ParallelIngestTest, StreamedIngestByteIdenticalAcrossThreadCounts) {
   // A stream splits each frame on the producer's thread whatever the
   // budget: every tag's chunked byte stream is the same under any
   // AdaConfig::threads.
-  const std::string root = testing::TempDir() + "/ada_parallel_stream";
+  const std::string root = test::unique_temp_dir("ada_parallel_stream");
   fs::remove_all(root);
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   const auto labels = categorize_protein_misc(system);

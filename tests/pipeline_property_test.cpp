@@ -15,6 +15,7 @@
 #include "platform/platform.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::platform {
 namespace {
@@ -167,7 +168,7 @@ namespace {
 // flush path maintains (stream.frames / stream.chunks).
 TEST(StreamChunkPropertyTest, FlushCountersBracketFrameCount) {
   namespace fs = std::filesystem;
-  const std::string root = testing::TempDir() + "/ada_stream_prop";
+  const std::string root = test::unique_temp_dir("ada_stream_prop");
   fs::remove_all(root);
   const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   const auto labels = categorize_protein_misc(system);

@@ -16,6 +16,7 @@
 #include "plfs/container.hpp"
 #include "plfs/fsck.hpp"
 #include "plfs/plfs.hpp"
+#include "test_util.hpp"
 
 namespace ada::plfs {
 namespace {
@@ -229,8 +230,7 @@ TEST(IndexCodecTest, V2TruncationsFailCleanly) {
 class PlfsMountTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/plfs_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = test::unique_temp_dir("plfs_test");
     fs::remove_all(root_);
     mount_ = std::make_unique<PlfsMount>(
         PlfsMount::open({{"ssd-fs", root_ + "/mnt1"}, {"hdd-fs", root_ + "/mnt2"}}).value());

@@ -31,6 +31,7 @@
 #include "plfs/fsck.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -171,8 +172,7 @@ TEST(QueryCacheTest, ConcurrentReadersVsEvictionAndInvalidation) {
 class QueryCachePipelineTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_qcache_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = test::unique_temp_dir("ada_qcache");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
     obs::reset_all();

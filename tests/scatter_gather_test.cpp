@@ -12,7 +12,6 @@
 #include <fstream>
 #include <thread>
 
-#include <unistd.h>
 
 #include "ada/indexer.hpp"
 #include "ada/ingest_stream.hpp"
@@ -31,6 +30,7 @@
 #include "storage/device.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -84,10 +84,7 @@ class ScatterGatherTest : public testing::Test {
   static constexpr std::uint32_t kFrames = 17;  // chunks of 3: extents 3,3,3,3,3,2
 
   void SetUp() override {
-    // The pid keeps concurrent test processes apart where heap addresses
-    // repeat across processes (sanitizer builds).
-    root_ = testing::TempDir() + "/ada_sg_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = test::unique_temp_dir("ada_sg_test");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
     serial_ = open_ada(/*read_threads=*/1, /*queue_depth=*/4, /*cache_bytes=*/0);
@@ -284,10 +281,7 @@ class PieceReadTest : public testing::Test {
 
   void SetUp() override {
     fault::Injector::global().disarm_all();
-    // The pid keeps concurrent test processes apart where heap addresses
-    // repeat across processes (sanitizer builds).
-    root_ = testing::TempDir() + "/ada_piece_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = test::unique_temp_dir("ada_piece_test");
     fs::remove_all(root_);
     mount_ = std::make_unique<plfs::PlfsMount>(
         plfs::PlfsMount::open({{"ssd", root_ + "/ssd"}, {"hdd", root_ + "/hdd"}}).value());

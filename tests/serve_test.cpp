@@ -35,6 +35,7 @@
 #include "serve/spool.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::serve {
 namespace {
@@ -250,8 +251,7 @@ class ServeTest : public testing::Test {
   static constexpr std::uint32_t kFrames = 17;  // chunks of 3: extents 3,3,3,3,3,2
 
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_serve_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = test::unique_temp_dir("ada_serve_test");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
     serial_ = open_ada(/*read_threads=*/1, /*queue_depth=*/4, /*cache_bytes=*/0);

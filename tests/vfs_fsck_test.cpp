@@ -17,6 +17,7 @@
 #include "plfs/fsck.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -26,8 +27,7 @@ namespace fs = std::filesystem;
 class VfsFsckTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_vfs_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = test::unique_temp_dir("ada_vfs_test");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
 

@@ -3,6 +3,7 @@
 // corruption fuzzing of the decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -124,6 +125,95 @@ TEST(RawFuzzTest, HeaderCorruptionRejected) {
     // participate in the size check).
     EXPECT_FALSE(RawTrajReader::open(corrupted).is_ok()) << "byte " << byte;
   }
+}
+
+/// `atoms` atoms dealt to three groups in runs of 1..5 atoms; the third
+/// group stays empty.
+std::vector<chem::Selection> interleaved_groups(Rng& rng, std::uint32_t atoms) {
+  std::vector<chem::Selection> groups(3);
+  for (std::uint32_t begin = 0; begin < atoms;) {
+    const auto end =
+        std::min<std::uint32_t>(atoms, begin + 1 + static_cast<std::uint32_t>(rng.uniform_index(5)));
+    groups[rng.uniform_index(2)].add_run(chem::Run{begin, end});
+    begin = end;
+  }
+  return groups;
+}
+
+TEST(XtcRoutedTest, RoutedReaderMatchesWholeFrameDecode) {
+  // Over v1 images: next_routed stores in each group's record what next()
+  // followed by encode_raw_frame stores, and walks the same frame bounds.
+  Rng rng(5150);
+  for (const std::uint32_t atoms : {1u, 7u, 64u, 1000u}) {
+    XtcWriter writer;
+    for (std::uint32_t f = 0; f < 4; ++f) {
+      ASSERT_TRUE(writer
+                      .add_frame(10 * f, 0.5f * static_cast<float>(f),
+                                 chem::Box::orthorhombic(8, 8, 8),
+                                 random_molecule_frame(rng, atoms, 0.12f))
+                      .is_ok());
+    }
+    const auto groups = interleaved_groups(rng, atoms);
+    std::vector<const chem::Selection*> group_ptrs;
+    std::vector<std::vector<std::uint8_t>> records;
+    for (const chem::Selection& group : groups) {
+      group_ptrs.push_back(&group);
+      records.emplace_back(raw_frame_bytes(static_cast<std::uint32_t>(group.count())));
+    }
+    const auto plan = raw_scatter_plan(group_ptrs);
+    std::vector<std::uint8_t*> pointers;
+    for (auto& record : records) pointers.push_back(record.data());
+
+    XtcReader whole(writer.bytes());
+    XtcReader routed(writer.bytes());
+    TrajFrame frame;
+    FrameStamp stamp;
+    for (std::uint32_t f = 0; f < 4; ++f) {
+      ASSERT_TRUE(whole.next(frame).value());
+      ASSERT_TRUE(routed.next_routed(stamp, plan, pointers).value());
+      EXPECT_EQ(routed.position(), whole.position());
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        std::vector<std::uint8_t> want(records[g].size());
+        encode_raw_frame(want.data(), frame.step, frame.time_ps, frame.box, frame.coords,
+                         groups[g]);
+        encode_raw_frame_header(records[g].data(), stamp);
+        EXPECT_TRUE(records[g] == want) << atoms << " atoms, frame " << f << ", group " << g;
+      }
+    }
+    EXPECT_FALSE(routed.next_routed(stamp, plan, pointers).value());
+  }
+}
+
+TEST(XtcRoutedTest, V2ImagesTakeTheScratchPath) {
+  // The scan marks every v2 frame, keyframes included, and no v1 frame: a
+  // decoder knows before the first frame whether it may route.  A routed
+  // read of a v2 frame is refused without moving the reader.
+  Rng rng(5151);
+  XtcWriter v1;
+  XtcWriter v2({}, codec::CodecVersion::kV2, 2);
+  for (std::uint32_t f = 0; f < 5; ++f) {
+    const auto coords = random_molecule_frame(rng, 50, 0.05f);
+    ASSERT_TRUE(v1.add_frame(f, 0.0f, chem::Box::orthorhombic(8, 8, 8), coords).is_ok());
+    ASSERT_TRUE(v2.add_frame(f, 0.0f, chem::Box::orthorhombic(8, 8, 8), coords).is_ok());
+  }
+  const auto v1_extents = scan_xtc_extents(v1.bytes()).value();
+  for (const XtcFrameExtent& extent : v1_extents) EXPECT_FALSE(extent.v2);
+  const auto extents = scan_xtc_extents(v2.bytes()).value();
+  ASSERT_EQ(extents.size(), 5u);
+  for (const XtcFrameExtent& extent : extents) EXPECT_TRUE(extent.v2);
+  EXPECT_TRUE(extents[0].intra);
+
+  const chem::Selection all = chem::Selection::all(50);
+  const chem::Selection* group = &all;
+  const auto plan = raw_scatter_plan(std::span(&group, 1));
+  std::vector<std::uint8_t> record(raw_frame_bytes(50));
+  std::uint8_t* const pointer = record.data();
+  XtcReader reader(v2.bytes());
+  FrameStamp stamp;
+  const auto result = reader.next_routed(stamp, plan, std::span(&pointer, 1));
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.error().code(), ErrorCode::kUnsupported);
+  EXPECT_EQ(reader.position(), 0u);
 }
 
 }  // namespace

@@ -81,6 +81,37 @@ echo "$REPORT" | grep -q 'critical path' || {
     exit 1
 }
 
+echo "== ingest thread smoke: v1 and v2 containers byte-identical at --threads 1, default, 4 =="
+# A v1 image decodes straight into the per-tag records, a v2 image through a
+# scratch frame; either way every dropping and the index must come out the
+# same at every thread count.
+for codec in v1 v2; do
+    "$BUILD_DIR/tools/ada-gen" --out "$WORK/gen_$codec" --size tiny --frames 24 \
+        --codec "$codec" >/dev/null
+    for threads in 1 default 4; do
+        threads_flag=()
+        [ "$threads" = default ] || threads_flag=(--threads "$threads")
+        "$BUILD_DIR/tools/ada-ingest" --pdb "$WORK/gen_$codec/system.pdb" \
+            --xtc "$WORK/gen_$codec/traj.xtc" --ssd "$WORK/threads_${codec}_$threads/ssd" \
+            --hdd "$WORK/threads_${codec}_$threads/hdd" --name traj.xtc \
+            "${threads_flag[@]}" >/dev/null
+    done
+    SERIAL_FILES="$(cd "$WORK/threads_${codec}_1" && find . -type f | sort)"
+    [ -n "$SERIAL_FILES" ] || { echo "FAIL: the $codec ingest stored no files" >&2; exit 1; }
+    for threads in default 4; do
+        [ "$(cd "$WORK/threads_${codec}_$threads" && find . -type f | sort)" = "$SERIAL_FILES" ] || {
+            echo "FAIL: $codec ingest at --threads $threads stored other files than --threads 1" >&2
+            exit 1
+        }
+        for file in $SERIAL_FILES; do
+            cmp "$WORK/threads_${codec}_1/$file" "$WORK/threads_${codec}_$threads/$file" || {
+                echo "FAIL: $codec ingest at --threads $threads differs in $file" >&2
+                exit 1
+            }
+        done
+    done
+done
+
 echo "== cache differential smoke: --cache serves byte-identical subsets =="
 # Same query with the subset cache armed (64 MiB): the output file must be
 # byte-identical to the uncached read above.
