@@ -4,8 +4,8 @@
 #include <numeric>
 
 #include "ada/label_store.hpp"
-#include "common/parallel.hpp"
 #include "common/strings.hpp"
+#include "common/thread_pool.hpp"
 #include "formats/raw_traj.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -143,16 +143,13 @@ std::vector<Result<IngestReport>> Ada::ingest_batch(const chem::System& structur
     }
   }
 
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(phases.size());
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    tasks.push_back([this, &labels, &phases, &results, i] {
-      // Each task touches only its own container directory; the mount's
-      // file operations on distinct containers are independent.
-      results[i] = ingest_with_labels(labels, phases[i].xtc_image, phases[i].logical_name);
-    });
-  }
-  parallel_run(std::move(tasks), threads != 0 ? threads : config_.threads);
+  // Each job touches only its own container directory; the mount's file
+  // operations on distinct containers are independent.
+  ThreadPool::shared().run(phases.size(), threads != 0 ? threads : config_.threads,
+                           [&](std::size_t i) {
+                             results[i] = ingest_with_labels(labels, phases[i].xtc_image,
+                                                             phases[i].logical_name);
+                           });
   return results;
 }
 

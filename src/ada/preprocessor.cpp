@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 
-#include "common/parallel.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "formats/raw_traj.hpp"
@@ -17,10 +15,11 @@ namespace ada::core {
 namespace {
 
 /// First frame of every range the split decodes.  One range when the
-/// budget is one; otherwise more ranges than workers so stealing can
-/// rebalance frames whose coordinate blocks decode unevenly.  Ranges may
-/// only begin at self-contained frames (any v1 frame, or a v2 keyframe): a
-/// predicted frame can't be the first one a worker decodes.
+/// budget is one; otherwise more ranges than workers, claimed one at a
+/// time from a shared counter, so frames whose coordinate blocks decode
+/// unevenly still spread over the slots.  Ranges may only begin at
+/// self-contained frames (any v1 frame, or a v2 keyframe): a predicted
+/// frame can't be the first one a worker decodes.
 std::vector<std::uint32_t> range_starts(std::span<const formats::XtcFrameExtent> extents,
                                         unsigned budget) {
   const auto frames = static_cast<std::uint32_t>(extents.size());
@@ -189,26 +188,23 @@ Status DataPreProcessor::decode(std::span<const std::uint8_t> xtc_image, FrameSi
     ADA_RETURN_IF_ERROR(decode_range(0, 0));
     decompress_seconds = slots.front().decode_seconds;
   } else if (slots.size() > 1) {
-    // One pool task per slot, claiming ranges in frame order.  After a
-    // failure none are claimed, but every lower range already was: the
-    // first failure in frame order wins, as in a serial decode.
+    // One pool job per slot, each claiming ranges in frame order from one
+    // shared counter.  After a failure none are claimed, but every lower
+    // range already was: the first failure in frame order wins, as in a
+    // serial decode.
     const Stopwatch fan_out;
     std::vector<Status> statuses(starts.size());
     std::atomic<std::size_t> next_range{0};
     std::atomic<bool> failed{false};
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t slot_index = 0; slot_index < slots.size(); ++slot_index) {
-      tasks.push_back([&, slot_index] {
-        while (!failed.load()) {
-          const std::size_t range = next_range++;
-          if (range >= starts.size()) return;
-          const obs::Span range_span("split_range");
-          statuses[range] = decode_range(range, slot_index);
-          if (!statuses[range].is_ok()) failed = true;
-        }
-      });
-    }
-    parallel_run(std::move(tasks), budget);
+    ThreadPool::shared().run(slots.size(), budget, [&](std::size_t slot_index) {
+      while (!failed.load()) {
+        const std::size_t range = next_range++;
+        if (range >= starts.size()) return;
+        const obs::Span range_span("split_range");
+        statuses[range] = decode_range(range, slot_index);
+        if (!statuses[range].is_ok()) failed = true;
+      }
+    });
     decompress_seconds = fan_out.elapsed_seconds();
     for (const Status& status : statuses) ADA_RETURN_IF_ERROR(status);
   }

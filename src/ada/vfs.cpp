@@ -88,9 +88,9 @@ Result<std::vector<std::uint8_t>> VfsShim::read(const std::string& path,
     ADA_ASSIGN_OR_RETURN(const auto tags, ada_->tags(logical));
     // Per-tag queries run as one batch under the read_threads budget (0:
     // the shared pool; 1: inline, in tag order; N: N in flight), each query
-    // keeping its own piece-level budget -- nested run_batch is deadlock-free
-    // because the caller participates -- then concatenate in tag order.  The
-    // first failure in tag order is the error.
+    // keeping its own piece-level budget -- nested pool batches cannot
+    // deadlock because every caller drains its own batch -- then concatenate
+    // in tag order.  The first failure in tag order is the error.
     std::vector<Result<std::vector<std::uint8_t>>> subsets(
         tags.size(), Result<std::vector<std::uint8_t>>(internal_error("not executed")));
     std::vector<std::size_t> order(tags.size());

@@ -1,35 +1,26 @@
-// Persistent work-stealing thread pool for the ingest hot path.
+// Persistent thread pool for the ingest and read hot paths.
 //
-// parallel_run used to spawn fresh std::threads for every batch; at frame
-// granularity that tax dominates the work.  ThreadPool keeps one set of
-// workers alive for the life of the process (ThreadPool::shared()), gives
-// each worker its own deque, and lets idle workers steal from the back of
-// their siblings' deques, so uneven frame ranges rebalance without a global
-// queue bottleneck.
+// One primitive: run(count, max_parallelism, job) calls job(i) for every i
+// in [0, count).  The batch lives in run()'s stack frame (an atomic next
+// index, a helper cap, a joined-helper count, the caller's TraceContext, a
+// non-allocating reference to `job`) and sits in the pool's list of open
+// batches while its caller drains it.  An idle worker joins the first open
+// batch with a free helper slot, adopts its trace context (spans opened in
+// a job join the caller's trace) and claims indices until none is left.
+// The caller claims indices too, so a job may call run() again (frame
+// ranges nested under file-level batches) without deadlock.  Then the
+// caller unlinks the batch and waits until every helper that joined has
+// left: no worker touches a finished batch, and no worker frees anything
+// the caller allocated.  Failures travel through the jobs' captures.
 //
-// Submitted tasks capture the submitting thread's TraceContext and adopt it
-// on the worker, so spans opened inside a task join the caller's trace
-// (exactly the guarantee parallel_run gave).  Exceptions are not used in
-// this codebase (Result<> carries failures); tasks communicate through
-// their captures.
-//
-// run_batch() is the bulk interface: it drains a batch of independent tasks
-// under a parallelism cap, with the calling thread participating.  A thread
-// already running on the pool may call run_batch() again (frame-level
-// parallelism nested under file-level parallelism); the caller always drains
-// the batch itself when no worker is free, so nesting cannot deadlock.
-//
-// Observability (all behind the global obs switches, one relaxed load when
-// off):  counters pool.tasks / pool.steal / pool.submitted, gauge
-// pool.queue_depth, counter pool.busy_ns.
+// Counters (behind the global obs switch): pool.submitted (batches offered
+// to the workers), pool.tasks (helper joins), pool.busy_ns (helper time).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
+#include <cstddef>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -44,183 +35,119 @@ class ThreadPool {
  public:
   /// `workers` == 0 means hardware concurrency (minimum 1).
   explicit ThreadPool(unsigned workers = 0) {
-    unsigned count = workers != 0 ? workers : std::thread::hardware_concurrency();
-    if (count == 0) count = 1;
-    workers_.reserve(count);
-    for (unsigned w = 0; w < count; ++w) workers_.push_back(std::make_unique<Worker>());
+    const unsigned count =
+        std::max(workers != 0 ? workers : std::thread::hardware_concurrency(), 1u);
     threads_.reserve(count);
-    for (unsigned w = 0; w < count; ++w) {
-      threads_.emplace_back([this, w] { worker_loop(w); });
-    }
+    for (unsigned w = 0; w < count; ++w) threads_.emplace_back([this] { worker_loop(); });
   }
 
   ~ThreadPool() {
-    stop_.store(true, std::memory_order_release);
     {
-      std::lock_guard<std::mutex> lock(sleep_mutex_);
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
     }
-    sleep_cv_.notify_all();
+    wake_.notify_all();
     for (auto& thread : threads_) thread.join();
   }
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// The process-wide pool every ingest path shares.  Created on first use,
-  /// joined at process exit.
+  /// The process-wide pool every ingest and read path shares.  Created on
+  /// first use, joined at process exit.
   static ThreadPool& shared() {
     static ThreadPool pool;
     return pool;
   }
 
-  unsigned worker_count() const noexcept { return static_cast<unsigned>(workers_.size()); }
+  unsigned worker_count() const noexcept { return static_cast<unsigned>(threads_.size()); }
 
-  /// Tasks a concurrency budget of `threads` runs at once: the budget
+  /// Jobs a concurrency budget of `threads` runs at once: the budget
   /// itself, or one per pool worker plus the caller for 0.
   unsigned budget(unsigned threads) const noexcept {
     return threads != 0 ? threads : worker_count() + 1;
   }
 
-  /// Queue one task.  The worker adopts the submitting thread's trace
-  /// context, so spans opened inside `fn` join the caller's trace.
-  void submit(std::function<void()> fn) {
-    Task task;
-    task.fn = std::move(fn);
-    if (obs::trace_enabled()) task.context = obs::current_context();
-    const std::size_t home = round_robin_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-    {
-      std::lock_guard<std::mutex> lock(workers_[home]->mutex);
-      workers_[home]->tasks.push_back(std::move(task));
-    }
-    const std::size_t depth = pending_.fetch_add(1, std::memory_order_release) + 1;
-    ADA_OBS_COUNT("pool.submitted", 1);
-    if (obs::enabled()) {
-      static obs::Gauge& queue_depth = obs::Registry::global().gauge("pool.queue_depth");
-      queue_depth.set(static_cast<double>(depth));
-    }
-    {
-      std::lock_guard<std::mutex> lock(sleep_mutex_);
-    }
-    sleep_cv_.notify_one();
-  }
-
-  /// Run every task, with at most `max_parallelism` tasks of this batch in
-  /// flight at once (0 = one per pool worker plus the caller).  Blocks until
-  /// all tasks finish; the calling thread participates, so a pool worker may
-  /// nest run_batch() without deadlocking.  Tasks run in unspecified order
-  /// on unspecified threads.
-  void run_batch(std::vector<std::function<void()>> tasks, unsigned max_parallelism = 0) {
-    if (tasks.empty()) return;
-    const unsigned drainers =
-        static_cast<unsigned>(std::min<std::size_t>(budget(max_parallelism), tasks.size()));
-    if (drainers <= 1) {
-      for (auto& task : tasks) task();
+  /// Call job(i) for every i in [0, count), with at most `max_parallelism`
+  /// calls in flight (0 = one per pool worker plus the caller).  Indices are
+  /// claimed in increasing order, on the caller and on the workers that
+  /// join; with no room for a helper they all run inline, in order.
+  /// Returns when every call has returned.
+  template <class Job>
+  void run(std::size_t count, unsigned max_parallelism, const Job& job) {
+    const std::size_t helpers = std::min<std::size_t>(
+        {budget(max_parallelism) - 1, threads_.size(), count == 0 ? 0 : count - 1});
+    if (helpers == 0) {
+      for (std::size_t i = 0; i < count; ++i) job(i);
       return;
     }
-
-    auto state = std::make_shared<BatchState>();
-    state->tasks = std::move(tasks);
-    auto drain = [state] {
-      while (true) {
-        const std::size_t index = state->next.fetch_add(1, std::memory_order_relaxed);
-        if (index >= state->tasks.size()) return;
-        state->tasks[index]();
-        if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 == state->tasks.size()) {
-          std::lock_guard<std::mutex> lock(state->mutex);
-          state->cv.notify_all();
-        }
-      }
-    };
-    for (unsigned w = 1; w < drainers; ++w) submit(drain);
-    drain();  // the calling thread participates
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->cv.wait(lock, [&] {
-      return state->done.load(std::memory_order_acquire) == state->tasks.size();
-    });
+    Batch batch{count, helpers, &job,
+                [](const void* fn, std::size_t i) { (*static_cast<const Job*>(fn))(i); }};
+    if (obs::trace_enabled()) batch.context = obs::current_context();
+    std::unique_lock<std::mutex> lock(mutex_);
+    Batch** link = &open_;
+    while (*link != nullptr) link = &(*link)->next_open;
+    *link = &batch;
+    lock.unlock();
+    for (std::size_t h = 0; h < helpers; ++h) wake_.notify_one();  // one per helper slot
+    ADA_OBS_COUNT("pool.submitted", 1);
+    batch.drain();
+    lock.lock();
+    for (link = &open_; *link != &batch;) link = &(*link)->next_open;
+    *link = batch.next_open;
+    batch.helpers_left.wait(lock, [&] { return batch.joined == 0; });
   }
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    obs::TraceContext context;
-  };
+  /// One run() call's state, on its caller's stack.  `joined` and
+  /// `next_open` are guarded by the pool mutex.
+  struct Batch {
+    void drain() {
+      for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < count;) {
+        call(job, i);
+      }
+    }
+    bool open_to_helper() const {
+      return joined < helper_cap && next.load(std::memory_order_relaxed) < count;
+    }
 
-  struct Worker {
-    std::mutex mutex;
-    std::deque<Task> tasks;
-  };
-
-  /// One batch's shared drain state.  Stray drain jobs that wake after the
-  /// batch finished exit through the `next` bound; the shared_ptr keeps the
-  /// state alive for them.
-  struct BatchState {
-    std::vector<std::function<void()>> tasks;
+    const std::size_t count;
+    const std::size_t helper_cap;
+    const void* const job;
+    void (*const call)(const void*, std::size_t);
+    obs::TraceContext context{};
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex mutex;
-    std::condition_variable cv;
+    std::size_t joined = 0;
+    Batch* next_open = nullptr;
+    std::condition_variable helpers_left{};
   };
 
-  /// Pop from the home deque's front, else steal from a sibling's back.
-  bool try_take(std::size_t home, Task& out) {
-    {
-      Worker& own = *workers_[home];
-      std::lock_guard<std::mutex> lock(own.mutex);
-      if (!own.tasks.empty()) {
-        out = std::move(own.tasks.front());
-        own.tasks.pop_front();
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    for (std::size_t i = 1; i < workers_.size(); ++i) {
-      Worker& victim = *workers_[(home + i) % workers_.size()];
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      if (!victim.tasks.empty()) {
-        out = std::move(victim.tasks.back());
-        victim.tasks.pop_back();
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        ADA_OBS_COUNT("pool.steal", 1);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void worker_loop(std::size_t index) {
+  void worker_loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-      Task task;
-      if (try_take(index, task)) {
-        ADA_OBS_COUNT("pool.tasks", 1);
-        const obs::ScopedTraceContext adopt(task.context);
-        if (obs::enabled()) {
-          const Stopwatch busy;
-          task.fn();
-          ADA_OBS_COUNT("pool.busy_ns", busy.elapsed_seconds() * 1e9);
-        } else {
-          task.fn();
-        }
+      Batch* batch = open_;
+      while (batch != nullptr && !batch->open_to_helper()) batch = batch->next_open;
+      if (batch == nullptr) {
+        if (stop_) return;
+        wake_.wait(lock);
         continue;
       }
-      std::unique_lock<std::mutex> lock(sleep_mutex_);
-      sleep_cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               pending_.load(std::memory_order_acquire) != 0;
-      });
-      if (stop_.load(std::memory_order_acquire) &&
-          pending_.load(std::memory_order_acquire) == 0) {
-        return;
-      }
+      ++batch->joined;
+      lock.unlock();
+      ADA_OBS_COUNT("pool.tasks", 1);
+      const obs::ScopedTraceContext adopt(batch->context);
+      const Stopwatch busy;
+      batch->drain();
+      ADA_OBS_COUNT("pool.busy_ns", busy.elapsed_seconds() * 1e9);
+      lock.lock();
+      // Notified under the mutex: the caller cannot return, and end the
+      // batch's lifetime, until this helper has released it.
+      if (--batch->joined == 0) batch->helpers_left.notify_one();
     }
   }
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> round_robin_{0};
-  std::atomic<bool> stop_{false};
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  Batch* open_ = nullptr;  // open batches, oldest first
+  bool stop_ = false;
 };
 
 }  // namespace ada

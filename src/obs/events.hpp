@@ -63,8 +63,8 @@ void set_trace_enabled(bool on) noexcept;
 TraceContext current_context() noexcept;
 void set_current_context(const TraceContext& context) noexcept;
 
-/// RAII set/restore of the thread's context.  parallel_run workers adopt
-/// the submitting thread's context through this, so spans opened inside a
+/// RAII set/restore of the thread's context.  Pool workers adopt the
+/// context of the batch they help through this, so spans opened inside a
 /// worker join the caller's trace.
 class ScopedTraceContext {
  public:

@@ -2,7 +2,7 @@
 //
 // The observability substrate for the ingest/query hot paths.  Instruments
 // live in a global Registry and are updated through lock-free std::atomic
-// fast paths, so the parallel_run ingest workers (common/parallel.hpp) can
+// fast paths, so the shared pool's workers (common/thread_pool.hpp) can
 // hammer the same counter without contention or lost increments.  Creation
 // (name -> instrument) takes a mutex once; hot call sites cache the returned
 // reference in a function-local static.  Registry::reset() zeroes values but

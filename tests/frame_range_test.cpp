@@ -205,10 +205,10 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, FrameRangeMatrixTest,
     testing::Combine(testing::Values(codec::CodecVersion::kV1, codec::CodecVersion::kV2),
                      testing::Bool(), testing::Values(std::uint64_t{0}, kPlentyOfCache)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) == codec::CodecVersion::kV1 ? "v1" : "v2") +
-             (std::get<1>(info.param) ? "_tables" : "_notables") +
-             (std::get<2>(info.param) != 0 ? "_cached" : "_uncached");
+    [](const auto& instance) {
+      return std::string(std::get<0>(instance.param) == codec::CodecVersion::kV1 ? "v1" : "v2") +
+             (std::get<1>(instance.param) ? "_tables" : "_notables") +
+             (std::get<2>(instance.param) != 0 ? "_cached" : "_uncached");
     });
 
 // --- fast path / fallback wiring ------------------------------------------------

@@ -10,6 +10,13 @@
 // decode nor, in Ada::ingest, to checksum and write each record.  This
 // binary replaces the global operator new to count allocations made by
 // any thread other than the test's own, which here are the pool workers.
+//
+// The reverse matters as much: a worker that frees a block the caller
+// allocated puts it in its own malloc cache, the caller's next allocations
+// land elsewhere, and the peak RSS then depends on which thread freed
+// what.  Every block therefore carries the id of the thread that allocated
+// it, and the pool workers must free only their own blocks, through a
+// whole ingest and a whole piece-parallel query.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +24,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <new>
 #include <thread>
 #include <vector>
@@ -26,7 +35,7 @@
 #include "ada/categorizer.hpp"
 #include "ada/middleware.hpp"
 #include "ada/preprocessor.hpp"
-#include "common/parallel.hpp"
+#include "common/thread_pool.hpp"
 #include "formats/raw_traj.hpp"
 #include "formats/xtc_file.hpp"
 #include "test_util.hpp"
@@ -46,6 +55,25 @@ std::atomic<std::size_t> g_large_bytes{~std::size_t{0}};
 std::atomic<std::size_t> g_large_count{0};
 std::array<std::atomic<std::size_t>, kLargeKept> g_large_sizes{};
 
+// Frees, while counting, on a thread other than the test's of a block
+// that another thread allocated.
+std::atomic<std::uint64_t> g_cross_thread_frees{0};
+
+// Small per-thread ids, assigned on a thread's first allocation or free.
+std::atomic<std::uint32_t> g_thread_ids{0};
+thread_local std::uint32_t t_thread_id = 0;
+
+std::uint32_t this_thread_id() {
+  if (t_thread_id == 0) t_thread_id = g_thread_ids.fetch_add(1) + 1;
+  return t_thread_id;
+}
+
+// Every block is preceded by a header whose last four bytes hold the id of
+// the allocating thread; the header keeps the caller's alignment.
+std::size_t header_bytes(std::size_t align) {
+  return std::max(align, alignof(std::max_align_t));
+}
+
 void* counted_alloc(std::size_t size, std::size_t align) {
   if (g_counting.load(std::memory_order_relaxed)) {
     if (!t_test_thread) g_other_thread_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -54,12 +82,27 @@ void* counted_alloc(std::size_t size, std::size_t align) {
       if (at < kLargeKept) g_large_sizes[at].store(size, std::memory_order_relaxed);
     }
   }
-  if (size == 0) size = 1;
-  void* p = align > alignof(std::max_align_t)
-                ? std::aligned_alloc(align, (size + align - 1) / align * align)
-                : std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+  const std::size_t header = header_bytes(align);
+  const std::size_t total = header + std::max<std::size_t>(size, 1);
+  void* base = align > alignof(std::max_align_t)
+                   ? std::aligned_alloc(align, (total + align - 1) / align * align)
+                   : std::malloc(total);
+  if (base == nullptr) throw std::bad_alloc();
+  auto* block = static_cast<unsigned char*>(base) + header;
+  const std::uint32_t owner = this_thread_id();
+  std::memcpy(block - sizeof owner, &owner, sizeof owner);
+  return block;
+}
+
+void counted_free(void* p, std::size_t align) noexcept {
+  if (p == nullptr) return;
+  auto* block = static_cast<unsigned char*>(p);
+  if (g_counting.load(std::memory_order_relaxed) && !t_test_thread) {
+    std::uint32_t owner = 0;
+    std::memcpy(&owner, block - sizeof owner, sizeof owner);
+    if (owner != this_thread_id()) g_cross_thread_frees.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(block - header_bytes(align));
 }
 
 /// Allocations made off the test thread while `fn` runs on it.
@@ -70,6 +113,14 @@ std::uint64_t other_thread_allocs(const std::function<void()>& fn) {
   fn();
   g_counting.store(false);
   return g_other_thread_allocs.load();
+}
+
+/// Blocks another thread allocated that a thread other than this one
+/// freed while `fn` runs on this one.
+std::uint64_t cross_thread_frees(const std::function<void()>& fn) {
+  g_cross_thread_frees.store(0);
+  other_thread_allocs(fn);
+  return g_cross_thread_frees.load();
 }
 
 /// Sizes of the allocations of at least `bytes` bytes, made on any thread
@@ -96,14 +147,22 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_alloc(size, static_cast<std::size_t>(align));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p, 0); }
+void operator delete[](void* p) noexcept { counted_free(p, 0); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p, 0); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p, 0); }
+void operator delete(void* p, std::align_val_t align) noexcept {
+  counted_free(p, static_cast<std::size_t>(align));
+}
+void operator delete[](void* p, std::align_val_t align) noexcept {
+  counted_free(p, static_cast<std::size_t>(align));
+}
+void operator delete(void* p, std::size_t, std::align_val_t align) noexcept {
+  counted_free(p, static_cast<std::size_t>(align));
+}
+void operator delete[](void* p, std::size_t, std::align_val_t align) noexcept {
+  counted_free(p, static_cast<std::size_t>(align));
+}
 
 namespace ada::core {
 namespace {
@@ -113,15 +172,11 @@ TEST(ParallelIngestAllocTest, CounterSeesPoolWorkerAllocations) {
   std::atomic<int> off_test_thread{0};
   const auto allocs = other_thread_allocs([&] {
     for (int round = 0; round < 20 && off_test_thread.load() == 0; ++round) {
-      std::vector<std::function<void()>> tasks;
-      for (int t = 0; t < 16; ++t) {
-        tasks.push_back([&] {
-          if (!t_test_thread) off_test_thread.fetch_add(1);
-          std::vector<int> scratch(1024);
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));  // let workers wake
-        });
-      }
-      parallel_run(std::move(tasks), 4);
+      ThreadPool::shared().run(16, 4, [&](std::size_t) {
+        if (!t_test_thread) off_test_thread.fetch_add(1);
+        std::vector<int> scratch(1024);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));  // let workers wake
+      });
     }
   });
   ASSERT_GT(off_test_thread.load(), 0) << "no task ever ran on a pool worker";
@@ -225,6 +280,59 @@ TEST(ParallelIngestAllocTest, V1IngestAtBudgetFourAllocatesNoWholeFrame) {
     } else {
       EXPECT_GE(scratch_frames, 1) << "the control must see the v2 scratch frames";
     }
+  }
+  fs::remove_all(root);
+}
+
+TEST(ParallelIngestAllocTest, CrossThreadFreeCounterSeesAWorkerFreeingTheCallersBlock) {
+  // The control: a block the test thread allocates and a pool job frees
+  // is counted.
+  std::atomic<int> off_test_thread{0};
+  const auto frees = cross_thread_frees([&] {
+    for (int round = 0; round < 20 && off_test_thread.load() == 0; ++round) {
+      std::vector<std::unique_ptr<int>> blocks;
+      for (int b = 0; b < 16; ++b) blocks.push_back(std::make_unique<int>(b));
+      ThreadPool::shared().run(blocks.size(), 4, [&](std::size_t b) {
+        if (!t_test_thread) off_test_thread.fetch_add(1);
+        blocks[b].reset();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));  // let workers wake
+      });
+    }
+  });
+  ASSERT_GT(off_test_thread.load(), 0) << "no job ever ran on a pool worker";
+  EXPECT_GT(frees, 0u);
+}
+
+TEST(ParallelIngestAllocTest, PoolWorkersFreeNoBlockAnotherThreadAllocated) {
+  // An ingest of eight paper-size frames at threads = 4, then cold (cache
+  // off) piece-parallel queries of its multi-piece protein subset at
+  // read_threads = 0: no pool worker may free a block that the caller, or
+  // another worker, allocated.
+  namespace fs = std::filesystem;
+  const std::string root = test::unique_temp_dir("ada_pool_frees");
+  fs::remove_all(root);
+  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::paper_default()).build();
+  const auto xtc = paper_xtc(system);
+  const auto serial = DataPreProcessor(categorize_protein_misc(system)).split(xtc).value();
+  AdaConfig config;
+  config.placement = PlacementPolicy::active_on_ssd(0, 1);
+  config.threads = 4;
+  config.read_threads = 0;
+  config.cache_bytes = 0;
+  Ada ada(plfs::PlfsMount::open({{"ssd", root + "/ssd"}, {"hdd", root + "/hdd"}}).value(),
+          config);
+  ASSERT_GT(serial.at(kProteinTag).size(), std::size_t{2} * 512 * 1024)
+      << "the protein subset must span several read pieces";
+
+  Result<IngestReport> report = internal_error("not run");
+  EXPECT_EQ(cross_thread_frees([&] { report = ada.ingest(system, xtc, "paper.xtc"); }), 0u);
+  ASSERT_TRUE(report.is_ok()) << report.error().to_string();
+  for (int round = 0; round < 3; ++round) {
+    Result<std::vector<std::uint8_t>> answer = internal_error("not run");
+    EXPECT_EQ(cross_thread_frees([&] { answer = ada.query("paper.xtc", kProteinTag); }), 0u)
+        << "round " << round;
+    ASSERT_TRUE(answer.is_ok()) << answer.error().to_string();
+    EXPECT_EQ(answer.value(), serial.at(kProteinTag)) << "round " << round;
   }
   fs::remove_all(root);
 }

@@ -1,19 +1,18 @@
 // Tests for the observability substrate (src/obs): registry semantics,
 // histogram math, span nesting, exporter goldens, and a multi-threaded
-// stress run over parallel_run proving no increments are lost.
+// stress run over a shared-pool batch proving no increments are lost.
 //
 // obs state is process-global; every test brackets itself with
 // reset_all()/set_enabled() so the suite also passes when the whole binary
 // runs in one process (plain `./obs_test` as well as per-test ctest).
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <sstream>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -464,24 +463,19 @@ TEST_F(ObsTest, ParallelRunLosesNoIncrements) {
   Counter& counter = Registry::global().counter("obs_test.stress");
   Histogram& histogram = Registry::global().histogram("obs_test.stress_h");
 
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(kTasks);
-  for (int t = 0; t < kTasks; ++t) {
-    tasks.push_back([&counter, &histogram, t] {
-      for (int i = 0; i < kIters; ++i) {
-        const Span span("obs_stress");
-        counter.add(1);
-        histogram.observe(static_cast<std::uint64_t>(i));
-        // Exercise the concurrent-merge path: snapshots taken while other
-        // threads are mid-record must be race-free.
-        if (i % 1024 == t) {
-          const Snapshot snapshot = capture();
-          (void)snapshot;
-        }
+  ThreadPool::shared().run(kTasks, 8, [&counter, &histogram](std::size_t t) {
+    for (int i = 0; i < kIters; ++i) {
+      const Span span("obs_stress");
+      counter.add(1);
+      histogram.observe(static_cast<std::uint64_t>(i));
+      // Exercise the concurrent-merge path: snapshots taken while other
+      // threads are mid-record must be race-free.
+      if (i % 1024 == static_cast<int>(t)) {
+        const Snapshot snapshot = capture();
+        (void)snapshot;
       }
-    });
-  }
-  parallel_run(std::move(tasks), 8);
+    }
+  });
 
   EXPECT_EQ(counter.value(), static_cast<std::uint64_t>(kTasks) * kIters);
   EXPECT_EQ(histogram.count(), static_cast<std::uint64_t>(kTasks) * kIters);

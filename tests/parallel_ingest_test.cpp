@@ -12,12 +12,17 @@
 // checksums and writes each frame's records into the droppings as the
 // workers decode them, must store containers byte-identical (every
 // dropping file and the index image) to split() + IoDispatcher::dispatch().
+// Those comparisons pit the pipeline against itself, so its answers and
+// split() are also checked against an independent reference decode that
+// shares none of its scatter plan, sinks or decode engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +32,7 @@
 #include "ada/preprocessor.hpp"
 #include "common/binary_io.hpp"
 #include "common/thread_pool.hpp"
+#include "formats/raw_traj.hpp"
 #include "formats/xtc_file.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
@@ -55,6 +61,100 @@ std::vector<std::uint8_t> make_xtc(const chem::System& system, std::uint32_t fra
     EXPECT_TRUE(writer.add_frame(step, time_ps, system.box(), coords).is_ok());
   }
   return writer.take();
+}
+
+/// The reference split: every frame decoded by XtcReader::next, each label
+/// group's atoms copied one by one in index order, one RawTrajWriter per
+/// tag.  It uses no scatter plan, frame sink or ada decode code.
+std::map<Tag, std::vector<std::uint8_t>> reference_split(const LabelMap& labels,
+                                                          std::span<const std::uint8_t> xtc) {
+  std::map<Tag, std::vector<std::uint32_t>> atoms;
+  std::map<Tag, formats::RawTrajWriter> writers;
+  for (const auto& [tag, selection] : labels.groups) {
+    atoms[tag] = selection.to_indices();
+    writers.emplace(tag, formats::RawTrajWriter(static_cast<std::uint32_t>(atoms[tag].size())));
+  }
+  formats::XtcReader reader(xtc);
+  formats::TrajFrame frame;
+  std::vector<float> subset;
+  while (reader.next(frame).value()) {
+    for (auto& [tag, writer] : writers) {
+      subset.clear();
+      for (const std::uint32_t atom : atoms.at(tag)) {
+        const float* xyz = &frame.coords[std::size_t{3} * atom];
+        subset.insert(subset.end(), xyz, xyz + 3);
+      }
+      EXPECT_TRUE(writer.add_frame(frame.step, frame.time_ps, frame.box, subset).is_ok());
+    }
+  }
+  std::map<Tag, std::vector<std::uint8_t>> images;
+  for (auto& [tag, writer] : writers) images[tag] = writer.finish();
+  return images;
+}
+
+/// A partition whose groups interleave in runs of one to five atoms, so
+/// every group has many runs at many offsets (the categorizer's groups of
+/// the tiny system are one run each).
+LabelMap interleaved_labels(std::uint32_t atom_count) {
+  LabelMap labels;
+  labels.atom_count = atom_count;
+  chem::Selection& protein = labels.groups[kProteinTag];
+  chem::Selection& misc = labels.groups[kMiscTag];
+  std::uint32_t begin = 0;
+  for (std::uint32_t k = 0; begin < atom_count; ++k) {
+    const std::uint32_t end = std::min(atom_count, begin + 1 + k % 5);
+    (k % 2 == 0 ? protein : misc).add_run({begin, end});
+    begin = end;
+  }
+  return labels;
+}
+
+TEST(ParallelIngestTest, IngestAndSplitMatchAnIndependentReference) {
+  const std::string root = test::unique_temp_dir("ada_parallel_reference");
+  fs::remove_all(root);
+  const auto system = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
+  const LabelMap label_maps[] = {categorize_protein_misc(system),
+                                 interleaved_labels(system.atom_count())};
+  for (std::size_t m = 0; m < std::size(label_maps); ++m) {
+    const LabelMap& labels = label_maps[m];
+    ASSERT_TRUE(labels.is_partition());
+    const DataPreProcessor preprocessor(labels);
+    for (const auto version : {codec::CodecVersion::kV1, codec::CodecVersion::kV2}) {
+      for (const std::uint32_t frames : {0u, 1u, 7u, 33u}) {
+        // v2 images get a keyframe every 3 frames (make_xtc's default).
+        const auto xtc = make_xtc(system, frames, nullptr, version);
+        const auto reference = reference_split(labels, xtc);
+        ASSERT_EQ(reference.size(), labels.groups.size());
+        for (const unsigned threads : {1u, 2u, 4u, 0u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "label map " << m << ", " << frames << " frames, codec v"
+                       << static_cast<int>(version) << ", " << threads << " threads");
+          const auto split = preprocessor.split(xtc, nullptr, threads);
+          ASSERT_TRUE(split.is_ok()) << split.error().to_string();
+          EXPECT_TRUE(split.value() == reference) << "split() differs from the reference";
+
+          AdaConfig config;
+          config.placement = PlacementPolicy::active_on_ssd(0, 1);
+          config.threads = threads;
+          const std::string base = root + "/m" + std::to_string(m) + "v" +
+                                   std::to_string(static_cast<int>(version)) + "f" +
+                                   std::to_string(frames) + "t" + std::to_string(threads);
+          Ada ada(
+              plfs::PlfsMount::open({{"ssd", base + "/ssd"}, {"hdd", base + "/hdd"}}).value(),
+              config);
+          const auto report = ada.ingest_with_labels(labels, xtc, "traj.xtc");
+          ASSERT_TRUE(report.is_ok()) << report.error().to_string();
+          for (const auto& [tag, image] : reference) {
+            const auto answer = ada.query("traj.xtc", tag);
+            ASSERT_TRUE(answer.is_ok()) << tag << ": " << answer.error().to_string();
+            EXPECT_TRUE(answer.value() == image) << "the ingest's tag " << tag << " differs";
+          }
+          fs::remove_all(base);
+        }
+      }
+    }
+  }
+  fs::remove_all(root);
 }
 
 TEST(ParallelIngestTest, SplitByteIdenticalToSerialForAnyFrameAndThreadCount) {

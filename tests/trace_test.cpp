@@ -1,15 +1,13 @@
 // Request-timeline recorder tests: the disabled fast path creates nothing,
 // ring wraparound keeps the newest events, the Chrome-JSON export is
-// byte-stable, contexts propagate across parallel_run workers, and a
+// byte-stable, contexts propagate across pool workers, and a
 // concurrent record/export stress run is data-race-free (the tier's TSan
 // coverage under ADA_SANITIZE).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
-#include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -18,7 +16,7 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "common/parallel.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 
@@ -186,7 +184,9 @@ TEST_F(TraceTest, SimLanesCarryContextAndStaySortedInExport) {
   for (const ExportEvent& event : parsed) {
     const auto key = std::make_pair(event.pid, event.tid);
     const auto it = last_ts.find(key);
-    if (it != last_ts.end()) EXPECT_GE(event.ts_us, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(event.ts_us, it->second);
+    }
     last_ts[key] = event.ts_us;
   }
   // Lane labels round-trip through the metadata rows.
@@ -257,26 +257,22 @@ TEST_F(TraceTest, GoldenChromeJsonExport) {
   EXPECT_EQ(parsed[2].value, 3u);
 }
 
-// --- parallel_run propagation ---------------------------------------------------------
+// --- pool batch propagation -----------------------------------------------------------
 
 TEST_F(TraceTest, ContextPropagatesAcrossParallelRunWorkers) {
   set_trace_enabled(true);
   constexpr std::size_t kTasks = 16;
   {
     const Span root("ingest_batch", "batch");
-    // Each task waits until a second thread has entered some task, so the
+    // Each job waits until a second thread has entered some job, so the
     // batch provably lands on more than one worker (the calling thread
     // would otherwise race through all of them).
-    auto entered = std::make_shared<std::atomic<int>>(0);
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      tasks.push_back([entered] {
-        const Span task("task");
-        entered->fetch_add(1);
-        while (entered->load() < 2) std::this_thread::yield();
-      });
-    }
-    parallel_run(std::move(tasks), 4);
+    std::atomic<int> entered{0};
+    ThreadPool::shared().run(kTasks, 4, [&entered](std::size_t) {
+      const Span task("task");
+      entered.fetch_add(1);
+      while (entered.load() < 2) std::this_thread::yield();
+    });
   }
   const auto begins = events_of(RawEvent::Phase::kBegin);
   std::uint64_t root_trace = 0, root_span = 0;

@@ -7,8 +7,9 @@
 // Categorizes with Algorithm 1 (protein/MISC by default, or a schema file),
 // decompresses once, splits into tagged subsets, and dispatches them to the
 // two backend file systems.  --threads=N caps frame-parallel decode on the
-// shared work-stealing pool (0, the default, = every pool worker plus the
-// caller; 1 = serial; the output images are byte-identical either way).
+// shared thread pool, whose workers claim frame ranges from one counter
+// (0, the default, = every pool worker plus the caller; 1 = serial; the
+// output images are byte-identical either way).
 // With --metrics, prints the observability
 // report (per-stage timers, per-tag byte counters) after the ingest;
 // --metrics=json emits the stable JSON document on stdout (the summary

@@ -25,8 +25,12 @@ ctest --test-dir "$BUILD_DIR" -L unit --output-on-failure -j "$(nproc)"
 echo "== tracing tier (ctest -L check-trace) =="
 ctest --test-dir "$BUILD_DIR" -L check-trace --output-on-failure -j "$(nproc)"
 
-echo "== pool users (ThreadPool, ParallelIngest[Alloc], Categorizer, PieceRead suites) =="
-ctest --test-dir "$BUILD_DIR" -R 'ThreadPool|ParallelIngest|Categorizer|PieceRead' --output-on-failure -j "$(nproc)"
+echo "== pool users (ThreadPool, ParallelIngest[Alloc], Categorizer, PieceRead suites, trace propagation, nested VFS fan-out) =="
+# ParallelIngestAlloc includes the cross-thread frees check; the VFS
+# untagged read nests piece batches inside a per-tag batch.
+ctest --test-dir "$BUILD_DIR" \
+    -R 'ThreadPool|ParallelIngest|Categorizer|PieceRead|TraceTest\.ContextPropagates|ScatterGatherTest\.VfsUntaggedFanout' \
+    --output-on-failure -j "$(nproc)"
 
 echo "== perf tier smoke (ctest -L check-perf) =="
 ctest --test-dir "$BUILD_DIR" -L check-perf --output-on-failure
