@@ -24,17 +24,17 @@ void count_dispatched(const Tag& tag, std::size_t bytes) {
 // The shape a blob's record stores: its frame span (a streamed chunk's, or
 // [0, frames) for a batch blob) with the atom count of its own RAW header.
 // A reserved label (label files and kept originals are not RAW
-// trajectories), or a payload that is not one canonical RAW image of the
-// span, stores no atom count; a batch one stores no span either.  A missing
-// shape only costs range queries their planned path -- it must never fail
-// the ingest.
-std::optional<plfs::FrameSpan> shape_of(const Blob& blob) {
+// trajectories) stores the span it was given.  A user-tag blob that is not
+// one canonical RAW image of its span is refused: no range could read it.
+Result<std::optional<plfs::FrameSpan>> shape_of(const Blob& blob) {
   if (blob.tag == kLabelFileTag || blob.tag == kOriginalTag) return blob.span;
   const auto raw = formats::RawTrajReader::open(blob.bytes);
-  if (!raw.is_ok()) return blob.span;
+  if (!raw.is_ok() || (blob.span.has_value() && blob.span->count != raw.value().frame_count())) {
+    return invalid_argument("subset '" + blob.tag + "' is not one RAW image of its frame span");
+  }
   plfs::FrameSpan shape = blob.span.value_or(plfs::FrameSpan{0, raw.value().frame_count()});
-  if (shape.count == raw.value().frame_count()) shape.atoms = raw.value().atom_count();
-  return shape;
+  shape.atoms = raw.value().atom_count();
+  return std::optional(shape);
 }
 
 /// The pipelined ingest's frame sink: a staged append with one dropping
@@ -68,8 +68,9 @@ class DroppingSink final : public FrameSink {
                                            plfs::FrameSpan{0, frames, atoms}});
     }
     for (const Blob& blob : extras_) {
+      ADA_ASSIGN_OR_RETURN(auto shape, shape_of(blob));
       extents.push_back(plfs::StagedExtent{blob.tag, policy_.backend_for(blob.tag),
-                                           blob.bytes.size(), 1, shape_of(blob)});
+                                           blob.bytes.size(), 1, shape});
     }
     auto staged = mount_.begin_append(logical_name_, extents);
     if (!staged.is_ok()) return staged.error();
@@ -193,8 +194,8 @@ Result<std::vector<plfs::IndexRecord>> IoDispatcher::publish(
   std::vector<plfs::Extent> extents;
   extents.reserve(blobs.size());
   for (const Blob& blob : blobs) {
-    extents.push_back(
-        plfs::Extent{blob.tag, policy_.backend_for(blob.tag), blob.bytes, shape_of(blob)});
+    ADA_ASSIGN_OR_RETURN(auto shape, shape_of(blob));
+    extents.push_back(plfs::Extent{blob.tag, policy_.backend_for(blob.tag), blob.bytes, shape});
   }
   auto records = mount_.append(logical_name, extents, stream);
   if (records.is_ok()) {

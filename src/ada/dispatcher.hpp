@@ -49,7 +49,7 @@ class IoDispatcher {
  public:
   /// Every RAW subset's record stores its shape: frame span (batch [0,
   /// frames), a streamed chunk its global frames) and atom count.  Reserved
-  /// labels and non-RAW payloads carry none.  The third parameter is inert;
+  /// labels carry none.  The third parameter is inert;
   /// it stays for callers that still pass AdaConfig::frame_tables.
   IoDispatcher(plfs::PlfsMount& mount, PlacementPolicy policy, bool /*frame_tables*/ = true)
       : mount_(mount), policy_(std::move(policy)) {}
@@ -76,7 +76,8 @@ class IoDispatcher {
                 PreprocessStats* stats = nullptr, unsigned threads = 1);
 
   /// Publish blobs to an existing container in one index image, with
-  /// `stream` as its new stream state when given.
+  /// `stream` as its new stream state when given.  A user-tag blob that is
+  /// not one RAW image of its span fails kInvalidArgument, opening nothing.
   Result<std::vector<plfs::IndexRecord>> publish(const std::string& logical_name,
                                                  std::span<const Blob> blobs,
                                                  std::optional<plfs::StreamState> stream = {});

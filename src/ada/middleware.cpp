@@ -191,7 +191,7 @@ Status check_user_tag(const Tag& tag) {
 }  // namespace
 
 Result<Ada::Subset> Ada::read_subset(const std::string& logical_name, const Tag& tag,
-                                     const Located* located, bool reserved_ok) const {
+                                     bool reserved_ok) const {
   if (!reserved_ok) ADA_RETURN_IF_ERROR(check_user_tag(tag));
   // The generation is observed BEFORE the index walk and any read: a write
   // racing them leaves the filled entry detectably stale instead of
@@ -199,8 +199,7 @@ Result<Ada::Subset> Ada::read_subset(const std::string& logical_name, const Tag&
   // fill guard makes the miss single-flight: concurrent cold misses of the
   // same key wait for this read instead of each paying their own (it
   // resolves after the insert below, or on the error return).
-  const std::uint64_t generation =
-      located != nullptr ? located->generation : subset_generation(logical_name);
+  const std::uint64_t generation = subset_generation(logical_name);
   QueryCache::FillGuard fill_guard;
   if (cache_ != nullptr) {
     const obs::Span lookup_span("cache_lookup", tag);
@@ -212,14 +211,9 @@ Result<Ada::Subset> Ada::read_subset(const std::string& logical_name, const Tag&
   Subset subset;
   {
     const obs::Span retrieve_span("retrieve", tag);
-    Located walked;
-    if (located == nullptr) {
-      ADA_ASSIGN_OR_RETURN(walked.extents, Indexer(mount_).locate(logical_name, tag));
-      located = &walked;
-    }
+    ADA_ASSIGN_OR_RETURN(const auto extents, Indexer(mount_).locate(logical_name, tag));
     const obs::Span read_span("plfs_read", tag);
-    ADA_ASSIGN_OR_RETURN(subset.owned,
-                         IoRetriever(mount_, retrieve_options()).retrieve(located->extents));
+    ADA_ASSIGN_OR_RETURN(subset.owned, IoRetriever(mount_, retrieve_options()).retrieve(extents));
     obs::trace_counter("plfs.read.bytes", subset.owned.size());
   }
   if (cache_ != nullptr) {
@@ -237,7 +231,7 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name,
                                              const Tag& tag) const {
   const obs::Span span("query", tag);
   ADA_OBS_COUNT("query.calls", 1);
-  ADA_ASSIGN_OR_RETURN(auto subset, read_subset(logical_name, tag, nullptr));
+  ADA_ASSIGN_OR_RETURN(auto subset, read_subset(logical_name, tag));
   count_query_bytes(tag, subset.bytes().size());
   if (subset.shared != nullptr) {
     const obs::Span copy_span("copy");
@@ -250,7 +244,7 @@ Result<QueryCache::Image> Ada::query_image(const std::string& logical_name,
                                            const Tag& tag) const {
   const obs::Span span("query", tag);
   ADA_OBS_COUNT("query.calls", 1);
-  ADA_ASSIGN_OR_RETURN(auto subset, read_subset(logical_name, tag, nullptr));
+  ADA_ASSIGN_OR_RETURN(auto subset, read_subset(logical_name, tag));
   count_query_bytes(tag, subset.bytes().size());
   if (subset.shared != nullptr) return subset.shared;  // shared, not copied
   return std::make_shared<const std::vector<std::uint8_t>>(std::move(subset.owned));
@@ -280,21 +274,12 @@ std::string partial_block_tag(const Tag& tag, std::uint64_t block, std::uint64_t
   return tag + '\x01' + std::to_string(block) + '\x02' + std::to_string(frames);
 }
 
-// Global frame indices a range selects out of `total` frames.
-std::vector<std::uint64_t> select_frames(const FrameRange& range, std::uint64_t total) {
-  std::vector<std::uint64_t> picked;
-  const std::uint64_t limit = std::min<std::uint64_t>(range.end, total);
-  for (std::uint64_t g = range.begin; g < limit; g += range.stride) picked.push_back(g);
-  return picked;
-}
-
 }  // namespace
 
 Result<Ada::IndexSnapshot> Ada::snapshot_index(const std::string& logical_name) const {
-  // Both generations are observed BEFORE the index read, so a racing write
+  // The generation is observed BEFORE the index read, so a racing write
   // leaves anything filled from it detectably stale.
   IndexSnapshot snapshot;
-  snapshot.generation = subset_generation(logical_name);
   snapshot.block_generation = cache_ != nullptr ? mount_.rewrite_generation(logical_name) : 0;
   ADA_ASSIGN_OR_RETURN(snapshot.index, mount_.read_index(logical_name));
   return snapshot;
@@ -325,51 +310,22 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
   if (!snapshot.has_value()) {
     ADA_ASSIGN_OR_RETURN(snapshot, snapshot_index(logical_name));
   }
-  Located located;
-  located.generation = snapshot->generation;
   const std::uint64_t block_generation = snapshot->block_generation;
   // The retention floor: frames below it are gone (0 unless a stream dropped chunks).
   const std::uint64_t base_frame =
       snapshot->index.stream.has_value() ? snapshot->index.stream->floor_frames : 0;
-  ADA_ASSIGN_OR_RETURN(located.extents,
+  ADA_ASSIGN_OR_RETURN(const auto locations,
                        Indexer(mount_).locate(std::move(snapshot->index), logical_name, tag));
-  const std::vector<DatasetLocation>& locations = located.extents;
   if (range.begin < base_frame) {
     return out_of_range("frame " + std::to_string(range.begin) +
                         " is below the retention floor (" + std::to_string(base_frame) + ")");
   }
 
-  // Both paths answer through one writer: the picked frames' records,
-  // verbatim, behind one canonical header.
-  const auto answer = [&](std::uint32_t atoms, const std::vector<std::uint64_t>& picked,
-                          const auto& record_of) -> Result<RangeImage> {
-    if (picked.empty() && !empty_header) return RangeImage{};
-    formats::RawTrajWriter out(atoms, picked.size());
-    for (const std::uint64_t g : picked) ADA_RETURN_IF_ERROR(out.append_record(record_of(g)));
-    RangeImage result{out.finish(), picked.size()};
-    count_query_bytes(tag, result.image.size());
-    return result;
-  };
-
-  // Records that store no shape (written before atom counts were) fall
-  // back: the whole subset (through the subset cache when armed), read from
-  // the extents located above, then sliced.  The full image of a retained
-  // stream starts at the floor, not frame 0, so the selection shifts into
-  // the image's local numbering.
+  // Frames are planned from stored shapes; older records have none until repair.
   if (!std::all_of(locations.begin(), locations.end(),
                    [](const DatasetLocation& l) { return l.atom_count.has_value(); })) {
-    ADA_OBS_COUNT("query.range.fallback", 1);
-    ADA_ASSIGN_OR_RETURN(const Subset full, read_subset(logical_name, tag, &located));
-    FrameRange local_range = range;
-    local_range.begin = static_cast<std::uint32_t>(range.begin - base_frame);
-    if (range.end != std::numeric_limits<std::uint32_t>::max()) {
-      local_range.end = static_cast<std::uint32_t>(
-          range.end > base_frame ? range.end - base_frame : 0);
-    }
-    const obs::Span copy_span("copy");
-    ADA_ASSIGN_OR_RETURN(const auto cat, formats::RawTrajCatReader::open(full.bytes()));
-    return answer(cat.atom_count(), select_frames(local_range, cat.frame_count()),
-                  [&](std::uint64_t g) { return cat.record(static_cast<std::uint32_t>(g)); });
+    return failed_precondition("index records of " + logical_name + "/" + tag +
+                               " store no frame shape; run `ada-inspect --repair` to rebuild them");
   }
 
   // A stored shape is checked once, here: spans contiguous from the floor,
@@ -389,7 +345,11 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
     }
     total_frames += location.frame_count;
   }
-  const auto picked = select_frames(range, total_frames);
+  std::vector<std::uint64_t> picked;  // the global frames the range selects
+  for (std::uint64_t g = range.begin; g < std::min<std::uint64_t>(range.end, total_frames);
+       g += range.stride) {
+    picked.push_back(g);
+  }
 
   // Owning extent of global frame `g`: last extent whose first frame is
   // <= g (ties from zero-frame extents resolve to the later, owning one).
@@ -457,16 +417,19 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
     readers[e] = reader.value();
   }
 
-  // Assemble: each picked frame out of its (hit or built) block.  A built
-  // block is its frames' records, back to back.
+  // Assemble: the picked frames' records, verbatim, behind one canonical
+  // header, each out of its (hit or built) block.  A built block is its
+  // frames' records, back to back.
   const obs::Span copy_span("copy");
+  if (picked.empty() && !empty_header) return RangeImage{};
   const std::uint64_t frame_bytes = formats::raw_frame_bytes(atoms);
   std::uint64_t current_block = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t current_lo = 0;     // first global frame of current block
   QueryCache::Image held;           // keeps the current block's image alive
   std::vector<std::uint8_t> local;  // block assembled from extents
   const std::vector<std::uint8_t>* image = nullptr;
-  return answer(atoms, picked, [&](std::uint64_t g) {
+  formats::RawTrajWriter out(atoms, picked.size());
+  for (const std::uint64_t g : picked) {
     const std::uint64_t b = g / kFrameBlock;
     if (b != current_block) {
       current_block = b;
@@ -489,9 +452,12 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
       // rather than at function exit.
       block.claim.reset();
     }
-    return std::span<const std::uint8_t>(*image).subspan((g - current_lo) * frame_bytes,
-                                                         frame_bytes);
-  });
+    ADA_RETURN_IF_ERROR(out.append_record(
+        std::span<const std::uint8_t>(*image).subspan((g - current_lo) * frame_bytes, frame_bytes)));
+  }
+  RangeImage result{out.finish(), picked.size()};
+  count_query_bytes(tag, result.image.size());
+  return result;
 }
 
 Result<Ada::TailChunk> Ada::query_tail(const std::string& logical_name, const Tag& tag,
@@ -560,7 +526,7 @@ Result<Ada::PartialQuery> Ada::query_degraded(const std::string& logical_name) c
 
 Result<LabelMap> Ada::labels(const std::string& logical_name) const {
   ADA_ASSIGN_OR_RETURN(const Subset file,
-                       read_subset(logical_name, kLabelFileTag, nullptr, /*reserved_ok=*/true));
+                       read_subset(logical_name, kLabelFileTag, /*reserved_ok=*/true));
   const auto bytes = file.bytes();
   return decode_label_file(std::string(bytes.begin(), bytes.end()));
 }

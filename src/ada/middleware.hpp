@@ -164,12 +164,12 @@ class Ada {
 
   /// Frame-range query: a canonical single-segment RAW image holding exactly
   /// the frames `range` selects, byte-identical to slicing those frames out
-  /// of the full-subset query.  When every extent's record stores its shape
-  /// (frame span and atom count) the read touches only the extents the
-  /// selection needs (none for an empty one) and caches fetched frame blocks
-  /// (when the cache is armed); a shape that contradicts itself, its
-  /// neighbours or its extent's header is kCorruptData.  Records that store
-  /// no shape (older images) fall back to the whole-subset read and slice.
+  /// of the full-subset query, planned from the shape (frame span and atom
+  /// count) each extent's record stores: the read touches only the extents
+  /// the selection needs (none for an empty one) and caches fetched frame
+  /// blocks (when the cache is armed).  A shape that contradicts itself, its
+  /// neighbours or its extent's header is kCorruptData; records that store
+  /// none (older images) are kFailedPrecondition until `ada-inspect --repair`.
   Result<std::vector<std::uint8_t>> query(const std::string& logical_name, const Tag& tag,
                                           const FrameRange& range) const;
 
@@ -249,13 +249,6 @@ class Ada {
   /// query.bytes_out accounting (total + per-tag cached counter handles).
   void count_query_bytes(const Tag& tag, std::size_t bytes) const;
 
-  /// A tag's index walk plus the cache generation observed before it, so a
-  /// write racing the walk leaves any fill from it detectably stale.
-  struct Located {
-    std::uint64_t generation = 0;
-    std::vector<DatasetLocation> extents;
-  };
-
   /// A whole subset as read_subset() produced it: the shared cache image
   /// when the cache holds it, else the freshly read bytes, owned -- so an
   /// uncached query() hands them back without a copy.
@@ -274,19 +267,17 @@ class Ada {
     return cache_ != nullptr ? mount_.mutation_generation(logical_name) : 0;
   }
 
-  /// The one whole-subset read behind query(), query_image(), the range
-  /// fallback and labels(): reserved-tag check, generation before the fetch,
-  /// single-flight cache lookup, fetch, insert.  `located` is the caller's
-  /// own index walk; null walks the index here, and only on a cache miss.
-  /// `reserved_ok` admits the label file (labels()); user queries of a
-  /// reserved tag are rejected.
+  /// The one whole-subset read behind query(), query_image() and labels():
+  /// reserved-tag check, generation before the index walk, single-flight
+  /// cache lookup, then (on a miss) walk, fetch, insert.  `reserved_ok`
+  /// admits the label file (labels()); user queries of a reserved tag are
+  /// rejected.
   Result<Subset> read_subset(const std::string& logical_name, const Tag& tag,
-                             const Located* located, bool reserved_ok = false) const;
+                             bool reserved_ok = false) const;
 
-  /// One index image and the cache generations observed before reading it.
+  /// One index image and the frame-block fence (rewrite generation) read first.
   struct IndexSnapshot {
-    std::uint64_t generation = 0;        // whole-subset fence (subset_generation)
-    std::uint64_t block_generation = 0;  // frame-block fence (rewrite generation)
+    std::uint64_t block_generation = 0;
     plfs::Index index;
   };
   Result<IndexSnapshot> snapshot_index(const std::string& logical_name) const;

@@ -45,24 +45,13 @@ Result<Index> decode_body(ByteReader& r, int version) {
     if (record.has_atom_count() && !record.has_frame_span()) {
       return corrupt_data("index record has an atom count but no frame span");
     }
-    // v2 frame table: arithmetic iff frame f sits at 16 + f * frame_bytes
-    // and the frames fill the extent.  Only an arithmetic table is a span.
-    const bool table = (record.flags & kV2FrameTable) != 0;
-    bool arithmetic = false;
-    std::uint32_t table_frames = 0;
-    if (table) {
-      ADA_ASSIGN_OR_RETURN(table_frames, r.get_u32_le());
-      // Bound by the bytes present: a lying count must fail cheaply.
-      if (table_frames > r.remaining() / 8) {
-        return corrupt_data("frame table count exceeds index size");
-      }
-      const std::uint64_t payload = record.length - std::min<std::uint64_t>(record.length, 16);
-      const std::uint64_t frame_bytes = table_frames != 0 ? payload / table_frames : 0;
-      arithmetic = record.length >= 16 && payload == table_frames * frame_bytes;
-      for (std::uint32_t f = 0; f < table_frames; ++f) {
-        ADA_ASSIGN_OR_RETURN(const std::uint64_t offset, r.get_u64_le());
-        arithmetic = arithmetic && offset == 16 + f * frame_bytes;
-      }
+    // v2 frame table: per-frame u64 offsets, skipped (get_bytes checks the
+    // count against the bytes present before it allocates, so a lying count
+    // fails cheaply).  The record keeps only what its flags state; fsck
+    // --repair rebuilds its shape.
+    if ((record.flags & kV2FrameTable) != 0) {
+      ADA_ASSIGN_OR_RETURN(const std::uint32_t table_frames, r.get_u32_le());
+      ADA_RETURN_IF_ERROR(r.get_bytes(std::size_t{8} * table_frames).status());
       record.flags &= static_cast<std::uint8_t>(~kV2FrameTable);
     }
     if (record.has_frame_span()) {
@@ -71,13 +60,6 @@ Result<Index> decode_body(ByteReader& r, int version) {
       if (record.has_atom_count()) {
         ADA_ASSIGN_OR_RETURN(record.atom_count, r.get_u32_le());
       }
-    }
-    if (table && !arithmetic) {
-      record.flags &= static_cast<std::uint8_t>(~IndexRecord::kHasFrameSpan);
-      record.frame_base = 0;
-      record.frame_count = 0;
-    } else if (table && !record.has_frame_span()) {
-      record.set_frame_span(FrameSpan{0, table_frames});
     }
     index.records.push_back(std::move(record));
   }

@@ -26,7 +26,7 @@ namespace ada::plfs {
 
 /// A RAW extent's shape: global frames [base, base + count) of its subset's
 /// frame axis, of `atoms` atoms each (nullopt in records that predate stored
-/// atom counts, and for a payload that is no RAW image).
+/// atom counts, and in spans fsck must remove or rebuild).
 struct FrameSpan {
   std::uint64_t base = 0;
   std::uint32_t count = 0;
@@ -115,11 +115,11 @@ struct Index {
 std::vector<std::uint8_t> encode_index(const Index& index);
 
 /// Parse an on-disk index image; every failure is kCorruptData.  v3 images
-/// must pass their CRC, and an atom count without a frame span is corrupt.  Legacy v2 ("PLFSIDX2") and v1 ("PLFSIDX1") images
-/// still decode, with no stream state: a v2 frame table that is plain
-/// arithmetic (frame f at 16 + f * frame_bytes, filling the extent) becomes
-/// a span, any other table leaves the record without one, and v1 records
-/// carry no checksum (readers then skip verification for those extents).
+/// must pass their CRC, and an atom count without a frame span is corrupt.
+/// Legacy v2 ("PLFSIDX2") and v1 ("PLFSIDX1") images still decode, with no
+/// stream state or atom counts (fsck --repair rebuilds shapes): a v2 frame
+/// table is bound-checked and skipped, and v1 records carry no checksum
+/// (readers then skip verification for those extents).
 Result<Index> decode_index(std::span<const std::uint8_t> image);
 
 /// True for a v1 or v2 image: decoded for compatibility, never written.

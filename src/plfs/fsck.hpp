@@ -4,7 +4,8 @@
 // loses a disk, or a stray file dropped into a container directory all leave
 // the container inconsistent.  verify_container() diagnoses; repair()
 // restores the strongest consistent state (drops index records whose
-// droppings are gone, removes orphan files) without touching intact data.
+// droppings are gone, removes orphan files, rebuilds RAW records' shapes
+// from their extents' headers) without touching intact data.
 #pragma once
 
 #include <string>
@@ -14,6 +15,13 @@
 #include "plfs/plfs.hpp"
 
 namespace ada::plfs {
+
+/// A record whose stored shape repair rebuilds, and the shape its extent
+/// gives it (nullopt: no RAW image, so the record should store no span).
+struct ShapeFinding {
+  IndexRecord record;
+  std::optional<FrameSpan> shape;
+};
 
 struct VerifyReport {
   /// Index records whose dropping file is missing or shorter than the
@@ -34,6 +42,14 @@ struct VerifyReport {
   /// stream.  The sealed prefix below the watermark is untouched.
   std::vector<IndexRecord> open_tail_records;
 
+  /// Intact records storing another shape than their extent gives them,
+  /// or a span on a non-RAW extent (range queries fail kCorruptData).
+  std::vector<ShapeFinding> wrong_shapes;
+
+  /// Intact RAW records storing no atom count: v1/v2 images and older v3
+  /// ones (range queries fail kFailedPrecondition).
+  std::vector<ShapeFinding> shapeless_records;
+
   /// Stream state present and not sealed (a live stream, or a crash before
   /// finish()).  Informational: an open stream with no other findings is
   /// consistent -- do not run repair on a container still being written.
@@ -45,7 +61,8 @@ struct VerifyReport {
 
   bool clean() const noexcept {
     return broken_records.empty() && checksum_bad_records.empty() &&
-           orphan_droppings.empty() && open_tail_records.empty() && extents_complete;
+           orphan_droppings.empty() && open_tail_records.empty() && wrong_shapes.empty() &&
+           shapeless_records.empty() && extents_complete;
   }
 };
 
@@ -61,10 +78,13 @@ struct RepairActions {
   /// Open-tail records quarantined + dropped while sealing an interrupted
   /// stream, with the intact chunks above a damaged one (the cut).
   std::size_t tail_records_dropped = 0;
+  /// Wrong and shape-less records given the shape their extent holds.
+  std::size_t shapes_rebuilt = 0;
 };
 
 /// Repair in place: quarantine checksum-bad droppings, publish one index
-/// image without the broken and quarantined records, then delete orphan
+/// image without the broken and quarantined records and with every listed
+/// shape rebuilt (the upgrade path of older images), then delete orphan
 /// droppings.  Data whose droppings are intact is never modified.  Extent
 /// completeness is *not* restored (lost extents stay lost) -- the report
 /// tells the caller what is gone.

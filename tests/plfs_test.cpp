@@ -4,6 +4,7 @@
 // path that remains, the ADA I/O retriever over Indexer::locate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <limits>
 #include <optional>
@@ -11,8 +12,10 @@
 
 #include "ada/indexer.hpp"
 #include "common/binary_io.hpp"
+#include "common/check.hpp"
 #include "common/crc32c.hpp"
 #include "common/faults.hpp"
+#include "formats/raw_traj.hpp"
 #include "plfs/container.hpp"
 #include "plfs/fsck.hpp"
 #include "plfs/plfs.hpp"
@@ -179,7 +182,10 @@ std::vector<std::uint8_t> v2_image(const std::vector<V2Record>& records) {
   return w.take();
 }
 
-TEST(IndexCodecTest, V2FrameTablesDecodeToSpansOnlyWhenArithmetic) {
+TEST(IndexCodecTest, V2FrameTablesAreSkipped) {
+  // A v2 frame table is read past, whatever it says: a record keeps exactly
+  // the span its 0x04 flag stated, and no record has an atom count (fsck
+  // --repair rebuilds the shapes from the extents).
   constexpr std::uint64_t kFrame = 44 + 12 * 5;  // a 5-atom RAW frame
   const std::uint64_t length = 16 + 3 * kFrame;
   const std::vector<std::uint64_t> arithmetic = {16, 16 + kFrame, 16 + 2 * kFrame};
@@ -197,22 +203,33 @@ TEST(IndexCodecTest, V2FrameTablesDecodeToSpansOnlyWhenArithmetic) {
   const auto span_of = [&](std::size_t i) {
     const IndexRecord& r = index.records[i];
     EXPECT_TRUE(r.has_checksum()) << i;
+    EXPECT_FALSE(r.has_atom_count()) << i;
     return r.has_frame_span() ? std::optional<std::pair<std::uint64_t, std::uint32_t>>(
                                     {r.frame_base, r.frame_count})
                               : std::nullopt;
   };
   using Span = std::pair<std::uint64_t, std::uint32_t>;
-  EXPECT_EQ(span_of(0), Span(0, 3)) << "an arithmetic batch table becomes span [0, 3)";
+  EXPECT_EQ(span_of(0), std::nullopt) << "an arithmetic batch table is no span";
   EXPECT_EQ(span_of(1), std::nullopt) << "a lying table leaves no span";
   EXPECT_EQ(span_of(2), std::nullopt) << "a truncated table leaves no span";
   EXPECT_EQ(span_of(3), Span(6, 3)) << "a streamed record keeps its frame base";
   EXPECT_EQ(span_of(4), Span(9, 3)) << "a table-less streamed record keeps its span";
-  EXPECT_EQ(span_of(5), Span(0, 0)) << "an empty table over a header-only extent";
+  EXPECT_EQ(span_of(5), std::nullopt) << "an empty table is no span";
 
   // Re-encoding writes v3: the spans round-trip, the tables are gone.
   const auto image = encode_index(index);
   EXPECT_FALSE(is_legacy_index(image));
   EXPECT_EQ(decode_index(image).value(), index);
+
+  // A table count past the bytes present fails before any allocation.
+  auto lying = v2_image({{length, {}, true, false, 0, 0}});
+  ByteWriter count;
+  count.put_u32_le(0xFFFFFFFFu);
+  const auto count_bytes = count.take();
+  std::copy(count_bytes.begin(), count_bytes.end(), lying.end() - 4);
+  const auto refused = decode_index(lying);
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.error().code(), ErrorCode::kCorruptData);
 }
 
 TEST(IndexCodecTest, V2TruncationsFailCleanly) {
@@ -377,6 +394,64 @@ TEST_F(PlfsMountTest, LegacyStreamContainerIsRefused) {
   ASSERT_FALSE(refused.is_ok());
   EXPECT_EQ(refused.error().code(), ErrorCode::kFailedPrecondition);
   EXPECT_FALSE(append("bar", "p", 0, bytes_of("x")).is_ok()) << "appended past a refused index";
+}
+
+// --- fsck over stored shapes -----------------------------------------------------
+
+TEST_F(PlfsMountTest, FsckRebuildsShapesFromRawHeaders) {
+  // Per label, in logical order, each RAW extent's shape is its header's
+  // frames and atoms from the label's running base.  fsck lists a record
+  // that states another shape, a RAW record that states none, and a span on
+  // an extent that is no RAW image; one repair rebuilds each from its
+  // extent, and a second changes nothing.
+  const auto raw = [](std::uint32_t atoms, std::uint32_t frames) {
+    formats::RawTrajWriter writer(atoms);
+    const std::vector<float> coords(std::size_t{3} * atoms, 1.5f);
+    for (std::uint32_t f = 0; f < frames; ++f) {
+      ADA_CHECK(writer.add_frame(f, 0.0f, chem::Box{}, coords).is_ok());
+    }
+    return writer.finish();
+  };
+  const auto two = raw(3, 2);
+  const auto one = raw(3, 1);
+  const auto misc = raw(4, 2);
+  const auto text = bytes_of("no RAW image");
+  ASSERT_TRUE(mount_->create_container("bar").is_ok());
+  ASSERT_TRUE(mount_
+                  ->append("bar", {Extent{"p", 0, two, FrameSpan{0, 2, 3}},
+                                   Extent{"p", 0, one, FrameSpan{5, 1, 3}},  // base should be 2
+                                   Extent{"m", 1, misc, std::nullopt},       // no shape
+                                   Extent{"x", 1, text, FrameSpan{0, 4, 9}}})
+                  .is_ok());
+  const Index written = mount_->read_index("bar").value();
+
+  const auto report = verify_container(*mount_, "bar").value();
+  EXPECT_FALSE(report.clean());
+  ASSERT_EQ(report.wrong_shapes.size(), 2u);  // in label order: "p", then "x"
+  EXPECT_EQ(report.wrong_shapes[0].record, written.records[1]);
+  ASSERT_TRUE(report.wrong_shapes[0].shape.has_value());
+  EXPECT_EQ(report.wrong_shapes[0].shape->base, 2u);
+  EXPECT_EQ(report.wrong_shapes[1].record, written.records[3]);
+  EXPECT_EQ(report.wrong_shapes[1].shape, std::nullopt);
+  ASSERT_EQ(report.shapeless_records.size(), 1u);
+  EXPECT_EQ(report.shapeless_records[0].record, written.records[2]);
+
+  const auto actions = repair_container(*mount_, "bar").value();
+  EXPECT_EQ(actions.shapes_rebuilt, 3u);
+  EXPECT_EQ(actions.records_dropped, 0u);
+  const Index repaired = mount_->read_index("bar").value();
+  EXPECT_EQ(repaired.records[0], written.records[0]);
+  EXPECT_EQ(repaired.records[1].frame_base, 2u);
+  EXPECT_EQ(repaired.records[1].frame_count, 1u);
+  EXPECT_EQ(repaired.records[2].frame_count, 2u);
+  EXPECT_EQ(repaired.records[2].atom_count, 4u);
+  EXPECT_TRUE(repaired.records[2].has_atom_count());
+  EXPECT_FALSE(repaired.records[3].has_frame_span());
+  EXPECT_FALSE(repaired.records[3].has_atom_count());
+  EXPECT_TRUE(verify_container(*mount_, "bar").value().clean());
+  const auto again = repair_container(*mount_, "bar").value();
+  EXPECT_EQ(again.shapes_rebuilt, 0u);
+  EXPECT_EQ(mount_->read_index("bar").value(), repaired);
 }
 
 // --- extent checksums --------------------------------------------------------------

@@ -92,19 +92,23 @@ int main(int argc, char** argv) {
     const auto report = tools::must(plfs::verify_container(middleware.mount(), logical), "fsck");
     std::fprintf(report_out,
                  "\nfsck: %s (%zu broken records, %zu checksum-bad, %zu open-tail, %zu orphans, "
-                 "extents %s)\n",
+                 "%zu wrong shapes, %zu shape-less, extents %s)\n",
                  report.clean() ? "clean" : "NOT CLEAN", report.broken_records.size(),
                  report.checksum_bad_records.size(), report.open_tail_records.size(),
-                 report.orphan_droppings.size(),
+                 report.orphan_droppings.size(), report.wrong_shapes.size(),
+                 report.shapeless_records.size(),
                  report.extents_complete ? "complete" : "INCOMPLETE");
-    if (args.has("repair") && !report.clean()) {
+    // clean() tolerates an open stream, but --repair declares its producer
+    // dead: the stream is sealed even when nothing else needs fixing.
+    if (args.has("repair") && (!report.clean() || report.stream_open)) {
       const auto actions =
           tools::must(plfs::repair_container(middleware.mount(), logical), "repair");
       std::fprintf(report_out,
                    "repaired: dropped %zu broken records, quarantined %zu extents, dropped %zu "
-                   "open-tail records, removed %zu orphans\n",
+                   "open-tail records, removed %zu orphans, rebuilt %zu shapes%s\n",
                    actions.records_dropped, actions.extents_quarantined,
-                   actions.tail_records_dropped, actions.orphans_removed);
+                   actions.tail_records_dropped, actions.orphans_removed, actions.shapes_rebuilt,
+                   report.stream_open ? ", sealed the stream" : "");
     }
     tools::metrics_end(args);
     return report.clean() ? 0 : 1;

@@ -330,6 +330,51 @@ echo "== retention smoke: --retain-bytes stream, then ada-inspect --fsck exits 0
     cat "$WORK/retained_fsck.log" >&2
     exit 1
 }
+# The retained stream's floor is above 0: its first live chunk's base is the
+# floor, and fsck's shape walk must start there.
+grep -q '0 wrong shapes, 0 shape-less' "$WORK/retained_fsck.log" || {
+    echo "FAIL: fsck reported shape findings on a healthy retained stream" >&2
+    cat "$WORK/retained_fsck.log" >&2
+    exit 1
+}
+
+echo "== dead-producer smoke: kill -9 mid-stream, ada-inspect --repair seals, --follow drains =="
+# A producer killed between flushes leaves an OPEN stream that fsck calls
+# clean.  --repair declares the producer dead and seals the stream, so a
+# follower drains the sealed prefix and exits 0 instead of waiting out its
+# timeout.
+"$BUILD_DIR/tools/ada-ingest" --pdb "$WORK/gen_stream/system.pdb" \
+    --xtc "$WORK/gen_stream/traj.xtc" --ssd "$WORK/ssd5" --hdd "$WORK/hdd5" --name live.xtc \
+    --stream --chunk-frames 2 --frame-delay-ms 150 >/dev/null 2>&1 &
+KILLED_PID=$!
+for _ in $(seq 1 200); do
+    "$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd5" --hdd "$WORK/hdd5" --name live.xtc \
+        --tag p >/dev/null 2>&1 && break
+    sleep 0.05
+done
+kill -9 "$KILLED_PID"
+wait "$KILLED_PID" 2>/dev/null || true
+inspect_killed() {
+    "$BUILD_DIR/tools/ada-inspect" --ssd "$WORK/ssd5" --hdd "$WORK/hdd5" --name live.xtc "$@"
+}
+inspect_killed >"$WORK/killed_dump.log"
+grep -q 'stream: watermark [0-9]* frames, floor 0, OPEN' "$WORK/killed_dump.log" || {
+    echo "FAIL: the killed producer did not leave an open stream" >&2
+    cat "$WORK/killed_dump.log" >&2
+    exit 1
+}
+inspect_killed --repair >"$WORK/killed_repair.log" || true
+inspect_killed >"$WORK/killed_dump.log"
+grep -q 'stream: watermark [0-9]* frames, floor 0, sealed' "$WORK/killed_dump.log" || {
+    echo "FAIL: ada-inspect --repair left a dead producer's stream open" >&2
+    cat "$WORK/killed_repair.log" "$WORK/killed_dump.log" >&2
+    exit 1
+}
+"$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd5" --hdd "$WORK/hdd5" --name live.xtc \
+    --tag p --follow --poll-ms 10 --timeout-s 20 --out "$WORK/killed_followed.raw" >/dev/null || {
+    echo "FAIL: --follow of a repaired stream did not exit 0 before its timeout" >&2
+    exit 1
+}
 
 echo "== follow flag validation: non-positive --poll-ms/--timeout-s rejected =="
 # Each of these is always user error (busy-spin / timeout-before-first-poll):
