@@ -11,9 +11,10 @@
 //                  downed-server run through the armed-fault retry path.
 //   measured plane wall clock through the real middleware: a streamed
 //                  multi-extent GPCR dataset queried by two Ada instances over
-//                  the same backends, serial (read_threads=1) vs scatter-
-//                  gather (read_threads=4, queue_depth=4).  Parallel bytes are
-//                  checked identical to serial bytes before any timing.
+//                  the same backends, serial (threads=1) vs scatter-gather
+//                  (threads=4; IoRetriever::kBackendDepth piece reads in
+//                  flight per backend).  Parallel bytes are checked
+//                  identical to serial bytes before any timing.
 //
 // Sim parameters are fixed constants -- identical under --smoke -- so the
 // ada-stats perf gate can compare sim.* keys across runs exactly.  The
@@ -22,7 +23,7 @@
 // the parallel sweep unqueued.  Emits BENCH_distributed.json.
 //
 //   distributed_scaling [--smoke] [--frames=N] [--rounds=N]
-//                       [--read-threads=N] [--queue-depth=N] [--out=FILE]
+//                       [--threads=N] [--queue-depth=N (sim plane)] [--out=FILE]
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
   const bool smoke = bench::bool_flag(argc, argv, "smoke");
   std::uint32_t frames = bench::uint_flag(argc, argv, "frames", smoke ? 12 : 48);
   unsigned rounds = bench::uint_flag(argc, argv, "rounds", smoke ? 4 : 16);
-  const unsigned read_threads = bench::uint_flag(argc, argv, "read-threads", 4);
+  const unsigned threads = bench::uint_flag(argc, argv, "threads", 4);
   const unsigned queue_depth = bench::uint_flag(argc, argv, "queue-depth", 4);
   std::string out_path = "BENCH_distributed.json";
   for (int i = 1; i < argc; ++i) {
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
   std::cout << "================================================================\n"
             << "Distributed scaling: scatter-gather retrieval, 1->9 servers\n"
             << "(sim plane: 64 MiB / 512 KiB extents; measured plane: " << frames
-            << " frames, " << rounds << " rounds, " << read_threads << " read threads)\n"
+            << " frames, " << rounds << " rounds, " << threads << " threads)\n"
             << "================================================================\n";
 
   // --- sim plane: server scaling at fixed queue depth -----------------------
@@ -172,10 +173,9 @@ int main(int argc, char** argv) {
 
   core::AdaConfig serial_config;
   serial_config.placement = core::PlacementPolicy::active_on_ssd(0, 1);
-  serial_config.read_threads = 1;  // the inline serial run of the fetch engine
+  serial_config.threads = 1;  // the inline serial run of the fetch engine
   core::AdaConfig parallel_config = serial_config;
-  parallel_config.read_threads = read_threads;
-  parallel_config.read_queue_depth = queue_depth;
+  parallel_config.threads = threads;
 
   auto mount = [&] {
     return plfs::PlfsMount::open({{"ssd", root + "/ssd"}, {"hdd", root + "/hdd"}});
@@ -255,13 +255,13 @@ int main(int argc, char** argv) {
   const double measured_speedup = parallel_s > 0 ? serial_s / parallel_s : 0;
 
   const unsigned cores = std::thread::hardware_concurrency();
-  const bool measured_authoritative = cores >= read_threads;
+  const bool measured_authoritative = cores >= threads;
   std::printf("\n--- measured: serial vs scatter-gather (%u tags, %u rounds) ---\n",
               static_cast<unsigned>(tags.size()), rounds);
-  std::printf("  serial (read_threads=1)    %10.4f s\n", serial_s);
-  std::printf("  parallel (read_threads=%u) %10.4f s\n", read_threads, parallel_s);
+  std::printf("  serial (threads=1)    %10.4f s\n", serial_s);
+  std::printf("  parallel (threads=%u) %10.4f s\n", threads, parallel_s);
   std::printf("  speedup: %.2fx%s\n", measured_speedup,
-              measured_authoritative ? "" : "  [advisory: fewer cores than read threads]");
+              measured_authoritative ? "" : "  [advisory: fewer cores than threads]");
 
   const double speedup_2 = server_seconds[1] / server_seconds[2];
   const double speedup_4 = server_seconds[1] / server_seconds[4];
@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
        << ", \"sim_extent_bytes\": " << static_cast<std::uint64_t>(kSimExtentBytes)
        << ", \"frames\": " << frames << ", \"tags\": " << tags.size()
        << ", \"subset_bytes\": " << subset_bytes_total << "},\n"
-       << "  \"config\": {\"read_threads\": " << read_threads
+       << "  \"config\": {\"threads\": " << threads
        << ", \"queue_depth\": " << queue_depth << ", \"rounds\": " << rounds << "},\n"
        << "  \"sim\": {\"t1_s\": " << server_seconds[1] << ", \"t2_s\": " << server_seconds[2]
        << ", \"t4_s\": " << server_seconds[4] << ", \"t9_s\": " << server_seconds[kMaxServers]

@@ -183,7 +183,7 @@ Status IoRetriever::fetch_round(std::span<const DatasetLocation> locations,
     backends = std::max(backends, locations[first + e].backend + 1);
   }
   ADA_OBS_COUNT("retrieve.pieces", pieces.size());
-  const bool fan_out = pieces.size() > 1 && ThreadPool::shared().budget(options_.threads) > 1;
+  const bool fan_out = pieces.size() > 1 && ThreadPool::shared().budget(threads_) > 1;
   if (fan_out) {
     ADA_OBS_COUNT("retrieve.sg.calls", 1);
     ADA_OBS_COUNT("retrieve.sg.extents", readers.size());
@@ -215,7 +215,7 @@ Status IoRetriever::fetch_round(std::span<const DatasetLocation> locations,
   // stops at that failure before it reaches the skipped piece.
   std::vector<Status> results(pieces.size());
   std::vector<std::uint32_t> crcs(pieces.size(), 0);
-  AdmissionWindow window(backends, fan_out ? options_.queue_depth : 0);
+  AdmissionWindow window(backends, fan_out ? kBackendDepth : 0);
   std::vector<std::span<std::uint8_t>> slots;
   slots.reserve(readers.size());
   for (std::size_t e = 0; e < readers.size(); ++e) {
@@ -230,7 +230,7 @@ Status IoRetriever::fetch_round(std::span<const DatasetLocation> locations,
   // in cache.  A task holds exactly one admission slot while it reads, so
   // blocked acquires always wait on running tasks and the batch drains
   // (common/admission.hpp).
-  run_until_failure(order, options_.threads, [&](std::size_t p) {
+  run_until_failure(order, threads_, [&](std::size_t p) {
     const Piece& piece = pieces[p];
     const std::uint32_t backend = backend_of(piece);
     const std::uint64_t waits = window.acquire(backend);

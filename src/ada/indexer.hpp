@@ -57,21 +57,6 @@ class Indexer {
   const plfs::PlfsMount& mount_;
 };
 
-/// Scatter-gather retrieval knobs (docs/performance.md, "Scatter-gather
-/// retrieval").  Every thread count runs the same fetch engine and returns
-/// the same bytes and errors.
-struct RetrieveOptions {
-  /// Piece reads in flight per fetch, as AdaConfig::read_threads: 0 follows
-  /// the shared pool (one per pool worker plus the caller), 1 is the inline
-  /// serial run in logical order, N caps the pieces in flight.
-  unsigned threads = 0;
-
-  /// Per-backend admission window when pieces fan out: at most this many
-  /// piece reads in flight against any one backend (0 = unbounded).  Keeps
-  /// a wide fan-out from swamping a single server while other backends idle.
-  unsigned queue_depth = 4;
-};
-
 class IoRetriever {
  public:
   /// Bytes per piece, the unit a fetch spreads over the pool: each piece is
@@ -80,8 +65,17 @@ class IoRetriever {
   /// extent reads").
   static constexpr std::uint64_t kPieceBytes = 512 * 1024;
 
-  explicit IoRetriever(const plfs::PlfsMount& mount, RetrieveOptions options = {})
-      : mount_(mount), options_(options) {}
+  /// Per-backend admission window when pieces fan out: at most this many
+  /// piece reads in flight against any one backend, so a wide fan-out does
+  /// not swamp one server while other backends idle.
+  static constexpr unsigned kBackendDepth = 4;
+
+  /// `threads` is the fetch's budget, the rule of AdaConfig::threads: 0
+  /// follows the shared pool, 1 is the inline serial run in logical order,
+  /// N caps the pieces in flight.  Every budget returns the same bytes and
+  /// errors.
+  explicit IoRetriever(const plfs::PlfsMount& mount, unsigned threads = 0)
+      : mount_(mount), threads_(threads) {}
 
   /// Fetch already-located extents (Indexer::locate) as the subset image of
   /// a tag: every extent lands in its slot of one preallocated image, in
@@ -99,15 +93,13 @@ class IoRetriever {
   /// served bytes.
   Result<std::vector<std::uint8_t>> retrieve_extent(const DatasetLocation& location) const;
 
-  const RetrieveOptions& options() const noexcept { return options_; }
-
  private:
   /// Hands out the buffer extent i lands in (after its bounds check).
   using Buffers = std::function<std::span<std::uint8_t>(std::size_t)>;
 
   /// The one fetch engine behind every read above: locations[i] lands in
   /// buffer(i).  Each extent is opened once, its pieces are read and
-  /// checksummed with options().threads in flight, and the piece checksums
+  /// checksummed with the budget's pieces in flight, and the piece checksums
   /// fold in piece order into the extent's CRC32C.  The first failure in
   /// location order is the error -- the one a serial loop would stop on.
   Status fetch(std::span<const DatasetLocation> locations, const Buffers& buffer) const;
@@ -118,7 +110,7 @@ class IoRetriever {
                      std::size_t* done) const;
 
   const plfs::PlfsMount& mount_;
-  RetrieveOptions options_;
+  unsigned threads_;
 };
 
 }  // namespace ada::core

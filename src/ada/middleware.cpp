@@ -120,8 +120,7 @@ Result<IngestReport> Ada::ingest_into(const LabelMap& labels,
 }
 
 std::vector<Result<IngestReport>> Ada::ingest_batch(const chem::System& structure,
-                                                    const std::vector<Phase>& phases,
-                                                    unsigned threads) {
+                                                    const std::vector<Phase>& phases) {
   // The label map is shared read-only across phases (one structure).
   const LabelMap labels = categorize_protein_misc(structure);
   std::vector<Result<IngestReport>> results(
@@ -145,11 +144,9 @@ std::vector<Result<IngestReport>> Ada::ingest_batch(const chem::System& structur
 
   // Each job touches only its own container directory; the mount's file
   // operations on distinct containers are independent.
-  ThreadPool::shared().run(phases.size(), threads != 0 ? threads : config_.threads,
-                           [&](std::size_t i) {
-                             results[i] = ingest_with_labels(labels, phases[i].xtc_image,
-                                                             phases[i].logical_name);
-                           });
+  ThreadPool::shared().run(phases.size(), config_.threads, [&](std::size_t i) {
+    results[i] = ingest_with_labels(labels, phases[i].xtc_image, phases[i].logical_name);
+  });
   return results;
 }
 
@@ -213,7 +210,7 @@ Result<Ada::Subset> Ada::read_subset(const std::string& logical_name, const Tag&
     const obs::Span retrieve_span("retrieve", tag);
     ADA_ASSIGN_OR_RETURN(const auto extents, Indexer(mount_).locate(logical_name, tag));
     const obs::Span read_span("plfs_read", tag);
-    ADA_ASSIGN_OR_RETURN(subset.owned, IoRetriever(mount_, retrieve_options()).retrieve(extents));
+    ADA_ASSIGN_OR_RETURN(subset.owned, IoRetriever(mount_, config_.threads).retrieve(extents));
     obs::trace_counter("plfs.read.bytes", subset.owned.size());
   }
   if (cache_ != nullptr) {
@@ -404,7 +401,7 @@ Result<Ada::RangeImage> Ada::query_range(const std::string& logical_name, const 
   want.reserve(needed.size());
   for (const std::size_t e : needed) want.push_back(locations[e]);
   ADA_ASSIGN_OR_RETURN(auto images,
-                       IoRetriever(mount_, retrieve_options()).retrieve_extents(want));
+                       IoRetriever(mount_, config_.threads).retrieve_extents(want));
   std::vector<std::optional<formats::RawTrajReader>> readers(locations.size());  // by extent
   for (std::size_t k = 0; k < needed.size(); ++k) {
     const std::size_t e = needed[k];

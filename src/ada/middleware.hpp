@@ -49,13 +49,16 @@ struct AdaConfig {
   /// Keep the original compressed image in the container (provenance).
   bool keep_original = false;
 
-  /// Concurrency budget for ingest-time pre-processing.  0 (the default)
-  /// decodes frame ranges on every shared-pool worker plus the caller; 1
-  /// keeps the paper's serial storage-node decode; N > 1 caps it at N
-  /// threads.  The stored bytes never differ.  File-level (ingest_batch)
-  /// and frame-level parallelism draw from the same persistent pool, so the
-  /// budget composes instead of multiplying threads.  Streaming ingest
-  /// splits each frame on the producer's thread whatever the budget.
+  /// The one concurrency budget for every pool fan-out this middleware
+  /// starts: an ingest's frame-range decode, ingest_batch's phases, a
+  /// query's piece reads (docs/performance.md, "Piece-parallel extent
+  /// reads") and the VFS shim's per-tag reads.  0 (the default) runs on
+  /// every shared-pool worker plus the caller; 1 is the inline serial run
+  /// (the paper's serial storage-node decode, reads in logical order); N > 1
+  /// caps it at N threads.  Stored bytes, answers and errors never differ.
+  /// Nested fan-outs draw from the same persistent pool, so the budget
+  /// composes instead of multiplying threads.  Streaming ingest splits each
+  /// frame on the producer's thread whatever the budget.
   unsigned threads = 0;
 
   /// Byte budget of the query-side subset cache (ada/query_cache.hpp).
@@ -73,20 +76,6 @@ struct AdaConfig {
   /// No effect: every RAW subset's index record stores its shape (frame
   /// span and atom count).  Kept declared for callers that still set it.
   bool frame_tables = true;
-
-  /// Concurrent piece reads per query (docs/performance.md, "Piece-parallel
-  /// extent reads"), the rule of `threads`: 0 (the default) follows the
-  /// shared pool, 1 is the inline serial run in logical order, N caps the
-  /// pieces in flight.  Every extent is cut into fixed-size pieces, each
-  /// pread into its slot of the answer and checksummed on the pool; the
-  /// piece CRCs fold into the extent's.  Every value runs the same fetch
-  /// engine: the bytes and errors never differ.  A fetch of one piece runs
-  /// inline on the caller.
-  unsigned read_threads = 0;
-
-  /// Per-backend admission window when pieces fan out: at most this many
-  /// piece reads in flight against any one backend (0 = unbounded).
-  unsigned read_queue_depth = 4;
 
   /// Windowed retention budget for streaming ingest (0 = keep everything).
   /// When the live sealed chunks of a stream exceed this many bytes, the
@@ -147,10 +136,9 @@ class Ada {
   /// represent different atom motion phases").  Phases are pre-processed in
   /// parallel on the shared thread pool; results are in input order.  Fails
   /// fast on duplicate names; per-phase failures are reported per phase.
-  /// `threads` == 0 defers to the config's budget (AdaConfig::threads).
+  /// The phases run under AdaConfig::threads.
   std::vector<Result<IngestReport>> ingest_batch(const chem::System& structure,
-                                                 const std::vector<Phase>& phases,
-                                                 unsigned threads = 0);
+                                                 const std::vector<Phase>& phases);
 
   /// Read-path query: the decompressed RAW subset image for `tag`
   /// ($ mol addfile /mnt/bar.xtc tag p).
@@ -294,11 +282,6 @@ class Ada {
   Result<RangeImage> query_range(const std::string& logical_name, const Tag& tag,
                                  const FrameRange& range, std::optional<IndexSnapshot> snapshot,
                                  bool empty_header) const;
-
-  /// Scatter-gather knobs for this middleware's retrievers.
-  RetrieveOptions retrieve_options() const noexcept {
-    return RetrieveOptions{config_.read_threads, config_.read_queue_depth};
-  }
 
   plfs::PlfsMount mount_;
   AdaConfig config_;

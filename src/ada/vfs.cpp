@@ -86,16 +86,16 @@ Result<std::vector<std::uint8_t>> VfsShim::read(const std::string& path,
     // Untagged read of an ADA dataset: every user subset, in tag order (the
     // ADA(all) retrieval the paper benchmarks).
     ADA_ASSIGN_OR_RETURN(const auto tags, ada_->tags(logical));
-    // Per-tag queries run as one batch under the read_threads budget (0:
-    // the shared pool; 1: inline, in tag order; N: N in flight), each query
-    // keeping its own piece-level budget -- nested pool batches cannot
+    // Per-tag queries run as one batch under AdaConfig::threads (0: the
+    // shared pool; 1: inline, in tag order; N: N in flight), each query's
+    // piece reads under the same budget -- nested pool batches cannot
     // deadlock because every caller drains its own batch -- then concatenate
     // in tag order.  The first failure in tag order is the error.
     std::vector<Result<std::vector<std::uint8_t>>> subsets(
         tags.size(), Result<std::vector<std::uint8_t>>(internal_error("not executed")));
     std::vector<std::size_t> order(tags.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    run_until_failure(order, ada_->config().read_threads, [&](std::size_t i) {
+    run_until_failure(order, ada_->config().threads, [&](std::size_t i) {
       subsets[i] = ada_->query(logical, tags[i]);
       return subsets[i].is_ok();
     });

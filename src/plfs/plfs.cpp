@@ -255,26 +255,34 @@ bool PlfsMount::container_exists(const std::string& logical_name) const {
   return valid_logical_name(logical_name) && fs::exists(index_path(logical_name));
 }
 
-void PlfsMount::bump_generation(const std::string& logical_name) const {
+PlfsMount::MutationClock::Stamps PlfsMount::stamps_of(const std::string& logical_name) const {
+  const auto it = clock_->live.find(logical_name);
+  return it != clock_->live.end() ? it->second
+                                  : MutationClock::Stamps{clock_->removed, clock_->removed};
+}
+
+void PlfsMount::bump_generation(const std::string& logical_name, bool rewrite) const {
   const std::lock_guard<std::mutex> lock(clock_->mutex);
-  ++clock_->generation[logical_name];
+  MutationClock::Stamps& stamps =
+      clock_->live.try_emplace(logical_name, stamps_of(logical_name)).first->second;
+  stamps.mutation = ++clock_->last;
+  if (rewrite) stamps.rewrite = stamps.mutation;
+}
+
+void PlfsMount::forget_generation(const std::string& logical_name) const {
+  const std::lock_guard<std::mutex> lock(clock_->mutex);
+  clock_->removed = ++clock_->last;
+  clock_->live.erase(logical_name);
 }
 
 std::uint64_t PlfsMount::mutation_generation(const std::string& logical_name) const {
   const std::lock_guard<std::mutex> lock(clock_->mutex);
-  const auto it = clock_->generation.find(logical_name);
-  return it == clock_->generation.end() ? 0 : it->second;
-}
-
-void PlfsMount::bump_rewrite_generation(const std::string& logical_name) const {
-  const std::lock_guard<std::mutex> lock(clock_->mutex);
-  ++clock_->rewrite[logical_name];
+  return stamps_of(logical_name).mutation;
 }
 
 std::uint64_t PlfsMount::rewrite_generation(const std::string& logical_name) const {
   const std::lock_guard<std::mutex> lock(clock_->mutex);
-  const auto it = clock_->rewrite.find(logical_name);
-  return it == clock_->rewrite.end() ? 0 : it->second;
+  return stamps_of(logical_name).rewrite;
 }
 
 Status PlfsMount::write_stream_state(const std::string& logical_name,
@@ -442,8 +450,7 @@ Status PlfsMount::remove_container(const std::string& logical_name) {
   if (!container_exists(logical_name)) {
     return not_found("container " + logical_name + " does not exist");
   }
-  bump_generation(logical_name);
-  bump_rewrite_generation(logical_name);
+  forget_generation(logical_name);
   for (std::uint32_t b = 0; b < backend_count(); ++b) {
     std::error_code ec;
     fs::remove_all(container_dir(b, logical_name), ec);
@@ -457,10 +464,8 @@ Status PlfsMount::replace_container(const std::string& from, const std::string& 
   if (!container_exists(from)) {
     return not_found("staging container " + from + " does not exist");
   }
-  bump_generation(from);
-  bump_generation(to);
-  bump_rewrite_generation(from);
-  bump_rewrite_generation(to);
+  forget_generation(from);
+  bump_generation(to, /*rewrite=*/true);
   for (std::uint32_t b = 0; b < backend_count(); ++b) {
     std::error_code ec;
     fs::remove_all(container_dir(b, to), ec);
@@ -503,7 +508,7 @@ Status PlfsMount::rewrite_index(const std::string& logical_name, const Index& in
   }
   // Wholesale index replacement (repair, retention) can rewrite history:
   // fence frame-block cache entries too, not just whole-subset entries.
-  bump_rewrite_generation(logical_name);
+  bump_generation(logical_name, /*rewrite=*/true);
   return write_index(logical_name, index);
 }
 

@@ -264,10 +264,19 @@ class PlfsMount {
 
   /// Per-container mutation generations, shared by every copy of the mount
   /// (fsck tooling operating on a copy still advances the same clock).
+  /// Every bump takes the next stamp of one counter, and only live names
+  /// keep an entry: a name with none (never written, or removed) reports
+  /// the stamp of the clock's last removal, so each name's generations keep
+  /// rising and a re-created name never repeats one.
   struct MutationClock {
+    struct Stamps {
+      std::uint64_t mutation = 0;
+      std::uint64_t rewrite = 0;  // history-rewriting writes only
+    };
     std::mutex mutex;
-    std::map<std::string, std::uint64_t> generation;
-    std::map<std::string, std::uint64_t> rewrite;  // history-rewriting writes only
+    std::uint64_t last = 0;     // the last stamp handed out
+    std::uint64_t removed = 0;  // the stamp of the last removal
+    std::map<std::string, Stamps> live;
   };
 
   explicit PlfsMount(std::vector<Backend> backends)
@@ -276,8 +285,13 @@ class PlfsMount {
   std::string container_dir(std::uint32_t backend_id, const std::string& logical_name) const;
   std::string index_path(const std::string& logical_name) const;
   Status write_index(const std::string& logical_name, const Index& index) const;
-  void bump_generation(const std::string& logical_name) const;
-  void bump_rewrite_generation(const std::string& logical_name) const;
+  /// Stamps a mutation of `logical_name` (and, with `rewrite`, a history
+  /// rewrite) from the clock's counter.
+  void bump_generation(const std::string& logical_name, bool rewrite = false) const;
+  /// Stamps the removal of `logical_name` and drops its entry.
+  void forget_generation(const std::string& logical_name) const;
+  /// The stamps `logical_name` reports; the caller holds the clock's mutex.
+  MutationClock::Stamps stamps_of(const std::string& logical_name) const;
 
   std::vector<Backend> backends_;
   RetryPolicy retry_policy_;

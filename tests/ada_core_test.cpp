@@ -320,13 +320,19 @@ class AdaMiddlewareTest : public testing::Test {
   void SetUp() override {
     root_ = test::unique_temp_dir("ada_mw_test");
     fs::remove_all(root_);
+    reopen(/*threads=*/0);
+  }
+  void TearDown() override { fs::remove_all(root_); }
+
+  /// Rebuilds ada_ over the same backends with concurrency budget `threads`.
+  void reopen(unsigned threads) {
     AdaConfig config;
     config.placement = PlacementPolicy::active_on_ssd(0, 1);
+    config.threads = threads;
     ada_ = std::make_unique<Ada>(
         plfs::PlfsMount::open({{"ssd", root_ + "/ssd"}, {"hdd", root_ + "/hdd"}}).value(),
         config);
   }
-  void TearDown() override { fs::remove_all(root_); }
 
   std::string root_;
   std::unique_ptr<Ada> ada_;
@@ -419,7 +425,8 @@ TEST_F(AdaMiddlewareTest, BatchIngestOfPhases) {
   const auto phase3 = make_xtc(system, 1);
   const std::vector<Ada::Phase> phases = {
       {"phase1.xtc", phase1}, {"phase2.xtc", phase2}, {"phase3.xtc", phase3}};
-  const auto results = ada_->ingest_batch(system, phases, /*threads=*/3);
+  reopen(/*threads=*/3);
+  const auto results = ada_->ingest_batch(system, phases);
   ASSERT_EQ(results.size(), 3u);
   for (const auto& r : results) ASSERT_TRUE(r.is_ok()) << r.error().to_string();
   EXPECT_EQ(results[0].value().preprocess.frames, 2u);
@@ -435,7 +442,8 @@ TEST_F(AdaMiddlewareTest, BatchIngestMatchesSerialByteForByte) {
   const auto system = tiny_system();
   const auto xtc = make_xtc(system, 2);
   const std::vector<Ada::Phase> phases = {{"parallel.xtc", xtc}};
-  const auto results = ada_->ingest_batch(system, phases, 4);
+  reopen(/*threads=*/4);
+  const auto results = ada_->ingest_batch(system, phases);
   ASSERT_TRUE(results[0].is_ok());
   ASSERT_TRUE(ada_->ingest(system, xtc, "serial.xtc").is_ok());
   EXPECT_EQ(ada_->query("parallel.xtc", kProteinTag).value(),
@@ -459,7 +467,8 @@ TEST_F(AdaMiddlewareTest, BatchIngestReportsPerPhaseFailures) {
   const auto good = make_xtc(system, 1);
   const std::vector<std::uint8_t> garbage(32, 0x5a);
   const std::vector<Ada::Phase> phases = {{"good.xtc", good}, {"bad.xtc", garbage}};
-  const auto results = ada_->ingest_batch(system, phases, 2);
+  reopen(/*threads=*/2);
+  const auto results = ada_->ingest_batch(system, phases);
   EXPECT_TRUE(results[0].is_ok());
   EXPECT_FALSE(results[1].is_ok());
   EXPECT_TRUE(ada_->has_dataset("good.xtc"));

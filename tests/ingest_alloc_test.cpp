@@ -68,8 +68,12 @@ std::uint32_t this_thread_id() {
   return t_thread_id;
 }
 
-// Every block is preceded by a header whose last four bytes hold the id of
-// the allocating thread; the header keeps the caller's alignment.
+// Bytes requested through operator new and not yet deleted, on any thread.
+std::atomic<std::int64_t> g_live_bytes{0};
+
+// Every block is preceded by a header whose first eight bytes hold its
+// requested size and whose last four bytes hold the id of the allocating
+// thread; the header keeps the caller's alignment.
 std::size_t header_bytes(std::size_t align) {
   return std::max(align, alignof(std::max_align_t));
 }
@@ -91,6 +95,8 @@ void* counted_alloc(std::size_t size, std::size_t align) {
   auto* block = static_cast<unsigned char*>(base) + header;
   const std::uint32_t owner = this_thread_id();
   std::memcpy(block - sizeof owner, &owner, sizeof owner);
+  std::memcpy(base, &size, sizeof size);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(size), std::memory_order_relaxed);
   return block;
 }
 
@@ -102,7 +108,11 @@ void counted_free(void* p, std::size_t align) noexcept {
     std::memcpy(&owner, block - sizeof owner, sizeof owner);
     if (owner != this_thread_id()) g_cross_thread_frees.fetch_add(1, std::memory_order_relaxed);
   }
-  std::free(block - header_bytes(align));
+  unsigned char* base = block - header_bytes(align);
+  std::size_t size = 0;
+  std::memcpy(&size, base, sizeof size);
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(size), std::memory_order_relaxed);
+  std::free(base);
 }
 
 /// Allocations made off the test thread while `fn` runs on it.
@@ -304,10 +314,10 @@ TEST(ParallelIngestAllocTest, CrossThreadFreeCounterSeesAWorkerFreeingTheCallers
 }
 
 TEST(ParallelIngestAllocTest, PoolWorkersFreeNoBlockAnotherThreadAllocated) {
-  // An ingest of eight paper-size frames at threads = 4, then cold (cache
-  // off) piece-parallel queries of its multi-piece protein subset at
-  // read_threads = 0: no pool worker may free a block that the caller, or
-  // another worker, allocated.
+  // An ingest of eight paper-size frames, then cold (cache off)
+  // piece-parallel queries of its multi-piece protein subset, both at the
+  // one budget threads = 4: no pool worker may free a block that the
+  // caller, or another worker, allocated.
   namespace fs = std::filesystem;
   const std::string root = test::unique_temp_dir("ada_pool_frees");
   fs::remove_all(root);
@@ -317,7 +327,6 @@ TEST(ParallelIngestAllocTest, PoolWorkersFreeNoBlockAnotherThreadAllocated) {
   AdaConfig config;
   config.placement = PlacementPolicy::active_on_ssd(0, 1);
   config.threads = 4;
-  config.read_threads = 0;
   config.cache_bytes = 0;
   Ada ada(plfs::PlfsMount::open({{"ssd", root + "/ssd"}, {"hdd", root + "/hdd"}}).value(),
           config);
@@ -334,6 +343,30 @@ TEST(ParallelIngestAllocTest, PoolWorkersFreeNoBlockAnotherThreadAllocated) {
     ASSERT_TRUE(answer.is_ok()) << answer.error().to_string();
     EXPECT_EQ(answer.value(), serial.at(kProteinTag)) << "round " << round;
   }
+  fs::remove_all(root);
+}
+
+TEST(ParallelIngestAllocTest, MutationClockKeepsNoEntryForRemovedNames) {
+  // A long-lived mount creates and removes containers of ever new names (a
+  // batch ingest whose outputs are consumed and dropped): its live heap
+  // must not grow with the names it has seen, and each name's generation
+  // still rises across its removal.
+  namespace fs = std::filesystem;
+  const std::string root = test::unique_temp_dir("ada_clock_heap");
+  fs::remove_all(root);
+  plfs::PlfsMount mount =
+      plfs::PlfsMount::open({{"ssd", root + "/ssd"}, {"hdd", root + "/hdd"}}).value();
+  std::int64_t level = 0;
+  for (int cycle = 0; cycle < 2048; ++cycle) {
+    if (cycle == 64) level = g_live_bytes.load();
+    const std::string name = "cycle-" + std::to_string(cycle) + ".xtc";
+    ASSERT_TRUE(mount.create_container(name).is_ok()) << name;
+    const std::uint64_t live = mount.mutation_generation(name);
+    ASSERT_TRUE(mount.remove_container(name).is_ok()) << name;
+    ASSERT_GT(mount.mutation_generation(name), live) << name;
+  }
+  const std::int64_t grew = g_live_bytes.load() - level;
+  EXPECT_LE(grew, std::int64_t{64} * 1024) << "live heap grew over 1,984 cycles";
   fs::remove_all(root);
 }
 

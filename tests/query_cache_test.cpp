@@ -184,8 +184,10 @@ class QueryCachePipelineTest : public testing::Test {
     fs::remove_all(root_);
   }
 
-  std::vector<std::uint8_t> make_xtc(std::uint32_t frames) {
-    workload::TrajectoryGenerator gen(system_, workload::DynamicsSpec{});
+  std::vector<std::uint8_t> make_xtc(std::uint32_t frames, std::uint64_t seed = 7) {
+    workload::DynamicsSpec dynamics;
+    dynamics.seed = seed;
+    workload::TrajectoryGenerator gen(system_, dynamics);
     formats::XtcWriter writer;
     for (std::uint32_t f = 0; f < frames; ++f) {
       ADA_CHECK(writer
@@ -316,6 +318,43 @@ TEST_F(QueryCachePipelineTest, OverwriteReplacesAtomicallyAndInvalidates) {
   EXPECT_FALSE(ada->mount().container_exists("bar.xtc.overwrite.tmp"));
   const auto containers = ada->mount().list_containers().value();
   EXPECT_EQ(containers, (std::vector<std::string>{"bar.xtc"}));
+}
+
+TEST_F(QueryCachePipelineTest, RemoveAndReIngestServesTheNewBytes) {
+  // The mutation clock drops a removed name's entry; the re-created name's
+  // generations must still never repeat one its cached entries were filed
+  // under, or the whole-subset, range and tail answers would be stale.  A
+  // second middleware over a copy of the mount (one shared clock) writes,
+  // so only the clock fences the reader's cache.
+  auto ada = open_ada("recreate", kPlentyOfCache);
+  const FrameRange range{1, 3, 1};
+  const auto answers = [&](Ada& from) {
+    std::vector<std::vector<std::uint8_t>> out;
+    out.push_back(from.query("bar.xtc", kProteinTag).value());
+    out.push_back(from.query("bar.xtc", kProteinTag, range).value());
+    out.push_back(from.query_tail("bar.xtc", kProteinTag, 0).value().image);
+    return out;
+  };
+  ASSERT_TRUE(ada->ingest(system_, make_xtc(3), "bar.xtc").is_ok());
+  const auto old_answers = answers(*ada);
+  ASSERT_EQ(answers(*ada), old_answers);  // now cached
+
+  ASSERT_TRUE(ada->mount().remove_container("bar.xtc").is_ok());
+  const auto xtc_new = make_xtc(3, /*seed=*/8);
+  AdaConfig writer_config;
+  writer_config.placement = PlacementPolicy::active_on_ssd(0, 1);
+  Ada writer(ada->mount(), writer_config);
+  ASSERT_TRUE(writer.ingest(system_, xtc_new, "bar.xtc").is_ok());
+
+  auto reference = open_ada("recreate_ref");
+  ASSERT_TRUE(reference->ingest(system_, xtc_new, "bar.xtc").is_ok());
+  const auto expected = answers(*reference);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_NE(expected[i], old_answers[i]) << "answer " << i << " must change";
+  }
+  for (int round = 0; round < 2; ++round) {  // round 1 is served from the cache
+    EXPECT_EQ(answers(*ada), expected) << "round " << round;
+  }
 }
 
 TEST_F(QueryCachePipelineTest, StreamChunkFlushAndSealInvalidate) {

@@ -87,7 +87,7 @@ class ScatterGatherTest : public testing::Test {
     root_ = test::unique_temp_dir("ada_sg_test");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
-    serial_ = open_ada(/*read_threads=*/1, /*queue_depth=*/4, /*cache_bytes=*/0);
+    serial_ = open_ada(/*threads=*/1, /*cache_bytes=*/0);
 
     // Streamed ingest with small chunks: every chunk flushes one dropping
     // per tag, so each tag's subset spans six extents -- the multi-extent
@@ -126,12 +126,10 @@ class ScatterGatherTest : public testing::Test {
   }
   void TearDown() override { fs::remove_all(root_); }
 
-  std::unique_ptr<Ada> open_ada(unsigned read_threads, unsigned queue_depth,
-                                std::uint64_t cache_bytes) {
+  std::unique_ptr<Ada> open_ada(unsigned threads, std::uint64_t cache_bytes) {
     AdaConfig config;
     config.placement = PlacementPolicy::active_on_ssd(0, 1);
-    config.read_threads = read_threads;
-    config.read_queue_depth = queue_depth;
+    config.threads = threads;
     config.cache_bytes = cache_bytes;
     return std::make_unique<Ada>(
         plfs::PlfsMount::open({{"ssd", root_ + "/ssd"}, {"hdd", root_ + "/hdd"}}).value(),
@@ -155,11 +153,8 @@ class ScatterGatherTest : public testing::Test {
 
 TEST_F(ScatterGatherTest, ParallelMatchesSerialAcrossMatrix) {
   for (const unsigned threads : {0u, 1u, 2u, 4u, 8u}) {
-    for (const unsigned depth : {0u, 1u, 2u, 4u}) {
-      auto ada = open_ada(threads, depth, /*cache_bytes=*/0);
-      expect_matches_reference(*ada, "threads=" + std::to_string(threads) +
-                                         " depth=" + std::to_string(depth));
-    }
+    auto ada = open_ada(threads, /*cache_bytes=*/0);
+    expect_matches_reference(*ada, "threads=" + std::to_string(threads));
   }
 }
 
@@ -169,7 +164,7 @@ TEST_F(ScatterGatherTest, AdversarialCompletionOrderStaysOrdered) {
   DisarmGuard guard;
   ASSERT_TRUE(
       fault::Injector::global().arm_spec("plfs.read_dropping=delay:0.002:0.5").is_ok());
-  auto ada = open_ada(/*read_threads=*/4, /*queue_depth=*/2, /*cache_bytes=*/0);
+  auto ada = open_ada(/*threads=*/8, /*cache_bytes=*/0);
   for (int round = 0; round < 4; ++round) {
     expect_matches_reference(*ada, "adversarial round " + std::to_string(round));
   }
@@ -186,14 +181,14 @@ TEST_F(ScatterGatherTest, FirstLogicalErrorWinsLikeSerial) {
 
   const auto serial_result = serial_->query("traj.xtc", tags_[0]);
   ASSERT_FALSE(serial_result.is_ok());
-  auto parallel = open_ada(/*read_threads=*/4, /*queue_depth=*/2, /*cache_bytes=*/0);
+  auto parallel = open_ada(/*threads=*/8, /*cache_bytes=*/0);
   const auto parallel_result = parallel->query("traj.xtc", tags_[0]);
   ASSERT_FALSE(parallel_result.is_ok());
   EXPECT_EQ(parallel_result.error().to_string(), serial_result.error().to_string());
 }
 
 TEST_F(ScatterGatherTest, RangeFastPathMatchesSerial) {
-  auto parallel = open_ada(/*read_threads=*/4, /*queue_depth=*/4, /*cache_bytes=*/0);
+  auto parallel = open_ada(/*threads=*/4, /*cache_bytes=*/0);
   const FrameRange ranges[] = {{0, kFrames, 1}, {2, 11, 2}, {5, 6, 1}, {0, kFrames, 3}};
   for (const Tag& tag : tags_) {
     for (const FrameRange& range : ranges) {
@@ -211,14 +206,14 @@ TEST_F(ScatterGatherTest, RangeFastPathMatchesSerial) {
 TEST_F(ScatterGatherTest, CacheArmedDoubleReadStaysIdentical) {
   // First read fills the subset cache through the parallel path; the second
   // is a cache hit.  Both must equal the uncached serial bytes.
-  auto parallel = open_ada(/*read_threads=*/4, /*queue_depth=*/4, /*cache_bytes=*/64u << 20);
+  auto parallel = open_ada(/*threads=*/4, /*cache_bytes=*/64u << 20);
   expect_matches_reference(*parallel, "cache fill");
   expect_matches_reference(*parallel, "cache hit");
 }
 
 TEST_F(ScatterGatherTest, VfsUntaggedFanoutMatchesSerial) {
   VfsShim serial_shim(*serial_, root_ + "/host_s");
-  auto parallel = open_ada(/*read_threads=*/4, /*queue_depth=*/4, /*cache_bytes=*/0);
+  auto parallel = open_ada(/*threads=*/4, /*cache_bytes=*/0);
   VfsShim parallel_shim(*parallel, root_ + "/host_p");
   const auto want = serial_shim.read("traj.xtc", "vmd");
   const auto got = parallel_shim.read("traj.xtc", "vmd");
@@ -234,7 +229,7 @@ TEST_F(ScatterGatherTest, DegradedQueryServesSurvivorsUnderParallelReads) {
   ASSERT_FALSE(locations.empty());
   fs::remove(locations[0].host_path);
 
-  auto parallel = open_ada(/*read_threads=*/4, /*queue_depth=*/2, /*cache_bytes=*/0);
+  auto parallel = open_ada(/*threads=*/8, /*cache_bytes=*/0);
   const auto partial = parallel->query_degraded("traj.xtc");
   ASSERT_TRUE(partial.is_ok()) << partial.error().to_string();
   EXPECT_TRUE(partial.value().partial());
@@ -250,7 +245,7 @@ TEST_F(ScatterGatherTest, StressConcurrentQueriesStayIdentical) {
   // Many application threads querying one parallel middleware at once: the
   // shared pool, admission windows, and block cache must stay race-free
   // (run under TSan via the sanitizer build).
-  auto parallel = open_ada(/*read_threads=*/4, /*queue_depth=*/2, /*cache_bytes=*/8u << 20);
+  auto parallel = open_ada(/*threads=*/8, /*cache_bytes=*/8u << 20);
   std::atomic<int> mismatches{0};
   std::vector<std::thread> callers;
   for (int t = 0; t < 4; ++t) {
@@ -326,7 +321,7 @@ class PieceReadTest : public testing::Test {
   Result<std::vector<std::uint8_t>> read(const std::string& name, const Tag& tag,
                                          unsigned threads) const {
     ADA_ASSIGN_OR_RETURN(const auto locations, Indexer(*mount_).locate(name, tag));
-    return IoRetriever(*mount_, RetrieveOptions{threads, 4}).retrieve(locations);
+    return IoRetriever(*mount_, threads).retrieve(locations);
   }
 
   /// An answer as one comparable string: its bytes' size and CRC, or the
@@ -355,7 +350,7 @@ class PieceReadTest : public testing::Test {
 
 TEST_F(PieceReadTest, AnswersAreByteIdenticalAcrossThreadCounts) {
   for (const unsigned threads : kThreadCounts) {
-    SCOPED_TRACE("read_threads " + std::to_string(threads));
+    SCOPED_TRACE("threads " + std::to_string(threads));
     for (std::size_t i = 0; i < bytes_.size(); ++i) {
       const auto got = read("batch", tag(i), threads);
       ASSERT_TRUE(got.is_ok()) << got.error().to_string();
@@ -365,7 +360,7 @@ TEST_F(PieceReadTest, AnswersAreByteIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(streamed.is_ok()) << streamed.error().to_string();
     EXPECT_EQ(streamed.value(), stream_bytes_);
     const auto extents =
-        IoRetriever(*mount_, RetrieveOptions{threads, 4}).retrieve_extents(locate("stream", "p"));
+        IoRetriever(*mount_, threads).retrieve_extents(locate("stream", "p"));
     ASSERT_TRUE(extents.is_ok()) << extents.error().to_string();
     EXPECT_EQ(extents.value(), bytes_);
   }
@@ -383,7 +378,7 @@ TEST_F(PieceReadTest, CorruptByteInAnyPieceIsCorruptData) {
       const fault::ScopedFault corrupt("plfs.read_dropping",
                                        fault::Schedule::corrupt_read(1, fraction));
       const auto got = read("batch", tag(kLargest), threads);
-      ASSERT_FALSE(got.is_ok()) << "read_threads " << threads;
+      ASSERT_FALSE(got.is_ok()) << "threads " << threads;
       EXPECT_EQ(got.error().code(), ErrorCode::kCorruptData);
       EXPECT_EQ(got.error().message(), "checksum mismatch on " + location.host_path);
     }
@@ -391,7 +386,7 @@ TEST_F(PieceReadTest, CorruptByteInAnyPieceIsCorruptData) {
     flip_on_disk(location.host_path, location.physical_offset + at);
     for (const unsigned threads : kThreadCounts) {
       const auto got = read("batch", tag(kLargest), threads);
-      ASSERT_FALSE(got.is_ok()) << "read_threads " << threads;
+      ASSERT_FALSE(got.is_ok()) << "threads " << threads;
       EXPECT_EQ(got.error().code(), ErrorCode::kCorruptData);
       EXPECT_EQ(got.error().message(), "checksum mismatch on " + location.host_path);
     }
@@ -412,14 +407,14 @@ TEST_F(PieceReadTest, TruncatedDroppingFailsAsTheSerialRun) {
     EXPECT_EQ(serial.error().code(), ErrorCode::kCorruptData) << name;
     for (const unsigned threads : {2u, 0u}) {
       EXPECT_EQ(describe(read(name, subset, threads)), describe(serial))
-          << name << " at read_threads " << threads;
+          << name << " at threads " << threads;
     }
   }
 }
 
 TEST_F(PieceReadTest, FaultSiteIsHitOncePerExtent) {
   for (const unsigned threads : kThreadCounts) {
-    SCOPED_TRACE("read_threads " + std::to_string(threads));
+    SCOPED_TRACE("threads " + std::to_string(threads));
     {
       const fault::ScopedFault count("plfs.read_dropping", fault::Schedule::fail_nth(1u << 30));
       ASSERT_TRUE(read("batch", tag(kLargest), threads).is_ok());
@@ -457,7 +452,7 @@ TEST_F(PieceReadTest, FaultSchedulesAnswerAlikeAtEveryThreadCount) {
       if (threads == 1) {
         serial = answers;
       } else {
-        EXPECT_EQ(answers, serial) << "read_threads " << threads;
+        EXPECT_EQ(answers, serial) << "threads " << threads;
       }
     }
   }

@@ -254,7 +254,7 @@ class ServeTest : public testing::Test {
     root_ = test::unique_temp_dir("ada_serve_test");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
-    serial_ = open_ada(/*read_threads=*/1, /*queue_depth=*/4, /*cache_bytes=*/0);
+    serial_ = open_ada(/*threads=*/1, /*cache_bytes=*/0);
 
     // Streamed ingest with small chunks: every tag's subset spans six
     // extents, so a held-open fill has several dropping reads to delay.
@@ -280,12 +280,10 @@ class ServeTest : public testing::Test {
   }
   void TearDown() override { fs::remove_all(root_); }
 
-  std::unique_ptr<core::Ada> open_ada(unsigned read_threads, unsigned queue_depth,
-                                      std::uint64_t cache_bytes) {
+  std::unique_ptr<core::Ada> open_ada(unsigned threads, std::uint64_t cache_bytes) {
     core::AdaConfig config;
     config.placement = core::PlacementPolicy::active_on_ssd(0, 1);
-    config.read_threads = read_threads;
-    config.read_queue_depth = queue_depth;
+    config.threads = threads;
     config.cache_bytes = cache_bytes;
     return std::make_unique<core::Ada>(
         plfs::PlfsMount::open({{"ssd", root_ + "/ssd"}, {"hdd", root_ + "/hdd"}}).value(),
@@ -318,7 +316,7 @@ class ServeTest : public testing::Test {
 // --- query_image: the shareable read path --------------------------------------------
 
 TEST_F(ServeTest, QueryImageSharesOneRefcountedAllocation) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/8 << 20);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/8 << 20);
   const auto first = ada->query_image("traj.xtc", tags_[0]);
   ASSERT_TRUE(first.is_ok()) << first.error().to_string();
   const auto second = ada->query_image("traj.xtc", tags_[0]);
@@ -339,7 +337,7 @@ TEST_F(ServeTest, QueryImageSharesOneRefcountedAllocation) {
 // byte-identical to the serial reference AND pointer-identical to each
 // other (one shared allocation).
 TEST_F(ServeTest, CoalescingCollapsesConcurrentIdenticalQueriesToOneFill) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/8 << 20);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/8 << 20);
   ServeConfig config;
   config.workers = 4;
   config.default_quota.max_inflight = 0;  // unbounded: admission is not the subject
@@ -382,7 +380,7 @@ TEST_F(ServeTest, CoalescingCollapsesConcurrentIdenticalQueriesToOneFill) {
 TEST_F(ServeTest, ProfilerSamplesTheServeRequestSpan) {
   // serve_request is an obs::Span, so the sampling profiler's folded
   // stacks attribute a served read to it, down to the delayed pread.
-  auto ada = open_ada(0, 4, /*cache_bytes=*/0);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/0);
   AdaService service(*ada, ServeConfig{});
   DisarmGuard guard;
   const fault::ScopedFault slow("plfs.read_dropping", first_read_delay(0.4));
@@ -405,7 +403,7 @@ TEST_F(ServeTest, ProfilerSamplesTheServeRequestSpan) {
 }
 
 TEST_F(ServeTest, RangeQueriesCoalesceOnTheFullSelection) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/8 << 20);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/8 << 20);
   ServeConfig config;
   config.workers = 4;
   config.default_quota.max_inflight = 0;
@@ -439,7 +437,7 @@ TEST_F(ServeTest, RangeQueriesCoalesceOnTheFullSelection) {
 // split them into two fills -- duplicate work is acceptable under a race, a
 // stale share never is.
 TEST_F(ServeTest, WriterRacingReadersForcesASecondFillNeverAStaleShare) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/8 << 20);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/8 << 20);
   ServeConfig config;
   config.workers = 4;
   config.default_quota.max_inflight = 0;
@@ -476,7 +474,7 @@ TEST_F(ServeTest, WriterRacingReadersForcesASecondFillNeverAStaleShare) {
 // --- admission: backpressure, quotas, fairness ---------------------------------------
 
 TEST_F(ServeTest, FullTenantQueueShedsWithTypedOverload) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/0);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/0);
   ServeConfig config;
   config.workers = 2;
   config.start_paused = true;  // nothing dispatches: the queue fills deterministically
@@ -503,7 +501,7 @@ TEST_F(ServeTest, FullTenantQueueShedsWithTypedOverload) {
 }
 
 TEST_F(ServeTest, MemoryQuotaRejectsRequestsItHasLearnedCannotFit) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/0);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/0);
   ServeConfig config;
   config.workers = 2;
   config.default_quota.memory_bytes = 64;  // far below any subset image
@@ -530,7 +528,7 @@ TEST_F(ServeTest, MemoryQuotaRejectsRequestsItHasLearnedCannotFit) {
 }
 
 TEST_F(ServeTest, PerTenantWindowBoundsConcurrentDispatch) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/0);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/0);
   ServeConfig config;
   config.workers = 4;  // more workers than the lane admits
   config.default_quota.max_inflight = 1;
@@ -561,7 +559,7 @@ TEST_F(ServeTest, PerTenantWindowBoundsConcurrentDispatch) {
 // and the scheduler actually ran deficit-recredit rounds (the quanta are
 // far below one response, so every completion exhausts the tenant's share).
 TEST_F(ServeTest, DrrSchedulingDoesNotStarveTheColdTenant) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/8 << 20);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/8 << 20);
   ServeConfig config;
   config.workers = 1;        // sequential completions: the order IS the schedule
   config.start_paused = true;  // pre-load both queues, then release
@@ -606,7 +604,7 @@ TEST_F(ServeTest, DrrSchedulingDoesNotStarveTheColdTenant) {
 // --- tail/degraded ride the same lanes -----------------------------------------------
 
 TEST_F(ServeTest, TailAndDegradedFlowThroughTheService) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/8 << 20);
+  auto ada = open_ada(/*threads=*/8, /*cache_bytes=*/8 << 20);
   ServeConfig config;
   config.workers = 2;
   AdaService service(*ada, config);
@@ -643,7 +641,7 @@ TEST_F(ServeTest, TailAndDegradedFlowThroughTheService) {
 }
 
 TEST_F(ServeTest, StopFailsQueuedRequestsWithUnavailable) {
-  auto ada = open_ada(0, 4, /*cache_bytes=*/0);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/0);
   ServeConfig config;
   config.workers = 2;
   config.start_paused = true;  // queued work never dispatches
@@ -669,7 +667,7 @@ TEST_F(ServeTest, StopFailsQueuedRequestsWithUnavailable) {
 // retriever and the cache armed: the lock-order and lifetime battery meant
 // to run under -DADA_SANITIZE=thread.
 TEST_F(ServeTest, StressManyTenantsMixedKinds) {
-  auto ada = open_ada(/*read_threads=*/2, 4, /*cache_bytes=*/4 << 20);
+  auto ada = open_ada(/*threads=*/2, /*cache_bytes=*/4 << 20);
   ServeConfig config;
   config.workers = 4;
   config.default_quota.max_inflight = 4;
@@ -759,7 +757,7 @@ TEST(SpoolProtocolTest, RejectsMalformedRequestsTyped) {
 TEST_F(ServeTest, SpoolRoundTripServesBytesIdenticalToDirectQuery) {
   const std::string spool = root_ + "/spool";
   fs::create_directories(spool);
-  auto ada = open_ada(0, 4, /*cache_bytes=*/8 << 20);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/8 << 20);
   ServeConfig config;
   config.workers = 2;
   AdaService service(*ada, config);
@@ -787,7 +785,7 @@ TEST_F(ServeTest, SpoolRoundTripServesBytesIdenticalToDirectQuery) {
 TEST_F(ServeTest, SpoolPropagatesTypedOverloadToTheClient) {
   const std::string spool = root_ + "/spool";
   fs::create_directories(spool);
-  auto ada = open_ada(0, 4, /*cache_bytes=*/0);
+  auto ada = open_ada(/*threads=*/0, /*cache_bytes=*/0);
   ServeConfig config;
   config.workers = 2;
   config.start_paused = true;

@@ -38,7 +38,7 @@ constexpr const char* kUsage =
 }
 
 int main(int argc, char** argv) {
-  const tools::Args args(argc, argv);
+  const tools::Args args(argc, argv, {"out", "frames", "ligand", "seed", "codec", "size", "trr"});
   if (!args.has("out")) tools::die_usage(kUsage);
   const auto frames = args.count<std::uint32_t>("frames", 50);
   const auto ligand_atoms = args.count<std::uint32_t>("ligand", 0);

@@ -50,7 +50,9 @@ constexpr const char* kUsage =
 }
 
 int main(int argc, char** argv) {
-  const tools::Args args(argc, argv);
+  const tools::Args args(argc, argv,
+                         {"pdb", "xtc", "ssd", "hdd", "name", "schema", "threads", "retain-bytes",
+                          "chunk-frames", "frame-delay-ms", "keep-original", "stream"});
   if (!args.has("pdb") || !args.has("xtc") || !args.has("ssd") || !args.has("hdd")) {
     tools::die_usage(kUsage);
   }

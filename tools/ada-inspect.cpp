@@ -29,7 +29,7 @@ constexpr const char* kUsage =
 }
 
 int main(int argc, char** argv) {
-  const tools::Args args(argc, argv);
+  const tools::Args args(argc, argv, {"ssd", "hdd", "name", "fsck", "repair"});
   if (!args.has("ssd") || !args.has("hdd")) tools::die_usage(kUsage);
   tools::metrics_begin(args);
   std::FILE* report_out = tools::metrics_json_only(args) ? stderr : stdout;
@@ -70,8 +70,9 @@ int main(int argc, char** argv) {
   std::fprintf(report_out, "container %s (%zu extents):\n", logical.c_str(),
                index.records.size());
   table.print(table_out);
-  if (index.stream.has_value()) {
-    const plfs::StreamState& state = *index.stream;
+  const auto print_stream = [&](const plfs::Index& image) {
+    if (!image.stream.has_value()) return;
+    const plfs::StreamState& state = *image.stream;
     std::fprintf(report_out,
                  "stream: watermark %llu frames, floor %llu, %s (%llu chunks, %llu dropped)\n",
                  static_cast<unsigned long long>(state.sealed_frames),
@@ -79,7 +80,8 @@ int main(int argc, char** argv) {
                  state.sealed ? "sealed" : "OPEN",
                  static_cast<unsigned long long>(state.sealed_chunks),
                  static_cast<unsigned long long>(state.retention_drops));
-  }
+  };
+  print_stream(index);
 
   const auto labels = middleware.labels(logical);
   if (labels.is_ok()) {
@@ -109,6 +111,8 @@ int main(int argc, char** argv) {
                    actions.records_dropped, actions.extents_quarantined,
                    actions.tail_records_dropped, actions.orphans_removed, actions.shapes_rebuilt,
                    report.stream_open ? ", sealed the stream" : "");
+      // The state the repair left, so one run shows the stream it sealed.
+      print_stream(tools::must(mount.read_index(logical), "read repaired index"));
     }
     tools::metrics_end(args);
     return report.clean() ? 0 : 1;

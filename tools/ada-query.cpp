@@ -62,7 +62,7 @@ constexpr const char* kUsage =
     "                 [--frames A:B] [--stride K]\n"
     "                 [--out <subset.raw>] [--render <frame.ppm> --pdb <file>]\n"
     "                 [--metrics[=json|openmetrics]] [--trace <out.json>] [--cache <bytes>]\n"
-    "                 [--read-threads <n: 0 = pool (default), 1 = serial>] [--queue-depth <n>]\n"
+    "                 [--threads <n: 0 = pool (default), 1 = serial>]\n"
     "                 [--telemetry <ts.jsonl[,interval_ms]>] [--profile <out.folded[,interval_us]>]\n"
     "                 [--faults site=spec[,site=spec...]] [--degraded]\n"
     "                 [--follow [--from <frame>] [--poll-ms <ms>] [--timeout-s <s>]]\n"
@@ -89,7 +89,10 @@ core::FrameRange parse_range(const tools::Args& args) {
 }
 
 int main(int argc, char** argv) {
-  const tools::Args args(argc, argv);
+  const tools::Args args(argc, argv,
+                         {"ssd", "hdd", "name", "tag", "pdb", "out", "frames", "stride", "threads",
+                          "cache", "degraded", "follow", "from", "poll-ms", "timeout-s", "render",
+                          "serve-spool", "tenant"});
   const bool ranged = args.has("frames") || args.has("stride");
   const core::FrameRange range = parse_range(args);
 
@@ -154,11 +157,10 @@ int main(int argc, char** argv) {
   // the cached and uncached read paths are byte-identical, the cache only
   // short-circuits repeated reads within this process's lifetime).
   config.cache_bytes = args.count<std::uint64_t>("cache", 0);
-  // --read-threads=<n> caps the piece reads in flight (0 = follow the
-  // shared pool, the default; 1 = serial); --queue-depth=<n> bounds
-  // in-flight piece reads per backend (0 = unbounded).  docs/performance.md.
-  config.read_threads = args.count("read-threads", 0u);
-  config.read_queue_depth = args.count("queue-depth", 4u);
+  // --threads=<n> is the query's concurrency budget: its piece reads and
+  // the untagged read's per-tag batch (0 = follow the shared pool, the
+  // default; 1 = serial).  docs/performance.md.
+  config.threads = args.count("threads", 0u);
   core::Ada middleware(
       tools::must(plfs::PlfsMount::open(
                       {{"ssd-fs", args.get("ssd")}, {"hdd-fs", args.get("hdd")}}),

@@ -2,8 +2,8 @@
 //
 //   ada-serve --ssd /mnt/ssd --hdd /mnt/hdd --spool /run/ada
 //             [--workers <n>] [--cache <bytes>]
-//             [--read-threads <n: 0 = pool (default), 1 = serial>]
-//             [--queue-depth <n>] [--queue-cap <n>] [--inflight <n>]
+//             [--threads <n: 0 = pool (default), 1 = serial>]
+//             [--queue-cap <n>] [--inflight <n>]
 //             [--memory-quota <bytes>] [--quantum <bytes>]
 //             [--stop-file <path>] [--idle-timeout-s <s>] [--poll-ms <ms>]
 //             [--metrics[=json]]
@@ -36,15 +36,18 @@ namespace {
 constexpr const char* kUsage =
     "usage: ada-serve --ssd <dir> --hdd <dir> --spool <dir>\n"
     "                 [--workers <n>] [--cache <bytes>]\n"
-    "                 [--read-threads <n: 0 = pool (default), 1 = serial>]\n"
-    "                 [--queue-depth <n>] [--queue-cap <n>] [--inflight <n>]\n"
+    "                 [--threads <n: 0 = pool (default), 1 = serial>]\n"
+    "                 [--queue-cap <n>] [--inflight <n>]\n"
     "                 [--memory-quota <bytes>] [--quantum <bytes>]\n"
     "                 [--stop-file <path>] [--idle-timeout-s <s>] [--poll-ms <ms>]\n"
     "                 [--metrics[=json|openmetrics]]\n";
 }
 
 int main(int argc, char** argv) {
-  const tools::Args args(argc, argv);
+  const tools::Args args(argc, argv,
+                         {"ssd", "hdd", "spool", "threads", "cache", "workers", "inflight",
+                          "queue-cap", "idle-timeout-s", "poll-ms", "memory-quota", "quantum",
+                          "stop-file"});
   if (!args.has("ssd") || !args.has("hdd") || !args.has("spool")) tools::die_usage(kUsage);
   core::AdaConfig config;
   config.placement = core::PlacementPolicy::active_on_ssd(0, 1);
@@ -52,9 +55,8 @@ int main(int argc, char** argv) {
   // only while the image lives somewhere.  64 MiB default, --cache=0 to
   // prove the uncached path stays correct.
   config.cache_bytes = args.count<std::uint64_t>("cache", 64ull << 20);
-  // Piece reads in flight per query: 0 follows the shared pool, 1 is serial.
-  config.read_threads = args.count("read-threads", 0u);
-  config.read_queue_depth = args.count("queue-depth", 4u);
+  // Each query's concurrency budget: 0 follows the shared pool, 1 is serial.
+  config.threads = args.count("threads", 0u);
   serve::ServeConfig serve_config;
   serve_config.workers = args.count("workers", 4u);
   serve_config.default_quota.max_inflight = args.count("inflight", 4u);

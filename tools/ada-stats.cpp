@@ -123,7 +123,7 @@ int run_diff(const tools::Args& args, const std::string& baseline_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tools::Args args(argc, argv);
+  const tools::Args args(argc, argv, {"budget", "higher", "lower"});
   const std::vector<std::string>& positional = args.positional();
   if (positional.empty()) tools::die_usage(kUsage);
   const std::string& mode = positional[0];

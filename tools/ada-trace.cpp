@@ -193,7 +193,8 @@ std::string emit_chrome_json(const std::vector<obs::ExportEvent>& events,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tools::Args args(argc, argv);
+  const tools::Args args(argc, argv,
+                         {"trace-id", "out", "tag", "critical-path", "stages", "summary"});
   if (args.positional().empty()) tools::die_usage(kUsage);
   const auto trace_id = args.count<std::uint64_t>("trace-id", 0);
   tools::metrics_begin(args);

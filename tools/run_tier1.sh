@@ -216,12 +216,12 @@ set -e
     exit 1
 }
 
-echo "== scatter-gather smoke: --read-threads byte-identical over pieces + degraded exit 2 =="
+echo "== scatter-gather smoke: --threads byte-identical over pieces + degraded exit 2 =="
 # Parallel retrieval must serve the same bytes the serial query wrote above.
 "$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd" --hdd "$WORK/hdd" --name traj.xtc \
-    --tag p --read-threads 4 --queue-depth 2 --out "$WORK/protein_sg.raw" >/dev/null
+    --tag p --threads 4 --out "$WORK/protein_sg.raw" >/dev/null
 cmp "$WORK/protein.raw" "$WORK/protein_sg.raw" || {
-    echo "FAIL: --read-threads 4 served different bytes than the serial query" >&2
+    echo "FAIL: --threads 4 served different bytes than the serial query" >&2
     exit 1
 }
 # A subset of several pieces (96 tiny frames: about 1 MB of protein, three
@@ -230,27 +230,38 @@ cmp "$WORK/protein.raw" "$WORK/protein_sg.raw" || {
 "$BUILD_DIR/tools/ada-gen" --out "$WORK/gen_pieces" --size tiny --frames 96 >/dev/null
 "$BUILD_DIR/tools/ada-ingest" --pdb "$WORK/gen_pieces/system.pdb" --xtc "$WORK/gen_pieces/traj.xtc" \
     --ssd "$WORK/ssd5" --hdd "$WORK/hdd5" --name traj.xtc >/dev/null
-for read_threads in 1 default 4; do
+for threads in 1 default 4; do
     threads_flag=()
-    [ "$read_threads" = default ] || threads_flag=(--read-threads "$read_threads")
+    [ "$threads" = default ] || threads_flag=(--threads "$threads")
     "$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd5" --hdd "$WORK/hdd5" --name traj.xtc \
-        --tag p "${threads_flag[@]}" --out "$WORK/pieces_$read_threads.raw" >/dev/null
+        --tag p "${threads_flag[@]}" --out "$WORK/pieces_$threads.raw" >/dev/null
 done
 [ "$(wc -c < "$WORK/pieces_1.raw")" -gt 1048576 ] || {
     echo "FAIL: the piece smoke's subset does not span several 512 KiB pieces" >&2
     exit 1
 }
-for read_threads in default 4; do
-    cmp "$WORK/pieces_1.raw" "$WORK/pieces_$read_threads.raw" || {
-        echo "FAIL: --read-threads $read_threads served different bytes than --read-threads 1" >&2
+for threads in default 4; do
+    cmp "$WORK/pieces_1.raw" "$WORK/pieces_$threads.raw" || {
+        echo "FAIL: --threads $threads served different bytes than --threads 1" >&2
         exit 1
     }
 done
+# The retired flag is refused, never run silently at the default budget.
+set +e
+"$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd5" --hdd "$WORK/hdd5" --name traj.xtc \
+    --tag p --read-threads 1 --out "$WORK/retired_flag.raw" 2>"$WORK/retired_flag.log"
+RETIRED_EXIT=$?
+set -e
+[ "$RETIRED_EXIT" -eq 2 ] && grep -q -- '--read-threads' "$WORK/retired_flag.log" || {
+    echo "FAIL: ada-query --read-threads 1 should exit 2 naming the flag, got $RETIRED_EXIT" >&2
+    cat "$WORK/retired_flag.log" >&2
+    exit 1
+}
 # A down backend under parallel reads still degrades to an explicit partial
 # result (exit 2) -- the scatter-gather merge surfaces the failure, never junk.
 set +e
 "$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd" --hdd "$WORK/hdd" --name traj.xtc \
-    --degraded --read-threads 4 --faults "plfs.read_dropping=down:1:1000" >/dev/null
+    --degraded --threads 4 --faults "plfs.read_dropping=down:1:1000" >/dev/null
 SG_DEGRADED_EXIT=$?
 set -e
 [ "$SG_DEGRADED_EXIT" -eq 2 ] || {
@@ -364,6 +375,12 @@ grep -q 'stream: watermark [0-9]* frames, floor 0, OPEN' "$WORK/killed_dump.log"
     exit 1
 }
 inspect_killed --repair >"$WORK/killed_repair.log" || true
+# --repair prints the state it left: the sealed stream, in its own output.
+grep -q 'stream: watermark [0-9]* frames, floor 0, sealed' "$WORK/killed_repair.log" || {
+    echo "FAIL: ada-inspect --repair did not print the sealed stream it left" >&2
+    cat "$WORK/killed_repair.log" >&2
+    exit 1
+}
 inspect_killed >"$WORK/killed_dump.log"
 grep -q 'stream: watermark [0-9]* frames, floor 0, sealed' "$WORK/killed_dump.log" || {
     echo "FAIL: ada-inspect --repair left a dead producer's stream open" >&2

@@ -4,10 +4,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/faults.hpp"
@@ -25,7 +27,10 @@ namespace ada::tools {
 /// Parses "--flag value", "--flag=value" pairs and bare positional arguments.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  /// `flags` names every flag the tool reads; the shared observability and
+  /// fault flags are added here.  Any other flag is a usage error, exit 2,
+  /// so a misspelt or retired flag never runs silently at the default.
+  Args(int argc, char** argv, std::initializer_list<std::string_view> flags) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--", 0) == 0) {
@@ -40,6 +45,14 @@ class Args {
         }
       } else {
         positional_.push_back(arg);
+      }
+    }
+    constexpr std::string_view kShared[] = {"metrics", "trace", "telemetry", "profile", "faults"};
+    for (const auto& [key, value] : flags_) {
+      if (std::find(flags.begin(), flags.end(), key) == flags.end() &&
+          std::find(std::begin(kShared), std::end(kShared), key) == std::end(kShared)) {
+        std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+        std::exit(2);
       }
     }
   }
